@@ -41,7 +41,7 @@ from .series import (
     stable_betti_verified,
     weil_zeta_from_eigendata,
 )
-from .symfunc import SymFunc, hall_inner, mn_character, principal_spec, q_pochhammer, to_schur
+from .symfunc import SymFunc, mn_character, q_pochhammer
 from .varieties import builtin_space, eigendata_for_family, family_for, resolve_variety
 from .verify import run_suite
 

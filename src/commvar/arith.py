@@ -183,7 +183,8 @@ class Poly:
             f = rem[-1] / lb
             q[k] = f
             for j, c in enumerate(other.coeffs):
-                rem[j + k] -= f * c
+                if c:
+                    rem[j + k] -= f * c
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(q), Poly(rem)
@@ -544,13 +545,6 @@ def _to_poly(value) -> Poly:
     if isinstance(value, (int, Fraction)):
         return Poly.constant(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
-
-
-def ratfunc_sum(terms: Iterable[RatFunc]) -> RatFunc:
-    acc = RatFunc(0)
-    for t in terms:
-        acc = acc + t
-    return acc
 
 
 def binomial_series(c: RatFunc, e: int, order: int) -> list[RatFunc]:

@@ -133,12 +133,6 @@ class GradedSpace:
             out[s.deg] = out.get(s.deg, 0) + s.dim
         return out
 
-    def betti_number(self, i: int) -> int:
-        return self.betti().get(i, 0)
-
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.strata)
-
     def poincare_poly(self) -> Poly:
         """Signed Poincare polynomial sum dim * (-u)^deg."""
         if not self.strata:
@@ -173,6 +167,16 @@ class GradedSpace:
             )
 
 
+def _int_field(entry: dict, field: str, where: str) -> int:
+    # JSON integers only: true, 1.7, "2" and null are rejected, not coerced
+    value = entry[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DescriptorError(
+            f"{where}: field '{field}' must be an integer, got {json.dumps(value)}"
+        )
+    return value
+
+
 def parse_descriptor(obj, source: str = "<descriptor>") -> GradedSpace:
     if not isinstance(obj, dict):
         raise DescriptorError(f"{source}: top level must be an object")
@@ -184,16 +188,10 @@ def parse_descriptor(obj, source: str = "<descriptor>") -> GradedSpace:
         where = f"{source}: strata[{i}]"
         if not isinstance(entry, dict):
             raise DescriptorError(f"{where} must be an object")
-        try:
-            deg = int(entry["deg"])
-        except KeyError:
-            raise DescriptorError(f"{where}: missing field 'deg'") from None
-        except (TypeError, ValueError):
-            raise DescriptorError(f"{where}: field 'deg' must be an integer") from None
-        try:
-            dim = int(entry.get("dim", 1))
-        except (TypeError, ValueError):
-            raise DescriptorError(f"{where}: field 'dim' must be an integer") from None
+        if "deg" not in entry:
+            raise DescriptorError(f"{where}: missing field 'deg'")
+        deg = _int_field(entry, "deg", where)
+        dim = _int_field(entry, "dim", where) if "dim" in entry else 1
         eig_raw = entry.get("eigenvalue", 1)
         try:
             eig = parse_eigenvalue(eig_raw)
@@ -238,7 +236,7 @@ def eigen_power_sum(space: GradedSpace, i: int) -> Poly:
     return Poly(out)
 
 
-def graded_trace_product(space: GradedSpace, lam: Partition) -> RatFunc:
+def graded_trace_product(space: GradedSpace, lam: Partition) -> Poly:
     """Graded trace of (twist x permutation) on the tensor power.
 
     For a cycle type with a_i cycles of length i this is the product of
@@ -248,7 +246,7 @@ def graded_trace_product(space: GradedSpace, lam: Partition) -> RatFunc:
     acc = Poly.constant(1)
     for i, a in lam.exp:
         acc = acc * eigen_power_sum(space, i) ** a
-    return RatFunc(acc)
+    return acc
 
 
 def enhanced_character(space: GradedSpace, n: int) -> SymFunc:
@@ -276,7 +274,7 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
-    weights = {i: RatFunc(eigen_power_sum(space, i)) for i in range(1, order + 1)}
+    weights = {i: eigen_power_sum(space, i) for i in range(1, order + 1)}
     coeffs = [SymFunc.unit()]
     for n in range(1, order + 1):
         acc = SymFunc.zero(n)
@@ -297,11 +295,13 @@ def flag_schur_coefficient(n: int, lam: Partition) -> Poly:
     """Graded multiplicity of the Schur piece in the flag character.
 
     Equals the q-Pochhammer (q;q)_n times the principal specialization
-    of the Schur function; always an exact polynomial (the q-analog of
-    the standard tableaux count, with value dim at q = 1).
+    of the Schur function, i.e. the specialization numerator; an exact
+    polynomial (the q-analog of the standard tableaux count, with value
+    dim at q = 1).
     """
-    sp = SymFunc.schur(lam).principal_spec()
-    return (RatFunc(q_pochhammer(n)) * sp).as_poly()
+    if lam.n != n:
+        raise ValueError(f"{lam} is not a partition of {n}")
+    return SymFunc.schur(lam).principal_spec_numerator()
 
 
 def flag_character(n: int) -> SymFunc:
@@ -329,10 +329,11 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
     """Signed Poincare polynomial (or series) of the chosen moduli space.
 
     cn / sn: (q;q)_n at u^2 times the squared-variable principal
-    specialization of the graded character of the n-th power; an exact
-    polynomial, asserted.  coh: the same without the Pochhammer factor
-    (a rational function).  flag: the q-factorial at u^2.  bgln: the
-    inverse Pochhammer.  Frobenius eigenvalues are ignored here.
+    specialization of the graded character of the n-th power, i.e. its
+    specialization numerator; an exact polynomial by construction.
+    coh: the same without the Pochhammer factor (a rational function).
+    flag: the q-factorial at u^2.  bgln: the inverse Pochhammer.
+    Frobenius eigenvalues are ignored here.
     """
     kind = space.lower()
     if kind not in SPACES:
@@ -353,16 +354,9 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
     if n < 0:
         raise ValueError("n must be >= 0")
     ch = enhanced_character(space_data.with_unit_eigenvalues(), n)
-    sp = ch.principal_spec(power=2)
     if kind == "coh":
-        return sp
-    result = RatFunc(q_pochhammer(n, power=2)) * sp
-    if not result.is_polynomial():
-        raise AssertionError(
-            "internal inconsistency: the commuting-space Poincare value "
-            f"is not a polynomial for n={n}, data={space_data!r}"
-        )
-    return result
+        return ch.principal_spec(power=2)
+    return RatFunc(ch.principal_spec_numerator(power=2))
 
 
 # -- point counts ------------------------------------------------------------
@@ -385,9 +379,7 @@ def point_count(space_data: GradedSpace, n: int, q: int) -> Fraction:
     for lam in partitions_of(n):
         tr = Fraction(1)
         for i, a in lam.exp:
-            w = Fraction(0)
-            for s in resolved.strata:
-                w += s.dim * (-1) ** s.deg * s.eig**i
+            w = eigen_power_sum(resolved, i).evaluate(1)
             if w == 0:
                 tr = Fraction(0)
                 break

@@ -19,7 +19,7 @@ from .charmodel import (
     graded_trace_product,
     poincare,
 )
-from .oracle import BudgetExceededError, count_points, default_budget
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, count_points
 from .partitions import Partition
 from .series import (
     betti_zeta,
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help=f"candidate limit (default {default_budget()}, env COMMVAR_BUDGET)",
+        help=f"candidate limit (default {DEFAULT_BUDGET}, env COMMVAR_BUDGET)",
     )
 
     v = subs.add_parser("verify", help="run the exact cross-check suites")
@@ -145,10 +145,16 @@ def _cmd_char(args) -> int:
         elif space.has_symbolic_eigenvalues():
             space = space.with_unit_eigenvalues()
         if args.cycle_type:
-            lam = Partition.parse(args.cycle_type)
+            try:
+                lam = Partition.parse(args.cycle_type)
+            except ValueError:
+                raise ValueError(
+                    f"--cycle-type must be a partition such as '(2,1)' or "
+                    f"'1^1 2^1', got {args.cycle_type!r}"
+                ) from None
             if lam.n != args.n:
                 raise ValueError(
-                    f"char: cycle type {lam} is not a partition of {args.n}"
+                    f"--cycle-type {lam} is not a partition of {args.n}"
                 )
             print(f"trace {lam}: {graded_trace_product(space, lam).render()}")
         ch = enhanced_character(space, args.n)
@@ -204,6 +210,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise ValueError(f"--budget must be a positive integer, got {args.budget}")
     family = family_for(args.family, dim=args.dim, avoided=args.avoid)
     print(count_points(family, args.n, args.q, budget=args.budget))
     return 0

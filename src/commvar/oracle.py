@@ -208,15 +208,10 @@ def commute(a, b, p: int) -> bool:
     return mat_mul(a, b, p) == mat_mul(b, a, p)
 
 
-def _iter_matrices(n: int, p: int, first_row=None) -> Iterator[tuple]:
+def _iter_matrices(n: int, p: int) -> Iterator[tuple]:
     """All n x n matrices over F_p in row-major lexicographic entry order."""
-    if first_row is None:
-        for entries in product(range(p), repeat=n * n):
-            yield tuple(entries[i * n : (i + 1) * n] for i in range(n))
-    else:
-        for entries in product(range(p), repeat=n * (n - 1)):
-            rest = tuple(entries[i * n : (i + 1) * n] for i in range(n - 1))
-            yield (tuple(first_row),) + rest
+    for entries in product(range(p), repeat=n * n):
+        yield tuple(entries[i * n : (i + 1) * n] for i in range(n))
 
 
 # -- counting ----------------------------------------------------------------
@@ -226,20 +221,12 @@ def search_space_size(family: VarietyFamily, n: int, p: int) -> int:
     return p ** (family.tuple_len * n * n)
 
 
-def count_points(
-    family: VarietyFamily,
-    n: int,
-    p: int,
-    budget: int | None = None,
-    first_row: Sequence[int] | None = None,
-) -> int:
+def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = None) -> int:
     """Exact number of F_p points by exhaustive enumeration.
 
     Enumerates matrices in row-major lexicographic order, checking the
     family constraint per matrix and commutativity incrementally so a
-    failing pair prunes the remaining inner loops.  ``first_row``
-    restricts the first matrix to a fixed first row, which is the
-    partitioning contract used for parallel runs.
+    failing pair prunes the remaining inner loops.  Single-threaded.
     """
     if not is_prime(p):
         raise ValueError(f"the enumerator works over prime fields only, got {p}")
@@ -260,8 +247,7 @@ def count_points(
         if depth == family.tuple_len:
             return 1
         total = 0
-        rows = first_row if depth == 0 and first_row is not None else None
-        for mat in _iter_matrices(n, p, rows):
+        for mat in _iter_matrices(n, p):
             if not family.matrix_ok(mat, p):
                 continue
             if any(not commute(prev, mat, p) for prev in chosen):
@@ -270,20 +256,6 @@ def count_points(
         return total
 
     return extend((), 0)
-
-
-def count_points_partitioned(
-    family: VarietyFamily, n: int, p: int, budget: int | None = None
-) -> list[int]:
-    """Per-partition counts, split by the first matrix's first row.
-
-    Summing the returned list must reproduce ``count_points`` exactly;
-    each entry is independent and may be computed by a separate worker.
-    """
-    return [
-        count_points(family, n, p, budget=budget, first_row=row)
-        for row in product(range(p), repeat=n)
-    ]
 
 
 # -- cross checking -----------------------------------------------------------

@@ -101,9 +101,6 @@ class Partition:
         """Number of standard Young tableaux, by the hook length formula."""
         return factorial(self.n) // prod(self.hook_lengths())
 
-    def render_exp(self) -> str:
-        return " ".join(f"{i}^{a}" for i, a in self.exp)
-
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Accepts ``(3,2,1)``, ``3,2,1``, or exponential form ``1^1 2^1 3^1``."""

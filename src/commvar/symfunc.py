@@ -1,4 +1,4 @@
-"""Symmetric functions with rational-function coefficients.
+"""Symmetric functions with polynomial coefficients.
 
 Everything is stored in the power-sum basis, where the two pairings we
 need are diagonal: the Hall inner product satisfies
@@ -7,6 +7,11 @@ by ``p_k -> 1/(1 - x^k)``.  The complete homogeneous and Schur bases
 exist as conversion views; the change of basis to Schur functions goes
 through symmetric-group character values computed by the
 Murnaghan-Nakayama border-strip recursion.
+
+Coefficients are polynomials in the grading variable.  The principal
+specialization is the only operation that leaves the polynomial ring:
+it is computed over the common denominator (x; x)_n, whose exact
+quotient by every ``prod (1 - x^lam_i)`` is a polynomial.
 """
 
 from __future__ import annotations
@@ -72,6 +77,18 @@ def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
     return tuple(out)
 
 
+def _as_coeff(value) -> Poly:
+    """Coerce a scalar or polynomial coefficient to Poly.
+
+    A RatFunc is accepted only when its denominator is 1.
+    """
+    if isinstance(value, Poly):
+        return value
+    if isinstance(value, RatFunc):
+        return value.as_poly()
+    return Poly.constant(value)
+
+
 def _concat(a: Partition, b: Partition) -> Partition:
     return Partition(sorted(a.parts + b.parts, reverse=True))
 
@@ -79,8 +96,8 @@ def _concat(a: Partition, b: Partition) -> Partition:
 class SymFunc:
     """Homogeneous symmetric function of a fixed degree, in the p-basis.
 
-    ``terms`` maps partitions of ``degree`` to RatFunc coefficients;
-    zero coefficients are never stored.
+    ``terms`` maps partitions of ``degree`` to polynomial (Poly)
+    coefficients; zero coefficients are never stored.
     """
 
     __slots__ = ("degree", "terms")
@@ -88,13 +105,13 @@ class SymFunc:
     def __init__(self, degree: int, terms=None):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: dict[Partition, RatFunc] = {}
+        clean: dict[Partition, Poly] = {}
         for key, value in (terms or {}).items():
             if not isinstance(key, Partition):
                 key = Partition(key)
             if key.n != degree:
                 raise ValueError(f"key {key} is not a partition of {degree}")
-            value = RatFunc.of(value)
+            value = _as_coeff(value)
             if value:
                 clean[key] = value
         object.__setattr__(self, "degree", degree)
@@ -107,7 +124,7 @@ class SymFunc:
 
     @classmethod
     def unit(cls) -> "SymFunc":
-        return cls(0, {Partition(): RatFunc(1)})
+        return cls(0, {Partition(): 1})
 
     @classmethod
     def zero(cls, degree: int) -> "SymFunc":
@@ -115,7 +132,7 @@ class SymFunc:
 
     @classmethod
     def from_p(cls, lam: Partition) -> "SymFunc":
-        return cls(lam.n, {lam: RatFunc(1)})
+        return cls(lam.n, {lam: 1})
 
     @classmethod
     def from_h(cls, lam: Partition) -> "SymFunc":
@@ -130,8 +147,8 @@ class SymFunc:
 
     # -- basic algebra ----------------------------------------------------
 
-    def coeff(self, lam: Partition) -> RatFunc:
-        return self.terms.get(lam, RatFunc(0))
+    def coeff(self, lam: Partition) -> Poly:
+        return self.terms.get(lam, Poly())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -149,14 +166,14 @@ class SymFunc:
             raise ValueError("cannot add symmetric functions of different degrees")
         out = dict(self.terms)
         for key, value in other.terms.items():
-            out[key] = out.get(key, RatFunc(0)) + value
+            out[key] = out.get(key, Poly()) + value
         return SymFunc(self.degree, out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymFunc":
-        c = RatFunc.of(c)
+        c = _as_coeff(c)
         if not c:
             return SymFunc(self.degree)
         return SymFunc(
@@ -165,28 +182,25 @@ class SymFunc:
 
     def __mul__(self, other: "SymFunc") -> "SymFunc":
         """Product in the ring of symmetric functions; degrees add."""
-        out: dict[Partition, RatFunc] = {}
+        out: dict[Partition, Poly] = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 key = _concat(ka, kb)
                 prod = va * vb
-                out[key] = out.get(key, RatFunc(0)) + prod
+                out[key] = out.get(key, Poly()) + prod
         return SymFunc(self.degree + other.degree, out)
-
-    def map_coeffs(self, fn) -> "SymFunc":
-        return SymFunc(self.degree, {k: fn(v) for k, v in self.terms.items()})
 
     # -- pairings and specializations --------------------------------------
 
-    def hall(self, other: "SymFunc") -> RatFunc:
+    def hall(self, other: "SymFunc") -> Poly:
         """Hall inner product, bilinear over the coefficient field.
 
         Components of different degrees pair to zero by convention, so
         graded characters can be paired degreewise.
         """
         if self.degree != other.degree:
-            return RatFunc(0)
-        acc = RatFunc(0)
+            return Poly()
+        acc = Poly()
         for lam in partitions_of(self.degree):
             a = self.terms.get(lam)
             if a is None:
@@ -197,11 +211,11 @@ class SymFunc:
             acc = acc + a * b * lam.centralizer_order()
         return acc
 
-    def to_schur(self) -> dict[Partition, RatFunc]:
+    def to_schur(self) -> dict[Partition, Poly]:
         """Schur expansion coefficients c_lam with f = sum c_lam s_lam."""
-        out: dict[Partition, RatFunc] = {}
+        out: dict[Partition, Poly] = {}
         for lam in partitions_of(self.degree):
-            acc = RatFunc(0)
+            acc = Poly()
             for mu, coeff in self.terms.items():
                 chi = mn_character(lam, mu)
                 if chi:
@@ -209,6 +223,25 @@ class SymFunc:
             if acc:
                 out[lam] = acc
         return out
+
+    def principal_spec_numerator(self, power: int = 1) -> Poly:
+        """Numerator of the principal specialization over (x^p; x^p)_n.
+
+        Here p = power and n = degree.  The result N satisfies
+        ``principal_spec(power) == N / q_pochhammer(n, power)``; it is
+        the sum of c_lam * (x^p; x^p)_n / prod (1 - x^(p*lam_i)).  Every
+        such quotient is exact because prod (1 - x^lam_i) divides
+        (x; x)_n for each partition lam of n (Macdonald, Symmetric
+        Functions and Hall Polynomials, I.3); a remainder raises.
+        """
+        pochhammer = q_pochhammer(self.degree, power)
+        acc = Poly()
+        for lam, coeff in self.terms.items():
+            den = Poly.constant(1)
+            for part in lam.parts:
+                den = den * (Poly.constant(1) - Poly.monomial(power * part))
+            acc = acc + coeff * pochhammer.exact_div(den)
+        return acc
 
     def principal_spec(self, power: int = 1) -> RatFunc:
         """Principal specialization, p_k -> 1/(1 - x^(power*k)).
@@ -218,37 +251,9 @@ class SymFunc:
         specialization used for Poincare polynomials, where the
         coefficients already live in the same variable.
         """
-        acc = RatFunc(0)
-        for lam in partitions_of(self.degree):
-            coeff = self.terms.get(lam)
-            if coeff is None:
-                continue
-            den = Poly.constant(1)
-            for part in lam.parts:
-                den = den * (Poly.constant(1) - Poly.monomial(power * part))
-            acc = acc + coeff * RatFunc(1, den)
-        return acc
-
-    def principal_spec_at(self, value: Fraction) -> Fraction:
-        """Principal specialization evaluated at an exact scalar.
-
-        Coefficients must be constants (specialize the grading variable
-        first).  Requires value**k != 1 for every part size k.
-        """
-        acc = Fraction(0)
-        for lam, coeff in self.terms.items():
-            if not coeff.is_polynomial() or coeff.num.degree() > 0:
-                raise ValueError("principal_spec_at needs constant coefficients")
-            term = coeff.num.constant_term()
-            for part in lam.parts:
-                d = 1 - value**part
-                if d == 0:
-                    raise ZeroDivisionError(
-                        f"specialization pole: 1 - ({value})^{part} = 0"
-                    )
-                term /= d
-            acc += term
-        return acc
+        return RatFunc(
+            self.principal_spec_numerator(power), q_pochhammer(self.degree, power)
+        )
 
     # -- rendering -----------------------------------------------------------
 
@@ -293,18 +298,6 @@ def _render_basis(items, symbol: str, var: str) -> str:
     if not pieces:
         return "0"
     return " ".join(pieces)
-
-
-def hall_inner(f: SymFunc, g: SymFunc) -> RatFunc:
-    return f.hall(g)
-
-
-def to_schur(f: SymFunc) -> dict[Partition, RatFunc]:
-    return f.to_schur()
-
-
-def principal_spec(f: SymFunc, power: int = 1) -> RatFunc:
-    return f.principal_spec(power)
 
 
 def q_pochhammer(n: int, power: int = 1) -> Poly:

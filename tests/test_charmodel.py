@@ -246,6 +246,10 @@ class TestFlagCharacter:
                 poly = flag_schur_coefficient(n, lam)
                 assert all(c.denominator == 1 and c >= 0 for c in poly.coeffs)
 
+    def test_rank_must_match_the_partition(self):
+        with pytest.raises(ValueError, match="not a partition of 4"):
+            flag_schur_coefficient(4, P((2, 1)))
+
 
 class TestPoincare:
     def test_affine_is_trivial(self):
@@ -367,6 +371,13 @@ class TestDescriptors:
     def test_bad_eigenvalue_names_the_field(self):
         with pytest.raises(DescriptorError, match="eigenvalue"):
             parse_descriptor({"strata": [{"deg": 0, "eigenvalue": "??"}]})
+
+    @pytest.mark.parametrize("field", ["deg", "dim"])
+    @pytest.mark.parametrize("value", [True, False, 1.7, 1.0, "2", None])
+    def test_deg_and_dim_must_be_json_integers(self, field, value):
+        entry = {"deg": 1, "dim": 1, field: value}
+        with pytest.raises(DescriptorError, match=rf"strata\[1\]: field '{field}' must be an integer"):
+            parse_descriptor({"strata": [{"deg": 0, "dim": 1}, entry]})
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

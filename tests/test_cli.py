@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from commvar.cli import main
 
 
@@ -71,6 +73,17 @@ class TestChar:
         )
         assert code == 2
         assert "not a partition of 2" in err
+
+    @pytest.mark.parametrize("cycle", ["(a,1)", "2^", "(0,2)"])
+    def test_bad_cycle_type_names_the_option(self, capsys, cycle):
+        code, out, err = run(
+            capsys, "char", "--variety", "torus", "-n", "2", "--cycle-type", cycle
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --cycle-type")
+        assert "invalid literal" not in err
+        assert len(err.splitlines()) == 1
 
     def test_needs_flag_or_variety(self, capsys):
         code, _, err = run(capsys, "char")
@@ -152,6 +165,34 @@ class TestCount:
         )
         assert code == 3
         assert "budget" in err
+
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_rejected(self, capsys, budget):
+        code, out, err = run(
+            capsys,
+            "count", "--family", "torus", "--n", "2", "--q", "2", "--budget", budget,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --budget must be a positive integer, got {budget}\n"
+
+    def test_bad_budget_env_is_an_error_for_count_only(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMMVAR_BUDGET", "abc")
+        code, _, err = run(capsys, "count", "--family", "torus", "--n", "1", "--q", "2")
+        assert code == 2
+        assert err.startswith("error: COMMVAR_BUDGET")
+        code, out, _ = run(capsys, "poincare", "--variety", "torus", "-n", "2")
+        assert code == 0
+        assert out == "1 - u - u^3 + u^4\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]])
+    def test_help_does_not_read_budget_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COMMVAR_BUDGET", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: commvar" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""Brute-force enumerator: exact counts, budget handling, partitioning."""
+"""Brute-force enumerator: exact counts, budget handling, cross-checks."""
 
 from itertools import product
 
@@ -10,7 +10,6 @@ from commvar.oracle import (
     PuncturedLine,
     Torus,
     count_points,
-    count_points_partitioned,
     cross_check,
     det_mod,
     gl_order,
@@ -107,23 +106,6 @@ class TestCountPoints:
         monkeypatch.setenv("COMMVAR_BUDGET", "zebra")
         with pytest.raises(ValueError):
             count_points(AffineSpace(1), 1, 2)
-
-
-class TestPartitioning:
-    @pytest.mark.parametrize(
-        "family,n,p",
-        [
-            (AffineSpace(1), 2, 2),
-            (Torus(1), 2, 3),
-            (AffineSpace(2), 2, 2),
-            (PuncturedLine((0, 1)), 2, 3),
-        ],
-    )
-    def test_partition_sums_match_direct_count(self, family, n, p):
-        direct = count_points(family, n, p)
-        pieces = count_points_partitioned(family, n, p)
-        assert len(pieces) == p**n
-        assert sum(pieces) == direct
 
 
 class TestCrossCheck:

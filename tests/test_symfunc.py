@@ -13,6 +13,7 @@ from itertools import permutations
 import pytest
 
 from commvar.arith import Poly, RatFunc
+from commvar.charmodel import GradedSpace, Stratum, enhanced_character, poincare
 from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, mn_character, q_pochhammer
 
@@ -47,6 +48,39 @@ def schur_by_jacobi_trudi(lam: Partition) -> SymFunc:
         if ok and term.degree == lam.n:
             result = result + term.scale(sign)
     return result
+
+
+def principal_spec_per_term(f: SymFunc, power: int) -> RatFunc:
+    """Sum of c_lam / prod (1 - x^(power*lam_i)), one RatFunc add per term; oracle only."""
+    acc = RatFunc(0)
+    for lam, coeff in f.terms.items():
+        den = ONE
+        for part in lam.parts:
+            den = den * (ONE - Poly.monomial(power * part))
+        acc = acc + RatFunc(coeff, den)
+    return acc
+
+
+class TestCoefficients:
+    def test_coefficients_are_polynomials(self):
+        f = SymFunc(3, {(3,): 3, (2, 1): F(1, 2), (1, 1, 1): RatFunc(ONE - U)})
+        assert all(type(c) is Poly for c in f.terms.values())
+        assert f.coeff(P((3,))) == Poly.constant(3)
+        assert f.coeff(P((2, 1))) == Poly.constant(F(1, 2))
+        assert f.coeff(P((1, 1, 1))) == ONE - U
+
+    def test_rejects_true_rational_coefficient(self):
+        with pytest.raises(ValueError, match="denominator"):
+            SymFunc(1, {(1,): RatFunc(1, ONE - U)})
+        with pytest.raises(ValueError, match="denominator"):
+            SymFunc.from_p(P((1,))).scale(RatFunc(1, ONE - U))
+
+    def test_products_and_pairings_stay_polynomial(self):
+        f = SymFunc.schur(P((2, 1))).scale(ONE + U)
+        g = SymFunc.from_h(P((1,))) * SymFunc.from_p(P((1, 1))).scale(U)
+        assert type(f.hall(f)) is Poly
+        assert all(type(c) is Poly for c in (f * g).terms.values())
+        assert all(type(c) is Poly for c in g.to_schur().values())
 
 
 class TestHomogeneous:
@@ -239,9 +273,32 @@ class TestPrincipalSpec:
     def test_unit(self):
         assert SymFunc.unit().principal_spec() == RatFunc(1)
 
-    def test_spec_at_scalar(self):
-        h2 = SymFunc.from_h(P((2,)))
-        assert h2.principal_spec_at(F(1, 2)) == h2.principal_spec().evaluate(F(1, 2))
+    @pytest.mark.parametrize("power", (1, 2))
+    def test_matches_per_term_route(self, power):
+        rng = random.Random(53 + power)
+        for n in range(8):
+            f = SymFunc(
+                n,
+                {
+                    lam: Poly([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)])
+                    for lam in partitions_of(n)
+                    if rng.random() < 0.6
+                },
+            )
+            assert f.principal_spec(power) == principal_spec_per_term(f, power), n
+
+    def test_poincare_matches_per_term_route(self):
+        rng = random.Random(71)
+        spaces = [
+            GradedSpace([Stratum(0, 1), Stratum(1, 1)]),
+            GradedSpace([Stratum(0, 1), Stratum(2, 1)]),
+            GradedSpace([Stratum(0, 1), Stratum(1, 2)]),
+            GradedSpace([Stratum(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(3)]),
+        ]
+        for space in spaces:
+            for n in range(9):
+                per_term = principal_spec_per_term(enhanced_character(space, n), 2)
+                assert RatFunc(q_pochhammer(n, 2)) * per_term == poincare(space, n, "cn")
 
 
 class TestProduct:
