@@ -19,7 +19,13 @@ from .charmodel import (
     graded_trace_product,
     poincare,
 )
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, count_points
+from .oracle import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    PuncturedLine,
+    count_points,
+    prime_power_base,
+)
 from .partitions import Partition
 from .series import (
     betti_zeta,
@@ -36,6 +42,13 @@ def _parse_avoid(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     return tuple(int(tok) for tok in text.split(","))
+
+
+def _check_avoided(args, q: int) -> None:
+    """The punctured builtin needs its avoided values distinct modulo p."""
+    if args.variety == "punctured":
+        p, _ = prime_power_base(q)
+        PuncturedLine(args.avoid).reduced_avoided(p)
 
 
 def _add_variety_args(sub, required: bool = True):
@@ -141,6 +154,7 @@ def _cmd_char(args) -> int:
             raise ValueError("char: need either --flag N or --variety ... -n N")
         space = resolve_variety(args.variety, dim=args.dim, avoided=args.avoid)
         if args.q is not None:
+            _check_avoided(args, args.q)
             space = space.resolve(args.q)
         elif space.has_symbolic_eigenvalues():
             space = space.with_unit_eigenvalues()
@@ -191,6 +205,7 @@ def _cmd_series(args) -> int:
         return 0 if report.ok else 1
     if args.q is None:
         raise ValueError(f"series {args.kind}: -q is required")
+    _check_avoided(args, args.q)
     if args.kind == "zeta":
         print(weil_zeta_from_eigendata(space, args.q).render("t"))
         return 0

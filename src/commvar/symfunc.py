@@ -11,13 +11,20 @@ Murnaghan-Nakayama border-strip recursion.
 Coefficients are polynomials in the grading variable.  The principal
 specialization is the only operation that leaves the polynomial ring:
 it is computed over the common denominator (x; x)_n, whose exact
-quotient by every ``prod (1 - x^lam_i)`` is a polynomial.
+quotient by every ``prod (1 - x^lam_i)`` is a polynomial (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3).  Its numerator is an
+integer kernel: the Pochhammer product is built once per (n, power) as
+a tuple of ints, each cofactor comes from running-sum divisions by
+``1 - x^k`` that raise on a remainder and is cached per partition, and
+the rational coefficients are scaled by the lcm of their denominators,
+so the sum runs over ints with one division at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .arith import Poly, RatFunc
 from .partitions import Partition, partitions_of
@@ -232,16 +239,27 @@ class SymFunc:
         the sum of c_lam * (x^p; x^p)_n / prod (1 - x^(p*lam_i)).  Every
         such quotient is exact because prod (1 - x^lam_i) divides
         (x; x)_n for each partition lam of n (Macdonald, Symmetric
-        Functions and Hall Polynomials, I.3); a remainder raises.
+        Functions and Hall Polynomials, I.3).  The quotients are integer
+        polynomials from running-sum divisions by 1 - x^k, each checked
+        for a zero remainder, and are cached per (n, p, lam).  The
+        coefficients c_lam are scaled to integers by the lcm D of their
+        denominators, the products are summed over ints, and N has the
+        coefficients a / D.
         """
-        pochhammer = q_pochhammer(self.degree, power)
-        acc = Poly()
+        n = self.degree
+        denom = lcm(*(c.denominator for coeff in self.terms.values() for c in coeff.coeffs))
+        acc: list[int] = []
         for lam, coeff in self.terms.items():
-            den = Poly.constant(1)
-            for part in lam.parts:
-                den = den * (Poly.constant(1) - Poly.monomial(power * part))
-            acc = acc + coeff * pochhammer.exact_div(den)
-        return acc
+            cofactor = _cofactor(n, power, lam.parts)
+            width = len(cofactor)
+            need = len(coeff.coeffs) + width - 1
+            if len(acc) < need:
+                acc.extend([0] * (need - len(acc)))
+            for i, c in enumerate(coeff.coeffs):
+                if c:
+                    a = c.numerator * (denom // c.denominator)
+                    acc[i : i + width] = [s + a * b for s, b in zip(acc[i : i + width], cofactor)]
+        return Poly(Fraction(a, denom) for a in acc)
 
     def principal_spec(self, power: int = 1) -> RatFunc:
         """Principal specialization, p_k -> 1/(1 - x^(power*k)).
@@ -300,9 +318,47 @@ def _render_basis(items, symbol: str, var: str) -> str:
     return " ".join(pieces)
 
 
+def _div_one_minus(coeffs, k: int) -> list[int]:
+    """Exact quotient of an integer polynomial by 1 - x^k, by running sums.
+
+    The quotient q satisfies q[j] = a[j] + q[j - k]; the division is
+    exact exactly when the top k entries of that running sum vanish.
+    Raises ValueError on a remainder.
+    """
+    if k < 1:
+        raise ZeroDivisionError("division by 1 - x^0 = 0")
+    q = list(coeffs)
+    for j in range(k, len(q)):
+        q[j] += q[j - k]
+    if any(q[-k:]):
+        raise ValueError(f"division by 1 - x^{k} left a remainder")
+    del q[-k:]
+    return q
+
+
+@lru_cache(maxsize=None)
+def _pochhammer_ints(n: int, power: int) -> tuple[int, ...]:
+    if n and power < 0:
+        raise ValueError("monomial exponent must be >= 0")
+    acc = [1]
+    for i in range(1, n + 1):
+        k = power * i
+        out = acc + [0] * k
+        for j, c in enumerate(acc):
+            out[j + k] -= c
+        acc = out
+    return tuple(acc)
+
+
+@lru_cache(maxsize=None)
+def _cofactor(n: int, power: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    # (x^p; x^p)_n / prod (1 - x^(p*lam_i)), an integer polynomial
+    q = _pochhammer_ints(n, power)
+    for part in parts:
+        q = _div_one_minus(q, power * part)
+    return tuple(q)
+
+
 def q_pochhammer(n: int, power: int = 1) -> Poly:
     """The product (1 - x^power)(1 - x^(2*power)) ... (1 - x^(n*power))."""
-    acc = Poly.constant(1)
-    for i in range(1, n + 1):
-        acc = acc * (Poly.constant(1) - Poly.monomial(power * i))
-    return acc
+    return Poly(_pochhammer_ints(n, power))

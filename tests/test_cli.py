@@ -140,6 +140,34 @@ class TestSeries:
         assert code == 2
         assert "-q is required" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "groupoid", "--variety", "punctured", "--avoid", "0,1,2", "-q", "2"),
+            ("series", "zeta", "--variety", "punctured", "--avoid", "0,1,2", "-q", "2"),
+            ("char", "--variety", "punctured", "--avoid", "0,1,2", "-n", "2", "-q", "2"),
+            ("count", "--family", "punctured", "--avoid", "0,1,2", "--n", "2", "--q", "2"),
+        ],
+    )
+    def test_punctured_collision_modulo_p(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: avoided values (0, 1, 2) collide modulo 2\n"
+
+    def test_punctured_collision_uses_the_prime_of_q(self, capsys):
+        code, _, err = run(
+            capsys, "char", "--variety", "punctured", "--avoid", "0,3", "-n", "2", "-q", "9"
+        )
+        assert code == 2
+        assert err == "error: avoided values (0, 3) collide modulo 3\n"
+        code, out, _ = run(
+            capsys, "series", "groupoid", "--variety", "punctured", "--avoid", "0,1,2",
+            "-q", "3", "--t-order", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "verdict: equal"
+
 
 class TestCount:
     def test_torus(self, capsys):

@@ -15,7 +15,7 @@ import pytest
 from commvar.arith import Poly, RatFunc
 from commvar.charmodel import GradedSpace, Stratum, enhanced_character, poincare
 from commvar.partitions import Partition, partitions_of
-from commvar.symfunc import SymFunc, mn_character, q_pochhammer
+from commvar.symfunc import SymFunc, _div_one_minus, mn_character, q_pochhammer
 
 P = Partition
 U = Poly.monomial(1)
@@ -59,6 +59,84 @@ def principal_spec_per_term(f: SymFunc, power: int) -> RatFunc:
             den = den * (ONE - Poly.monomial(power * part))
         acc = acc + RatFunc(coeff, den)
     return acc
+
+
+def pochhammer_by_products(n: int, power: int) -> Poly:
+    """(1 - x^p)(1 - x^2p) ... (1 - x^np) as Poly products; oracle only."""
+    acc = ONE
+    for i in range(1, n + 1):
+        acc = acc * (ONE - Poly.monomial(power * i))
+    return acc
+
+
+def numerator_by_poly_division(f: SymFunc, power: int) -> Poly:
+    """Sum of c_lam * (x^p;x^p)_n / prod (1 - x^(p*lam_i)), one Poly.exact_div per term; oracle only."""
+    pochhammer = pochhammer_by_products(f.degree, power)
+    acc = Poly()
+    for lam, coeff in f.terms.items():
+        den = ONE
+        for part in lam.parts:
+            den = den * (ONE - Poly.monomial(power * part))
+        acc = acc + coeff * pochhammer.exact_div(den)
+    return acc
+
+
+def random_symfunc(rng: random.Random, n: int) -> SymFunc:
+    """Fraction-coefficient polynomials, denominators up to 9, on about 60% of partitions."""
+    return SymFunc(
+        n,
+        {
+            lam: Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))])
+            for lam in partitions_of(n)
+            if rng.random() < 0.6
+        },
+    )
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("power", (1, 2, 3))
+    def test_matches_poly_division(self, power):
+        rng = random.Random(907 + power)
+        for n in range(10):
+            f = random_symfunc(rng, n)
+            assert f.principal_spec_numerator(power) == numerator_by_poly_division(f, power), n
+
+    def test_denominators_not_dividing_n_factorial(self):
+        f = SymFunc(4, {(2, 1, 1): F(1, 7), (4,): Poly([F(3, 11), 0, F(-5, 13)]), (3, 1): F(2, 3)})
+        for power in (1, 2, 3):
+            got = f.principal_spec_numerator(power)
+            assert got == numerator_by_poly_division(f, power)
+            assert got.coeffs[0] == F(1, 7) + F(3, 11) + F(2, 3)
+
+    def test_zero_and_unit(self):
+        for power in (1, 2, 3):
+            for n in range(6):
+                assert SymFunc.zero(n).principal_spec_numerator(power) == Poly()
+            assert SymFunc.unit().principal_spec_numerator(power) == ONE
+            assert SymFunc.unit().scale(U - F(1, 3)).principal_spec_numerator(power) == U - F(1, 3)
+
+    @pytest.mark.parametrize("power", (0, 1, 2, 3))
+    def test_pochhammer(self, power):
+        for n in range(10):
+            assert q_pochhammer(n, power) == pochhammer_by_products(n, power)
+
+    def test_running_sum_division(self):
+        assert _div_one_minus([1, 0, -1], 2) == [1]
+        assert _div_one_minus([1, -1, 0, 0, -1, 1], 4) == [1, -1]
+        assert _div_one_minus([], 3) == []
+        rng = random.Random(5)
+        for _ in range(20):
+            k = rng.randint(1, 6)
+            q = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))] + [1]
+            product = (Poly(q) * (ONE - Poly.monomial(k))).coeffs
+            assert _div_one_minus([int(c) for c in product], k) == q
+
+    @pytest.mark.parametrize(
+        "coeffs, k", [([1, 1], 2), ([1], 1), ([0, 0, 1], 1), ([1, 0, -1, 1], 2), ([2], 3)]
+    )
+    def test_running_sum_division_rejects_remainder(self, coeffs, k):
+        with pytest.raises(ValueError, match="remainder"):
+            _div_one_minus(coeffs, k)
 
 
 class TestCoefficients:
