@@ -2,10 +2,11 @@
 
 Dense polynomials over the rationals, rational functions kept in a
 canonical form (coprime, monic denominator), and truncated power series
-in a counting variable whose coefficients are rational functions in a
-second, grading variable.  There is no floating point anywhere; every
-operation is exact, so equality of values is decidable by comparing
-canonical forms.
+in a counting variable whose coefficients are polynomials in a second,
+grading variable.  A rational function appears only where a denominator
+is printed or compared; the series layer never carries one.  There is
+no floating point anywhere; every operation is exact, so equality of
+values is decidable by comparing canonical forms.
 """
 
 from __future__ import annotations
@@ -189,12 +190,6 @@ class Poly:
                 rem.pop()
         return Poly(q), Poly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -345,8 +340,8 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        num = _to_poly(num)
-        den = _to_poly(den)
+        num = to_poly(num)
+        den = to_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -387,9 +382,6 @@ class RatFunc:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
 
     def as_poly(self) -> Poly:
         if not self.den.is_one():
@@ -539,49 +531,41 @@ class RatFunc:
         return f"{num_s}/{den_s}"
 
 
-def _to_poly(value) -> Poly:
+def to_poly(value) -> Poly:
+    """Coerce an int, Fraction or Poly to Poly.
+
+    A RatFunc is accepted only when its denominator is 1; otherwise
+    ``as_poly`` raises ValueError.
+    """
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
+    if isinstance(value, RatFunc):
+        return value.as_poly()
+    return Poly.constant(value)
 
 
-def binomial_series(c: RatFunc, e: int, order: int) -> list[RatFunc]:
-    """Coefficients of (1 - c*t)**e in t, up to t**order, exact.
+def one_minus_x_coeffs(e: int, order: int) -> list[int]:
+    """Integer coefficients of (1 - x)**e up to x**order, for any integer e.
 
-    Negative e expands as a geometric-type series; nonnegative e is a
-    finite binomial.
+    Nonnegative e is the finite binomial (-1)^k C(e, k); negative e is
+    the series C(k - e - 1, k).
     """
-    out = [RatFunc(1)]
     if e >= 0:
-        ck = RatFunc(1)
-        for k in range(1, order + 1):
-            if k > e:
-                out.append(RatFunc(0))
-                continue
-            ck = ck * c
-            sign = -1 if k % 2 else 1
-            out.append(ck * (sign * comb(e, k)))
-    else:
-        ck = RatFunc(1)
-        for k in range(1, order + 1):
-            ck = ck * c
-            out.append(ck * comb(k - e - 1, k))
-    return out
+        return [(-1) ** k * comb(e, k) for k in range(order + 1)]
+    return [comb(k - e - 1, k) for k in range(order + 1)]
 
 
 class TSeries:
     """Power series in the counting variable t, truncated at a fixed order.
 
-    Coefficients are rational functions in the grading variable.
-    Arithmetic on two series truncates to the smaller order.
+    Coefficients are polynomials in the grading variable, coerced by
+    ``to_poly``.  Arithmetic on two series truncates to the smaller order.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(RatFunc.of(c) for c in coeffs)
+        cs = tuple(to_poly(c) for c in coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least the t^0 term")
         object.__setattr__(self, "coeffs", cs)
@@ -593,17 +577,18 @@ class TSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int) -> RatFunc:
+    def coeff(self, n: int) -> Poly:
         return self.coeffs[n]
 
     @classmethod
     def one(cls, order: int) -> "TSeries":
-        return cls([RatFunc(1)] + [RatFunc(0)] * order)
+        return cls([1] + [0] * order)
 
     @classmethod
     def binomial_factor(cls, c, e: int, order: int) -> "TSeries":
         """The expansion of (1 - c*t)**e to the given order."""
-        return cls(binomial_series(RatFunc.of(c), e, order))
+        c = to_poly(c)
+        return cls(c**k * b for k, b in enumerate(one_minus_x_coeffs(e, order)))
 
     def __eq__(self, other):
         if isinstance(other, TSeries):
@@ -617,15 +602,11 @@ class TSeries:
         n = min(self.order, other.order)
         return TSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return TSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
     def __mul__(self, other):
         n = min(self.order, other.order)
         out = []
         for k in range(n + 1):
-            acc = RatFunc(0)
+            acc = Poly()
             for i in range(k + 1):
                 a = self.coeffs[i]
                 b = other.coeffs[k - i]
@@ -636,19 +617,14 @@ class TSeries:
 
     def scale_t(self, factor) -> "TSeries":
         """Substitute t -> factor*t, coefficientwise multiplication by factor**n."""
-        factor = RatFunc.of(factor)
+        factor = to_poly(factor)
         out = []
-        fk = RatFunc(1)
+        fk = Poly.constant(1)
         for i, c in enumerate(self.coeffs):
             if i:
                 fk = fk * factor
             out.append(c * fk)
         return TSeries(out)
-
-    def truncate(self, order: int) -> "TSeries":
-        if order >= self.order:
-            return self
-        return TSeries(self.coeffs[: order + 1])
 
     def __repr__(self):
         return f"TSeries(order={self.order})"

@@ -135,12 +135,7 @@ class GradedSpace:
 
     def poincare_poly(self) -> Poly:
         """Signed Poincare polynomial sum dim * (-u)^deg."""
-        if not self.strata:
-            return Poly()
-        out = [Fraction(0)] * (max(s.deg for s in self.strata) + 1)
-        for s in self.strata:
-            out[s.deg] += (-1) ** s.deg * s.dim
-        return Poly(out)
+        return eigen_power_sum(self.with_unit_eigenvalues(), 1)
 
     def with_unit_eigenvalues(self) -> "GradedSpace":
         return GradedSpace(

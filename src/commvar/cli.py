@@ -44,10 +44,11 @@ def _parse_avoid(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _check_avoided(args, q: int) -> None:
-    """The punctured builtin needs its avoided values distinct modulo p."""
+def _check_q(args, q: int) -> None:
+    """Reject a q that is not a prime power, and punctured avoided values
+    that collide modulo its prime p."""
+    p, _ = prime_power_base(q)
     if args.variety == "punctured":
-        p, _ = prime_power_base(q)
         PuncturedLine(args.avoid).reduced_avoided(p)
 
 
@@ -154,7 +155,7 @@ def _cmd_char(args) -> int:
             raise ValueError("char: need either --flag N or --variety ... -n N")
         space = resolve_variety(args.variety, dim=args.dim, avoided=args.avoid)
         if args.q is not None:
-            _check_avoided(args, args.q)
+            _check_q(args, args.q)
             space = space.resolve(args.q)
         elif space.has_symbolic_eigenvalues():
             space = space.with_unit_eigenvalues()
@@ -205,7 +206,7 @@ def _cmd_series(args) -> int:
         return 0 if report.ok else 1
     if args.q is None:
         raise ValueError(f"series {args.kind}: -q is required")
-    _check_avoided(args, args.q)
+    _check_q(args, args.q)
     if args.kind == "zeta":
         print(weil_zeta_from_eigendata(space, args.q).render("t"))
         return 0

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .arith import Poly, RatFunc, TSeries
+from .arith import Poly, RatFunc, TSeries, one_minus_x_coeffs
 from .charmodel import GradedSpace, poincare, point_count
 from .oracle import gl_order, prime_power_base
 
@@ -45,12 +44,9 @@ class SeriesReport:
         for n in range(self.t_order + 1):
             a = self.lhs.coeff(n)
             b = self.rhs.coeff(n)
-            if self.u_order is None:
-                yield n, a.render(), b.render()
-            else:
-                ap = Poly(a.series(self.u_order))
-                bp = Poly(b.series(self.u_order))
-                yield n, ap.render(), bp.render()
+            if self.u_order is not None:
+                a, b = a.truncate(self.u_order), b.truncate(self.u_order)
+            yield n, a.render(), b.render()
 
     def verdict(self) -> str:
         if self.equal:
@@ -63,7 +59,7 @@ def _compare(lhs: TSeries, rhs: TSeries, t_order: int, u_order: int | None) -> S
     first = None
     for n in range(t_order + 1):
         a, b = lhs.coeff(n), rhs.coeff(n)
-        same = a.series(u_order) == b.series(u_order) if u_order is not None else a == b
+        same = a.truncate(u_order) == b.truncate(u_order) if u_order is not None else a == b
         if not same:
             equal = False
             first = n
@@ -85,7 +81,7 @@ def betti_zeta(space: GradedSpace, order: int) -> TSeries:
     acc = TSeries.one(order)
     for deg, b in sorted(space.betti().items()):
         e = -b if deg % 2 == 0 else b
-        acc = acc * TSeries.binomial_factor(RatFunc(Poly.monomial(deg)), e, order)
+        acc = acc * TSeries.binomial_factor(Poly.monomial(deg), e, order)
     return acc
 
 
@@ -96,20 +92,23 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     """Stack Poincare series against the product of Betti zeta factors.
 
     The left side is assembled degree by degree from the stack Poincare
-    values; the right side multiplies the factors at t, u^2 t, u^4 t,
-    ... and is cut off once an omitted factor would be congruent to 1
-    modulo u^(u_order+1).  Both sides are compared modulo
+    values, each a rational function expanded to a polynomial modulo
+    u^(u_order+1); the right side multiplies the factors at t, u^2 t,
+    u^4 t, ... and is cut off once an omitted factor would be congruent
+    to 1 modulo u^(u_order+1).  Both sides are compared modulo
     (t^(t_order+1), u^(u_order+1)).
     """
     if t_order < 0 or u_order < 0:
         raise ValueError("orders must be >= 0")
     betti_data = space.with_unit_eigenvalues()
-    lhs = TSeries([poincare(betti_data, n, "coh") for n in range(t_order + 1)])
+    lhs = TSeries(
+        [Poly(poincare(betti_data, n, "coh").series(u_order)) for n in range(t_order + 1)]
+    )
     base = betti_zeta(space, t_order)
     rhs = TSeries.one(t_order)
     i = 0
     while 2 * i <= u_order:
-        factor = base if i == 0 else base.scale_t(RatFunc(Poly.monomial(2 * i)))
+        factor = base if i == 0 else base.scale_t(Poly.monomial(2 * i))
         rhs = rhs * factor
         i += 1
     return _compare(lhs, rhs, t_order, u_order)
@@ -172,10 +171,9 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
     prime_power_base(q)
     if order < 0:
         raise ValueError("series order must be >= 0")
-    lhs_coeffs = [RatFunc(1)] + [
-        RatFunc(point_count(space, n, q) / gl_order(n, q)) for n in range(1, order + 1)
-    ]
-    lhs = TSeries(lhs_coeffs)
+    lhs = TSeries(
+        [Fraction(1)] + [point_count(space, n, q) / gl_order(n, q) for n in range(1, order + 1)]
+    )
 
     zeta = weil_zeta_from_eigendata(space, q)
     z_coeffs = zeta.series(order)
@@ -186,7 +184,7 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
         for m in range(1, n + 1):
             acc += a[m] / (q**m - 1) * rhs_coeffs[n - m]
         rhs_coeffs.append(acc / n)
-    rhs = TSeries([RatFunc(c) for c in rhs_coeffs])
+    rhs = TSeries(rhs_coeffs)
     return _compare(lhs, rhs, order, None)
 
 
@@ -197,16 +195,7 @@ def _one_minus_power(a: int, e: int, order: int) -> Poly:
     """(1 - u^a)^e as a polynomial modulo u^(order+1); a >= 1."""
     if a < 1:
         raise ValueError("exponent gap must be >= 1")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    kmax = order // a
-    if e >= 0:
-        for k in range(1, min(e, kmax) + 1):
-            coeffs[a * k] = Fraction((-1) ** k * comb(e, k))
-    else:
-        for k in range(1, kmax + 1):
-            coeffs[a * k] = Fraction(comb(k - e - 1, k))
-    return Poly(coeffs)
+    return Poly(one_minus_x_coeffs(e, order // a)).subst_power(a)
 
 
 def stable_betti(space: GradedSpace, u_order: int) -> Poly:

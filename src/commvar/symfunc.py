@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .arith import Poly, RatFunc
+from .arith import Poly, RatFunc, to_poly
 from .partitions import Partition, partitions_of
 
 
@@ -84,18 +84,6 @@ def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
     return tuple(out)
 
 
-def _as_coeff(value) -> Poly:
-    """Coerce a scalar or polynomial coefficient to Poly.
-
-    A RatFunc is accepted only when its denominator is 1.
-    """
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, RatFunc):
-        return value.as_poly()
-    return Poly.constant(value)
-
-
 def _concat(a: Partition, b: Partition) -> Partition:
     return Partition(sorted(a.parts + b.parts, reverse=True))
 
@@ -118,7 +106,7 @@ class SymFunc:
                 key = Partition(key)
             if key.n != degree:
                 raise ValueError(f"key {key} is not a partition of {degree}")
-            value = _as_coeff(value)
+            value = to_poly(value)
             if value:
                 clean[key] = value
         object.__setattr__(self, "degree", degree)
@@ -180,7 +168,7 @@ class SymFunc:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymFunc":
-        c = _as_coeff(c)
+        c = to_poly(c)
         if not c:
             return SymFunc(self.degree)
         return SymFunc(

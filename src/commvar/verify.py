@@ -124,7 +124,7 @@ def check_macdonald() -> CheckResult:
     p1 = GradedSpace([Stratum(0, 1), Stratum(2, 1)])
     series = betti_zeta(p1, 6)
     for n in range(7):
-        expected = RatFunc(Poly([1] * (n + 1)).subst_power(2))
+        expected = Poly([1] * (n + 1)).subst_power(2)
         if series.coeff(n) != expected:
             return CheckResult("macdonald-zeta", False, f"t^{n}")
     return CheckResult("macdonald-zeta", True, "projective line, t-order 6")

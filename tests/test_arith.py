@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from commvar.arith import PoleError, Poly, RatFunc, TSeries, poly_gcd
+from commvar.arith import PoleError, Poly, RatFunc, TSeries, one_minus_x_coeffs, poly_gcd
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -186,3 +186,24 @@ class TestTSeries:
     def test_binomial_factor_positive_exponent(self):
         b = TSeries.binomial_factor(RatFunc(U), 2, 4)
         assert b == TSeries([RatFunc(1), RatFunc(-2 * U), RatFunc(U**2), RatFunc(0), RatFunc(0)])
+
+    def test_coefficients_are_polynomials(self):
+        s = TSeries([F(1, 2), RatFunc(ONE + U), U])
+        assert all(isinstance(c, Poly) for c in s.coeffs)
+        with pytest.raises(ValueError, match="not a polynomial"):
+            TSeries([RatFunc(1, ONE - U)])
+        with pytest.raises(ValueError, match="not a polynomial"):
+            TSeries.one(2).scale_t(RatFunc(1, ONE - U))
+
+
+class TestBinomialCoefficients:
+    @pytest.mark.parametrize("e", range(-4, 5))
+    def test_against_power_and_series(self, e):
+        for order in range(9):
+            got = one_minus_x_coeffs(e, order)
+            assert len(got) == order + 1
+            assert all(type(c) is int for c in got)
+            if e >= 0:
+                assert Poly(got) == (Poly([1, -1]) ** e).truncate(order)
+            else:
+                assert got == RatFunc(1, Poly([1, -1]) ** -e).series(order)

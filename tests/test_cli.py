@@ -85,6 +85,14 @@ class TestChar:
         assert "invalid literal" not in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("variety", ["torus", "p1"])
+    @pytest.mark.parametrize("q", ["6", "1", "0"])
+    def test_q_must_be_a_prime_power(self, capsys, variety, q):
+        code, out, err = run(capsys, "char", "--variety", variety, "-n", "2", "-q", q)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {q} is not a prime power\n"
+
     def test_needs_flag_or_variety(self, capsys):
         code, _, err = run(capsys, "char")
         assert code == 2
