@@ -107,10 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = subs.add_parser("count", help="brute-force point count over a prime field")
     k.add_argument("--family", choices=("affine", "torus", "punctured"), required=True)
-    k.add_argument("--dim", type=int, default=1)
+    k.add_argument("--dim", type=int, default=None, help="affine/torus only (default 1)")
     k.add_argument("--n", "-n", type=int, required=True, dest="n")
     k.add_argument("--q", "-q", type=int, required=True, dest="q")
-    k.add_argument("--avoid", type=_parse_avoid, default=(0, 1))
+    k.add_argument(
+        "--avoid", type=_parse_avoid, default=None, help="punctured only (default 0,1)"
+    )
     k.add_argument(
         "--budget",
         type=int,
@@ -228,7 +230,14 @@ def _cmd_series(args) -> int:
 def _cmd_count(args) -> int:
     if args.budget is not None and args.budget < 1:
         raise ValueError(f"--budget must be a positive integer, got {args.budget}")
-    family = family_for(args.family, dim=args.dim, avoided=args.avoid)
+    unused = "--dim" if args.family == "punctured" else "--avoid"
+    if getattr(args, unused[2:]) is not None:
+        raise ValueError(f"{unused} does not apply to --family {args.family}")
+    family = family_for(
+        args.family,
+        dim=1 if args.dim is None else args.dim,
+        avoided=(0, 1) if args.avoid is None else args.avoid,
+    )
     print(count_points(family, args.n, args.q, budget=args.budget))
     return 0
 

@@ -1,9 +1,14 @@
 """Brute-force ground truth over small prime fields.
 
-Exhaustively enumerates tuples of commuting matrices for the built-in
-variety families and counts the points that satisfy the family's unit
-constraints.  Nothing here knows about symmetric functions; the counts
-are later compared four ways against the character-level formulas.
+Counts the F_p-points of C_n(X) for the built-in variety families
+exactly, one point at a time and single-threaded: the tuples of
+commuting n x n matrices that satisfy the family's unit constraints.
+The enumeration visits points rather than candidates.  The first matrix
+is built row by row, and a row that would make some M - a*I singular
+is pruned at once; each later matrix is drawn from the common
+centralizer of the earlier ones, the solution space of [A, X] = 0 over
+F_p.  Nothing here knows about symmetric functions; the counts are
+later compared four ways against the character-level formulas.
 """
 
 from __future__ import annotations
@@ -94,6 +99,10 @@ class AffineSpace:
     def matrix_ok(self, mat, p: int) -> bool:
         return True
 
+    def shifts(self, p: int) -> tuple[int, ...]:
+        """The values a for which M - a*I must be invertible."""
+        return ()
+
     def describe(self) -> str:
         return f"affine space of dimension {self.dim}"
 
@@ -117,6 +126,9 @@ class Torus:
 
     def matrix_ok(self, mat, p: int) -> bool:
         return det_mod(mat, p) != 0
+
+    def shifts(self, p: int) -> tuple[int, ...]:
+        return (0,)
 
     def describe(self) -> str:
         return f"torus of dimension {self.dim}"
@@ -157,6 +169,9 @@ class PuncturedLine:
                 f"avoided values {self.avoided} collide modulo {p}"
             )
         return reduced
+
+    def shifts(self, p: int) -> tuple[int, ...]:
+        return self.reduced_avoided(p)
 
     def describe(self) -> str:
         return "affine line avoiding " + ",".join(str(a) for a in self.avoided)
@@ -208,10 +223,98 @@ def commute(a, b, p: int) -> bool:
     return mat_mul(a, b, p) == mat_mul(b, a, p)
 
 
-def _iter_matrices(n: int, p: int) -> Iterator[tuple]:
-    """All n x n matrices over F_p in row-major lexicographic entry order."""
-    for entries in product(range(p), repeat=n * n):
-        yield tuple(entries[i * n : (i + 1) * n] for i in range(n))
+# -- linear algebra mod p -------------------------------------------------------
+#
+# An echelon basis is a list of (pivot, row) pairs: each row is 1 at its
+# pivot and 0 at the pivots of the rows before it.
+
+
+def _grow(basis: list, vec, p: int) -> list | None:
+    """``basis`` with ``vec`` added, or None if ``vec`` lies in its span."""
+    vec = list(vec)
+    for pivot, row in basis:
+        f = vec[pivot]
+        if f:
+            vec = [(x - f * y) % p for x, y in zip(vec, row)]
+    for pivot, f in enumerate(vec):
+        if f:
+            inv = pow(f, p - 2, p)
+            return basis + [(pivot, tuple(x * inv % p for x in vec))]
+    return None
+
+
+def _nullspace(basis: list, size: int, p: int) -> list[tuple]:
+    """A basis of {x in F_p^size : row . x = 0 for every row of ``basis``}.
+
+    One vector per free coordinate f, 1 at f and 0 at the other free
+    coordinates; its pivot coordinates come by back-substitution, the
+    last row first, since a row may be nonzero at later rows' pivots.
+    """
+    pivots = {pivot for pivot, _ in basis}
+    out = []
+    for free in range(size):
+        if free in pivots:
+            continue
+        x = [0] * size
+        x[free] = 1
+        for pivot, row in reversed(basis):
+            x[pivot] = -sum(r * v for r, v in zip(row, x)) % p
+        out.append(tuple(x))
+    return out
+
+
+def _coset(start: tuple, vectors: list[tuple], p: int) -> Iterator[tuple]:
+    """Every vector of ``start`` + span(``vectors``) over F_p, each once if
+    ``vectors`` are linearly independent."""
+    if not vectors:
+        yield start
+        return
+    head, rest = vectors[0], vectors[1:]
+    for tail in _coset(start, rest, p):
+        for c in range(p):
+            yield tuple((t + c * h) % p for t, h in zip(tail, head))
+
+
+def _commutator_equations(a, p: int) -> Iterator[tuple]:
+    """The n^2 linear forms (aX - Xa)_ij in the row-major entries of X."""
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            eq = [0] * (n * n)
+            for k in range(n):
+                eq[k * n + j] += a[i][k]
+                eq[i * n + k] -= a[k][j]
+            yield tuple(e % p for e in eq)
+
+
+def _avoiding_matrices(n: int, p: int, shifts: tuple[int, ...]) -> Iterator[tuple]:
+    """Every n x n matrix M over F_p with M - a*I invertible for each shift a.
+
+    Built row by row.  The rows of M - a*I chosen so far are linearly
+    independent, so row i of M is allowed unless it lies in the coset
+    a*e_i + span(those rows), for some shift a; a forbidden row prunes
+    its whole subtree.
+    """
+    rows = list(product(range(p), repeat=n))
+
+    def extend(prefix: tuple) -> Iterator[tuple]:
+        i = len(prefix)
+        forbidden = set()
+        for a in shifts:
+            shifted = [
+                tuple((x - a * (j == k)) % p for j, x in enumerate(row))
+                for k, row in enumerate(prefix)
+            ]
+            start = tuple(a * (j == i) for j in range(n))
+            forbidden.update(_coset(start, shifted, p))
+        for row in rows:
+            if row not in forbidden:
+                if i + 1 == n:
+                    yield prefix + (row,)
+                else:
+                    yield from extend(prefix + (row,))
+
+    return extend(())
 
 
 # -- counting ----------------------------------------------------------------
@@ -222,18 +325,24 @@ def search_space_size(family: VarietyFamily, n: int, p: int) -> int:
 
 
 def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = None) -> int:
-    """Exact number of F_p points by exhaustive enumeration.
+    """Exact number of F_p points, counted one point at a time.
 
-    Enumerates matrices in row-major lexicographic order, checking the
-    family constraint per matrix and commutativity incrementally so a
-    failing pair prunes the remaining inner loops.  Single-threaded.
+    The first matrix runs over the n x n matrices M with M - a*I
+    invertible for each of the family's shifts a, built row by row.
+    Each later matrix runs over the common centralizer of the earlier
+    ones, solved from [A, X] = 0 by Gaussian elimination mod p, and is
+    kept if it passes ``family.matrix_ok``.  So every point is visited
+    once, and the only candidates built and rejected are centralizer
+    elements that fail ``matrix_ok``.  Single-threaded.
+
+    The budget bounds the nominal search p^(dim*n^2), not the work
+    done, and is checked before any work.
     """
     if not is_prime(p):
         raise ValueError(f"the enumerator works over prime fields only, got {p}")
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    if isinstance(family, PuncturedLine):
-        family.reduced_avoided(p)
+    shifts = family.shifts(p)
     if budget is None:
         budget = default_budget()
     size = search_space_size(family, n, p)
@@ -243,19 +352,23 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             f"raise the budget to at least {size} to run this count"
         )
 
-    def extend(chosen: tuple, depth: int) -> int:
+    def extend(mat, equations: list, depth: int) -> int:
+        # ``equations``: an echelon basis of the commutator equations of
+        # the matrices chosen before ``mat``; ``depth`` counts ``mat``.
         if depth == family.tuple_len:
             return 1
+        for eq in _commutator_equations(mat, p):
+            grown = _grow(equations, eq, p)
+            if grown is not None:
+                equations = grown
         total = 0
-        for mat in _iter_matrices(n, p):
-            if not family.matrix_ok(mat, p):
-                continue
-            if any(not commute(prev, mat, p) for prev in chosen):
-                continue
-            total += extend(chosen + (mat,), depth + 1)
+        for x in _coset((0,) * (n * n), _nullspace(equations, n * n, p), p):
+            nxt = tuple(x[i * n : (i + 1) * n] for i in range(n))
+            if family.matrix_ok(nxt, p):
+                total += extend(nxt, equations, depth + 1)
         return total
 
-    return extend((), 0)
+    return sum(extend(mat, [], 1) for mat in _avoiding_matrices(n, p, shifts))
 
 
 # -- cross checking -----------------------------------------------------------

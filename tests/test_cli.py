@@ -202,6 +202,31 @@ class TestCount:
         assert code == 3
         assert "budget" in err
 
+    def test_punctured_defaults_to_avoiding_zero_and_one(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "punctured", "--n", "2", "--q", "3")
+        assert code == 0
+        assert out == "27\n"
+
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_dim_rejected_for_punctured(self, capsys, dim):
+        code, out, err = run(
+            capsys,
+            "count", "--family", "punctured", "--avoid", "0,1", "--dim", dim,
+            "--n", "2", "--q", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --dim does not apply to --family punctured\n"
+
+    @pytest.mark.parametrize("family", ["affine", "torus"])
+    @pytest.mark.parametrize("avoid", ["0,1", "2", ""])
+    def test_avoid_rejected_for_affine_and_torus(self, capsys, family, avoid):
+        code, out, err = run(
+            capsys, "count", "--family", family, "--avoid", avoid, "--n", "2", "--q", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --avoid does not apply to --family {family}\n"
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_nonpositive_budget_rejected(self, capsys, budget):

@@ -1,5 +1,6 @@
 """Brute-force enumerator: exact counts, budget handling, cross-checks."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from commvar.oracle import (
     BudgetExceededError,
     PuncturedLine,
     Torus,
+    commute,
     count_points,
     cross_check,
     det_mod,
@@ -28,6 +30,81 @@ def invertible_count_by_hand(n, p):
         if det_mod(mat, p) != 0:
             total += 1
     return total
+
+
+def count_by_exhaustion(family, n, p):
+    # independent route: every tuple of n x n matrices, each checked
+    # with the family's matrix_ok and pairwise commute
+    matrices = [
+        tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        for entries in product(range(p), repeat=n * n)
+    ]
+
+    def extend(chosen, depth):
+        if depth == family.tuple_len:
+            return 1
+        total = 0
+        for mat in matrices:
+            if not family.matrix_ok(mat, p):
+                continue
+            if any(not commute(prev, mat, p) for prev in chosen):
+                continue
+            total += extend(chosen + (mat,), depth + 1)
+        return total
+
+    return extend((), 0)
+
+
+EXHAUSTION_LIMIT = 3**8
+
+
+def exhaustion_grid():
+    families = [AffineSpace(d) for d in (1, 2, 3)] + [Torus(d) for d in (1, 2, 3)]
+    families += [
+        PuncturedLine(avoided)
+        for avoided in ((0,), (3,), (0, 1), (1, 2), (2, 5), (0, 1, 2), (1, 3, 6))
+    ]
+    for family in families:
+        for p in (2, 3, 5, 7):
+            if isinstance(family, PuncturedLine):
+                if len({a % p for a in family.avoided}) < len(family.avoided):
+                    continue
+            for n in (1, 2, 3):
+                if search_space_size(family, n, p) <= EXHAUSTION_LIMIT:
+                    yield pytest.param(family, n, p, id=f"{family.describe()}-n{n}-p{p}")
+
+
+def euler_product_coefficient(n, coeff):
+    """t^n coefficient of prod_{i>=1} sum_{k>=0} coeff(k) t^(ik), coeff(0) = 1."""
+    series = [1] + [0] * n
+    for i in range(1, n + 1):
+        factor = [coeff(m // i) if m % i == 0 else 0 for m in range(n + 1)]
+        series = [sum(series[a] * factor[m - a] for a in range(m + 1)) for m in range(n + 1)]
+    return series[n]
+
+
+def feit_fine_coefficient(n, q):
+    """t^n coefficient of prod_{i>=1} prod_{j>=0} (1 - q^(1-j) t^i)^(-1), exactly.
+
+    Uses prod_{j>=0} (1 - x q^(-j))^(-1) = sum_k x^k / prod_{m=1}^k (1 - q^(-m))
+    with x = q t^i.
+    """
+
+    def coeff(k):
+        out = Fraction(q) ** k
+        for m in range(1, k + 1):
+            out /= 1 - Fraction(1, q**m)
+        return out
+
+    return euler_product_coefficient(n, coeff)
+
+
+def gl_class_number(n, q):
+    """Conjugacy classes of GL_n(F_q): the t^n coefficient of
+    prod_{i>=1} (1 - t^i) / (1 - q t^i) (Macdonald, "Numbers of conjugacy
+    classes in some finite classical groups", Bull. Austral. Math. Soc.
+    23 (1981)), where (1 - t^i) / (1 - q t^i) = 1 + sum_{k>=1} (q^k - q^(k-1)) t^(ik)."""
+    return euler_product_coefficient(n, lambda k: q**k - q ** (k - 1) if k else 1)
 
 
 class TestNumberTheory:
@@ -106,6 +183,40 @@ class TestCountPoints:
         monkeypatch.setenv("COMMVAR_BUDGET", "zebra")
         with pytest.raises(ValueError):
             count_points(AffineSpace(1), 1, 2)
+
+
+class TestAgainstExhaustion:
+    @pytest.mark.parametrize("family, n, p", list(exhaustion_grid()))
+    def test_count_equals_exhaustive_enumeration(self, family, n, p):
+        assert count_points(family, n, p) == count_by_exhaustion(family, n, p)
+
+
+class TestFeitFine:
+    """Commuting pairs, AffineSpace(2), against Feit & Fine, "Pairs of
+    commuting matrices over a finite field", Duke Math. J. 27 (1960)."""
+
+    @pytest.mark.parametrize(
+        "q, n, expected",
+        [(2, 1, 4), (2, 2, 88), (2, 3, 7456), (3, 1, 9), (3, 2, 945), (5, 1, 25), (5, 2, 18625)],
+    )
+    def test_commuting_pairs(self, q, n, expected):
+        assert feit_fine_coefficient(n, q) * gl_order(n, q) == expected
+        assert count_points(AffineSpace(2), n, q) == expected
+
+
+class TestCommutingInvertiblePairs:
+    """Torus(2) counts commuting pairs in G = GL_n(F_q), which number
+    |G| times the class number of G.  At n = 3 the centralizer solve
+    needs back-substitution, which no n = 2 case does."""
+
+    @pytest.mark.parametrize(
+        "q, n, classes, expected",
+        [(2, 1, 1, 1), (2, 2, 3, 18), (3, 2, 8, 384), (5, 2, 24, 11520), (2, 3, 6, 1008)],
+    )
+    def test_group_order_times_class_number(self, q, n, classes, expected):
+        assert gl_class_number(n, q) == classes
+        assert gl_order(n, q) * classes == expected
+        assert count_points(Torus(2), n, q) == expected
 
 
 class TestCrossCheck:
