@@ -22,7 +22,7 @@ from typing import Union
 from .arith import Poly, RatFunc
 from .oracle import gl_order, prime_power_base
 from .partitions import Partition, partitions_of
-from .symfunc import SymFunc, q_pochhammer
+from .symfunc import SymFunc, _cofactor, q_pochhammer
 
 
 class DescriptorError(ValueError):
@@ -248,15 +248,27 @@ def enhanced_character(space: GradedSpace, n: int) -> SymFunc:
     """Graded, twist-aware symmetric-group character of the n-th tensor power.
 
     The p_lam coefficient is the graded trace product divided by the
-    centralizer order z_lam.
+    centralizer order z_lam: the product over the cycle lengths i of
+    w_i^(a_i), with w_i = ``eigen_power_sum(space, i)``.  Each power
+    w_i^a is built once per call and shared by every lam.
     """
     if n < 0:
         raise ValueError("tensor power must be >= 0")
+    # powers[i][a] = w_i^a, each built once as w_i^(a-1) * w_i
+    powers = {}
+    for i in range(1, n + 1):
+        w = eigen_power_sum(space, i)
+        row = [Poly.constant(1), w]
+        for _ in range(n // i - 1):
+            row.append(row[-1] * w)
+        powers[i] = row
     terms = {}
     for lam in partitions_of(n):
-        tr = graded_trace_product(space, lam)
+        tr = Poly.constant(Fraction(1, lam.centralizer_order()))
+        for i, a in lam.exp:
+            tr = tr * powers[i][a]
         if tr:
-            terms[lam] = tr * Fraction(1, lam.centralizer_order())
+            terms[lam] = tr
     return SymFunc(n, terms)
 
 
@@ -302,17 +314,28 @@ def flag_schur_coefficient(n: int, lam: Partition) -> Poly:
 def flag_character(n: int) -> SymFunc:
     """Graded character of the complete flag variety of rank n.
 
-    Schur coefficients are the graded multiplicities evaluated at the
-    square of the grading variable; at u = 1 this degenerates to the
-    regular representation.
+    The cohomology of GL_n/T_n is the coinvariant algebra of S_n with
+    degrees doubled.  By the Chevalley-Molien form (Stanley, "Invariants
+    of finite groups and their applications to combinatorics", Bull.
+    AMS 1, 1979) a permutation of cycle type mu has graded trace
+    (q;q)_n / prod (1 - q^mu_i) on it, so in the power-sum basis
+
+        flag_character(n) = sum_mu (q;q)_n / prod (1 - q^mu_i) * p_mu / z_mu
+
+    at q = u^2.  The numerators are the integer cofactors of the
+    principal-specialization kernel.  The Schur coefficients are the
+    graded multiplicities ``flag_schur_coefficient`` at u^2; at u = 1
+    this degenerates to the regular representation.
     """
     if n < 1:
         raise ValueError("flag rank must be >= 1")
-    acc = SymFunc.zero(n)
-    for lam in partitions_of(n):
-        coeff = flag_schur_coefficient(n, lam).subst_power(2)
-        acc = acc + SymFunc.schur(lam).scale(coeff)
-    return acc
+    return SymFunc(
+        n,
+        {
+            mu: Poly(Fraction(c, mu.centralizer_order()) for c in _cofactor(n, 2, mu.parts))
+            for mu in partitions_of(n)
+        },
+    )
 
 
 # -- Poincare polynomials --------------------------------------------------

@@ -49,7 +49,7 @@ def _check_q(args, q: int) -> None:
     that collide modulo its prime p."""
     p, _ = prime_power_base(q)
     if args.variety == "punctured":
-        PuncturedLine(args.avoid).reduced_avoided(p)
+        PuncturedLine(_avoided(args)).reduced_avoided(p)
 
 
 def _add_variety_args(sub, required: bool = True):
@@ -58,13 +58,36 @@ def _add_variety_args(sub, required: bool = True):
         required=required,
         help=f"builtin name {BUILTIN_NAMES} or path to a JSON descriptor file",
     )
-    sub.add_argument("--dim", type=int, default=1, help="dimension for affine/torus builtins")
+    sub.add_argument("--dim", type=int, default=None, help="affine/torus builtins only (default 1)")
     sub.add_argument(
         "--avoid",
         type=_parse_avoid,
-        default=(0, 1),
-        help="comma-separated values avoided by the punctured builtin (default 0,1)",
+        default=None,
+        help="comma-separated values avoided by the punctured builtin only (default 0,1)",
     )
+
+
+def _dim(args) -> int:
+    return 1 if args.dim is None else args.dim
+
+
+def _avoided(args) -> tuple[int, ...]:
+    return (0, 1) if args.avoid is None else args.avoid
+
+
+def _check_variety_options(args) -> None:
+    """Reject --dim unless the variety is affine/torus, and --avoid unless
+    it is punctured; a descriptor file takes neither."""
+    for option, owners in (("--dim", ("affine", "torus")), ("--avoid", ("punctured",))):
+        if getattr(args, option[2:]) is None or args.variety in owners:
+            continue
+        if args.variety is None:
+            raise ValueError(f"{option} does not apply without --variety")
+        raise ValueError(f"{option} does not apply to --variety {args.variety}")
+
+
+def _resolve_space(args):
+    return resolve_variety(args.variety, dim=_dim(args), avoided=_avoided(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,11 +162,12 @@ def _render_value(value: RatFunc, absolute: bool) -> str:
 
 
 def _cmd_poincare(args) -> int:
+    _check_variety_options(args)
     space = None
     if args.space in ("cn", "sn", "coh"):
         if not args.variety:
             raise ValueError("poincare: --variety is required for cn/sn/coh")
-        space = resolve_variety(args.variety, dim=args.dim, avoided=args.avoid)
+        space = _resolve_space(args)
     value = poincare(space, args.n, args.space)
     print(_render_value(value, args.absolute))
     return 0
@@ -151,11 +175,15 @@ def _cmd_poincare(args) -> int:
 
 def _cmd_char(args) -> int:
     if args.flag is not None:
+        for option in ("--variety", "-n", "-q", "--cycle-type", "--dim", "--avoid"):
+            if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
+                raise ValueError(f"{option} does not apply to char --flag")
         ch = flag_character(args.flag)
     else:
         if not args.variety or args.n is None:
             raise ValueError("char: need either --flag N or --variety ... -n N")
-        space = resolve_variety(args.variety, dim=args.dim, avoided=args.avoid)
+        _check_variety_options(args)
+        space = _resolve_space(args)
         if args.q is not None:
             _check_q(args, args.q)
             space = space.resolve(args.q)
@@ -190,7 +218,8 @@ def _print_report(report) -> int:
 
 
 def _cmd_series(args) -> int:
-    space = resolve_variety(args.variety, dim=args.dim, avoided=args.avoid)
+    _check_variety_options(args)
+    space = _resolve_space(args)
     if args.kind == "betti":
         series = betti_zeta(space, args.t_order)
         print(series.render())
@@ -212,7 +241,7 @@ def _cmd_series(args) -> int:
     if args.kind == "zeta":
         print(weil_zeta_from_eigendata(space, args.q).render("t"))
         return 0
-    if args.variety in BUILTIN_NAMES and not is_curve_name(args.variety, args.dim):
+    if args.variety in BUILTIN_NAMES and not is_curve_name(args.variety, _dim(args)):
         print(
             "warning: input is not a smooth curve; coefficients are formula "
             "values, not certified point counts",
@@ -233,11 +262,7 @@ def _cmd_count(args) -> int:
     unused = "--dim" if args.family == "punctured" else "--avoid"
     if getattr(args, unused[2:]) is not None:
         raise ValueError(f"{unused} does not apply to --family {args.family}")
-    family = family_for(
-        args.family,
-        dim=1 if args.dim is None else args.dim,
-        avoided=(0, 1) if args.avoid is None else args.avoid,
-    )
+    family = family_for(args.family, dim=_dim(args), avoided=_avoided(args))
     print(count_points(family, args.n, args.q, budget=args.budget))
     return 0
 

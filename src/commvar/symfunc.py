@@ -4,9 +4,16 @@ Everything is stored in the power-sum basis, where the two pairings we
 need are diagonal: the Hall inner product satisfies
 ``<p_lam, p_mu> = delta * z_lam`` and the principal specialization acts
 by ``p_k -> 1/(1 - x^k)``.  The complete homogeneous and Schur bases
-exist as conversion views; the change of basis to Schur functions goes
-through symmetric-group character values computed by the
-Murnaghan-Nakayama border-strip recursion.
+exist as conversion views.  The change of basis to Schur functions goes
+through one integer character table per degree n: the row of lam holds
+chi^lam(mu) for every mu, in ``partitions_of(n)`` order, from the
+Murnaghan-Nakayama border-strip recursion (Macdonald, I.7), and is
+built once.  Since s_lam = sum_mu chi^lam(mu) p_mu / z_mu and the
+p_mu / z_mu are dual to the p_mu, the Schur coefficient of f is
+sum_mu chi^lam(mu) * [p_mu] f.  That sum runs over ints: the rational
+p-coefficients are scaled by the lcm D of their denominators, each
+Schur coefficient is a row of the table dotted with the scaled
+coefficients, degree by degree, and D is divided out once per lam.
 
 Coefficients are polynomials in the grading variable.  The principal
 specialization is the only operation that leaves the polynomial ring:
@@ -25,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .arith import Poly, RatFunc, to_poly
 from .partitions import Partition, partitions_of
@@ -74,14 +82,20 @@ def _h_in_p(n: int) -> tuple[tuple[Partition, Fraction], ...]:
 
 
 @lru_cache(maxsize=None)
+def _character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """chi^lam(mu) for lam (rows) and mu (columns) in ``partitions_of(n)`` order."""
+    parts = [lam.parts for lam in partitions_of(n)]
+    return tuple(tuple(_mn(lam, mu) for mu in parts) for lam in parts)
+
+
+@lru_cache(maxsize=None)
 def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
     # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
-    out = []
-    for mu in partitions_of(lam.n):
-        chi = mn_character(lam, mu)
-        if chi:
-            out.append((mu, Fraction(chi, mu.centralizer_order())))
-    return tuple(out)
+    parts = partitions_of(lam.n)
+    row = _character_table(lam.n)[parts.index(lam)]
+    return tuple(
+        (mu, Fraction(chi, mu.centralizer_order())) for mu, chi in zip(parts, row) if chi
+    )
 
 
 def _concat(a: Partition, b: Partition) -> Partition:
@@ -207,16 +221,31 @@ class SymFunc:
         return acc
 
     def to_schur(self) -> dict[Partition, Poly]:
-        """Schur expansion coefficients c_lam with f = sum c_lam s_lam."""
+        """Schur expansion coefficients c_lam with f = sum c_lam s_lam.
+
+        c_lam = sum_mu chi^lam(mu) * [p_mu] f, read off the integer
+        character table of the degree.  The p-coefficients are scaled to
+        integers by the lcm D of their denominators and laid out degree
+        by degree as one column per mu; each c_lam is then a row of the
+        table dotted with every column, over ints, and has the
+        coefficients a / D.
+        """
+        if not self.terms:
+            return {}
+        parts = partitions_of(self.degree)
+        denom = lcm(*(c.denominator for coeff in self.terms.values() for c in coeff.coeffs))
+        width = max(len(coeff.coeffs) for coeff in self.terms.values())
+        columns = [[0] * len(parts) for _ in range(width)]
+        for j, mu in enumerate(parts):
+            coeff = self.terms.get(mu)
+            if coeff is not None:
+                for k, c in enumerate(coeff.coeffs):
+                    columns[k][j] = c.numerator * (denom // c.denominator)
         out: dict[Partition, Poly] = {}
-        for lam in partitions_of(self.degree):
-            acc = Poly()
-            for mu, coeff in self.terms.items():
-                chi = mn_character(lam, mu)
-                if chi:
-                    acc = acc + coeff * chi
-            if acc:
-                out[lam] = acc
+        for lam, row in zip(parts, _character_table(self.degree)):
+            acc = [sum(map(mul, row, column)) for column in columns]
+            if any(acc):
+                out[lam] = Poly(Fraction(a, denom) for a in acc)
         return out
 
     def principal_spec_numerator(self, power: int = 1) -> Poly:

@@ -25,6 +25,7 @@ from commvar.charmodel import (
 )
 from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, q_pochhammer
+from commvar.varieties import builtin_space
 
 P = Partition
 U = Poly.monomial(1)
@@ -113,6 +114,48 @@ class TestEnhancedCharacter:
                 lam = P((1,) * n)
                 got = ch.coeff(lam) * lam.centralizer_order()
                 assert got == RatFunc(space.poincare_poly()) ** n
+
+
+BUILTINS = [
+    builtin_space("point"),
+    builtin_space("affine", dim=1),
+    builtin_space("affine", dim=2),
+    builtin_space("torus", dim=1),
+    builtin_space("torus", dim=2),
+    builtin_space("punctured", avoided=(0, 1)),
+    builtin_space("punctured", avoided=(0, 1, 2)),
+    builtin_space("p1"),
+]
+
+
+class TestEnhancedCharacterPowers:
+    """z_lam * [p_lam] enhanced_character is the per-lam trace product."""
+
+    @staticmethod
+    def check(space, n):
+        ch = enhanced_character(space, n)
+        for lam in partitions_of(n):
+            assert ch.coeff(lam) * lam.centralizer_order() == graded_trace_product(space, lam), (
+                space,
+                lam,
+            )
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_builtins(self, q):
+        for space in BUILTINS:
+            for n in range(9):
+                self.check(space.resolve(q), n)
+
+    def test_random_spaces(self):
+        rng = random.Random(6006)
+        for _ in range(6):
+            space = random_space(rng)
+            for n in range(9):
+                self.check(space, n)
+
+    def test_empty_space(self):
+        for n in range(1, 5):
+            assert enhanced_character(GradedSpace([]), n).is_zero()
 
 
 class TestSignedTensorOracle:
@@ -226,7 +269,29 @@ class TestSeriesRoute:
                 assert series[n] == enhanced_character(space, n)
 
 
+def flag_character_by_schur_sum(n: int) -> SymFunc:
+    """sum over lam of flag_schur_coefficient(n, lam)(u^2) * s_lam; oracle only."""
+    acc = SymFunc.zero(n)
+    for lam in partitions_of(n):
+        coeff = flag_schur_coefficient(n, lam).subst_power(2)
+        acc = acc + SymFunc.schur(lam).scale(coeff)
+    return acc
+
+
 class TestFlagCharacter:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_closed_form_matches_schur_sum(self, n):
+        assert flag_character(n) == flag_character_by_schur_sum(n)
+
+    def test_identity_coefficient_is_the_q_factorial(self):
+        # at cycle type 1^n the trace is (q;q)_n / (1 - q)^n = [n]_q!
+        for n in range(1, 8):
+            lam = P((1,) * n)
+            qfact = ONE
+            for i in range(1, n + 1):
+                qfact = qfact * Poly([1] * i).subst_power(2)
+            assert flag_character(n).coeff(lam) * lam.centralizer_order() == qfact
+
     def test_rank_two(self):
         assert flag_character(2).render_schur() == "s[2] + u^2*s[1,1]"
 

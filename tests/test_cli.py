@@ -319,3 +319,107 @@ class TestErrorsAndDeterminism:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+# Each command that takes a variety, with the arguments it needs besides.
+VARIETY_COMMANDS = {
+    "poincare": ["poincare", "-n", "2"],
+    "char": ["char", "-n", "2"],
+    "series": ["series", "zeta", "-q", "2"],
+}
+
+
+class TestVarietyOptions:
+    """--dim belongs to affine/torus and --avoid to punctured, as for count."""
+
+    def test_reproduced_dim_case(self, capsys):
+        code, out, err = run(capsys, "poincare", "--variety", "p1", "--dim", "3", "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --dim does not apply to --variety p1\n"
+
+    def test_reproduced_avoid_case(self, capsys):
+        code, out, err = run(
+            capsys, "series", "zeta", "--variety", "torus", "--avoid", "5", "-q", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --avoid does not apply to --variety torus\n"
+
+    @pytest.mark.parametrize("command", sorted(VARIETY_COMMANDS))
+    @pytest.mark.parametrize("variety", ["point", "punctured", "p1"])
+    @pytest.mark.parametrize("dim", ["1", "3"])
+    def test_dim_rejected(self, capsys, command, variety, dim):
+        argv = VARIETY_COMMANDS[command] + ["--variety", variety, "--dim", dim]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --dim does not apply to --variety {variety}\n"
+
+    @pytest.mark.parametrize("command", sorted(VARIETY_COMMANDS))
+    @pytest.mark.parametrize("variety", ["point", "affine", "torus", "p1"])
+    @pytest.mark.parametrize("avoid", ["0,1", "5", ""])
+    def test_avoid_rejected(self, capsys, command, variety, avoid):
+        argv = VARIETY_COMMANDS[command] + ["--variety", variety, "--avoid", avoid]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --avoid does not apply to --variety {variety}\n"
+
+    @pytest.mark.parametrize("command", sorted(VARIETY_COMMANDS))
+    @pytest.mark.parametrize("option", [["--dim", "2"], ["--avoid", "0,1"]])
+    def test_descriptor_takes_neither(self, capsys, tmp_path, command, option):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"strata": [{"deg": 0}]}))
+        argv = VARIETY_COMMANDS[command] + ["--variety", str(path)] + option
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option[0]} does not apply to --variety {path}\n"
+
+    def test_dim_without_variety_rejected(self, capsys):
+        code, out, err = run(capsys, "poincare", "--space", "flag", "--dim", "2", "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --dim does not apply without --variety\n"
+
+    @pytest.mark.parametrize("command", sorted(VARIETY_COMMANDS))
+    def test_options_still_apply_where_they_belong(self, capsys, command):
+        base = VARIETY_COMMANDS[command]
+        for extra in (
+            ["--variety", "affine", "--dim", "2"],
+            ["--variety", "torus", "--dim", "1"],
+            ["--variety", "punctured", "--avoid", "0,1"],
+        ):
+            code, _, err = run(capsys, *base, *extra)
+            assert (code, err) == (0, ""), extra
+
+    def test_explicit_defaults_change_nothing(self, capsys):
+        _, plain, _ = run(capsys, "poincare", "--variety", "punctured", "-n", "3")
+        _, explicit, _ = run(
+            capsys, "poincare", "--variety", "punctured", "--avoid", "0,1", "-n", "3"
+        )
+        assert plain == explicit
+        _, plain, _ = run(capsys, "series", "betti", "--variety", "torus")
+        _, explicit, _ = run(capsys, "series", "betti", "--variety", "torus", "--dim", "1")
+        assert plain == explicit
+
+
+class TestCharFlagOptions:
+    """char --flag N prints the flag character and takes no variety options."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--variety", "p1"],
+            ["--variety", "p1", "-n", "3"],
+            ["-n", "3"],
+            ["-q", "6"],
+            ["-q", "4"],
+            ["--cycle-type", "(2)"],
+        ],
+    )
+    def test_rejected(self, capsys, extra):
+        code, out, err = run(capsys, "char", "--flag", "2", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {extra[0]} does not apply to char --flag\n"
+
+    @pytest.mark.parametrize("extra", [["--dim", "2"], ["--avoid", "0,1"]])
+    def test_variety_options_rejected(self, capsys, extra):
+        code, out, err = run(capsys, "char", "--flag", "2", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {extra[0]} does not apply to char --flag\n"

@@ -15,7 +15,13 @@ import pytest
 from commvar.arith import Poly, RatFunc
 from commvar.charmodel import GradedSpace, Stratum, enhanced_character, poincare
 from commvar.partitions import Partition, partitions_of
-from commvar.symfunc import SymFunc, _div_one_minus, mn_character, q_pochhammer
+from commvar.symfunc import (
+    SymFunc,
+    _character_table,
+    _div_one_minus,
+    mn_character,
+    q_pochhammer,
+)
 
 P = Partition
 U = Poly.monomial(1)
@@ -79,6 +85,20 @@ def numerator_by_poly_division(f: SymFunc, power: int) -> Poly:
             den = den * (ONE - Poly.monomial(power * part))
         acc = acc + coeff * pochhammer.exact_div(den)
     return acc
+
+
+def to_schur_by_products(f: SymFunc) -> dict[Partition, Poly]:
+    """sum over mu of chi^lam(mu) * [p_mu] f, one Poly product per pair; oracle only."""
+    out = {}
+    for lam in partitions_of(f.degree):
+        acc = Poly()
+        for mu, coeff in f.terms.items():
+            chi = mn_character(lam, mu)
+            if chi:
+                acc = acc + coeff * chi
+        if acc:
+            out[lam] = acc
+    return out
 
 
 def random_symfunc(rng: random.Random, n: int) -> SymFunc:
@@ -239,6 +259,74 @@ class TestCharacters:
                     for mu in parts
                 )
                 assert total == (1 if a == b else 0)
+
+
+class TestCharacterTable:
+    @pytest.mark.parametrize("n", range(10))
+    def test_entries_are_mn_characters(self, n):
+        parts = partitions_of(n)
+        table = _character_table(n)
+        assert len(table) == len(parts)
+        for lam, row in zip(parts, table):
+            assert len(row) == len(parts)
+            for mu, value in zip(parts, row):
+                assert value == mn_character(lam, mu), (lam, mu)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_row_orthogonality(self, n):
+        # sum_mu chi^a(mu) chi^b(mu) / z_mu = delta_ab
+        zs = [mu.centralizer_order() for mu in partitions_of(n)]
+        table = _character_table(n)
+        for i, a in enumerate(table):
+            for j, b in enumerate(table):
+                total = sum(F(x * y, z) for x, y, z in zip(a, b, zs))
+                assert total == (1 if i == j else 0), (n, i, j)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_column_orthogonality(self, n):
+        # sum_lam chi^lam(mu) chi^lam(nu) = delta_mu,nu * z_mu
+        parts = partitions_of(n)
+        columns = list(zip(*_character_table(n)))
+        for i, mu in enumerate(parts):
+            for j in range(len(parts)):
+                total = sum(x * y for x, y in zip(columns[i], columns[j]))
+                assert total == (mu.centralizer_order() if i == j else 0), (n, i, j)
+
+
+class TestSchurConversion:
+    """to_schur against the product-by-product loop it replaced."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_products_on_random_input(self, n):
+        rng = random.Random(5100 + n)
+        for _ in range(4):
+            f = random_symfunc(rng, n)
+            assert f.to_schur() == to_schur_by_products(f)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_denominators_not_dividing_n_factorial(self, n):
+        # primes above n, so no denominator divides n!
+        rng = random.Random(5200 + n)
+        dens = (11, 13, 17, 19 * 23, 29 * 31)
+        f = SymFunc(
+            n,
+            {
+                lam: Poly([F(rng.randint(-40, 40), rng.choice(dens)) for _ in range(rng.randint(1, 6))])
+                for lam in partitions_of(n)
+                if rng.random() < 0.7
+            },
+        )
+        assert f.to_schur() == to_schur_by_products(f)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_zero(self, n):
+        assert SymFunc.zero(n).to_schur() == to_schur_by_products(SymFunc.zero(n)) == {}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_power_sums(self, n):
+        for mu in partitions_of(n):
+            f = SymFunc.from_p(mu).scale(Poly([F(1, 7), 0, F(-3, 5)]))
+            assert f.to_schur() == to_schur_by_products(f)
 
 
 class TestSchurView:
