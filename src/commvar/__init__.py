@@ -21,6 +21,7 @@ from .charmodel import (
     parse_descriptor,
     point_count,
     poincare,
+    rank_numerators,
 )
 from .oracle import (
     AffineSpace,

@@ -12,6 +12,7 @@ values is decidable by comparing canonical forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd as _igcd
 from typing import Iterable, Union
 
@@ -555,6 +556,45 @@ def one_minus_x_coeffs(e: int, order: int) -> list[int]:
     return [comb(k - e - 1, k) for k in range(order + 1)]
 
 
+def div_monic_coeffs(a: list[int], b: tuple[int, ...]) -> list[int] | None:
+    """Exact quotient of integer coefficient lists, a / b, for monic b.
+
+    Coefficients ascend.  Returns None when the division leaves a
+    remainder.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if any(a) else []
+    r = list(a)
+    q = [0] * (len(r) - db)
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            k = i - db
+            q[k] = c
+            for j, bc in terms:
+                r[k + j] -= c * bc
+    if any(r[:db]):
+        return None
+    return q
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(d: int) -> tuple[int, ...]:
+    """Integer coefficients of the cyclotomic polynomial Phi_d, ascending.
+
+    u^d - 1 is the product of Phi_e over the divisors e of d.
+    """
+    if d < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    q = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            q = div_monic_coeffs(q, cyclotomic_coeffs(e))
+    return tuple(q)
+
+
 class TSeries:
     """Power series in the counting variable t, truncated at a fixed order.
 
@@ -603,6 +643,13 @@ class TSeries:
         return TSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
     def __mul__(self, other):
+        return self._convolve(other, lambda a, b: a * b)
+
+    def mul_trunc(self, other, u_order: int) -> "TSeries":
+        """The product with every coefficient cut modulo u^(u_order+1)."""
+        return self._convolve(other, lambda a, b: a.mul_trunc(b, u_order))
+
+    def _convolve(self, other, mul) -> "TSeries":
         n = min(self.order, other.order)
         out = []
         for k in range(n + 1):
@@ -611,7 +658,7 @@ class TSeries:
                 a = self.coeffs[i]
                 b = other.coeffs[k - i]
                 if a and b:
-                    acc = acc + a * b
+                    acc = acc + mul(a, b)
             out.append(acc)
         return TSeries(out)
 

@@ -7,6 +7,16 @@ the graded character of the flag variety, signed Poincare polynomials
 of the commuting-matrix spaces, and exact point-count values over a
 chosen prime power.
 
+The Poincare polynomials of the commuting-matrix spaces need no
+partition sums: with w_k the signed power sum of the Betti data, the
+numerators N_n of sum_n N_n / (u^2; u^2)_n t^n =
+exp sum_k w_k t^k / (k (1 - u^(2k))) satisfy the integer recurrence
+n N_n = sum_k w_k E_(n,k) N_(n-k), where E_(n,k) is k consecutive
+factors 1 - u^(2j) over 1 - u^(2k) (``rank_numerators``).  Its two
+divisions, by 1 - u^(2k) and by n, are exact and are checked for a
+remainder.  The character-sum route, (u^2; u^2)_n times the principal
+specialization of ``enhanced_character``, is its test oracle.
+
 Sign convention used throughout: the Poincare polynomial of a space is
 ``sum_i dim H^i * (-u)^i``, so odd cohomology enters negatively.
 """
@@ -19,10 +29,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .arith import Poly, RatFunc
+from .arith import Poly, RatFunc, cyclotomic_coeffs, div_monic_coeffs
 from .oracle import gl_order, prime_power_base
 from .partitions import Partition, partitions_of
-from .symfunc import SymFunc, _cofactor, q_pochhammer
+from .symfunc import (
+    SymFunc,
+    _cofactor,
+    _div_one_minus,
+    _pochhammer_ints,
+    _running_sums,
+    q_pochhammer,
+)
 
 
 class DescriptorError(ValueError):
@@ -343,15 +360,108 @@ def flag_character(n: int) -> SymFunc:
 SPACES = ("cn", "sn", "coh", "flag", "bgln")
 
 
+def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[list[int]]:
+    """Integer coefficients of the Poincare polynomials N_0 .. N_N of C_n.
+
+    Frobenius eigenvalues are ignored.  With w_k the signed power sum
+    ``eigen_power_sum`` at unit eigenvalues, the Macdonald-type series
+
+        sum_n N_n / (u^2; u^2)_n t^n = exp sum_k w_k t^k / (k (1 - u^(2k)))
+
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.2-3) has the
+    log-derivative recurrence
+
+        n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),
+        E_(n,k) = prod_(j=n-k+1..n) (1 - u^(2j)) / (1 - u^(2k)),
+
+    with N_0 = 1.  E_(n,k) is applied as k sparse shifts by 1 - u^(2j)
+    and one running-sum division by 1 - u^(2k), w_k as its few terms,
+    so no partition is enumerated.  Both divisions are exact: the
+    division by 1 - u^(2k) and the division by n raise ValueError on a
+    remainder.  With ``top = M`` every step is cut modulo u^(M+1) and
+    the first division has no remainder to check.  Trailing zeros are
+    stripped, so a zero polynomial is the empty list.
+    """
+    if N < 0:
+        raise ValueError("n must be >= 0")
+    if top is not None and top < 0:
+        raise ValueError("u order must be >= 0")
+    unit = space.with_unit_eigenvalues()
+    weights = {
+        k: [(d, c.numerator) for d, c in enumerate(eigen_power_sum(unit, k).coeffs) if c]
+        for k in range(1, N + 1)
+    }
+    ranks = [[1]]
+    for n in range(1, N + 1):
+        acc: list[int] = []
+        for k in range(1, n + 1):
+            v = ranks[n - k]
+            if not v:
+                continue
+            if top is None:
+                for j in range(n - k + 1, n + 1):
+                    pad = [0] * (2 * j)
+                    v = [a - b for a, b in zip(v + pad, pad + v)]
+                v = _div_one_minus(v, 2 * k)
+            else:
+                v = v + [0] * (top + 1 - len(v))
+                for j in range(n - k + 1, min(n, top // 2) + 1):
+                    v = v[: 2 * j] + [a - b for a, b in zip(v[2 * j :], v)]
+                _running_sums(v, 2 * k)
+            for d, c in weights[k]:
+                end = d + len(v) if top is None else min(d + len(v), top + 1)
+                if end <= d:
+                    break
+                if len(acc) < end:
+                    acc.extend([0] * (end - len(acc)))
+                acc[d:end] = [s + c * b for s, b in zip(acc[d:end], v)]
+        if any(a % n for a in acc):
+            raise ValueError(f"rank {n}: division by {n} left a remainder")
+        acc = [a // n for a in acc]
+        while acc and not acc[-1]:
+            acc.pop()
+        ranks.append(acc)
+    return ranks
+
+
+def _coh_value(num: list[int], n: int) -> RatFunc:
+    """N / (u^2; u^2)_n in lowest terms, from the integer numerator N.
+
+    1 - u^(2j) = -prod_(d | 2j) Phi_d(u), so the only factors N and the
+    Pochhammer can share are cyclotomic: Phi_d occurs in the Pochhammer
+    once per j <= n with d | 2j, i.e. n // d times for odd d and
+    2n // d times for even d.  Each Phi_d is cancelled from N, by exact
+    monic division, as often as it divides, up to that multiplicity.
+    The pair left is coprime, and flipping both signs when n is odd
+    makes the denominator monic: the canonical form.
+    """
+    if not num:
+        return RatFunc(0)
+    den = list(_pochhammer_ints(n, 2))
+    for d in range(1, 2 * n + 1):
+        phi = cyclotomic_coeffs(d)
+        for _ in range(n // d if d % 2 else 2 * n // d):
+            quotient = div_monic_coeffs(num, phi)
+            if quotient is None:
+                break
+            num = quotient
+            den = div_monic_coeffs(den, phi)
+    if n % 2:
+        num = [-c for c in num]
+        den = [-c for c in den]
+    return RatFunc._make(Poly(num), Poly(den))
+
+
 def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFunc:
     """Signed Poincare polynomial (or series) of the chosen moduli space.
 
-    cn / sn: (q;q)_n at u^2 times the squared-variable principal
-    specialization of the graded character of the n-th power, i.e. its
-    specialization numerator; an exact polynomial by construction.
-    coh: the same without the Pochhammer factor (a rational function).
-    flag: the q-factorial at u^2.  bgln: the inverse Pochhammer.
-    Frobenius eigenvalues are ignored here.
+    cn / sn: the numerator N_n of ``rank_numerators``, an integer
+    polynomial; by the main theorem the two spaces agree.  It equals
+    (q;q)_n at u^2 times the squared-variable principal specialization
+    of the graded character of the n-th power.  coh: N_n over
+    (u^2; u^2)_n in lowest terms (a rational function), reduced by
+    cancelling cyclotomic factors.  flag: the q-factorial at u^2.
+    bgln: the inverse Pochhammer.  Frobenius eigenvalues are ignored.
     """
     kind = space.lower()
     if kind not in SPACES:
@@ -371,10 +481,10 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
         raise ValueError(f"space {space!r} needs variety data")
     if n < 0:
         raise ValueError("n must be >= 0")
-    ch = enhanced_character(space_data.with_unit_eigenvalues(), n)
+    num = rank_numerators(space_data, n)[n]
     if kind == "coh":
-        return ch.principal_spec(power=2)
-    return RatFunc(ch.principal_spec_numerator(power=2))
+        return _coh_value(num, n)
+    return RatFunc._make(Poly(num), Poly.constant(1))
 
 
 # -- point counts ------------------------------------------------------------

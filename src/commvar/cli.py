@@ -162,6 +162,8 @@ def _render_value(value: RatFunc, absolute: bool) -> str:
 
 
 def _cmd_poincare(args) -> int:
+    if args.space in ("flag", "bgln") and args.variety is not None:
+        raise ValueError(f"--variety does not apply to --space {args.space}")
     _check_variety_options(args)
     space = None
     if args.space in ("cn", "sn", "coh"):

@@ -13,6 +13,12 @@ compared coefficient by coefficient, exactly:
 The last product has infinitely many non-unit factors, so its
 coefficients are evaluated in closed form: the logarithm of the product
 is a geometric series in the field size, summed exactly.
+
+The stabilization report compares the residue-route limit of the
+commuting-space Betti numbers with two finite ranks, read from one pass
+of the rank recurrence ``charmodel.rank_numerators`` cut modulo
+u^(u_order+1): n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n
+is checked for a remainder at every rank.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Poly, RatFunc, TSeries, one_minus_x_coeffs
-from .charmodel import GradedSpace, poincare, point_count
+from .charmodel import GradedSpace, poincare, point_count, rank_numerators
 from .oracle import gl_order, prime_power_base
 
 
@@ -94,9 +100,10 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     The left side is assembled degree by degree from the stack Poincare
     values, each a rational function expanded to a polynomial modulo
     u^(u_order+1); the right side multiplies the factors at t, u^2 t,
-    u^4 t, ... and is cut off once an omitted factor would be congruent
-    to 1 modulo u^(u_order+1).  Both sides are compared modulo
-    (t^(t_order+1), u^(u_order+1)).
+    u^4 t, ... with every product cut modulo u^(u_order+1)
+    (``TSeries.mul_trunc``), and stops once an omitted factor would be
+    congruent to 1 modulo u^(u_order+1).  Both sides are compared
+    modulo (t^(t_order+1), u^(u_order+1)).
     """
     if t_order < 0 or u_order < 0:
         raise ValueError("orders must be >= 0")
@@ -109,7 +116,7 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     i = 0
     while 2 * i <= u_order:
         factor = base if i == 0 else base.scale_t(Poly.monomial(2 * i))
-        rhs = rhs * factor
+        rhs = rhs.mul_trunc(factor, u_order)
         i += 1
     return _compare(lhs, rhs, t_order, u_order)
 
@@ -254,12 +261,14 @@ class StabilizationReport:
 def stable_betti_verified(space: GradedSpace, u_order: int) -> StabilizationReport:
     """Certify the residue-route limit against finite ranks n and n+1.
 
-    Stabilization is detected, never assumed: the truncated Poincare
-    polynomials at n = u_order and n = u_order + 1 must both equal the
-    residue value.
+    Stabilization is detected, never assumed: the Poincare polynomials
+    at n = u_order and n = u_order + 1, modulo u^(u_order+1), must both
+    equal the residue value.  Both come from one ``rank_numerators``
+    pass cut at ``top = u_order``: the rank recurrence
+    n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n is still
+    checked for a remainder at every rank.
     """
     n = max(u_order, 1)
     stable = stable_betti(space, u_order)
-    at_n = poincare(space, n, "cn").as_poly().truncate(u_order)
-    at_next = poincare(space, n + 1, "cn").as_poly().truncate(u_order)
-    return StabilizationReport(stable, n, at_n, at_next)
+    ranks = rank_numerators(space, n + 1, top=u_order)
+    return StabilizationReport(stable, n, Poly(ranks[n]), Poly(ranks[n + 1]))

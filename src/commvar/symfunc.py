@@ -345,12 +345,17 @@ def _div_one_minus(coeffs, k: int) -> list[int]:
     if k < 1:
         raise ZeroDivisionError("division by 1 - x^0 = 0")
     q = list(coeffs)
-    for j in range(k, len(q)):
-        q[j] += q[j - k]
+    _running_sums(q, k)
     if any(q[-k:]):
         raise ValueError(f"division by 1 - x^{k} left a remainder")
     del q[-k:]
     return q
+
+
+def _running_sums(q: list[int], k: int) -> None:
+    """In place, q[j] += q[j - k]: the power-series quotient by 1 - x^k."""
+    for j in range(k, len(q)):
+        q[j] += q[j - k]
 
 
 @lru_cache(maxsize=None)

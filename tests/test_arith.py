@@ -5,7 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from commvar.arith import PoleError, Poly, RatFunc, TSeries, one_minus_x_coeffs, poly_gcd
+from commvar.arith import (
+    PoleError,
+    Poly,
+    RatFunc,
+    TSeries,
+    cyclotomic_coeffs,
+    div_monic_coeffs,
+    one_minus_x_coeffs,
+    poly_gcd,
+)
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -187,6 +196,15 @@ class TestTSeries:
         b = TSeries.binomial_factor(RatFunc(U), 2, 4)
         assert b == TSeries([RatFunc(1), RatFunc(-2 * U), RatFunc(U**2), RatFunc(0), RatFunc(0)])
 
+    def test_truncated_product_is_the_product_cut(self):
+        rng = random.Random(515)
+        for _ in range(20):
+            a = TSeries([random_poly(rng, 6) for _ in range(rng.randint(1, 5))])
+            b = TSeries([random_poly(rng, 6) for _ in range(rng.randint(1, 5))])
+            for u_order in range(8):
+                got = a.mul_trunc(b, u_order)
+                assert got == TSeries([c.truncate(u_order) for c in (a * b).coeffs])
+
     def test_coefficients_are_polynomials(self):
         s = TSeries([F(1, 2), RatFunc(ONE + U), U])
         assert all(isinstance(c, Poly) for c in s.coeffs)
@@ -207,3 +225,34 @@ class TestBinomialCoefficients:
                 assert Poly(got) == (Poly([1, -1]) ** e).truncate(order)
             else:
                 assert got == RatFunc(1, Poly([1, -1]) ** -e).series(order)
+
+
+class TestCyclotomic:
+    def test_divisor_product_is_u_to_the_m_minus_one(self):
+        for m in range(1, 31):
+            acc = ONE
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    acc = acc * Poly(cyclotomic_coeffs(d))
+            assert acc == Poly.monomial(m) - ONE, m
+
+    def test_small_values(self):
+        assert cyclotomic_coeffs(1) == (-1, 1)
+        assert cyclotomic_coeffs(6) == (1, -1, 1)
+        assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
+        with pytest.raises(ValueError):
+            cyclotomic_coeffs(0)
+
+    def test_monic_division_against_divmod(self):
+        rng = random.Random(909)
+        for _ in range(200):
+            a = [rng.randint(-3, 3) for _ in range(rng.randint(0, 9))]
+            b = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4))) + (1,)
+            q, r = divmod(Poly(a), Poly(b))
+            got = div_monic_coeffs(a, b)
+            if r:
+                assert got is None, (a, b)
+            else:
+                assert got is not None and Poly(got) == q, (a, b)
+            product = (Poly(a) * Poly(b)).coeffs
+            assert Poly(div_monic_coeffs([int(c) for c in product], b)) == Poly(a)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from commvar import charmodel
 from commvar.arith import Poly, RatFunc
 from commvar.charmodel import (
     DescriptorError,
@@ -22,6 +23,7 @@ from commvar.charmodel import (
     parse_eigenvalue,
     point_count,
     poincare,
+    rank_numerators,
 )
 from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, q_pochhammer
@@ -380,6 +382,97 @@ class TestPoincare:
         circle = GradedSpace.from_betti([(0, 1), (1, 1)])
         for n in range(1, 5):
             assert poincare(circle, n, "cn") == poincare(TORUS, n, "cn")
+
+
+def poincare_by_character_sum(space, n):
+    """(u^2; u^2)_n times the principal specialization of the character; oracle only."""
+    ch = enhanced_character(space.with_unit_eigenvalues(), n)
+    return ch.principal_spec_numerator(power=2)
+
+
+RANK_NAMES = ("point", "affine", "torus", "p1", "punctured")
+RANK_SEEDS = (11, 12, 13, 14)
+RANK_SPACES = [builtin_space(name) for name in RANK_NAMES]
+RANK_SPACES += [random_space(random.Random(seed)) for seed in RANK_SEEDS]
+RANK_IDS = list(RANK_NAMES) + [f"random{seed}" for seed in RANK_SEEDS]
+
+
+class TestRankNumerators:
+    """The partition-free rank recurrence against the character-sum route."""
+
+    @pytest.mark.parametrize("space", RANK_SPACES, ids=RANK_IDS)
+    def test_matches_character_sum(self, space):
+        ranks = rank_numerators(space, 10)
+        for n in range(11):
+            assert Poly(ranks[n]) == poincare_by_character_sum(space, n), (space, n)
+            assert poincare(space, n, "cn") == RatFunc(Poly(ranks[n]))
+
+    @pytest.mark.parametrize("space", RANK_SPACES, ids=RANK_IDS)
+    def test_coh_matches_gcd_route(self, space):
+        for n in range(11):
+            expected = RatFunc(poincare_by_character_sum(space, n), q_pochhammer(n, power=2))
+            got = poincare(space, n, "coh")
+            assert (got.num, got.den) == (expected.num, expected.den), (space, n)
+
+    @pytest.mark.parametrize("space", RANK_SPACES, ids=RANK_IDS)
+    def test_truncated_ranks_are_the_full_ranks_cut(self, space):
+        full = rank_numerators(space, 9)
+        for top in range(15):
+            cut = rank_numerators(space, 9, top=top)
+            assert [Poly(r) for r in cut] == [Poly(r).truncate(top) for r in full], (space, top)
+
+    def test_coefficients_are_plain_ints(self):
+        ranks = rank_numerators(builtin_space("torus", dim=2), 6)
+        assert all(type(c) is int for rank in ranks for c in rank)
+        assert all(rank[-1] for rank in ranks)
+
+    def test_empty_space_has_zero_ranks(self):
+        assert rank_numerators(GradedSpace([]), 4) == [[1], [], [], [], []]
+        assert poincare(GradedSpace([]), 3, "coh") == RatFunc(0)
+
+    def test_division_by_n_is_checked(self, monkeypatch):
+        # w_1 = 1 and w_k = 0 otherwise: N_2 = (1 + u^2) / 2 is not integral
+        monkeypatch.setattr(
+            charmodel, "eigen_power_sum", lambda space, k: Poly.constant(1 if k == 1 else 0)
+        )
+        assert rank_numerators(AFFINE, 1) == [[1], [1]]
+        with pytest.raises(ValueError, match="division by 2 left a remainder"):
+            rank_numerators(AFFINE, 2)
+        with pytest.raises(ValueError, match="division by 2 left a remainder"):
+            rank_numerators(AFFINE, 2, top=4)
+
+    def test_rejects_negative_orders(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rank_numerators(TORUS, -1)
+        with pytest.raises(ValueError, match="u order must be >= 0"):
+            rank_numerators(TORUS, 2, top=-1)
+
+
+def fermionic_side(space, n):
+    """<enhanced_character(X, n), flag character>, from the Schur expansion.
+
+    The Schur coefficient of the flag character at lam is the fake
+    degree q^n(lam) (q;q)_n / prod over hooks (1 - q^h) at q = u^2.
+    """
+    acc = Poly()
+    for lam, coeff in enhanced_character(space.with_unit_eigenvalues(), n).to_schur().items():
+        hooks = ONE
+        for h in lam.hook_lengths():
+            hooks = hooks * (ONE - Poly.monomial(h))
+        fake = (Poly.monomial(lam.weighted_row_sum()) * q_pochhammer(n)).exact_div(hooks)
+        acc = acc + coeff * fake.subst_power(2)
+    return acc
+
+
+class TestBosonFermion:
+    """The main theorem: both Poincare routes equal the flag pairing."""
+
+    @pytest.mark.parametrize("space", BUILTINS + RANK_SPACES[len(RANK_NAMES) :])
+    def test_flag_pairing_equals_poincare(self, space):
+        for n in range(1, 8):
+            expected = RatFunc(fermionic_side(space, n))
+            assert poincare(space, n, "sn") == expected, (space, n)
+            assert poincare(space, n, "cn") == expected, (space, n)
 
 
 class TestPointCount:

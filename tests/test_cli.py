@@ -423,3 +423,40 @@ class TestCharFlagOptions:
         code, out, err = run(capsys, "char", "--flag", "2", *extra)
         assert (code, out) == (2, "")
         assert err == f"error: {extra[0]} does not apply to char --flag\n"
+
+
+class TestPoincareSpaceOptions:
+    """poincare --space flag|bgln takes no variety, as char --flag does not."""
+
+    def test_reproduced_case(self, capsys):
+        code, out, err = run(capsys, "poincare", "--space", "flag", "--variety", "zebra", "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --variety does not apply to --space flag\n"
+
+    @pytest.mark.parametrize("space", ["flag", "bgln"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--variety", "p1"],
+            ["--variety", "zebra"],
+            ["--variety", "affine", "--dim", "2"],
+            ["--variety", "punctured", "--avoid", "0,1"],
+        ],
+    )
+    def test_variety_rejected(self, capsys, space, extra):
+        code, out, err = run(capsys, "poincare", "--space", space, "-n", "2", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: --variety does not apply to --space {space}\n"
+
+    def test_descriptor_rejected(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"strata": [{"deg": 0}]}))
+        code, out, err = run(capsys, "poincare", "--space", "bgln", "--variety", str(path), "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --variety does not apply to --space bgln\n"
+
+    @pytest.mark.parametrize("space", ["flag", "bgln"])
+    def test_no_variety_still_works(self, capsys, space):
+        code, out, err = run(capsys, "poincare", "--space", space, "-n", "2")
+        assert (code, err) == (0, "")
+        assert out

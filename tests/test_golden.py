@@ -1,8 +1,8 @@
-"""The ``char``, ``series`` and ``verify`` commands of the benchmark, replayed in-process.
+"""The ``char``, ``poincare``, ``series`` and ``verify`` commands of the benchmark, replayed in-process.
 
 ``perfbench/golden.json`` records the exit code and the SHA-256 of stdout
-of every command the benchmark can run.  Each ``char``, ``series`` and
-``verify`` command among them is run here through ``cli.main`` with the benchmark's
+of every command the benchmark can run.  Each ``char``, ``poincare``,
+``series`` and ``verify`` command among them is run here through ``cli.main`` with the benchmark's
 descriptor pool written to a temporary directory, and must give the
 recorded exit code and digest.  ``perfbench/`` is only read.
 """
@@ -28,7 +28,7 @@ def _load_workloads():
 
 
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["commands"]
-COMMANDS = sorted(c for c in GOLDEN if c.split()[0] in ("char", "series", "verify"))
+COMMANDS = sorted(c for c in GOLDEN if c.split()[0] in ("char", "poincare", "series", "verify"))
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +44,17 @@ def descriptors(tmp_path_factory):
 
 
 def test_golden_has_the_series_and_verify_commands():
-    assert sum(not c.startswith("char ") for c in COMMANDS) == 35
+    assert sum(c.split()[0] in ("series", "verify") for c in COMMANDS) == 35
     assert sum(c.startswith("verify ") for c in COMMANDS) == 9
 
 
 def test_golden_has_the_char_commands():
     assert sum(c.startswith("char ") for c in COMMANDS) == 150
     assert sum(c.startswith("char --flag ") for c in COMMANDS) == 7
+
+
+def test_golden_has_the_poincare_commands():
+    assert sum(c.startswith("poincare ") for c in COMMANDS) == 62
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -92,6 +92,16 @@ class TestCohProduct:
             report = coh_series(space, 4, 16)
             assert report.equal, (space, report.first_mismatch)
 
+    @pytest.mark.parametrize("space", [POINT, TORUS, PROJ, PUNCT])
+    def test_right_side_is_the_full_product_cut(self, space):
+        # the right side as the untruncated product, cut only at the end
+        report = coh_series(space, 5, 20)
+        base = betti_zeta(space, 5)
+        full = TSeries.one(5)
+        for i in range(11):
+            full = full * (base if i == 0 else base.scale_t(Poly.monomial(2 * i)))
+        assert report.rhs == TSeries([c.truncate(20) for c in full.coeffs])
+
     def test_mismatch_is_reported_with_index(self):
         lhs = TSeries([1, 1, 2])
         rhs = TSeries([1, 1, 3])
@@ -187,3 +197,11 @@ class TestStableBetti:
         assert isinstance(report, type(stable_betti_verified(AFFINE, 2)))
         assert report.n == 4
         assert report.ok
+
+    @pytest.mark.parametrize("space", [POINT, AFFINE, TORUS, PROJ, PUNCT], ids=lambda s: s.name)
+    def test_ranks_agree_with_full_poincare(self, space):
+        for u_order in range(13):
+            report = stable_betti_verified(space, u_order)
+            assert report.ok, (space, u_order)
+            for n, value in ((report.n, report.at_n), (report.n + 1, report.at_next)):
+                assert value == poincare(space, n, "cn").as_poly().truncate(u_order)
