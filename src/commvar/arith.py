@@ -1,23 +1,25 @@
 """Exact univariate arithmetic.
 
-Dense polynomials over the rationals, rational functions kept in a
-canonical form (coprime, monic denominator), and truncated power series
-in a counting variable whose coefficients are polynomials in a second,
-grading variable.  A rational function appears only where a denominator
-is printed or compared; the series layer never carries one.  There is
-no floating point anywhere; every operation is exact, so equality of
-values is decidable by comparing canonical forms.
+Dense polynomials with rational coefficients, stored as one vector of
+Python ints over one positive int denominator; rational functions kept
+in a canonical form (coprime, monic denominator); and truncated power
+series in a counting variable whose coefficients are polynomials in a
+second, grading variable.  A rational function appears only where a
+denominator is printed or compared; the series layer never carries
+one.  There is no floating point anywhere; every operation is exact, so
+equality of values is decidable by comparing canonical forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd as _igcd
+from math import comb, gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Union
 
-#: The coefficient field.  fractions.Fraction already maintains the
-#: invariants we need: gcd(|num|, den) = 1, den > 0, zero is 0/1.
+#: The scalar field: a single coefficient, a leading coefficient or a
+#: value of a polynomial is a Fraction.  ``Poly`` stores no Fraction;
+#: its coefficients are ints over one shared denominator.
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
@@ -36,20 +38,39 @@ def _as_fraction(c: Scalar) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with rational coefficients.
 
-    Coefficients are stored by ascending exponent with no trailing
-    zeros, so the zero polynomial has an empty coefficient tuple and
-    ``degree() == -1``.
+    The coefficient of x^k is ``num[k] / den``: ``num`` is a tuple of
+    ints by ascending exponent and ``den`` a positive int, kept in one
+    normal form -- no trailing zeros, gcd(den, every entry of num) = 1,
+    and the zero polynomial is ``num == ()``, ``den == 1`` with
+    ``degree() == -1``.  Equal values therefore have equal (num, den),
+    so ``==`` and ``hash`` compare tuples, and every ring operation runs
+    on ints.  ``coeffs`` is a read-only view of the coefficients as
+    Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        den = 1
+        for c in cs:
+            if isinstance(c, Fraction):
+                if c.denominator != 1:
+                    den = _ilcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+        if den == 1:
+            num = [int(c) for c in cs]
+        else:
+            num = [
+                c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
+                for c in cs
+            ]
+        num, den = _normal(num, den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -58,6 +79,8 @@ class Poly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
+        if type(c) is int:
+            return _make((c,), 1) if c else _ZERO
         return cls((c,))
 
     @classmethod
@@ -66,42 +89,59 @@ class Poly:
             raise ValueError("monomial exponent must be >= 0")
         return cls((0,) * k + (c,))
 
+    @classmethod
+    def from_ints(cls, num: Iterable[int], den: int = 1) -> "Poly":
+        """The polynomial sum num[k] / den * x^k; den must be nonzero."""
+        if den == 0:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        num = list(num)
+        if den < 0:
+            num = [-c for c in num]
+            den = -den
+        return _make(*_normal(num, den))
+
     # -- basic queries -------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, by ascending exponent."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.num == (1,) and self.den == 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.num, self.den))
 
     def __repr__(self):
         return f"Poly({self.render()})"
@@ -120,24 +160,18 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _add(self, other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _make(tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _add(self, [-c for c in other.num], other.den)
 
     def __rsub__(self, other):
         return Poly._coerce(other) + (-self)
@@ -146,17 +180,10 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return Poly(out)
+            return _ZERO
+        return _make(*_normal(_convolve(a, b, len(a) + len(b) - 1), self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -173,23 +200,47 @@ class Poly:
         return result
 
     def __divmod__(self, other):
+        """Quotient and remainder over the rationals, by integer pseudo-division.
+
+        Quotient q and remainder rem are kept as ints over a common
+        scale s, with s * self.num = q * other.num + rem at every step.
+        s grows by lb / gcd(lb, top) only when the divisor's leading
+        coefficient lb does not divide the top coefficient of rem, so a
+        monic divisor never scales.
+        """
         other = Poly._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree()
-        lb = other.leading()
-        q = [Fraction(0)] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            k = len(rem) - 1 - db
-            f = rem[-1] / lb
+        b = other.num
+        db = len(b) - 1
+        lb = b[-1]
+        rem = list(self.num)
+        q = [0] * max(len(rem) - db, 0)
+        scale = 1
+        terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem[i]
+            if not c:
+                continue
+            g = _igcd(c, lb)
+            m = lb // g
+            if m < 0:
+                m, g = -m, -g
+            if m != 1:
+                rem = [m * x for x in rem]
+                q = [m * x for x in q]
+                scale *= m
+            f = c // g
+            k = i - db
             q[k] = f
-            for j, c in enumerate(other.coeffs):
-                if c:
-                    rem[j + k] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
+            rem[i] = 0
+            for j, bc in terms:
+                rem[k + j] -= f * bc
+        den = self.den * scale
+        return (
+            _make(*_normal([x * other.den for x in q], den)),
+            _make(*_normal(rem[:db], den)),
+        )
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -201,54 +252,55 @@ class Poly:
 
     def evaluate(self, x: Scalar) -> Fraction:
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.num:
+            return Fraction(0)
+        p, s = x.numerator, x.denominator
+        acc = 0
+        sk = 1
+        for c in reversed(self.num):
+            acc = acc * p + c * sk
+            sk *= s
+        return Fraction(acc, self.den * (sk // s))
 
     def subst_power(self, k: int) -> "Poly":
         """The polynomial p(x**k)."""
         if k <= 0:
             raise ValueError("subst_power needs a positive exponent")
-        if not self.coeffs:
+        if not self.num:
             return self
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(out)
+        out = [0] * ((len(self.num) - 1) * k + 1)
+        out[::k] = self.num
+        return _make(tuple(out), self.den)
 
     def truncate(self, order: int) -> "Poly":
         """Drop all terms of exponent > order."""
-        return Poly(self.coeffs[: order + 1])
+        if order + 1 >= len(self.num):
+            return self
+        return _make(*_normal(list(self.num[: max(order + 1, 0)]), self.den))
 
     def mul_trunc(self, other: "Poly", order: int) -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        """The product cut modulo x^(order+1)."""
+        a, b = self.num[: order + 1], other.num[: order + 1]
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (min(order, len(a) + len(b) - 2) + 1)
-        for i, ca in enumerate(a):
-            if ca == 0 or i > order:
-                continue
-            for j, cb in enumerate(b):
-                if i + j > order:
-                    break
-                if cb:
-                    out[i + j] += ca * cb
-        return Poly(out)
+            return _ZERO
+        out = _convolve(a, b, min(order + 1, len(a) + len(b) - 1))
+        return _make(*_normal(out, self.den * other.den))
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lc = self.leading()
-        if lc == 1:
+        lc = self.num[-1]
+        if lc == self.den:
             return self
-        return Poly(tuple(c / lc for c in self.coeffs))
+        if lc < 0:
+            return _make(*_normal([-c for c in self.num], -lc))
+        return _make(*_normal(list(self.num), lc))
 
     # -- rendering -----------------------------------------------------
 
     def render(self, var: str = "u") -> str:
         """Canonical text form, ascending degree: ``1 - u + 2*u^2``."""
-        if not self.coeffs:
+        if not self.num:
             return "0"
         pieces = []
         for k, c in enumerate(self.coeffs):
@@ -267,18 +319,70 @@ class Poly:
         return " ".join(pieces)
 
 
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
+
+
+def _make(num: tuple[int, ...], den: int) -> Poly:
+    """A Poly from a pair already in normal form."""
+    p = object.__new__(Poly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num / den in normal form; den must be positive."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den != 1:
+        g = _igcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return tuple(num), den
+
+
+_ZERO = _make((), 1)
+
+
+def _add(p: Poly, b, db: int) -> Poly:
+    """p + b / db for an int vector b."""
+    a, da = p.num, p.den
+    if da != db:
+        g = _igcd(da, db)
+        ma, mb = db // g, da // g
+        a = [c * ma for c in a]
+        b = [c * mb for c in b]
+        da *= ma
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _make(*_normal(out, da))
+
+
+def _convolve(a, b, size: int) -> list[int]:
+    """The first ``size`` coefficients of the product of int vectors a, b."""
+    out = [0] * size
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    for i, ca in enumerate(a):
+        if ca:
+            if i + len(b) <= size:
+                for j, cb in terms:
+                    out[i + j] += ca * cb
+            else:
+                for j, cb in terms:
+                    if i + j >= size:
+                        break
+                    out[i + j] += ca * cb
+    return out
+
+
 # -- polynomial gcd over the rationals --------------------------------
-
-def _int_coeffs(p: Poly) -> list[int]:
-    """Scale a rational polynomial to a primitive integer one."""
-    if p.is_zero():
-        return []
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    return _primitive(ints)
-
 
 def _primitive(ints: list[int]) -> list[int]:
     g = 0
@@ -295,14 +399,14 @@ def _primitive(ints: list[int]) -> list[int]:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd of two rational polynomials (zero if both are zero)."""
-    A, B = _int_coeffs(a), _int_coeffs(b)
+    A, B = _primitive(list(a.num)), _primitive(list(b.num))
     if len(A) < len(B):
         A, B = B, A
     while B:
         A, B = B, _primitive_rem(A, B)
     if not A:
         return Poly()
-    return Poly(A).monic()
+    return Poly.from_ints(A).monic()
 
 
 def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
@@ -401,7 +505,7 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
@@ -525,9 +629,9 @@ class RatFunc:
             den = den * (1 / c0)
         num_s = num.render(var)
         den_s = den.render(var)
-        if sum(1 for c in num.coeffs if c) > 1 or num_s.startswith("-"):
+        if sum(1 for c in num.num if c) > 1 or num_s.startswith("-"):
             num_s = f"({num_s})"
-        if sum(1 for c in den.coeffs if c) > 1:
+        if sum(1 for c in den.num if c) > 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 

@@ -349,7 +349,7 @@ def flag_character(n: int) -> SymFunc:
     return SymFunc(
         n,
         {
-            mu: Poly(Fraction(c, mu.centralizer_order()) for c in _cofactor(n, 2, mu.parts))
+            mu: Poly.from_ints(_cofactor(n, 2, mu.parts), mu.centralizer_order())
             for mu in partitions_of(n)
         },
     )
@@ -387,10 +387,12 @@ def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[
     if top is not None and top < 0:
         raise ValueError("u order must be >= 0")
     unit = space.with_unit_eigenvalues()
-    weights = {
-        k: [(d, c.numerator) for d, c in enumerate(eigen_power_sum(unit, k).coeffs) if c]
-        for k in range(1, N + 1)
-    }
+    weights = {}
+    for k in range(1, N + 1):
+        w = eigen_power_sum(unit, k)
+        if w.den != 1:
+            raise ValueError(f"power sum w_{k} is not an integer polynomial: {w.render()}")
+        weights[k] = [(d, c) for d, c in enumerate(w.num) if c]
     ranks = [[1]]
     for n in range(1, N + 1):
         acc: list[int] = []
@@ -449,7 +451,7 @@ def _coh_value(num: list[int], n: int) -> RatFunc:
     if n % 2:
         num = [-c for c in num]
         den = [-c for c in den]
-    return RatFunc._make(Poly(num), Poly(den))
+    return RatFunc._make(Poly.from_ints(num), Poly.from_ints(den))
 
 
 def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFunc:
@@ -484,7 +486,7 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
     num = rank_numerators(space_data, n)[n]
     if kind == "coh":
         return _coh_value(num, n)
-    return RatFunc._make(Poly(num), Poly.constant(1))
+    return RatFunc._make(Poly.from_ints(num), Poly.constant(1))
 
 
 # -- point counts ------------------------------------------------------------

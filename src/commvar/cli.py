@@ -35,7 +35,7 @@ from .series import (
     weil_zeta_from_eigendata,
 )
 from .varieties import BUILTIN_NAMES, family_for, is_curve_name, resolve_variety
-from .verify import SUITES, run_suite
+from .verify import POINT_COUNT_FIELDS, SUITES, run_suite
 
 
 def _parse_avoid(text: str) -> tuple[int, ...]:
@@ -158,7 +158,7 @@ def _render_value(value: RatFunc, absolute: bool) -> str:
         "warning: --absolute drops the signs of the graded convention",
         file=sys.stderr,
     )
-    return Poly([abs(c) for c in poly.coeffs]).render()
+    return Poly.from_ints([abs(c) for c in poly.num], poly.den).render()
 
 
 def _cmd_poincare(args) -> int:
@@ -270,6 +270,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.q is not None:
+        if args.suite not in ("pointcounts", "all"):
+            raise ValueError(f"-q applies only to --suite pointcounts or all, not {args.suite}")
+        if args.q not in POINT_COUNT_FIELDS:
+            raise ValueError(
+                f"-q {args.q} is not a field size of the point-count grid {POINT_COUNT_FIELDS}"
+            )
     results = run_suite(args.suite, q=args.q)
     for result in results:
         print(result.line())

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Poly, RatFunc, TSeries, one_minus_x_coeffs
-from .charmodel import GradedSpace, poincare, point_count, rank_numerators
+from .charmodel import GradedSpace, point_count, rank_numerators
 from .oracle import gl_order, prime_power_base
+from .symfunc import _running_sums
 
 
 @dataclass(frozen=True)
@@ -97,20 +98,26 @@ def betti_zeta(space: GradedSpace, order: int) -> TSeries:
 def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     """Stack Poincare series against the product of Betti zeta factors.
 
-    The left side is assembled degree by degree from the stack Poincare
-    values, each a rational function expanded to a polynomial modulo
-    u^(u_order+1); the right side multiplies the factors at t, u^2 t,
-    u^4 t, ... with every product cut modulo u^(u_order+1)
+    The left side holds the stack Poincare series N_n / (u^2; u^2)_n
+    modulo u^(u_order+1) for every n <= t_order: all N_n come from one
+    ``rank_numerators`` pass cut at ``top = u_order``, and the integer
+    series of 1 / (u^2; u^2)_n is that of rank n - 1 with one more
+    running sum at step 2n.  The right side multiplies the factors at
+    t, u^2 t, u^4 t, ... with every product cut modulo u^(u_order+1)
     (``TSeries.mul_trunc``), and stops once an omitted factor would be
     congruent to 1 modulo u^(u_order+1).  Both sides are compared
     modulo (t^(t_order+1), u^(u_order+1)).
     """
     if t_order < 0 or u_order < 0:
         raise ValueError("orders must be >= 0")
-    betti_data = space.with_unit_eigenvalues()
-    lhs = TSeries(
-        [Poly(poincare(betti_data, n, "coh").series(u_order)) for n in range(t_order + 1)]
-    )
+    ranks = rank_numerators(space, t_order, top=u_order)
+    inverse = [1] + [0] * u_order
+    lhs_coeffs = []
+    for n, numerator in enumerate(ranks):
+        if n:
+            _running_sums(inverse, 2 * n)
+        lhs_coeffs.append(Poly.from_ints(numerator).mul_trunc(Poly.from_ints(inverse), u_order))
+    lhs = TSeries(lhs_coeffs)
     base = betti_zeta(space, t_order)
     rhs = TSeries.one(t_order)
     i = 0
@@ -202,7 +209,7 @@ def _one_minus_power(a: int, e: int, order: int) -> Poly:
     """(1 - u^a)^e as a polynomial modulo u^(order+1); a >= 1."""
     if a < 1:
         raise ValueError("exponent gap must be >= 1")
-    return Poly(one_minus_x_coeffs(e, order // a)).subst_power(a)
+    return Poly.from_ints(one_minus_x_coeffs(e, order // a)).subst_power(a)
 
 
 def stable_betti(space: GradedSpace, u_order: int) -> Poly:
@@ -271,4 +278,4 @@ def stable_betti_verified(space: GradedSpace, u_order: int) -> StabilizationRepo
     n = max(u_order, 1)
     stable = stable_betti(space, u_order)
     ranks = rank_numerators(space, n + 1, top=u_order)
-    return StabilizationReport(stable, n, Poly(ranks[n]), Poly(ranks[n + 1]))
+    return StabilizationReport(stable, n, Poly.from_ints(ranks[n]), Poly.from_ints(ranks[n + 1]))

@@ -10,8 +10,9 @@ chi^lam(mu) for every mu, in ``partitions_of(n)`` order, from the
 Murnaghan-Nakayama border-strip recursion (Macdonald, I.7), and is
 built once.  Since s_lam = sum_mu chi^lam(mu) p_mu / z_mu and the
 p_mu / z_mu are dual to the p_mu, the Schur coefficient of f is
-sum_mu chi^lam(mu) * [p_mu] f.  That sum runs over ints: the rational
-p-coefficients are scaled by the lcm D of their denominators, each
+sum_mu chi^lam(mu) * [p_mu] f.  That sum runs over ints: the
+p-coefficients, int vectors over one denominator each, are brought to
+the lcm D of those denominators, each
 Schur coefficient is a row of the table dotted with the scaled
 coefficients, degree by degree, and D is divided out once per lam.
 
@@ -23,8 +24,8 @@ Symmetric Functions and Hall Polynomials, I.3).  Its numerator is an
 integer kernel: the Pochhammer product is built once per (n, power) as
 a tuple of ints, each cofactor comes from running-sum divisions by
 ``1 - x^k`` that raise on a remainder and is cached per partition, and
-the rational coefficients are scaled by the lcm of their denominators,
-so the sum runs over ints with one division at the end.
+the coefficients are brought to the lcm of their denominators, so the
+sum runs over ints with one division at the end.
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ class SymFunc:
         """Schur expansion coefficients c_lam with f = sum c_lam s_lam.
 
         c_lam = sum_mu chi^lam(mu) * [p_mu] f, read off the integer
-        character table of the degree.  The p-coefficients are scaled to
-        integers by the lcm D of their denominators and laid out degree
+        character table of the degree.  The p-coefficients, each an int
+        vector over one denominator, are brought to the lcm D of those
+        denominators and laid out degree
         by degree as one column per mu; each c_lam is then a row of the
         table dotted with every column, over ints, and has the
         coefficients a / D.
@@ -233,19 +235,20 @@ class SymFunc:
         if not self.terms:
             return {}
         parts = partitions_of(self.degree)
-        denom = lcm(*(c.denominator for coeff in self.terms.values() for c in coeff.coeffs))
-        width = max(len(coeff.coeffs) for coeff in self.terms.values())
+        denom = lcm(*(coeff.den for coeff in self.terms.values()))
+        width = max(len(coeff.num) for coeff in self.terms.values())
         columns = [[0] * len(parts) for _ in range(width)]
         for j, mu in enumerate(parts):
             coeff = self.terms.get(mu)
             if coeff is not None:
-                for k, c in enumerate(coeff.coeffs):
-                    columns[k][j] = c.numerator * (denom // c.denominator)
+                scale = denom // coeff.den
+                for k, c in enumerate(coeff.num):
+                    columns[k][j] = c * scale
         out: dict[Partition, Poly] = {}
         for lam, row in zip(parts, _character_table(self.degree)):
             acc = [sum(map(mul, row, column)) for column in columns]
             if any(acc):
-                out[lam] = Poly(Fraction(a, denom) for a in acc)
+                out[lam] = Poly.from_ints(acc, denom)
         return out
 
     def principal_spec_numerator(self, power: int = 1) -> Poly:
@@ -259,24 +262,25 @@ class SymFunc:
         Functions and Hall Polynomials, I.3).  The quotients are integer
         polynomials from running-sum divisions by 1 - x^k, each checked
         for a zero remainder, and are cached per (n, p, lam).  The
-        coefficients c_lam are scaled to integers by the lcm D of their
-        denominators, the products are summed over ints, and N has the
-        coefficients a / D.
+        coefficients c_lam, each an int vector over one denominator, are
+        brought to the lcm D of those denominators, the products are
+        summed over ints, and N has the coefficients a / D.
         """
         n = self.degree
-        denom = lcm(*(c.denominator for coeff in self.terms.values() for c in coeff.coeffs))
+        denom = lcm(*(coeff.den for coeff in self.terms.values()))
         acc: list[int] = []
         for lam, coeff in self.terms.items():
             cofactor = _cofactor(n, power, lam.parts)
             width = len(cofactor)
-            need = len(coeff.coeffs) + width - 1
+            need = len(coeff.num) + width - 1
             if len(acc) < need:
                 acc.extend([0] * (need - len(acc)))
-            for i, c in enumerate(coeff.coeffs):
+            scale = denom // coeff.den
+            for i, c in enumerate(coeff.num):
                 if c:
-                    a = c.numerator * (denom // c.denominator)
+                    a = c * scale
                     acc[i : i + width] = [s + a * b for s, b in zip(acc[i : i + width], cofactor)]
-        return Poly(Fraction(a, denom) for a in acc)
+        return Poly.from_ints(acc, denom)
 
     def principal_spec(self, power: int = 1) -> RatFunc:
         """Principal specialization, p_k -> 1/(1 - x^(power*k)).
@@ -383,4 +387,4 @@ def _cofactor(n: int, power: int, parts: tuple[int, ...]) -> tuple[int, ...]:
 
 def q_pochhammer(n: int, power: int = 1) -> Poly:
     """The product (1 - x^power)(1 - x^(2*power)) ... (1 - x^(n*power))."""
-    return Poly(_pochhammer_ints(n, power))
+    return Poly.from_ints(_pochhammer_ints(n, power))

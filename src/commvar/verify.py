@@ -130,17 +130,21 @@ def check_macdonald() -> CheckResult:
     return CheckResult("macdonald-zeta", True, "projective line, t-order 6")
 
 
+#: The field sizes of the point-count grid; ``verify -q`` picks one.
+POINT_COUNT_FIELDS = (2, 3)
+
+
 def check_point_counts(q: int | None = None) -> CheckResult:
     """Four-way point-count agreement on the curve families."""
     grid = []
-    for qq in (2, 3):
+    for qq in POINT_COUNT_FIELDS:
         for n in (1, 2, 3):
             grid.append((AffineSpace(1), n, qq))
     for n in (1, 2, 3):
         grid.append((Torus(1), n, 2))
     for n in (1, 2):
         grid.append((Torus(1), n, 3))
-    for qq in (2, 3):
+    for qq in POINT_COUNT_FIELDS:
         for n in (1, 2):
             grid.append((PuncturedLine((0, 1)), n, qq))
     failures = []

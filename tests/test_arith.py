@@ -1,5 +1,6 @@
 """Exact arithmetic: canonical forms, field axioms, truncated series."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -256,3 +257,245 @@ class TestCyclotomic:
                 assert got is not None and Poly(got) == q, (a, b)
             product = (Poly(a) * Poly(b)).coeffs
             assert Poly(div_monic_coeffs([int(c) for c in product], b)) == Poly(a)
+
+
+class FracPoly:
+    """Test oracle: the earlier Poly, a tuple of Fractions by ascending exponent."""
+
+    def __init__(self, coeffs=()):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FracPoly(out)
+
+    def __neg__(self):
+        return FracPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return FracPoly()
+        out = [F(0)] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return FracPoly(out)
+
+    def mul_trunc(self, other, order):
+        return (self * other).truncate(order)
+
+    def __pow__(self, e):
+        out = FracPoly([1])
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __divmod__(self, other):
+        rem = list(self.coeffs)
+        db = len(other.coeffs) - 1
+        lb = other.coeffs[-1]
+        q = [F(0)] * max(len(rem) - db, 0)
+        while rem and len(rem) - 1 >= db:
+            k = len(rem) - 1 - db
+            f = rem[-1] / lb
+            q[k] = f
+            for j, c in enumerate(other.coeffs):
+                rem[j + k] -= f * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return FracPoly(q), FracPoly(rem)
+
+    def evaluate(self, x):
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def subst_power(self, k):
+        out = [F(0)] * (max(len(self.coeffs) - 1, 0) * k + 1)
+        for i, c in enumerate(self.coeffs):
+            out[i * k] = c
+        return FracPoly(out)
+
+    def truncate(self, order):
+        return FracPoly(self.coeffs[: max(order + 1, 0)])
+
+    def monic(self):
+        if not self.coeffs:
+            return self
+        return FracPoly(c / self.coeffs[-1] for c in self.coeffs)
+
+    def render(self, var="u"):
+        if not self.coeffs:
+            return "0"
+        pieces = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            else:
+                varpart = var if k == 1 else f"{var}^{k}"
+                body = varpart if mag == 1 else f"{mag}*{varpart}"
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(pieces)
+
+
+# 11, 13 and 437 = 19 * 23 divide no small factorial, so no lcm of
+# centralizer orders hides a missing reduction.
+DENOMINATORS = (1, 1, 1, 2, 3, 4, 6, 9, 11, 13, 437)
+
+
+def random_pair(rng, max_len=7):
+    coeffs = [
+        F(rng.randint(-20, 20), rng.choice(DENOMINATORS)) if rng.random() < 0.8 else F(0)
+        for _ in range(rng.randint(0, max_len))
+    ]
+    return Poly(coeffs), FracPoly(coeffs)
+
+
+def assert_normal(p):
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(type(c) is int for c in p.num)
+    assert not p.num or p.num[-1] != 0
+    if p.num:
+        assert math.gcd(p.den, *p.num) == 1
+    else:
+        assert p.den == 1
+
+
+def agree(p, oracle):
+    assert_normal(p)
+    assert p.coeffs == oracle.coeffs
+    assert p.render() == oracle.render() and p.render("q") == oracle.render("q")
+
+
+class TestPolyAgainstFractionOracle:
+    def test_ring_operations(self):
+        rng = random.Random(8080)
+        for _ in range(300):
+            (a, fa), (b, fb) = random_pair(rng), random_pair(rng)
+            agree(a, fa)
+            agree(a + b, fa + fb)
+            agree(a - b, fa - fb)
+            agree(-a, -fa)
+            agree(a * b, fa * fb)
+            for order in range(-1, 9):
+                agree(a.mul_trunc(b, order), fa.mul_trunc(fb, order))
+                agree(a.truncate(order), fa.truncate(order))
+            for e in range(4):
+                agree(a**e, fa**e)
+            for k in range(1, 4):
+                agree(a.subst_power(k), fa.subst_power(k))
+            agree(a.monic(), fa.monic())
+            x = F(rng.randint(-7, 7), rng.choice(DENOMINATORS))
+            assert a.evaluate(x) == fa.evaluate(x)
+            assert a.evaluate(3) == fa.evaluate(F(3))
+
+    def test_scalars_mix_with_polynomials(self):
+        rng = random.Random(8181)
+        for _ in range(100):
+            a, fa = random_pair(rng)
+            c = F(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+            fc = FracPoly([c])
+            agree(a * c, fa * fc)
+            agree(c * a, fa * fc)
+            agree(a + c, fa + fc)
+            agree(c - a, fc - fa)
+            agree(a * 5, fa * FracPoly([5]))
+
+    def test_division(self):
+        rng = random.Random(8282)
+        for _ in range(300):
+            (a, fa), (b, fb) = random_pair(rng), random_pair(rng)
+            if b.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(a, b)
+                continue
+            q, r = divmod(a, b)
+            fq, fr = divmod(fa, fb)
+            agree(q, fq)
+            agree(r, fr)
+            agree((a * b).exact_div(b), fa)
+            if r:
+                with pytest.raises(ValueError, match="remainder"):
+                    a.exact_div(b)
+            else:
+                agree(a.exact_div(b), fq)
+
+
+class TestPolyNormalForm:
+    def test_content_is_divided_out(self):
+        p = Poly([F(2, 4)])
+        assert p.num == (1,) and p.den == 2
+        p = Poly([F(2, 6), F(4, 6)])
+        assert p.num == (1, 2) and p.den == 3
+        assert Poly.from_ints([6, -4, 2], 8) == Poly([F(3, 4), F(-1, 2), F(1, 4)])
+        assert Poly.from_ints([6, -4, 2], 8).num == (3, -2, 1)
+
+    def test_equal_values_by_different_routes(self):
+        half = F(1, 2)
+        routes = [
+            Poly([half, half]),
+            Poly([F(3, 6), F(4, 8)]),
+            Poly.from_ints([2, 2], 4),
+            Poly.from_ints([-7, -7], -14),
+            (ONE + U) * half,
+            Poly([half]) + Poly.monomial(1, half),
+            (Poly([F(1, 3), F(1, 3)]) * F(3, 2)),
+            Poly([F(1, 437), F(1, 437)]) * F(437, 2),
+            Poly([1, 2, F(1, 2)]).truncate(1) - U * F(3, 2) - half,
+            divmod(Poly([F(1, 2), 1, F(1, 2)]), ONE + U)[0],
+        ]
+        for p in routes:
+            assert p == routes[0]
+            assert hash(p) == hash(routes[0])
+            assert p.num == (1, 1) and p.den == 2
+        assert len({p: None for p in routes}) == 1
+
+    def test_zero_has_denominator_one(self):
+        zeros = [
+            Poly(),
+            Poly([0, 0]),
+            Poly([F(0, 5)]),
+            Poly.from_ints([0, 0], 7),
+            U * F(1, 3) - U * F(1, 3),
+            Poly([F(1, 11)]).truncate(-1),
+            Poly([F(1, 13)]) * Poly(),
+            Poly([F(1, 13)]).mul_trunc(U, 0),
+            divmod(Poly([F(1, 2)]), U)[0],
+            divmod(U * F(2, 3), U)[1],
+        ]
+        for z in zeros:
+            assert z.num == () and z.den == 1
+            assert z == Poly() and hash(z) == hash(Poly())
+            assert z.degree() == -1 and z.render() == "0"
+
+    def test_integer_polynomials_have_denominator_one(self):
+        p = Poly([F(4, 2), F(-6, 3), 5])
+        assert p.num == (2, -2, 5) and p.den == 1
+        assert (Poly([F(1, 3)]) * 3).den == 1
+
+    def test_constructor_checks(self):
+        with pytest.raises(TypeError):
+            Poly([0.5])
+        with pytest.raises(ZeroDivisionError):
+            Poly.from_ints([1], 0)
+        with pytest.raises(AttributeError):
+            U.num = (1,)

@@ -272,6 +272,26 @@ class TestVerify:
         assert code == 0
         assert out.startswith("macdonald-zeta: PASS")
 
+    @pytest.mark.parametrize("suite", ["pointcounts", "all"])
+    @pytest.mark.parametrize("q", ["4", "5", "1"])
+    def test_q_outside_the_grid_is_rejected(self, capsys, suite, q):
+        code, out, err = run(capsys, "verify", "--suite", suite, "-q", q)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: -q ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite", ["coh", "macdonald", "flag", "stabilization"])
+    def test_q_with_another_suite_is_rejected(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "-q", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: -q ") and err.count("\n") == 1
+
+    def test_pointcounts_at_three(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "pointcounts", "-q", "3")
+        assert code == 0
+        assert out == "point-counts: PASS (7 cross-checks)\n"
+
 
 class TestFailureExitCodes:
     def test_series_mismatch_exits_one(self, capsys, monkeypatch):

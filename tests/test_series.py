@@ -102,6 +102,35 @@ class TestCohProduct:
             full = full * (base if i == 0 else base.scale_t(Poly.monomial(2 * i)))
         assert report.rhs == TSeries([c.truncate(20) for c in full.coeffs])
 
+    def test_left_side_is_the_expanded_stack_poincare_value(self):
+        # the left side from one rank pass against each rank's exact
+        # stack Poincare value expanded as a series
+        import random
+
+        from commvar.varieties import builtin_space
+
+        rng = random.Random(4242)
+        spaces = [
+            builtin_space("point"),
+            builtin_space("affine", dim=2),
+            builtin_space("torus", dim=2),
+            builtin_space("punctured", avoided=(0, 1, 2)),
+            builtin_space("p1"),
+        ] + [
+            GradedSpace(
+                [Stratum(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            )
+            for _ in range(4)
+        ]
+        for space in spaces:
+            for t_order, u_order in ((5, 20), (3, 7), (6, 0)):
+                report = coh_series(space, t_order, u_order)
+                unit = space.with_unit_eigenvalues()
+                expected = [
+                    Poly(poincare(unit, n, "coh").series(u_order)) for n in range(t_order + 1)
+                ]
+                assert report.lhs == TSeries(expected), (space, t_order, u_order)
+
     def test_mismatch_is_reported_with_index(self):
         lhs = TSeries([1, 1, 2])
         rhs = TSeries([1, 1, 3])
