@@ -8,6 +8,12 @@ second, grading variable.  A rational function appears only where a
 denominator is printed or compared; the series layer never carries
 one.  There is no floating point anywhere; every operation is exact, so
 equality of values is decidable by comparing canonical forms.
+
+The integer-vector kernel of the layers above lives here too: int
+lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
+exact with a remainder check or cut modulo x^(M+1); the cached
+Pochhammer (x^p; x^p)_n and its exact cofactors (``pochhammer_ints``,
+``cofactor_ints``); binomial, cyclotomic and monic-division helpers.
 """
 
 from __future__ import annotations
@@ -439,7 +445,9 @@ class RatFunc:
 
     Invariants: the denominator is nonzero and monic, and numerator and
     denominator are coprime.  Canonical form makes ``==`` a decision
-    procedure for equality of values.
+    procedure for equality of values.  Only ``__init__`` normalises:
+    the field operations cross-multiply and call it, and ``_make`` wraps
+    a pair that is already canonical.
     """
 
     __slots__ = ("num", "den")
@@ -514,18 +522,7 @@ class RatFunc:
 
     def __add__(self, other):
         other = RatFunc.of(other)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g = poly_gcd(b, d)
-        if g.degree() <= 0:
-            return RatFunc._canonical_pair(a * d + b * c, b * d)
-        b1 = b.exact_div(g)
-        d1 = d.exact_div(g)
-        t = a * d1 + c * b1
-        g2 = poly_gcd(t, g)
-        if g2.degree() > 0:
-            t = t.exact_div(g2)
-            g = g.exact_div(g2)
-        return RatFunc._canonical_pair(t, b1 * d1 * g, coprime=True)
+        return RatFunc(self.num * other.den + self.den * other.num, self.den * other.den)
 
     __radd__ = __add__
 
@@ -540,16 +537,7 @@ class RatFunc:
 
     def __mul__(self, other):
         other = RatFunc.of(other)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g1 = poly_gcd(a, d)
-        if g1.degree() > 0:
-            a = a.exact_div(g1)
-            d = d.exact_div(g1)
-        g2 = poly_gcd(c, b)
-        if g2.degree() > 0:
-            c = c.exact_div(g2)
-            b = b.exact_div(g2)
-        return RatFunc._canonical_pair(a * c, b * d, coprime=True)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -557,7 +545,7 @@ class RatFunc:
         other = RatFunc.of(other)
         if other.is_zero():
             raise ZeroDivisionError("division of rational functions by zero")
-        return self * RatFunc._canonical_pair(other.den, other.num, coprime=True)
+        return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         return RatFunc.of(other) / self
@@ -568,21 +556,6 @@ class RatFunc:
         if e < 0:
             return (RatFunc(1) / self) ** (-e)
         return RatFunc._make(self.num**e, self.den**e)
-
-    @classmethod
-    def _canonical_pair(cls, num: Poly, den: Poly, coprime: bool = False) -> "RatFunc":
-        if num.is_zero():
-            return cls._make(Poly(), Poly.constant(1))
-        if not coprime:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        lc = den.leading()
-        if lc != 1:
-            num = num * (1 / lc)
-            den = den.monic()
-        return cls._make(num, den)
 
     # -- evaluation and expansion -----------------------------------------
 
@@ -647,6 +620,69 @@ def to_poly(value) -> Poly:
     if isinstance(value, RatFunc):
         return value.as_poly()
     return Poly.constant(value)
+
+
+# -- integer coefficient vectors ------------------------------------------
+
+def mul_one_minus(v, k: int, top: int | None = None) -> list[int]:
+    """v * (1 - x^k) for an int vector v.
+
+    With top = M the product is cut modulo x^(M+1) and has M + 1 entries.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if top is None:
+        pad = [0] * k
+        return [a - b for a, b in zip([*v, *pad], [*pad, *v])]
+    v = list(v[: top + 1]) + [0] * (top + 1 - len(v))
+    return v[:k] + [a - b for a, b in zip(v[k:], v)]
+
+
+def div_one_minus(v, k: int, top: int | None = None) -> list[int]:
+    """v / (1 - x^k) for an int vector v, by running sums q[j] = v[j] + q[j - k].
+
+    With top = M the result is the power-series quotient modulo
+    x^(M+1), M + 1 entries long.  With top = None the division must be
+    exact, which it is exactly when the top k running sums vanish;
+    ValueError is raised on a remainder.
+    """
+    if k < 1:
+        raise ZeroDivisionError("division by 1 - x^0 = 0")
+    q = list(v) if top is None else list(v[: top + 1]) + [0] * (top + 1 - len(v))
+    for j in range(k, len(q)):
+        q[j] += q[j - k]
+    if top is None:
+        if any(q[-k:]):
+            raise ValueError(f"division by 1 - x^{k} left a remainder")
+        del q[-k:]
+    return q
+
+
+@lru_cache(maxsize=None)
+def pochhammer_ints(n: int, power: int) -> tuple[int, ...]:
+    """Integer coefficients of (x^p; x^p)_n = prod_(i=1..n) (1 - x^(p*i)), p = power."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    v = [1]
+    for i in range(1, n + 1):
+        v = mul_one_minus(v, power * i)
+    return tuple(v)
+
+
+@lru_cache(maxsize=None)
+def cofactor_ints(n: int, power: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Integer coefficients of (x^p; x^p)_n / prod_i (1 - x^(p*parts_i)), p = power.
+
+    Each division is exact and remainder-checked; for a partition of n
+    none leaves a remainder (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3).
+    """
+    v = pochhammer_ints(n, power)
+    for part in parts:
+        v = div_one_minus(v, power * part)
+    return tuple(v)
 
 
 def one_minus_x_coeffs(e: int, order: int) -> list[int]:

@@ -29,17 +29,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .arith import Poly, RatFunc, cyclotomic_coeffs, div_monic_coeffs
+from .arith import (
+    Poly,
+    RatFunc,
+    cofactor_ints,
+    cyclotomic_coeffs,
+    div_monic_coeffs,
+    div_one_minus,
+    mul_one_minus,
+    pochhammer_ints,
+)
 from .oracle import gl_order, prime_power_base
 from .partitions import Partition, partitions_of
-from .symfunc import (
-    SymFunc,
-    _cofactor,
-    _div_one_minus,
-    _pochhammer_ints,
-    _running_sums,
-    q_pochhammer,
-)
+from .symfunc import SymFunc, q_pochhammer
 
 
 class DescriptorError(ValueError):
@@ -339,17 +341,17 @@ def flag_character(n: int) -> SymFunc:
 
         flag_character(n) = sum_mu (q;q)_n / prod (1 - q^mu_i) * p_mu / z_mu
 
-    at q = u^2.  The numerators are the integer cofactors of the
-    principal-specialization kernel.  The Schur coefficients are the
-    graded multiplicities ``flag_schur_coefficient`` at u^2; at u = 1
-    this degenerates to the regular representation.
+    at q = u^2.  The numerators are the integer cofactors
+    ``arith.cofactor_ints`` of the principal specialization.  The Schur
+    coefficients are the graded multiplicities ``flag_schur_coefficient``
+    at u^2; at u = 1 this degenerates to the regular representation.
     """
     if n < 1:
         raise ValueError("flag rank must be >= 1")
     return SymFunc(
         n,
         {
-            mu: Poly.from_ints(_cofactor(n, 2, mu.parts), mu.centralizer_order())
+            mu: Poly.from_ints(cofactor_ints(n, 2, mu.parts), mu.centralizer_order())
             for mu in partitions_of(n)
         },
     )
@@ -374,13 +376,13 @@ def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[
         n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),
         E_(n,k) = prod_(j=n-k+1..n) (1 - u^(2j)) / (1 - u^(2k)),
 
-    with N_0 = 1.  E_(n,k) is applied as k sparse shifts by 1 - u^(2j)
-    and one running-sum division by 1 - u^(2k), w_k as its few terms,
-    so no partition is enumerated.  Both divisions are exact: the
-    division by 1 - u^(2k) and the division by n raise ValueError on a
-    remainder.  With ``top = M`` every step is cut modulo u^(M+1) and
-    the first division has no remainder to check.  Trailing zeros are
-    stripped, so a zero polynomial is the empty list.
+    with N_0 = 1.  E_(n,k) is applied as ``arith.mul_one_minus`` by
+    1 - u^(2j) for each j and one ``arith.div_one_minus`` by 1 - u^(2k),
+    w_k as its few terms, so no partition is enumerated.  Both
+    divisions raise ValueError on a remainder.  With ``top = M`` the
+    same calls cut every step modulo u^(M+1), so the first division is
+    a power-series quotient; the division by n is still checked.
+    Trailing zeros are stripped, so a zero polynomial is the empty list.
     """
     if N < 0:
         raise ValueError("n must be >= 0")
@@ -393,6 +395,8 @@ def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[
         if w.den != 1:
             raise ValueError(f"power sum w_{k} is not an integer polynomial: {w.render()}")
         weights[k] = [(d, c) for d, c in enumerate(w.num) if c]
+    # factors 1 - u^(2j) with 2j > top are 1 modulo u^(top+1)
+    jmax = N if top is None else top // 2
     ranks = [[1]]
     for n in range(1, N + 1):
         acc: list[int] = []
@@ -400,16 +404,9 @@ def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[
             v = ranks[n - k]
             if not v:
                 continue
-            if top is None:
-                for j in range(n - k + 1, n + 1):
-                    pad = [0] * (2 * j)
-                    v = [a - b for a, b in zip(v + pad, pad + v)]
-                v = _div_one_minus(v, 2 * k)
-            else:
-                v = v + [0] * (top + 1 - len(v))
-                for j in range(n - k + 1, min(n, top // 2) + 1):
-                    v = v[: 2 * j] + [a - b for a, b in zip(v[2 * j :], v)]
-                _running_sums(v, 2 * k)
+            for j in range(n - k + 1, min(n, jmax) + 1):
+                v = mul_one_minus(v, 2 * j, top)
+            v = div_one_minus(v, 2 * k, top)
             for d, c in weights[k]:
                 end = d + len(v) if top is None else min(d + len(v), top + 1)
                 if end <= d:
@@ -439,7 +436,7 @@ def _coh_value(num: list[int], n: int) -> RatFunc:
     """
     if not num:
         return RatFunc(0)
-    den = list(_pochhammer_ints(n, 2))
+    den = list(pochhammer_ints(n, 2))
     for d in range(1, 2 * n + 1):
         phi = cyclotomic_coeffs(d)
         for _ in range(n // d if d % 2 else 2 * n // d):
@@ -471,10 +468,8 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
     if kind == "flag":
         if n < 1:
             raise ValueError("flag rank must be >= 1")
-        acc = Poly.constant(1)
-        for i in range(1, n + 1):
-            acc = acc * Poly([1] * i).subst_power(2)
-        return RatFunc(acc)
+        # (u^2; u^2)_n / (1 - u^2)^n = prod_(i<=n) [i]_(u^2)
+        return RatFunc(Poly.from_ints(cofactor_ints(n, 2, (1,) * n)))
     if kind == "bgln":
         if n < 1:
             raise ValueError("rank must be >= 1")

@@ -41,7 +41,12 @@ from .verify import POINT_COUNT_FIELDS, SUITES, run_suite
 def _parse_avoid(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _check_q(args, q: int) -> None:

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Poly, RatFunc, TSeries, one_minus_x_coeffs
+from .arith import Poly, RatFunc, TSeries, div_one_minus, one_minus_x_coeffs
 from .charmodel import GradedSpace, point_count, rank_numerators
 from .oracle import gl_order, prime_power_base
-from .symfunc import _running_sums
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,8 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     The left side holds the stack Poincare series N_n / (u^2; u^2)_n
     modulo u^(u_order+1) for every n <= t_order: all N_n come from one
     ``rank_numerators`` pass cut at ``top = u_order``, and the integer
-    series of 1 / (u^2; u^2)_n is that of rank n - 1 with one more
-    running sum at step 2n.  The right side multiplies the factors at
+    series of 1 / (u^2; u^2)_n is that of rank n - 1 over 1 - u^(2n)
+    (``arith.div_one_minus``).  The right side multiplies the factors at
     t, u^2 t, u^4 t, ... with every product cut modulo u^(u_order+1)
     (``TSeries.mul_trunc``), and stops once an omitted factor would be
     congruent to 1 modulo u^(u_order+1).  Both sides are compared
@@ -111,11 +110,11 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     if t_order < 0 or u_order < 0:
         raise ValueError("orders must be >= 0")
     ranks = rank_numerators(space, t_order, top=u_order)
-    inverse = [1] + [0] * u_order
+    inverse = [1]
     lhs_coeffs = []
     for n, numerator in enumerate(ranks):
         if n:
-            _running_sums(inverse, 2 * n)
+            inverse = div_one_minus(inverse, 2 * n, u_order)
         lhs_coeffs.append(Poly.from_ints(numerator).mul_trunc(Poly.from_ints(inverse), u_order))
     lhs = TSeries(lhs_coeffs)
     base = betti_zeta(space, t_order)

@@ -20,12 +20,12 @@ Coefficients are polynomials in the grading variable.  The principal
 specialization is the only operation that leaves the polynomial ring:
 it is computed over the common denominator (x; x)_n, whose exact
 quotient by every ``prod (1 - x^lam_i)`` is a polynomial (Macdonald,
-Symmetric Functions and Hall Polynomials, I.3).  Its numerator is an
-integer kernel: the Pochhammer product is built once per (n, power) as
-a tuple of ints, each cofactor comes from running-sum divisions by
-``1 - x^k`` that raise on a remainder and is cached per partition, and
-the coefficients are brought to the lcm of their denominators, so the
-sum runs over ints with one division at the end.
+Symmetric Functions and Hall Polynomials, I.3).  Those quotients, and
+the Pochhammer product itself, come from the integer kernel of
+``arith`` (``cofactor_ints``, ``pochhammer_ints``), cached per
+partition; the coefficients are brought to the lcm of their
+denominators, so the numerator is summed over ints with one division
+at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .arith import Poly, RatFunc, to_poly
+from .arith import Poly, RatFunc, cofactor_ints, pochhammer_ints, to_poly
 from .partitions import Partition, partitions_of
 
 
@@ -259,9 +259,9 @@ class SymFunc:
         the sum of c_lam * (x^p; x^p)_n / prod (1 - x^(p*lam_i)).  Every
         such quotient is exact because prod (1 - x^lam_i) divides
         (x; x)_n for each partition lam of n (Macdonald, Symmetric
-        Functions and Hall Polynomials, I.3).  The quotients are integer
-        polynomials from running-sum divisions by 1 - x^k, each checked
-        for a zero remainder, and are cached per (n, p, lam).  The
+        Functions and Hall Polynomials, I.3).  The quotients are the
+        integer polynomials ``arith.cofactor_ints(n, p, lam)``, built by
+        remainder-checked divisions by 1 - x^k and cached.  The
         coefficients c_lam, each an int vector over one denominator, are
         brought to the lcm D of those denominators, the products are
         summed over ints, and N has the coefficients a / D.
@@ -270,7 +270,7 @@ class SymFunc:
         denom = lcm(*(coeff.den for coeff in self.terms.values()))
         acc: list[int] = []
         for lam, coeff in self.terms.items():
-            cofactor = _cofactor(n, power, lam.parts)
+            cofactor = cofactor_ints(n, power, lam.parts)
             width = len(cofactor)
             need = len(coeff.num) + width - 1
             if len(acc) < need:
@@ -339,52 +339,6 @@ def _render_basis(items, symbol: str, var: str) -> str:
     return " ".join(pieces)
 
 
-def _div_one_minus(coeffs, k: int) -> list[int]:
-    """Exact quotient of an integer polynomial by 1 - x^k, by running sums.
-
-    The quotient q satisfies q[j] = a[j] + q[j - k]; the division is
-    exact exactly when the top k entries of that running sum vanish.
-    Raises ValueError on a remainder.
-    """
-    if k < 1:
-        raise ZeroDivisionError("division by 1 - x^0 = 0")
-    q = list(coeffs)
-    _running_sums(q, k)
-    if any(q[-k:]):
-        raise ValueError(f"division by 1 - x^{k} left a remainder")
-    del q[-k:]
-    return q
-
-
-def _running_sums(q: list[int], k: int) -> None:
-    """In place, q[j] += q[j - k]: the power-series quotient by 1 - x^k."""
-    for j in range(k, len(q)):
-        q[j] += q[j - k]
-
-
-@lru_cache(maxsize=None)
-def _pochhammer_ints(n: int, power: int) -> tuple[int, ...]:
-    if n and power < 0:
-        raise ValueError("monomial exponent must be >= 0")
-    acc = [1]
-    for i in range(1, n + 1):
-        k = power * i
-        out = acc + [0] * k
-        for j, c in enumerate(acc):
-            out[j + k] -= c
-        acc = out
-    return tuple(acc)
-
-
-@lru_cache(maxsize=None)
-def _cofactor(n: int, power: int, parts: tuple[int, ...]) -> tuple[int, ...]:
-    # (x^p; x^p)_n / prod (1 - x^(p*lam_i)), an integer polynomial
-    q = _pochhammer_ints(n, power)
-    for part in parts:
-        q = _div_one_minus(q, power * part)
-    return tuple(q)
-
-
 def q_pochhammer(n: int, power: int = 1) -> Poly:
     """The product (1 - x^power)(1 - x^(2*power)) ... (1 - x^(n*power))."""
-    return Poly.from_ints(_pochhammer_ints(n, power))
+    return Poly.from_ints(pochhammer_ints(n, power))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .arith import Poly, RatFunc
 from .charmodel import (
@@ -180,19 +181,20 @@ def check_character_substrate() -> CheckResult:
     for n in range(8):
         parts = partitions_of(n)
         schurs = {lam: SymFunc.schur(lam) for lam in parts}
+        # class sizes n!/z_mu: sum_mu chi^a(mu) chi^b(mu) n!/z_mu = n! delta_ab
+        order = factorial(n)
+        class_sizes = [order // mu.centralizer_order() for mu in parts]
         for a in parts:
             for b in parts:
                 if schurs[a].hall(schurs[b]) != (1 if a == b else 0):
                     return CheckResult(
                         "character-substrate", False, f"<s{a}, s{b}> wrong"
                     )
-                ortho = Fraction(0)
-                for mu in parts:
-                    ortho += Fraction(
-                        mn_character(a, mu) * mn_character(b, mu),
-                        mu.centralizer_order(),
-                    )
-                if ortho != (1 if a == b else 0):
+                ortho = sum(
+                    mn_character(a, mu) * mn_character(b, mu) * size
+                    for mu, size in zip(parts, class_sizes)
+                )
+                if ortho != (order if a == b else 0):
                     return CheckResult(
                         "character-substrate", False, f"chi^{a} . chi^{b} wrong"
                     )

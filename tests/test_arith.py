@@ -11,9 +11,13 @@ from commvar.arith import (
     Poly,
     RatFunc,
     TSeries,
+    cofactor_ints,
     cyclotomic_coeffs,
     div_monic_coeffs,
+    div_one_minus,
+    mul_one_minus,
     one_minus_x_coeffs,
+    pochhammer_ints,
     poly_gcd,
 )
 
@@ -76,10 +80,11 @@ class TestRatFuncArith:
 
 
 class TestAgainstNaiveForms:
-    def test_optimized_ops_match_cross_multiplication(self):
-        # the add/mul fast paths cancel common factors early; check the
-        # results against the defining identities and the canonical-form
-        # invariants without trusting those paths
+    def test_sums_and_products_are_canonical(self):
+        # sums and products cross-multiply and leave the normal form to
+        # RatFunc.__init__; check the results against the defining
+        # identities and the canonical-form invariants: monic
+        # denominator, coprime numerator and denominator
         rng = random.Random(123)
         for _ in range(150):
             a, b = random_ratfunc(rng), random_ratfunc(rng)
@@ -257,6 +262,107 @@ class TestCyclotomic:
                 assert got is not None and Poly(got) == q, (a, b)
             product = (Poly(a) * Poly(b)).coeffs
             assert Poly(div_monic_coeffs([int(c) for c in product], b)) == Poly(a)
+
+
+class TestOneMinusKernel:
+    """The int-vector kernel for factors 1 - x^k against Poly and RatFunc."""
+
+    TOPS = [None] + list(range(13))
+
+    @staticmethod
+    def random_vector(rng):
+        return [rng.randint(-5, 5) for _ in range(rng.randint(0, 9))]
+
+    def test_mul_matches_poly_product(self):
+        rng = random.Random(4101)
+        for _ in range(60):
+            v, k = self.random_vector(rng), rng.randint(1, 7)
+            product = Poly(v) * (ONE - Poly.monomial(k))
+            for top in self.TOPS:
+                got = mul_one_minus(v, k, top)
+                assert all(type(c) is int for c in got)
+                if top is None:
+                    assert Poly(got) == product, (v, k)
+                else:
+                    assert len(got) == top + 1
+                    assert Poly(got) == product.truncate(top), (v, k, top)
+
+    def test_div_with_top_is_the_power_series_quotient(self):
+        rng = random.Random(4102)
+        for _ in range(60):
+            v, k = self.random_vector(rng), rng.randint(1, 7)
+            quotient = RatFunc(Poly(v), ONE - Poly.monomial(k))
+            for top in range(13):
+                got = div_one_minus(v, k, top)
+                assert all(type(c) is int for c in got)
+                assert got == quotient.series(top), (v, k, top)
+
+    def test_exact_division_small_cases(self):
+        assert div_one_minus([1, 0, -1], 2) == [1]
+        assert div_one_minus([1, -1, 0, 0, -1, 1], 4) == [1, -1]
+        assert div_one_minus([], 3) == []
+        assert Poly(mul_one_minus([], 3)) == Poly()
+        assert mul_one_minus([1], 2) == [1, 0, -1]
+
+    def test_exact_division_round_trips_products(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            k = rng.randint(1, 6)
+            q = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))] + [1]
+            product = mul_one_minus(q, k)
+            assert Poly(product) == Poly(q) * (ONE - Poly.monomial(k))
+            assert div_one_minus(product, k) == q
+
+    @pytest.mark.parametrize(
+        "coeffs, k", [([1, 1], 2), ([1], 1), ([0, 0, 1], 1), ([1, 0, -1, 1], 2), ([2], 3)]
+    )
+    def test_exact_division_rejects_remainder(self, coeffs, k):
+        with pytest.raises(ValueError, match="remainder"):
+            div_one_minus(coeffs, k)
+
+    def test_exact_division_by_a_random_non_factor(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            v, k = self.random_vector(rng), rng.randint(1, 6)
+            _, r = divmod(Poly(v), ONE - Poly.monomial(k))
+            if r:
+                with pytest.raises(ValueError, match="remainder"):
+                    div_one_minus(v, k)
+            else:
+                assert Poly(div_one_minus(v, k)) * (ONE - Poly.monomial(k)) == Poly(v)
+
+    def test_rejects_bad_exponent(self):
+        with pytest.raises(ZeroDivisionError):
+            div_one_minus([1, 2], 0)
+        with pytest.raises(ZeroDivisionError):
+            div_one_minus([1, 2], 0, 4)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            mul_one_minus([1, 2], -1)
+        assert mul_one_minus([1, 2], 0) == [0, 0]
+
+    def test_pochhammer_and_cofactor(self):
+        for power in (1, 2, 3):
+            acc = ONE
+            for n in range(8):
+                if n:
+                    acc = acc * (ONE - Poly.monomial(power * n))
+                assert Poly(pochhammer_ints(n, power)) == acc
+        assert pochhammer_ints(0, 0) == (1,)
+        assert Poly(pochhammer_ints(3, 0)) == Poly()
+        # (x; x)_4 / ((1 - x^2)(1 - x)^2) = (1 + x + x^2)(1 - x^4)
+        expected = Poly([1, 1, 1]) * (ONE - U**4)
+        assert Poly(cofactor_ints(4, 1, (2, 1, 1))) == expected
+        assert Poly(cofactor_ints(4, 2, (2, 1, 1))) == expected.subst_power(2)
+        assert type(cofactor_ints(4, 1, (2, 1, 1))) is tuple
+
+    @pytest.mark.parametrize(
+        "n, power, name", [(-1, 1, "n"), (-3, 2, "n"), (2, -1, "power"), (0, -2, "power")]
+    )
+    def test_pochhammer_rejects_negative_input(self, n, power, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -\d+$"):
+            pochhammer_ints(n, power)
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0"):
+            cofactor_ints(n, power, ())
 
 
 class FracPoly:

@@ -339,6 +339,13 @@ class TestPoincare:
         assert poincare(None, 3, "flag") == RatFunc((ONE + U**2) * (ONE + U**2 + U**4))
         assert poincare(None, 2, "bgln") == RatFunc(1, q_pochhammer(2, power=2))
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_flag_is_the_q_factorial_at_u_squared(self, n):
+        qfact = ONE
+        for i in range(1, n + 1):
+            qfact = qfact * Poly([1] * i).subst_power(2)
+        assert poincare(None, n, "flag") == RatFunc(qfact)
+
     def test_sn_equals_cn(self):
         assert poincare(PROJ, 3, "sn") == poincare(PROJ, 3, "cn")
 

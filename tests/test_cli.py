@@ -408,6 +408,28 @@ class TestVarietyOptions:
             code, _, err = run(capsys, *base, *extra)
             assert (code, err) == (0, ""), extra
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poincare", "--variety", "punctured", "-n", "2"],
+            ["char", "--variety", "punctured", "-n", "2"],
+            ["series", "zeta", "--variety", "punctured", "-q", "2"],
+            ["count", "--family", "punctured", "--n", "2", "--q", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("avoid", ["0,,1", "0,x", "1.5", ","])
+    def test_malformed_avoid_names_the_format(self, capsys, argv, avoid):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--avoid", avoid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.endswith(
+            f"error: argument --avoid: expected comma-separated integers, got {avoid!r}"
+        )
+        assert "_parse_avoid" not in captured.err
+
     def test_explicit_defaults_change_nothing(self, capsys):
         _, plain, _ = run(capsys, "poincare", "--variety", "punctured", "-n", "3")
         _, explicit, _ = run(

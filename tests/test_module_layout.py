@@ -1,0 +1,47 @@
+"""Module boundaries of ``src/commvar``.
+
+A ``_``-prefixed name is private to the module that defines it, so no
+``commvar`` module may import one from another; shared code lives under
+a public name in the module that owns it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "commvar"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name`` for every private name imported from a commvar module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "commvar":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                prefix = "." * node.level + (module + "." if module else "")
+                found.append(prefix + alias.name)
+    return found
+
+
+def test_detects_private_imports():
+    assert private_imports("from .symfunc import SymFunc, _cofactor") == [".symfunc._cofactor"]
+    assert private_imports("from commvar.arith import _make") == ["commvar.arith._make"]
+    assert private_imports("from . import _kernel") == ["._kernel"]
+    assert private_imports("from __future__ import annotations") == []
+    assert private_imports("from functools import _lru_cache_wrapper") == []
+
+
+def test_modules_found():
+    assert {"arith.py", "symfunc.py", "charmodel.py", "series.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

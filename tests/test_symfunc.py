@@ -18,7 +18,6 @@ from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import (
     SymFunc,
     _character_table,
-    _div_one_minus,
     mn_character,
     q_pochhammer,
 )
@@ -140,23 +139,10 @@ class TestIntegerKernel:
         for n in range(10):
             assert q_pochhammer(n, power) == pochhammer_by_products(n, power)
 
-    def test_running_sum_division(self):
-        assert _div_one_minus([1, 0, -1], 2) == [1]
-        assert _div_one_minus([1, -1, 0, 0, -1, 1], 4) == [1, -1]
-        assert _div_one_minus([], 3) == []
-        rng = random.Random(5)
-        for _ in range(20):
-            k = rng.randint(1, 6)
-            q = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))] + [1]
-            product = (Poly(q) * (ONE - Poly.monomial(k))).coeffs
-            assert _div_one_minus([int(c) for c in product], k) == q
-
-    @pytest.mark.parametrize(
-        "coeffs, k", [([1, 1], 2), ([1], 1), ([0, 0, 1], 1), ([1, 0, -1, 1], 2), ([2], 3)]
-    )
-    def test_running_sum_division_rejects_remainder(self, coeffs, k):
-        with pytest.raises(ValueError, match="remainder"):
-            _div_one_minus(coeffs, k)
+    @pytest.mark.parametrize("n, power, name", [(-3, 1, "n"), (-1, 2, "n"), (2, -1, "power")])
+    def test_pochhammer_rejects_negative_input(self, n, power, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0"):
+            q_pochhammer(n, power)
 
 
 class TestCoefficients:
