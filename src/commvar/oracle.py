@@ -1,14 +1,19 @@
 """Brute-force ground truth over small prime fields.
 
 Counts the F_p-points of C_n(X) for the built-in variety families
-exactly, one point at a time and single-threaded: the tuples of
-commuting n x n matrices that satisfy the family's unit constraints.
-The enumeration visits points rather than candidates.  The first matrix
-is built row by row, and a row that would make some M - a*I singular
-is pruned at once; each later matrix is drawn from the common
-centralizer of the earlier ones, the solution space of [A, X] = 0 over
-F_p.  Nothing here knows about symmetric functions; the counts are
-later compared four ways against the character-level formulas.
+exactly and single-threaded: the tuples of commuting n x n matrices
+that satisfy the family's unit constraints.  The enumeration counts
+points rather than testing candidates.  The first matrix is built row
+by row, and a row that would make some M - a*I singular is pruned at
+once; the last row is not walked but counted, as p^n minus the rows so
+forbidden.  Each later matrix is drawn from the common centralizer of
+the earlier ones, the solution space of [A, X] = 0 over F_p.  As in
+Feit & Fine ("Pairs of commuting matrices over a finite field", Duke
+Math. J. 27 (1960)), the number of ways to finish a tuple depends only
+on that centralizer and on how many matrices are left to choose, so
+each subtree is counted once per distinct common centralizer.  Nothing
+here knows about symmetric functions; the counts are later compared
+four ways against the character-level formulas.
 """
 
 from __future__ import annotations
@@ -225,12 +230,15 @@ def commute(a, b, p: int) -> bool:
 
 # -- linear algebra mod p -------------------------------------------------------
 #
-# An echelon basis is a list of (pivot, row) pairs: each row is 1 at its
-# pivot and 0 at the pivots of the rows before it.
+# A reduced basis is a tuple of (pivot, row) pairs sorted by pivot, in
+# reduced row echelon form: each row is 1 at its pivot and 0 at the
+# pivots of the other rows.  A subspace has exactly one reduced basis,
+# so the basis itself serves as a dict key for the subspace.
 
 
-def _grow(basis: list, vec, p: int) -> list | None:
-    """``basis`` with ``vec`` added, or None if ``vec`` lies in its span."""
+def _grow(basis: tuple, vec, p: int) -> tuple | None:
+    """The reduced basis of span(``basis``, ``vec``), or None if ``vec``
+    lies in the span of ``basis``."""
     vec = list(vec)
     for pivot, row in basis:
         f = vec[pivot]
@@ -239,16 +247,26 @@ def _grow(basis: list, vec, p: int) -> list | None:
     for pivot, f in enumerate(vec):
         if f:
             inv = pow(f, p - 2, p)
-            return basis + [(pivot, tuple(x * inv % p for x in vec))]
+            new = tuple(x * inv % p for x in vec)
+            out = []
+            for old_pivot, row in basis:
+                g = row[pivot]
+                if g:
+                    row = tuple((x - g * y) % p for x, y in zip(row, new))
+                out.append((old_pivot, row))
+            out.append((pivot, new))
+            out.sort()
+            return tuple(out)
     return None
 
 
-def _nullspace(basis: list, size: int, p: int) -> list[tuple]:
+def _nullspace(basis: tuple, size: int, p: int) -> list[tuple]:
     """A basis of {x in F_p^size : row . x = 0 for every row of ``basis``}.
 
     One vector per free coordinate f, 1 at f and 0 at the other free
-    coordinates; its pivot coordinates come by back-substitution, the
-    last row first, since a row may be nonzero at later rows' pivots.
+    coordinates.  Each row of a reduced basis is 0 at the other rows'
+    pivots, so the coordinate at its pivot is minus the row dotted with
+    the free part.
     """
     pivots = {pivot for pivot, _ in basis}
     out = []
@@ -257,7 +275,7 @@ def _nullspace(basis: list, size: int, p: int) -> list[tuple]:
             continue
         x = [0] * size
         x[free] = 1
-        for pivot, row in reversed(basis):
+        for pivot, row in basis:
             x[pivot] = -sum(r * v for r, v in zip(row, x)) % p
         out.append(tuple(x))
     return out
@@ -287,17 +305,21 @@ def _commutator_equations(a, p: int) -> Iterator[tuple]:
             yield tuple(e % p for e in eq)
 
 
-def _avoiding_matrices(n: int, p: int, shifts: tuple[int, ...]) -> Iterator[tuple]:
-    """Every n x n matrix M over F_p with M - a*I invertible for each shift a.
+def _first_rows(n: int, p: int, shifts: tuple[int, ...]) -> Iterator[tuple[tuple, set]]:
+    """Each allowed choice of the first n - 1 rows of M, with the set of
+    last rows it forbids.
 
-    Built row by row.  The rows of M - a*I chosen so far are linearly
-    independent, so row i of M is allowed unless it lies in the coset
-    a*e_i + span(those rows), for some shift a; a forbidden row prunes
-    its whole subtree.
+    M runs over the n x n matrices over F_p with M - a*I invertible for
+    each shift a, built row by row.  The rows of M - a*I chosen so far
+    are linearly independent, so row i of M is allowed unless it lies in
+    the coset a*e_i + span(those rows), for some shift a; a forbidden row
+    prunes its whole subtree.  The walk stops before the last row and
+    hands back the prefix and the forbidden last rows, so the allowed
+    last rows number p^n minus their count.  Candidate rows are
+    generated lazily, so memory does not grow with p^n.
     """
-    rows = list(product(range(p), repeat=n))
 
-    def extend(prefix: tuple) -> Iterator[tuple]:
+    def extend(prefix: tuple) -> Iterator[tuple[tuple, set]]:
         i = len(prefix)
         forbidden = set()
         for a in shifts:
@@ -307,12 +329,12 @@ def _avoiding_matrices(n: int, p: int, shifts: tuple[int, ...]) -> Iterator[tupl
             ]
             start = tuple(a * (j == i) for j in range(n))
             forbidden.update(_coset(start, shifted, p))
-        for row in rows:
+        if i + 1 == n:
+            yield prefix, forbidden
+            return
+        for row in product(range(p), repeat=n):
             if row not in forbidden:
-                if i + 1 == n:
-                    yield prefix + (row,)
-                else:
-                    yield from extend(prefix + (row,))
+                yield from extend(prefix + (row,))
 
     return extend(())
 
@@ -325,15 +347,21 @@ def search_space_size(family: VarietyFamily, n: int, p: int) -> int:
 
 
 def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = None) -> int:
-    """Exact number of F_p points, counted one point at a time.
+    """Exact number of F_p points.
 
     The first matrix runs over the n x n matrices M with M - a*I
-    invertible for each of the family's shifts a, built row by row.
-    Each later matrix runs over the common centralizer of the earlier
-    ones, solved from [A, X] = 0 by Gaussian elimination mod p, and is
-    kept if it passes ``family.matrix_ok``.  So every point is visited
-    once, and the only candidates built and rejected are centralizer
-    elements that fail ``matrix_ok``.  Single-threaded.
+    invertible for each of the family's shifts a, built row by row up
+    to its last row.  A one-matrix family adds the number of allowed
+    last rows, p^n minus the forbidden ones, and visits no leaf.
+    Otherwise each allowed last row completes a first matrix, and each
+    later matrix runs over the common centralizer of the earlier ones,
+    solved from [A, X] = 0 by Gaussian elimination mod p, and is kept
+    if it passes ``family.matrix_ok``.  The number of ways to finish a
+    tuple depends only on that centralizer and the depth reached, so it
+    is computed once per distinct (reduced basis of the commutator
+    equations, depth) and then looked up.  The only candidates built
+    and rejected are centralizer elements that fail ``matrix_ok``.
+    Single-threaded.
 
     The budget bounds the nominal search p^(dim*n^2), not the work
     done, and is checked before any work.
@@ -351,9 +379,10 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             f"search space {size} exceeds budget {budget}; "
             f"raise the budget to at least {size} to run this count"
         )
+    subtree: dict[tuple, int] = {}
 
-    def extend(mat, equations: list, depth: int) -> int:
-        # ``equations``: an echelon basis of the commutator equations of
+    def extend(mat, equations: tuple, depth: int) -> int:
+        # ``equations``: the reduced basis of the commutator equations of
         # the matrices chosen before ``mat``; ``depth`` counts ``mat``.
         if depth == family.tuple_len:
             return 1
@@ -361,14 +390,26 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             grown = _grow(equations, eq, p)
             if grown is not None:
                 equations = grown
-        total = 0
-        for x in _coset((0,) * (n * n), _nullspace(equations, n * n, p), p):
-            nxt = tuple(x[i * n : (i + 1) * n] for i in range(n))
-            if family.matrix_ok(nxt, p):
-                total += extend(nxt, equations, depth + 1)
+        key = (equations, depth)
+        total = subtree.get(key)
+        if total is None:
+            total = 0
+            for x in _coset((0,) * (n * n), _nullspace(equations, n * n, p), p):
+                nxt = tuple(x[i * n : (i + 1) * n] for i in range(n))
+                if family.matrix_ok(nxt, p):
+                    total += extend(nxt, equations, depth + 1)
+            subtree[key] = total
         return total
 
-    return sum(extend(mat, [], 1) for mat in _avoiding_matrices(n, p, shifts))
+    total = 0
+    for prefix, forbidden in _first_rows(n, p, shifts):
+        if family.tuple_len == 1:
+            total += p**n - len(forbidden)
+            continue
+        for row in product(range(p), repeat=n):
+            if row not in forbidden:
+                total += extend(prefix + (row,), (), 1)
+    return total
 
 
 # -- cross checking -----------------------------------------------------------

@@ -103,6 +103,18 @@ def _concat(a: Partition, b: Partition) -> Partition:
     return Partition(sorted(a.parts + b.parts, reverse=True))
 
 
+def _add_product(acc: list[int], a, scale: int, b) -> None:
+    """acc += scale * a * b for int vectors a and b, lengthening acc as needed."""
+    width = len(b)
+    need = len(a) + width - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, c in enumerate(a):
+        if c:
+            f = c * scale
+            acc[i : i + width] = [s + f * y for s, y in zip(acc[i : i + width], b)]
+
+
 class SymFunc:
     """Homogeneous symmetric function of a fixed degree, in the p-basis.
 
@@ -206,20 +218,20 @@ class SymFunc:
         """Hall inner product, bilinear over the coefficient field.
 
         Components of different degrees pair to zero by convention, so
-        graded characters can be paired degreewise.
+        graded characters can be paired degreewise.  The sum of
+        z_lam * a_lam * b_lam runs over ints: each product of int vectors
+        is brought to the lcm D of the products' denominators, and D is
+        divided out once.
         """
         if self.degree != other.degree:
             return Poly()
-        acc = Poly()
-        for lam in partitions_of(self.degree):
-            a = self.terms.get(lam)
-            if a is None:
-                continue
-            b = other.terms.get(lam)
-            if b is None:
-                continue
-            acc = acc + a * b * lam.centralizer_order()
-        return acc
+        pairs = [(lam, a, other.terms[lam]) for lam, a in self.terms.items() if lam in other.terms]
+        denom = lcm(*(a.den * b.den for _, a, b in pairs))
+        acc: list[int] = []
+        for lam, a, b in pairs:
+            scale = lam.centralizer_order() * (denom // (a.den * b.den))
+            _add_product(acc, a.num, scale, b.num)
+        return Poly.from_ints(acc, denom)
 
     def to_schur(self) -> dict[Partition, Poly]:
         """Schur expansion coefficients c_lam with f = sum c_lam s_lam.
@@ -270,16 +282,7 @@ class SymFunc:
         denom = lcm(*(coeff.den for coeff in self.terms.values()))
         acc: list[int] = []
         for lam, coeff in self.terms.items():
-            cofactor = cofactor_ints(n, power, lam.parts)
-            width = len(cofactor)
-            need = len(coeff.num) + width - 1
-            if len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            scale = denom // coeff.den
-            for i, c in enumerate(coeff.num):
-                if c:
-                    a = c * scale
-                    acc[i : i + width] = [s + a * b for s, b in zip(acc[i : i + width], cofactor)]
+            _add_product(acc, coeff.num, denom // coeff.den, cofactor_ints(n, power, lam.parts))
         return Poly.from_ints(acc, denom)
 
     def principal_spec(self, power: int = 1) -> RatFunc:

@@ -1,10 +1,11 @@
-"""The ``char``, ``poincare``, ``series`` and ``verify`` commands of the benchmark, replayed in-process.
+"""The commands of the benchmark, replayed in-process.
 
 ``perfbench/golden.json`` records the exit code and the SHA-256 of stdout
-of every command the benchmark can run.  Each ``char``, ``poincare``,
-``series`` and ``verify`` command among them is run here through ``cli.main`` with the benchmark's
-descriptor pool written to a temporary directory, and must give the
-recorded exit code and digest.  ``perfbench/`` is only read.
+of every command the benchmark can run.  Each ``char``, ``count``,
+``poincare``, ``series`` and ``verify`` command among them is run here
+through ``cli.main`` with the benchmark's descriptor pool written to a
+temporary directory, and must give the recorded exit code and digest.
+``perfbench/`` is only read.
 """
 
 import hashlib
@@ -28,7 +29,7 @@ def _load_workloads():
 
 
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["commands"]
-COMMANDS = sorted(c for c in GOLDEN if c.split()[0] in ("char", "poincare", "series", "verify"))
+COMMANDS = sorted(c for c in GOLDEN if c.split()[0] in ("char", "count", "poincare", "series", "verify"))
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,10 @@ def test_golden_has_the_char_commands():
 
 def test_golden_has_the_poincare_commands():
     assert sum(c.startswith("poincare ") for c in COMMANDS) == 62
+
+
+def test_golden_has_the_count_commands():
+    assert sum(c.startswith("count ") for c in COMMANDS) == 28
 
 
 @pytest.mark.parametrize("command", COMMANDS)

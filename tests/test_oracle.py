@@ -1,15 +1,23 @@
 """Brute-force enumerator: exact counts, budget handling, cross-checks."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from commvar import oracle
 from commvar.oracle import (
+    DEFAULT_BUDGET,
     AffineSpace,
     BudgetExceededError,
     PuncturedLine,
     Torus,
+    _commutator_equations,
+    _coset,
+    _grow,
+    _nullspace,
     commute,
     count_points,
     cross_check,
@@ -58,6 +66,64 @@ def count_by_exhaustion(family, n, p):
 EXHAUSTION_LIMIT = 3**8
 
 
+def avoiding_matrices(n, p, shifts):
+    # every n x n matrix M with M - a*I invertible for each shift a, built
+    # row by row: row i is forbidden if it lies in a*e_i + span(rows of
+    # M - a*I so far), and every allowed row is visited, the last included
+    rows = list(product(range(p), repeat=n))
+
+    def extend(prefix):
+        i = len(prefix)
+        forbidden = set()
+        for a in shifts:
+            shifted = [
+                tuple((x - a * (j == k)) % p for j, x in enumerate(row))
+                for k, row in enumerate(prefix)
+            ]
+            start = tuple(a * (j == i) for j in range(n))
+            forbidden.update(_coset(start, shifted, p))
+        for row in rows:
+            if row not in forbidden:
+                if i + 1 == n:
+                    yield prefix + (row,)
+                else:
+                    yield from extend(prefix + (row,))
+
+    return extend(())
+
+
+def count_by_centralizer_walk(family, n, p):
+    # independent of the subtree memo and of the last-row count: every
+    # point is visited once, the first matrix from avoiding_matrices and
+    # each later one from the common centralizer of the earlier ones
+    def extend(mat, equations, depth):
+        if depth == family.tuple_len:
+            return 1
+        for eq in _commutator_equations(mat, p):
+            grown = _grow(equations, eq, p)
+            if grown is not None:
+                equations = grown
+        total = 0
+        for x in _coset((0,) * (n * n), _nullspace(equations, n * n, p), p):
+            nxt = tuple(x[i * n : (i + 1) * n] for i in range(n))
+            if family.matrix_ok(nxt, p):
+                total += extend(nxt, equations, depth + 1)
+        return total
+
+    return sum(extend(mat, (), 1) for mat in avoiding_matrices(n, p, family.shifts(p)))
+
+
+def centralizer_walk_grid():
+    # the cases beyond exhaustion: dim 2-3 at n = 2, dim 2 at n = 3, and
+    # the punctured line at n = 3
+    cases = [(family, 2, p) for dim in (2, 3) for family in (AffineSpace(dim), Torus(dim)) for p in (2, 3, 5)]
+    cases += [(family, 3, 2) for family in (AffineSpace(2), Torus(2))]
+    cases += [(PuncturedLine(avoided), 3, 3) for avoided in ((0,), (2,), (0, 1), (1, 2), (0, 1, 2))]
+    for family, n, p in cases:
+        if search_space_size(family, n, p) > EXHAUSTION_LIMIT:
+            yield pytest.param(family, n, p, id=f"{family.describe()}-n{n}-p{p}")
+
+
 def exhaustion_grid():
     families = [AffineSpace(d) for d in (1, 2, 3)] + [Torus(d) for d in (1, 2, 3)]
     families += [
@@ -72,6 +138,41 @@ def exhaustion_grid():
             for n in (1, 2, 3):
                 if search_space_size(family, n, p) <= EXHAUSTION_LIMIT:
                     yield pytest.param(family, n, p, id=f"{family.describe()}-n{n}-p{p}")
+
+
+def rank_two_affine_count(d, q):
+    """Commuting d-tuples of 2 x 2 matrices over F_q.
+
+    A tuple that is not all scalar lies in exactly one of the q^2 + q + 1
+    subalgebras F_q[M], M non-scalar, each of dimension 2 and holding the
+    q scalars."""
+    return q**d + (q * q + q + 1) * (q ** (2 * d) - q**d)
+
+
+def rank_two_torus_count(d, q):
+    """Commuting d-tuples of invertible 2 x 2 matrices over F_q.
+
+    Of the subalgebras F_q[M], q(q+1)/2 are split (F_q x F_q, (q-1)^2
+    units), q(q-1)/2 are fields (F_(q^2), q^2 - 1 units) and q + 1 are
+    dual numbers (q(q-1) units); each holds the q - 1 invertible scalars."""
+    u = q - 1
+    return (
+        u**d
+        + q * (q + 1) // 2 * (u ** (2 * d) - u**d)
+        + q * (q - 1) // 2 * ((q * q - 1) ** d - u**d)
+        + (q + 1) * ((q * (q - 1)) ** d - u**d)
+    )
+
+
+def rank_two_grid():
+    for d in (1, 2, 3, 4):
+        for q in (2, 3, 5, 7):
+            for family, count in (
+                (AffineSpace(d), rank_two_affine_count),
+                (Torus(d), rank_two_torus_count),
+            ):
+                if search_space_size(family, 2, q) <= DEFAULT_BUDGET:
+                    yield pytest.param(family, q, count(d, q), id=f"{family.describe()}-q{q}")
 
 
 def euler_product_coefficient(n, coeff):
@@ -189,6 +290,87 @@ class TestAgainstExhaustion:
     @pytest.mark.parametrize("family, n, p", list(exhaustion_grid()))
     def test_count_equals_exhaustive_enumeration(self, family, n, p):
         assert count_points(family, n, p) == count_by_exhaustion(family, n, p)
+
+
+class TestAgainstCentralizerWalk:
+    @pytest.mark.parametrize("family, n, p", list(centralizer_walk_grid()))
+    def test_count_equals_unmemoised_walk(self, family, n, p):
+        assert count_points(family, n, p) == count_by_centralizer_walk(family, n, p)
+
+
+class TestRankTwoClosedForm:
+    """n = 2, any number d of matrices: every non-scalar 2 x 2 matrix is
+    cyclic, so its centralizer is the 2-dimensional algebra F_q[M]."""
+
+    @pytest.mark.parametrize("family, q, expected", list(rank_two_grid()))
+    def test_closed_form(self, family, q, expected):
+        assert count_points(family, 2, q) == expected
+
+    def test_large_cases_are_in_the_grid(self):
+        assert rank_two_torus_count(3, 5) == 245_760
+        assert rank_two_affine_count(3, 5) == 480_625
+        assert rank_two_affine_count(4, 3) == 84_321
+        ids = {param.id for param in rank_two_grid()}
+        assert {"torus of dimension 3-q5", "affine space of dimension 3-q5"} <= ids
+        assert "affine space of dimension 4-q3" in ids
+
+    def test_small_cases_match_exhaustion(self):
+        for d, q in ((1, 2), (1, 3), (2, 2)):
+            assert rank_two_affine_count(d, q) == count_by_exhaustion(AffineSpace(d), 2, q)
+            assert rank_two_torus_count(d, q) == count_by_exhaustion(Torus(d), 2, q)
+
+
+class TestReducedBasis:
+    def test_grow_is_independent_of_order(self):
+        p = 5
+        rng = random.Random(7)
+        mats = [tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3)) for _ in range(2)]
+        equations = [eq for mat in mats for eq in _commutator_equations(mat, p)]
+        bases = []
+        for _ in range(4):
+            rng.shuffle(equations)
+            basis = ()
+            for eq in equations:
+                basis = _grow(basis, eq, p) or basis
+            bases.append(basis)
+        assert all(basis == bases[0] for basis in bases)
+        pivots = [pivot for pivot, _ in bases[0]]
+        assert pivots == sorted(pivots)
+        for pivot, row in bases[0]:
+            assert [row[other] for other in pivots] == [int(other == pivot) for other in pivots]
+
+    def test_nullspace_solves_the_equations(self):
+        p = 3
+        mat = ((1, 2, 0), (0, 1, 0), (0, 0, 2))
+        basis = ()
+        for eq in _commutator_equations(mat, p):
+            basis = _grow(basis, eq, p) or basis
+        for x in _nullspace(basis, 9, p):
+            other = tuple(x[i * 3 : (i + 1) * 3] for i in range(3))
+            assert commute(mat, other, p)
+
+
+class TestOneMatrixFamilies:
+    def test_no_centralizer_is_solved(self, monkeypatch):
+        def refuse(a, p):
+            raise AssertionError("a one-matrix family walked a centralizer")
+
+        monkeypatch.setattr(oracle, "_commutator_equations", refuse)
+        assert count_points(Torus(1), 3, 2) == gl_order(3, 2)
+        assert count_points(PuncturedLine((0, 1)), 3, 3) == 6291
+
+
+class TestMemory:
+    def test_rank_one_torus_builds_no_row(self):
+        p = 1_000_003
+        tracemalloc.start()
+        try:
+            count = count_points(Torus(1), 1, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == p - 1
+        assert peak < 1 << 20
 
 
 class TestFeitFine:

@@ -100,6 +100,17 @@ def to_schur_by_products(f: SymFunc) -> dict[Partition, Poly]:
     return out
 
 
+def hall_by_poly_products(f: SymFunc, g: SymFunc) -> Poly:
+    """Independent route for ``SymFunc.hall``: one Poly product per term."""
+    acc = Poly()
+    for lam in partitions_of(f.degree):
+        a = f.terms.get(lam)
+        b = g.terms.get(lam)
+        if a is not None and b is not None:
+            acc = acc + a * b * lam.centralizer_order()
+    return acc
+
+
 def random_symfunc(rng: random.Random, n: int) -> SymFunc:
     """Fraction-coefficient polynomials, denominators up to 9, on about 60% of partitions."""
     return SymFunc(
@@ -374,6 +385,15 @@ class TestHallInner:
         f = SymFunc.schur(P((2,))).scale(U)
         g = SymFunc.schur(P((2,))).scale(ONE - U)
         assert f.hall(g) == RatFunc(U * (ONE - U))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_poly_products_on_random_input(self, n):
+        rng = random.Random(6100 + n)
+        for _ in range(4):
+            f = random_symfunc(rng, n)
+            g = random_symfunc(rng, n)
+            assert f.hall(g) == hall_by_poly_products(f, g)
+            assert f.hall(f) == hall_by_poly_products(f, f)
 
 
 class TestPrincipalSpec:
