@@ -13,7 +13,10 @@ The integer-vector kernel of the layers above lives here too: int
 lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
 exact with a remainder check or cut modulo x^(M+1); the cached
 Pochhammer (x^p; x^p)_n and its exact cofactors (``pochhammer_ints``,
-``cofactor_ints``); binomial, cyclotomic and monic-division helpers.
+``cofactor_ints``); binomial and cyclotomic helpers; and the one
+integer long division, ``pseudo_divmod``, which ``Poly.__divmod__``,
+``poly_gcd``, the cyclotomic polynomials and the coh cancellation in
+``charmodel`` share.
 """
 
 from __future__ import annotations
@@ -206,46 +209,15 @@ class Poly:
         return result
 
     def __divmod__(self, other):
-        """Quotient and remainder over the rationals, by integer pseudo-division.
-
-        Quotient q and remainder rem are kept as ints over a common
-        scale s, with s * self.num = q * other.num + rem at every step.
-        s grows by lb / gcd(lb, top) only when the divisor's leading
-        coefficient lb does not divide the top coefficient of rem, so a
-        monic divisor never scales.
-        """
+        """Quotient and remainder over the rationals, by ``pseudo_divmod``."""
         other = Poly._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        b = other.num
-        db = len(b) - 1
-        lb = b[-1]
-        rem = list(self.num)
-        q = [0] * max(len(rem) - db, 0)
-        scale = 1
-        terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            g = _igcd(c, lb)
-            m = lb // g
-            if m < 0:
-                m, g = -m, -g
-            if m != 1:
-                rem = [m * x for x in rem]
-                q = [m * x for x in q]
-                scale *= m
-            f = c // g
-            k = i - db
-            q[k] = f
-            rem[i] = 0
-            for j, bc in terms:
-                rem[k + j] -= f * bc
+        if other is NotImplemented:
+            return NotImplemented
+        q, rem, scale = pseudo_divmod(self.num, other.num)
         den = self.den * scale
         return (
             _make(*_normal([x * other.den for x in q], den)),
-            _make(*_normal(rem[:db], den)),
+            _make(*_normal(rem, den)),
         )
 
     def exact_div(self, other: "Poly") -> "Poly":
@@ -388,9 +360,50 @@ def _convolve(a, b, size: int) -> list[int]:
     return out
 
 
-# -- polynomial gcd over the rationals --------------------------------
+# -- integer long division and the gcd over the rationals -----------------
+
+def pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of int vectors: s*a = q*b + r, len(r) < len(b).
+
+    Coefficients ascend and b[-1] must be nonzero; r may end in zeros.
+    The quotient q and remainder r are kept as ints over a common scale
+    s > 0 (Knuth, TAOCP vol. 2, sec. 4.6.1).  s grows by lb / gcd(lb, top)
+    only when the divisor's leading coefficient lb does not divide the
+    top coefficient of r, so a monic divisor never scales: s = 1.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    q = [0] * max(len(rem) - db, 0)
+    scale = 1
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        g = _igcd(c, lb)
+        m = lb // g
+        if m < 0:
+            m, g = -m, -g
+        if m != 1:
+            rem = [m * x for x in rem]
+            q = [m * x for x in q]
+            scale *= m
+        f = c // g
+        k = i - db
+        q[k] = f
+        rem[i] = 0
+        for j, bc in terms:
+            rem[k + j] -= f * bc
+    return q, rem[:db], scale
+
 
 def _primitive(ints: list[int]) -> list[int]:
+    """ints without trailing zeros, divided by their content, leading entry > 0."""
+    while ints and not ints[-1]:
+        ints.pop()
     g = 0
     for c in ints:
         g = _igcd(g, abs(c))
@@ -404,40 +417,20 @@ def _primitive(ints: list[int]) -> list[int]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two rational polynomials (zero if both are zero)."""
+    """Monic gcd of two rational polynomials (zero if both are zero).
+
+    Euclid's algorithm on primitive int vectors: content is stripped
+    from every pseudo-remainder, which keeps the coefficient growth of
+    the chain under control without subresultant bookkeeping.
+    """
     A, B = _primitive(list(a.num)), _primitive(list(b.num))
     if len(A) < len(B):
         A, B = B, A
     while B:
-        A, B = B, _primitive_rem(A, B)
+        A, B = B, _primitive(pseudo_divmod(A, B)[1])
     if not A:
         return Poly()
     return Poly.from_ints(A).monic()
-
-
-def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive scaled remainder of a by b over the integers.
-
-    Content is stripped at every elimination step, which keeps the
-    coefficient growth of the Euclidean chain under control without
-    subresultant bookkeeping.
-    """
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        if lb == 1 or lb == -1:
-            factor = r[-1] * lb
-        else:
-            factor = r[-1]
-            r = [lb * c for c in r]
-        for j, bc in enumerate(b):
-            r[j + k] -= factor * bc
-        while r and r[-1] == 0:
-            r.pop()
-        r = _primitive(r)
-    return r
 
 
 class RatFunc:
@@ -696,30 +689,6 @@ def one_minus_x_coeffs(e: int, order: int) -> list[int]:
     return [comb(k - e - 1, k) for k in range(order + 1)]
 
 
-def div_monic_coeffs(a: list[int], b: tuple[int, ...]) -> list[int] | None:
-    """Exact quotient of integer coefficient lists, a / b, for monic b.
-
-    Coefficients ascend.  Returns None when the division leaves a
-    remainder.
-    """
-    db = len(b) - 1
-    if len(a) <= db:
-        return None if any(a) else []
-    r = list(a)
-    q = [0] * (len(r) - db)
-    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            k = i - db
-            q[k] = c
-            for j, bc in terms:
-                r[k + j] -= c * bc
-    if any(r[:db]):
-        return None
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     """Integer coefficients of the cyclotomic polynomial Phi_d, ascending.
@@ -731,7 +700,9 @@ def cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     q = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            q = div_monic_coeffs(q, cyclotomic_coeffs(e))
+            q, rem, _ = pseudo_divmod(q, cyclotomic_coeffs(e))
+            if any(rem):
+                raise ValueError(f"cyclotomic_coeffs({d}): division by Phi_{e} left a remainder")
     return tuple(q)
 
 

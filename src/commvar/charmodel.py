@@ -34,10 +34,10 @@ from .arith import (
     RatFunc,
     cofactor_ints,
     cyclotomic_coeffs,
-    div_monic_coeffs,
     div_one_minus,
     mul_one_minus,
     pochhammer_ints,
+    pseudo_divmod,
 )
 from .oracle import gl_order, prime_power_base
 from .partitions import Partition, partitions_of
@@ -140,11 +140,6 @@ class GradedSpace:
         return f"{label}[{body}]"
 
     # -- views ----------------------------------------------------------
-
-    @classmethod
-    def from_betti(cls, betti, name: str | None = None) -> "GradedSpace":
-        """Build from (degree, dimension) pairs, eigenvalues set to 1."""
-        return cls([Stratum(d, b) for d, b in betti if b], name=name)
 
     def betti(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -429,10 +424,11 @@ def _coh_value(num: list[int], n: int) -> RatFunc:
     1 - u^(2j) = -prod_(d | 2j) Phi_d(u), so the only factors N and the
     Pochhammer can share are cyclotomic: Phi_d occurs in the Pochhammer
     once per j <= n with d | 2j, i.e. n // d times for odd d and
-    2n // d times for even d.  Each Phi_d is cancelled from N, by exact
-    monic division, as often as it divides, up to that multiplicity.
-    The pair left is coprime, and flipping both signs when n is odd
-    makes the denominator monic: the canonical form.
+    2n // d times for even d.  Each Phi_d is cancelled from N by
+    ``pseudo_divmod``, which never scales by a monic divisor, as often
+    as it leaves no remainder, up to that multiplicity.  The pair left
+    is coprime, and flipping both signs when n is odd makes the
+    denominator monic: the canonical form.
     """
     if not num:
         return RatFunc(0)
@@ -440,11 +436,11 @@ def _coh_value(num: list[int], n: int) -> RatFunc:
     for d in range(1, 2 * n + 1):
         phi = cyclotomic_coeffs(d)
         for _ in range(n // d if d % 2 else 2 * n // d):
-            quotient = div_monic_coeffs(num, phi)
-            if quotient is None:
+            quotient, rem, _ = pseudo_divmod(num, phi)
+            if any(rem):
                 break
             num = quotient
-            den = div_monic_coeffs(den, phi)
+            den = pseudo_divmod(den, phi)[0]
     if n % 2:
         num = [-c for c in num]
         den = [-c for c in den]

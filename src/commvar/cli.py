@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which series or report to compute",
     )
     _add_variety_args(s)
-    s.add_argument("--t-order", type=int, default=5)
+    s.add_argument("--t-order", type=int, default=None)
     s.add_argument("--u-order", type=int, default=None)
     s.add_argument("-q", type=int, help="prime power for groupoid/zeta")
 
@@ -225,15 +225,23 @@ def _print_report(report) -> int:
 
 
 def _cmd_series(args) -> int:
+    for option, kinds in (
+        ("--t-order", ("zeta", "stable")),
+        ("--u-order", ("betti", "groupoid", "zeta")),
+        ("-q", ("betti", "coh", "stable")),
+    ):
+        if args.kind in kinds and getattr(args, option.lstrip("-").replace("-", "_")) is not None:
+            raise ValueError(f"{option} does not apply to series {args.kind}")
     _check_variety_options(args)
     space = _resolve_space(args)
+    t_order = 5 if args.t_order is None else args.t_order
     if args.kind == "betti":
-        series = betti_zeta(space, args.t_order)
+        series = betti_zeta(space, t_order)
         print(series.render())
         return 0
     if args.kind == "coh":
         u_order = 20 if args.u_order is None else args.u_order
-        return _print_report(coh_series(space, args.t_order, u_order))
+        return _print_report(coh_series(space, t_order, u_order))
     if args.kind == "stable":
         u_order = 10 if args.u_order is None else args.u_order
         report = stable_betti_verified(space, u_order)
@@ -260,7 +268,7 @@ def _cmd_series(args) -> int:
             "smooth-curve data",
             file=sys.stderr,
         )
-    return _print_report(groupoid_series(space, args.q, args.t_order))
+    return _print_report(groupoid_series(space, args.q, t_order))
 
 
 def _cmd_count(args) -> int:

@@ -13,7 +13,7 @@ Math. J. 27 (1960)), the number of ways to finish a tuple depends only
 on that centralizer and on how many matrices are left to choose, so
 each subtree is counted once per distinct common centralizer.  Nothing
 here knows about symmetric functions; the counts are later compared
-four ways against the character-level formulas.
+with the two character-level formula routes.
 """
 
 from __future__ import annotations
@@ -417,50 +417,44 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
 
 @dataclass(frozen=True)
 class CrossCheck:
-    """Four-way comparison of a brute-force count with the formula routes."""
+    """A brute-force count compared over three routes: oracle, formula, series."""
 
     family: VarietyFamily
     n: int
     q: int
     oracle_count: int
     formula_count: object
-    series_lhs_count: object
     series_rhs_count: object
 
     @property
     def ok(self) -> bool:
-        return (
-            self.oracle_count == self.formula_count
-            and self.oracle_count == self.series_lhs_count
-            and self.oracle_count == self.series_rhs_count
-        )
+        return self.oracle_count == self.formula_count == self.series_rhs_count
 
     def describe(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return (
             f"{self.family.describe()}, n={self.n}, q={self.q}: "
             f"oracle={self.oracle_count} formula={self.formula_count} "
-            f"series-lhs={self.series_lhs_count} series-rhs={self.series_rhs_count} "
-            f"[{status}]"
+            f"series-rhs={self.series_rhs_count} [{status}]"
         )
 
 
 def cross_check(family: VarietyFamily, n: int, q: int, space, budget=None) -> CrossCheck:
-    """Compare the enumerated count against the three formula routes.
+    """Compare the enumerated count with the formula and series routes.
 
     ``space`` is the graded eigenvalue data of the same variety.  The
-    comparison multiplies the normalized series coefficients back by
-    the group order so all four numbers count matrix tuples.
+    formula route is the left side of ``groupoid_series`` (the point
+    count over the group order), the series route its product side;
+    both are multiplied back by the group order, so all three numbers
+    count matrix tuples.
     """
-    from .charmodel import point_count
     from .series import groupoid_series
 
     if not family.is_curve():
         raise ValueError("cross_check applies to the curve families only")
     oracle_count = count_points(family, n, q, budget=budget)
-    formula = point_count(space, n, q)
     report = groupoid_series(space, q, n)
     order = gl_order(n, q)
-    lhs = report.lhs.coeff(n).evaluate(0) * order
+    formula = report.lhs.coeff(n).evaluate(0) * order
     rhs = report.rhs.coeff(n).evaluate(0) * order
-    return CrossCheck(family, n, q, oracle_count, formula, lhs, rhs)
+    return CrossCheck(family, n, q, oracle_count, formula, rhs)

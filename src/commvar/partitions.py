@@ -136,7 +136,3 @@ def _gen_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
     for first in range(min(n, largest), 0, -1):
         for rest in _gen_partitions(n - first, first):
             yield (first,) + rest
-
-
-def partition_count(n: int) -> int:
-    return len(partitions_of(n))

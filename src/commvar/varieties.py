@@ -23,30 +23,12 @@ def builtin_space(name: str, dim: int = 1, avoided: tuple[int, ...] = (0, 1)) ->
     """Graded eigenvalue data for a built-in variety name."""
     if name == "point":
         return GradedSpace([Stratum(0, 1, QPower(-1))], name="point")
-    if name == "affine":
-        if dim < 1:
-            raise ValueError("affine dimension must be >= 1")
-        return GradedSpace([Stratum(0, 1, QPower(dim - 1))], name=f"affine^{dim}")
-    if name == "torus":
-        if dim < 1:
-            raise ValueError("torus dimension must be >= 1")
-        strata = [
-            Stratum(i, comb(dim, i), QPower(dim - 1 - i)) for i in range(dim + 1)
-        ]
-        return GradedSpace(strata, name=f"torus^{dim}")
-    if name == "punctured":
-        if len(set(avoided)) != len(avoided):
-            raise ValueError("avoided values must be distinct")
-        r = len(avoided)
-        strata = [Stratum(0, 1, QPower(0))]
-        if r:
-            strata.append(Stratum(1, r, QPower(-1)))
-        label = ",".join(str(a) for a in avoided)
-        return GradedSpace(strata, name=f"affine line minus {{{label}}}")
     if name == "p1":
         return GradedSpace(
             [Stratum(0, 1, QPower(0)), Stratum(2, 1, QPower(-1))], name="projective line"
         )
+    if name in BUILTIN_NAMES:
+        return eigendata_for_family(family_for(name, dim=dim, avoided=avoided))
     raise ValueError(f"unknown builtin variety {name!r}; choose from {BUILTIN_NAMES}")
 
 
@@ -74,11 +56,18 @@ def family_for(name: str, dim: int = 1, avoided: tuple[int, ...] = (0, 1)) -> Va
 def eigendata_for_family(family: VarietyFamily) -> GradedSpace:
     """The graded eigenvalue data matching an enumerable family."""
     if isinstance(family, AffineSpace):
-        return builtin_space("affine", dim=family.dim)
+        return GradedSpace([Stratum(0, 1, QPower(family.dim - 1))], name=f"affine^{family.dim}")
     if isinstance(family, Torus):
-        return builtin_space("torus", dim=family.dim)
+        dim = family.dim
+        strata = [Stratum(i, comb(dim, i), QPower(dim - 1 - i)) for i in range(dim + 1)]
+        return GradedSpace(strata, name=f"torus^{dim}")
     if isinstance(family, PuncturedLine):
-        return builtin_space("punctured", avoided=family.avoided)
+        r = len(family.avoided)
+        strata = [Stratum(0, 1, QPower(0))]
+        if r:
+            strata.append(Stratum(1, r, QPower(-1)))
+        label = ",".join(str(a) for a in family.avoided)
+        return GradedSpace(strata, name=f"affine line minus {{{label}}}")
     raise TypeError(f"unsupported family {family!r}")
 
 

@@ -136,7 +136,7 @@ POINT_COUNT_FIELDS = (2, 3)
 
 
 def check_point_counts(q: int | None = None) -> CheckResult:
-    """Four-way point-count agreement on the curve families."""
+    """Three-route point-count agreement on the curve families."""
     grid = []
     for qq in POINT_COUNT_FIELDS:
         for n in (1, 2, 3):

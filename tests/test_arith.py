@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from commvar import arith
 from commvar.arith import (
     PoleError,
     Poly,
@@ -13,12 +14,12 @@ from commvar.arith import (
     TSeries,
     cofactor_ints,
     cyclotomic_coeffs,
-    div_monic_coeffs,
     div_one_minus,
     mul_one_minus,
     one_minus_x_coeffs,
     pochhammer_ints,
     poly_gcd,
+    pseudo_divmod,
 )
 
 U = Poly.monomial(1)
@@ -249,19 +250,10 @@ class TestCyclotomic:
         with pytest.raises(ValueError):
             cyclotomic_coeffs(0)
 
-    def test_monic_division_against_divmod(self):
-        rng = random.Random(909)
-        for _ in range(200):
-            a = [rng.randint(-3, 3) for _ in range(rng.randint(0, 9))]
-            b = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4))) + (1,)
-            q, r = divmod(Poly(a), Poly(b))
-            got = div_monic_coeffs(a, b)
-            if r:
-                assert got is None, (a, b)
-            else:
-                assert got is not None and Poly(got) == q, (a, b)
-            product = (Poly(a) * Poly(b)).coeffs
-            assert Poly(div_monic_coeffs([int(c) for c in product], b)) == Poly(a)
+    def test_a_remainder_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(arith, "pseudo_divmod", lambda a, b: ([1], [0, 1], 1))
+        with pytest.raises(ValueError, match="Phi_1 left a remainder"):
+            cyclotomic_coeffs.__wrapped__(6)
 
 
 class TestOneMinusKernel:
@@ -544,6 +536,92 @@ class TestPolyAgainstFractionOracle:
                     a.exact_div(b)
             else:
                 agree(a.exact_div(b), fq)
+
+
+def primitive_remainder_gcd(a, b):
+    """Test oracle: the earlier gcd, Euclid on int vectors with the content
+    stripped after every elimination step, as a monic FracPoly."""
+
+    def primitive(ints):
+        g = math.gcd(*ints)
+        if g == 0:
+            return []
+        return [c // (g if ints[-1] > 0 else -g) for c in ints]
+
+    def rem(a, b):
+        r = list(a)
+        while r and len(r) >= len(b):
+            k = len(r) - len(b)
+            factor = r[-1]
+            r = [b[-1] * c for c in r]
+            for j, bc in enumerate(b):
+                r[j + k] -= factor * bc
+            while r and r[-1] == 0:
+                r.pop()
+            r = primitive(r)
+        return r
+
+    A, B = primitive(list(a.num)), primitive(list(b.num))
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        A, B = B, rem(A, B)
+    return FracPoly(A).monic()
+
+
+class TestPseudoDivmod:
+    """The one integer long division against the schoolbook Fraction one."""
+
+    @staticmethod
+    def cases(rng, count=400):
+        yield [], [3]
+        yield [0, 0], [1, -2]
+        yield [5], [-1, 0, 2]
+        for _ in range(count):
+            a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 9))]
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+            yield a, b + [rng.choice((-6, -3, -2, -1, 1, 1, 2, 4, 9))]
+
+    def test_against_fraction_long_division(self):
+        for a, b in self.cases(random.Random(1111)):
+            q, r, s = pseudo_divmod(a, b)
+            assert type(s) is int and s > 0, (a, b)
+            assert len(r) < len(b), (a, b)
+            identity = FracPoly(q) * FracPoly(b) + FracPoly(r) - FracPoly([s * c for c in a])
+            assert not identity.coeffs, (a, b)
+            if b[-1] == 1:
+                assert s == 1, (a, b)
+            fq, fr = divmod(FracPoly(a), FracPoly(b))
+            assert FracPoly(F(c, s) for c in q).coeffs == fq.coeffs, (a, b)
+            assert FracPoly(F(c, s) for c in r).coeffs == fr.coeffs, (a, b)
+
+    def test_poly_divmod_against_fraction_long_division(self):
+        rng = random.Random(1212)
+        for a, b in self.cases(rng):
+            c = F(rng.randint(-9, 9) or 1, rng.choice(DENOMINATORS))
+            pa, pb = Poly(a) * c, Poly(b) * F(1, rng.choice(DENOMINATORS))
+            fq, fr = divmod(FracPoly(pa.coeffs), FracPoly(pb.coeffs))
+            q, r = divmod(pa, pb)
+            agree(q, fq)
+            agree(r, fr)
+
+    def test_bad_divisors(self):
+        with pytest.raises(ZeroDivisionError):
+            pseudo_divmod([1, 2], [])
+        with pytest.raises(ZeroDivisionError):
+            divmod(Poly([1, 2]), Poly())
+        with pytest.raises(TypeError, match="unsupported operand"):
+            divmod(Poly([1, 2]), "u")
+
+    def test_gcd_against_primitive_remainder_euclid(self):
+        rng = random.Random(1313)
+        for _ in range(200):
+            f, g, h = (random_pair(rng, max_len=4)[0] for _ in range(3))
+            a, b = f * g, f * h
+            got = poly_gcd(a, b)
+            assert got.coeffs == primitive_remainder_gcd(a, b).coeffs, (f, g, h)
+            if f and (g or h):
+                assert not divmod(FracPoly(got.coeffs), FracPoly(f.coeffs))[1].coeffs, (f, g, h)
 
 
 class TestPolyNormalForm:

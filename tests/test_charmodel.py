@@ -54,7 +54,7 @@ class TestGradedSpace:
         assert space.strata == (Stratum(0, 1), Stratum(1, 5))
 
     def test_betti_default_eigenvalue(self):
-        space = GradedSpace.from_betti([(0, 1), (1, 2)])
+        space = GradedSpace([Stratum(0, 1), Stratum(1, 2)])
         assert all(s.eig == 1 for s in space.strata)
 
     def test_poincare_poly_signs(self):
@@ -386,7 +386,7 @@ class TestPoincare:
         for n in range(1, 5):
             assert poincare(real_point, n, "cn") == RatFunc(1)
         # a circle has the Betti numbers of the torus column
-        circle = GradedSpace.from_betti([(0, 1), (1, 1)])
+        circle = GradedSpace([Stratum(0, 1), Stratum(1, 1)])
         for n in range(1, 5):
             assert poincare(circle, n, "cn") == poincare(TORUS, n, "cn")
 

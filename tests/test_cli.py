@@ -149,6 +149,32 @@ class TestSeries:
         assert "-q is required" in err
 
     @pytest.mark.parametrize(
+        "kind, option, value",
+        [
+            ("zeta", "--t-order", "3"),
+            ("stable", "--t-order", "3"),
+            ("betti", "--u-order", "5"),
+            ("groupoid", "--u-order", "5"),
+            ("zeta", "--u-order", "5"),
+            ("betti", "-q", "2"),
+            ("coh", "-q", "2"),
+            ("stable", "-q", "2"),
+        ],
+    )
+    def test_option_that_does_not_apply_is_rejected(self, capsys, kind, option, value):
+        argv = ["series", kind, "--variety", "torus", option, value]
+        if kind in ("groupoid", "zeta") and option != "-q":
+            argv += ["-q", "2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} does not apply to series {kind}\n"
+
+    def test_explicit_default_t_order_is_still_accepted(self, capsys):
+        _, plain, _ = run(capsys, "series", "betti", "--variety", "p1")
+        code, explicit, _ = run(capsys, "series", "betti", "--variety", "p1", "--t-order", "5")
+        assert code == 0 and plain == explicit and plain.count("\n") == 6
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("series", "groupoid", "--variety", "punctured", "--avoid", "0,1,2", "-q", "2"),
@@ -391,6 +417,19 @@ class TestVarietyOptions:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {option[0]} does not apply to --variety {path}\n"
+
+    @pytest.mark.parametrize("command", sorted(VARIETY_COMMANDS))
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--variety", "affine", "--dim", "0"], "affine dimension must be >= 1"),
+            (["--variety", "torus", "--dim", "-1"], "torus dimension must be >= 1"),
+            (["--variety", "punctured", "--avoid", "2,0,2"], "avoided values must be distinct"),
+        ],
+    )
+    def test_family_parameters_are_checked(self, capsys, command, option, message):
+        code, out, err = run(capsys, *VARIETY_COMMANDS[command], *option)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_dim_without_variety_rejected(self, capsys):
         code, out, err = run(capsys, "poincare", "--space", "flag", "--dim", "2", "-n", "2")

@@ -424,4 +424,19 @@ class TestCrossCheck:
     def test_describe_mentions_all_numbers(self):
         result = cross_check(Torus(1), 2, 2, eigendata_for_family(Torus(1)))
         text = result.describe()
-        assert "oracle=6" in text and "[PASS]" in text
+        assert text.endswith(": oracle=6 formula=6 series-rhs=6 [PASS]")
+
+    def test_point_count_runs_once_per_rank(self, monkeypatch):
+        from commvar import charmodel, series
+
+        calls = []
+        real = charmodel.point_count
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(charmodel, "point_count", counted)
+        monkeypatch.setattr(series, "point_count", counted)
+        assert cross_check(Torus(1), 3, 2, eigendata_for_family(Torus(1))).ok
+        assert calls == [(1, 2), (2, 2), (3, 2)]
