@@ -48,6 +48,12 @@ class DescriptorError(ValueError):
     """A variety descriptor file is malformed; message names the field."""
 
 
+# The largest cohomological degree a descriptor stratum may have.  The
+# formulas build polynomials of degree about n * deg, so a larger value
+# is rejected while parsing, before anything is allocated.
+MAX_DEG = 1000
+
+
 @dataclass(frozen=True)
 class QPower:
     """Symbolic eigenvalue q**k, resolved once a prime power is chosen."""
@@ -208,6 +214,8 @@ def parse_descriptor(obj, source: str = "<descriptor>") -> GradedSpace:
             raise DescriptorError(f"{where}: field 'eigenvalue': {exc}") from None
         if deg < 0:
             raise DescriptorError(f"{where}: field 'deg' must be >= 0")
+        if deg > MAX_DEG:
+            raise DescriptorError(f"{where}: field 'deg' must be <= {MAX_DEG}")
         if dim < 1:
             raise DescriptorError(f"{where}: field 'dim' must be >= 1")
         strata.append(Stratum(deg, dim, eig))

@@ -5,15 +5,18 @@ exactly and single-threaded: the tuples of commuting n x n matrices
 that satisfy the family's unit constraints.  The enumeration counts
 points rather than testing candidates.  The first matrix is built row
 by row, and a row that would make some M - a*I singular is pruned at
-once; the last row is not walked but counted, as p^n minus the rows so
-forbidden.  Each later matrix is drawn from the common centralizer of
-the earlier ones, the solution space of [A, X] = 0 over F_p.  As in
-Feit & Fine ("Pairs of commuting matrices over a finite field", Duke
-Math. J. 27 (1960)), the number of ways to finish a tuple depends only
-on that centralizer and on how many matrices are left to choose, so
-each subtree is counted once per distinct common centralizer.  Nothing
-here knows about symmetric functions; the counts are later compared
-with the two character-level formula routes.
+once.  For a one-matrix family the number of ways to finish depends
+only on the row reached and on the spans of the rows of M - a*I so
+far, so it is computed once per such state, and the last row is
+counted, not walked: the rows off a union of hyperplanes, by
+inclusion-exclusion.  Each later matrix is drawn from the common
+centralizer of the earlier ones, the solution space of [A, X] = 0 over
+F_p.  As in Feit & Fine ("Pairs of commuting matrices over a finite
+field", Duke Math. J. 27 (1960)), the number of ways to finish a tuple
+depends only on that centralizer and on how many matrices are left to
+choose, so each subtree is counted once per distinct common
+centralizer.  Nothing here knows about symmetric functions; the counts
+are later compared with the two character-level formula routes.
 """
 
 from __future__ import annotations
@@ -264,9 +267,9 @@ def _nullspace(basis: tuple, size: int, p: int) -> list[tuple]:
     """A basis of {x in F_p^size : row . x = 0 for every row of ``basis``}.
 
     One vector per free coordinate f, 1 at f and 0 at the other free
-    coordinates.  Each row of a reduced basis is 0 at the other rows'
-    pivots, so the coordinate at its pivot is minus the row dotted with
-    the free part.
+    coordinates.  Each row of a reduced basis is 1 at its pivot and 0 at
+    the other rows' pivots, so the coordinate at its pivot is minus the
+    row's entry at f.
     """
     pivots = {pivot for pivot, _ in basis}
     out = []
@@ -276,7 +279,7 @@ def _nullspace(basis: tuple, size: int, p: int) -> list[tuple]:
         x = [0] * size
         x[free] = 1
         for pivot, row in basis:
-            x[pivot] = -sum(r * v for r, v in zip(row, x)) % p
+            x[pivot] = -row[free] % p
         out.append(tuple(x))
     return out
 
@@ -314,9 +317,8 @@ def _first_rows(n: int, p: int, shifts: tuple[int, ...]) -> Iterator[tuple[tuple
     are linearly independent, so row i of M is allowed unless it lies in
     the coset a*e_i + span(those rows), for some shift a; a forbidden row
     prunes its whole subtree.  The walk stops before the last row and
-    hands back the prefix and the forbidden last rows, so the allowed
-    last rows number p^n minus their count.  Candidate rows are
-    generated lazily, so memory does not grow with p^n.
+    hands back the prefix and the forbidden last rows.  Candidate rows
+    are generated lazily, so memory does not grow with p^n.
     """
 
     def extend(prefix: tuple) -> Iterator[tuple[tuple, set]]:
@@ -339,6 +341,69 @@ def _first_rows(n: int, p: int, shifts: tuple[int, ...]) -> Iterator[tuple[tuple
     return extend(())
 
 
+def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int) -> int:
+    """How many x in F_p^n have f . x != a * f[n-1] for every (f, a) in ``planes``.
+
+    Inclusion-exclusion over the subsets of ``planes``, in recursive
+    form: the points of a flat that lie on none of planes[k:] are those
+    on none of planes[k+1:], minus those of its meet with plane k.  A
+    flat is the reduced basis of its planes' augmented rows
+    (f | -a * f[n-1]).  A pivot in that last column means the planes do
+    not meet; a plane whose row is already in the span holds the whole
+    flat; otherwise the flat has p^(n - rank) points.
+    """
+    rows = [f + (-a * f[-1] % p,) for f, a in planes]
+
+    def off(k: int, flat: tuple) -> int:
+        if flat and flat[-1][0] == n:
+            return 0
+        if k == len(rows):
+            return p ** (n - len(flat))
+        grown = _grow(flat, rows[k], p)
+        if grown is None:
+            return 0
+        return off(k + 1, flat) - off(k + 1, grown)
+
+    return off(0, ())
+
+
+def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
+    """The n x n matrices M over F_p with M - a*I invertible for each shift a.
+
+    M is built row by row.  After i rows, W_a is the reduced basis of
+    the rows of M - a*I so far, and the number of ways to finish depends
+    only on (i, (W_a)_a), so it is computed once per such state.  Row i
+    is allowed when each W_a grows by row - a*e_i.  At the last row each
+    W_a is a hyperplane with normal f_a, and the allowed rows are those
+    off every plane f_a . x = a * f_a[n-1].
+    """
+    finish: dict[tuple, int] = {}
+
+    def walk(i: int, spaces: tuple) -> int:
+        key = (i, spaces)
+        total = finish.get(key)
+        if total is not None:
+            return total
+        if i == n - 1:
+            planes = [(_nullspace(w, n, p)[0], a) for w, a in zip(spaces, shifts)]
+            total = _rows_off_planes(planes, n, p)
+        else:
+            total = 0
+            for row in product(range(p), repeat=n):
+                grown = []
+                for w, a in zip(spaces, shifts):
+                    g = _grow(w, row[:i] + ((row[i] - a) % p,) + row[i + 1 :], p)
+                    if g is None:
+                        break
+                    grown.append(g)
+                else:
+                    total += walk(i + 1, tuple(grown))
+        finish[key] = total
+        return total
+
+    return walk(0, ((),) * len(shifts))
+
+
 # -- counting ----------------------------------------------------------------
 
 
@@ -350,18 +415,17 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     """Exact number of F_p points.
 
     The first matrix runs over the n x n matrices M with M - a*I
-    invertible for each of the family's shifts a, built row by row up
-    to its last row.  A one-matrix family adds the number of allowed
-    last rows, p^n minus the forbidden ones, and visits no leaf.
-    Otherwise each allowed last row completes a first matrix, and each
-    later matrix runs over the common centralizer of the earlier ones,
-    solved from [A, X] = 0 by Gaussian elimination mod p, and is kept
-    if it passes ``family.matrix_ok``.  The number of ways to finish a
-    tuple depends only on that centralizer and the depth reached, so it
-    is computed once per distinct (reduced basis of the commutator
-    equations, depth) and then looked up.  The only candidates built
-    and rejected are centralizer elements that fail ``matrix_ok``.
-    Single-threaded.
+    invertible for each of the family's shifts a, built row by row.  A
+    one-matrix family is counted by ``_count_one_matrix``, memoised on
+    the shifted row spaces, and visits no leaf.  Otherwise each allowed
+    first matrix is completed: each later matrix runs over the common
+    centralizer of the earlier ones, solved from [A, X] = 0 by Gaussian
+    elimination mod p, and is kept if it passes ``family.matrix_ok``.
+    The number of ways to finish a tuple depends only on that
+    centralizer and the depth reached, so it is computed once per
+    distinct (reduced basis of the commutator equations, depth) and
+    then looked up.  The only candidates built and rejected are
+    centralizer elements that fail ``matrix_ok``.  Single-threaded.
 
     The budget bounds the nominal search p^(dim*n^2), not the work
     done, and is checked before any work.
@@ -379,6 +443,8 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             f"search space {size} exceeds budget {budget}; "
             f"raise the budget to at least {size} to run this count"
         )
+    if family.tuple_len == 1:
+        return _count_one_matrix(n, p, shifts)
     subtree: dict[tuple, int] = {}
 
     def extend(mat, equations: tuple, depth: int) -> int:
@@ -403,9 +469,6 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
 
     total = 0
     for prefix, forbidden in _first_rows(n, p, shifts):
-        if family.tuple_len == 1:
-            total += p**n - len(forbidden)
-            continue
         for row in product(range(p), repeat=n):
             if row not in forbidden:
                 total += extend(prefix + (row,), (), 1)

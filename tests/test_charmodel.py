@@ -544,6 +544,12 @@ class TestDescriptors:
         with pytest.raises(DescriptorError, match=rf"strata\[1\]: field '{field}' must be an integer"):
             parse_descriptor({"strata": [{"deg": 0, "dim": 1}, entry]})
 
+    def test_degree_is_capped(self):
+        parse_descriptor({"strata": [{"deg": 0}, {"deg": charmodel.MAX_DEG}]})
+        message = rf"^<descriptor>: strata\[1\]: field 'deg' must be <= {charmodel.MAX_DEG}$"
+        with pytest.raises(DescriptorError, match=message):
+            parse_descriptor({"strata": [{"deg": 0}, {"deg": charmodel.MAX_DEG + 1}]})
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "strata": [\n')

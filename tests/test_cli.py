@@ -1,10 +1,17 @@
 """Command-line front end: golden outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from commvar import charmodel
 from commvar.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -365,6 +372,37 @@ class TestErrorsAndDeterminism:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestDescriptorBounds:
+    """A descriptor's degrees are bounded before anything is allocated."""
+
+    def test_huge_degree_exits_two_under_memory_limit(self, tmp_path):
+        # The command runs in a child limited to 1.5 GB of address space;
+        # with no cap, eigen_power_sum would allocate a list of about
+        # 2 * 10^9 coefficients and the child would die in a MemoryError.
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"strata": [{"deg": 0}, {"deg": 10**9}]}))
+        limit = 3 << 29
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        argv = ["poincare", "--space", "cn", "--variety", str(path), "-n", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "commvar.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {path}: strata[1]: field 'deg' must be <= {charmodel.MAX_DEG}\n"
 
 
 # Each command that takes a variety, with the arguments it needs besides.

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from commvar.oracle import (
     _coset,
     _grow,
     _nullspace,
+    _rows_off_planes,
     commute,
     count_points,
     cross_check,
@@ -140,6 +141,54 @@ def exhaustion_grid():
                     yield pytest.param(family, n, p, id=f"{family.describe()}-n{n}-p{p}")
 
 
+def budget_grid():
+    # every prime q <= 13 and rank n whose nominal search q^(n^2) the
+    # default budget admits
+    return [
+        (n, q) for n in range(1, 6) for q in (2, 3, 5, 7, 11, 13) if q ** (n * n) <= DEFAULT_BUDGET
+    ]
+
+
+def shift_set_grid():
+    # every subset of F_p as the shift set, the empty set and all of F_p
+    # included: n <= 3 for p = 2, 3 and n = 1 for p = 5, 7
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3) if p <= 3 else (1,):
+            for k in range(p + 1):
+                for shifts in combinations(range(p), k):
+                    yield pytest.param(shifts, n, p, id=f"{shifts}-n{n}-p{p}")
+
+
+def rows_off_by_brute_force(planes, n, p):
+    # every x in F_p^n, tested against every plane f . x = a * f[n-1]
+    return sum(
+        all(sum(fj * xj for fj, xj in zip(f, x)) % p != a * f[-1] % p for f, a in planes)
+        for x in product(range(p), repeat=n)
+    )
+
+
+def random_planes(seed):
+    # planes drawn from two normals, one of them 0 in its last entry, each
+    # scaled and shifted at random, so that parallel, repeated and
+    # inconsistent planes all turn up
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5))
+    n = rng.choice((2, 3, 4))
+
+    def normal(last):
+        while True:
+            f = [rng.randrange(p) for _ in range(n - 1)] + [last]
+            if any(f):
+                return f
+
+    pool = [normal(0), normal(rng.randrange(p))]
+    planes = []
+    for _ in range(rng.randrange(6)):
+        c = rng.randrange(1, p)
+        planes.append((tuple(c * x % p for x in rng.choice(pool)), rng.randrange(p)))
+    return planes, n, p
+
+
 def rank_two_affine_count(d, q):
     """Commuting d-tuples of 2 x 2 matrices over F_q.
 
@@ -241,12 +290,17 @@ class TestGlOrder:
 class TestCountPoints:
     def test_affine_line_counts_everything(self):
         assert count_points(AffineSpace(1), 2, 2) == 16
-        for n, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        for n, p in budget_grid():
             assert count_points(AffineSpace(1), n, p) == p ** (n * n)
 
     def test_torus_matches_group_order(self):
-        for n, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        for n, p in budget_grid():
             assert count_points(Torus(1), n, p) == gl_order(n, p)
+
+    def test_budget_grid_reaches_the_largest_cases(self):
+        grid = set(budget_grid())
+        assert {(2, 13), (3, 7), (4, 3), (5, 2)} <= grid
+        assert not {(3, 11), (4, 5), (5, 3), (6, 2)} & grid
 
     def test_punctured_line_scalars(self):
         assert count_points(PuncturedLine((0, 1)), 1, 3) == 1
@@ -352,12 +406,60 @@ class TestReducedBasis:
 
 class TestOneMatrixFamilies:
     def test_no_centralizer_is_solved(self, monkeypatch):
-        def refuse(a, p):
-            raise AssertionError("a one-matrix family walked a centralizer")
+        # nor a set of forbidden rows built
+        def refuse(*args):
+            raise AssertionError("a one-matrix family walked a centralizer or a coset")
 
-        monkeypatch.setattr(oracle, "_commutator_equations", refuse)
+        for name in ("_commutator_equations", "_first_rows", "_coset"):
+            monkeypatch.setattr(oracle, name, refuse)
         assert count_points(Torus(1), 3, 2) == gl_order(3, 2)
         assert count_points(PuncturedLine((0, 1)), 3, 3) == 6291
+        assert count_points(PuncturedLine((0, 1, 2)), 3, 3) == 3456
+
+    @pytest.mark.parametrize("shifts, n, p", list(shift_set_grid()))
+    def test_every_shift_set_matches_the_row_walk(self, shifts, n, p):
+        expected = sum(1 for _ in avoiding_matrices(n, p, shifts))
+        assert count_points(PuncturedLine(shifts), n, p) == expected
+
+
+class TestRowsOffPlanes:
+    """The last-row count by inclusion-exclusion, against every x in F_p^n."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_planes(self, seed):
+        planes, n, p = random_planes(seed)
+        assert _rows_off_planes(planes, n, p) == rows_off_by_brute_force(planes, n, p)
+
+    def test_random_planes_cover_every_kind(self):
+        kinds = set()
+        for seed in range(60):
+            planes, n, p = random_planes(seed)
+            rows = [(f, a * f[-1] % p) for f, a in planes]
+            for (f, c), (g, d) in combinations(rows, 2):
+                for k in range(1, p):
+                    if all(k * x % p == y for x, y in zip(f, g)):
+                        kinds.add("repeated" if k * c % p == d else "inconsistent")
+            kinds.update("last entry 0" for f, _ in rows if f[-1] == 0)
+        assert kinds == {"repeated", "inconsistent", "last entry 0"}
+
+    @pytest.mark.parametrize(
+        "planes, n, p, expected",
+        [
+            ([], 3, 2, 8),
+            ([((1,), 0)], 1, 7, 6),
+            ([((1,), a) for a in range(5)], 1, 5, 0),
+            # x1 = 0, 1, 2: parallel, pairwise inconsistent, covering F_3^2
+            ([((0, 1), 0), ((0, 1), 1), ((0, 2), 2)], 2, 3, 0),
+            # one plane three times, once scaled
+            ([((1, 1), 1), ((1, 1), 1), ((2, 2), 1)], 2, 3, 6),
+            # a normal 0 in its last entry passes through 0 whatever a is
+            ([((1, 0), 0), ((1, 0), 2)], 2, 3, 6),
+            ([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)], 3, 2, 1),
+        ],
+    )
+    def test_special_planes(self, planes, n, p, expected):
+        assert rows_off_by_brute_force(planes, n, p) == expected
+        assert _rows_off_planes(planes, n, p) == expected
 
 
 class TestMemory:
@@ -416,6 +518,11 @@ class TestCrossCheck:
         family = PuncturedLine((0, 1))
         result = cross_check(family, 2, 3, eigendata_for_family(family))
         assert result.ok
+
+    @pytest.mark.parametrize("avoided", [(0,), (3,), (0, 1), (1, 4), (0, 1, 2), (0, 2, 4)])
+    def test_punctured_rank_three_over_f5(self, avoided):
+        family = PuncturedLine(avoided)
+        assert cross_check(family, 3, 5, eigendata_for_family(family)).ok
 
     def test_rejects_non_curve(self):
         with pytest.raises(ValueError, match="curve"):
