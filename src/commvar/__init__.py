@@ -6,7 +6,7 @@ zeta-type generating series, and finite-field point counts, all
 cross-checked against a brute-force matrix enumerator.
 """
 
-from .arith import Poly, PoleError, RatFunc, Rational, TSeries
+from .arith import Poly, PoleError, RatFunc, TSeries
 from .charmodel import (
     DescriptorError,
     GradedSpace,

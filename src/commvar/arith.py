@@ -1,13 +1,15 @@
 """Exact univariate arithmetic.
 
 Dense polynomials with rational coefficients, stored as one vector of
-Python ints over one positive int denominator; rational functions kept
-in a canonical form (coprime, monic denominator); and truncated power
-series in a counting variable whose coefficients are polynomials in a
-second, grading variable.  A rational function appears only where a
-denominator is printed or compared; the series layer never carries
-one.  There is no floating point anywhere; every operation is exact, so
-equality of values is decidable by comparing canonical forms.
+Python ints over one positive int denominator; rational functions as a
+plain pair num / den, built in lowest terms by the code that makes them
+and compared by cross-multiplication; and truncated power series in a
+counting variable whose coefficients are polynomials in a second,
+grading variable.  A rational function appears only where a denominator
+is printed or compared; the series layer never carries one.  There is
+no floating point anywhere; every operation is exact, so equality of
+values is decidable: polynomials by their normal form, rational
+functions by a * d == c * b.
 
 The integer-vector kernel of the layers above lives here too: int
 lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
@@ -16,7 +18,8 @@ Pochhammer (x^p; x^p)_n and its exact cofactors (``pochhammer_ints``,
 ``cofactor_ints``); binomial and cyclotomic helpers; and the one
 integer long division, ``pseudo_divmod``, which ``Poly.__divmod__``,
 ``poly_gcd``, the cyclotomic polynomials and the coh cancellation in
-``charmodel`` share.
+``charmodel`` share.  No production path calls ``poly_gcd`` or
+``Poly.__divmod__``; the tests use them as oracles.
 """
 
 from __future__ import annotations
@@ -25,11 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Union
-
-#: The scalar field: a single coefficient, a leading coefficient or a
-#: value of a polynomial is a Fraction.  ``Poly`` stores no Fraction;
-#: its coefficients are ints over one shared denominator.
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -126,11 +124,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.num == (1,) and self.den == 1
 
-    def leading(self) -> Fraction:
-        if not self.num:
-            return Fraction(0)
-        return Fraction(self.num[-1], self.den)
-
     def constant_term(self) -> Fraction:
         return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
@@ -220,12 +213,6 @@ class Poly:
             _make(*_normal(rem, den)),
         )
 
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("exact_div: division left a remainder")
-        return q
-
     # -- analysis ------------------------------------------------------
 
     def evaluate(self, x: Scalar) -> Fraction:
@@ -263,16 +250,6 @@ class Poly:
             return _ZERO
         out = _convolve(a, b, min(order + 1, len(a) + len(b) - 1))
         return _make(*_normal(out, self.den * other.den))
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lc = self.num[-1]
-        if lc == self.den:
-            return self
-        if lc < 0:
-            return _make(*_normal([-c for c in self.num], -lc))
-        return _make(*_normal(list(self.num), lc))
 
     # -- rendering -----------------------------------------------------
 
@@ -430,17 +407,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         A, B = B, _primitive(pseudo_divmod(A, B)[1])
     if not A:
         return Poly()
-    return Poly.from_ints(A).monic()
+    return Poly.from_ints(A, A[-1])
 
 
 class RatFunc:
-    """Rational function in one variable, in canonical form.
+    """Rational function in one variable: a pair ``num / den`` of Polys.
 
-    Invariants: the denominator is nonzero and monic, and numerator and
-    denominator are coprime.  Canonical form makes ``==`` a decision
-    procedure for equality of values.  Only ``__init__`` normalises:
-    the field operations cross-multiply and call it, and ``_make`` wraps
-    a pair that is already canonical.
+    The only invariant is a nonzero ``den``; the pair is not reduced.
+    Every producer builds its value in lowest terms (see ``poincare``
+    and ``weil_zeta_from_eigendata``), so no gcd runs here.  ``==``
+    cross-multiplies, which is exact for any representatives; ``+`` and
+    ``*`` return the cross-multiplied pair as it stands.
     """
 
     __slots__ = ("num", "den")
@@ -450,105 +427,46 @@ class RatFunc:
         den = to_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Poly.constant(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lc = den.leading()
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
-    @classmethod
-    def _make(cls, num: Poly, den: Poly) -> "RatFunc":
-        """Build from an already canonical pair, skipping normalization."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
-
-    @classmethod
-    def of(cls, value) -> "RatFunc":
-        if isinstance(value, RatFunc):
-            return value
-        return cls(value)
-
     # -- queries --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
     def as_poly(self) -> Poly:
-        if not self.den.is_one():
-            raise ValueError(
-                f"not a polynomial: denominator {self.den.render()} remains"
-            )
-        return self.num
+        """num / den when den is a constant; ValueError naming den otherwise."""
+        den = self.den
+        if den.degree() > 0:
+            monic = Poly.from_ints(den.num, den.num[-1])
+            raise ValueError(f"not a polynomial: denominator {monic.render()} remains")
+        return self.num if den.is_one() else self.num * (1 / den.constant_term())
 
     def __bool__(self):
         return not self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (RatFunc, Poly, int, Fraction)):
-            other = RatFunc.of(other)
-            return self.num == other.num and self.den == other.den
+        if isinstance(other, RatFunc):
+            return self.num * other.den == other.num * self.den
+        if isinstance(other, (Poly, int, Fraction)):
+            return self.num == self.den * other
         return NotImplemented
-
-    def __hash__(self):
-        return hash(("RatFunc", self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
 
-    # -- field operations ------------------------------------------------
+    # -- exact arithmetic, not reduced -------------------------------------
 
     def __add__(self, other):
-        other = RatFunc.of(other)
+        if not isinstance(other, RatFunc):
+            other = RatFunc(other)
         return RatFunc(self.num * other.den + self.den * other.num, self.den * other.den)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc._make(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RatFunc.of(other))
-
-    def __rsub__(self, other):
-        return RatFunc.of(other) + (-self)
-
     def __mul__(self, other):
-        other = RatFunc.of(other)
+        if not isinstance(other, RatFunc):
+            other = RatFunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFunc.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division of rational functions by zero")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc.of(other) / self
-
-    def __pow__(self, e: int):
-        if e == 0:
-            return RatFunc(1)
-        if e < 0:
-            return (RatFunc(1) / self) ** (-e)
-        return RatFunc._make(self.num**e, self.den**e)
 
     # -- evaluation and expansion -----------------------------------------
 
@@ -577,22 +495,19 @@ class RatFunc:
             out.append(acc / d0)
         return out
 
-    def subst_power(self, k: int) -> "RatFunc":
-        """The rational function f(x**k); canonical form is preserved."""
-        return RatFunc._make(self.num.subst_power(k), self.den.subst_power(k))
-
     # -- rendering ---------------------------------------------------------
 
     def render(self, var: str = "u") -> str:
-        if self.den.is_one():
-            return self.num.render(var)
+        """``num/den`` with den scaled to constant term 1 where it has
+        one, so a pair in lowest terms prints the same whatever scalar
+        it was built with."""
         num, den = self.num, self.den
-        # display with denominator constant term 1 where possible; the
-        # stored form stays monic for decidable equality
         c0 = den.constant_term()
         if c0 != 0 and c0 != 1:
             num = num * (1 / c0)
             den = den * (1 / c0)
+        if den.is_one():
+            return num.render(var)
         num_s = num.render(var)
         den_s = den.render(var)
         if sum(1 for c in num.num if c) > 1 or num_s.startswith("-"):

@@ -435,8 +435,7 @@ def _coh_value(num: list[int], n: int) -> RatFunc:
     2n // d times for even d.  Each Phi_d is cancelled from N by
     ``pseudo_divmod``, which never scales by a monic divisor, as often
     as it leaves no remainder, up to that multiplicity.  The pair left
-    is coprime, and flipping both signs when n is odd makes the
-    denominator monic: the canonical form.
+    is coprime, so ``RatFunc`` needs no gcd.
     """
     if not num:
         return RatFunc(0)
@@ -449,10 +448,7 @@ def _coh_value(num: list[int], n: int) -> RatFunc:
                 break
             num = quotient
             den = pseudo_divmod(den, phi)[0]
-    if n % 2:
-        num = [-c for c in num]
-        den = [-c for c in den]
-    return RatFunc._make(Poly.from_ints(num), Poly.from_ints(den))
+    return RatFunc(Poly.from_ints(num), Poly.from_ints(den))
 
 
 def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFunc:
@@ -485,7 +481,7 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
     num = rank_numerators(space_data, n)[n]
     if kind == "coh":
         return _coh_value(num, n)
-    return RatFunc._make(Poly.from_ints(num), Poly.constant(1))
+    return RatFunc(Poly.from_ints(num))
 
 
 # -- point counts ------------------------------------------------------------

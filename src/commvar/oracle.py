@@ -47,32 +47,33 @@ def default_budget() -> int:
     return value
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _smallest_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def prime_power_base(q: int) -> tuple[int, int]:
     """Decompose q = p**k with p prime; raises for non prime powers."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+    p = _smallest_factor(q)
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
 
 
 def gl_order(n: int, q: int) -> int:

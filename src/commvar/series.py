@@ -138,7 +138,8 @@ def weil_zeta_from_eigendata(space: GradedSpace, q: int) -> RatFunc:
     the numerator, even-degree strata to the denominator.  Eigenvalue
     data is the arithmetic-Frobenius eigenvalue; an affine line is
     (deg 0, eig 1) -> 1/(1 - q t), while a torus adds (deg 1, eig 1/q)
-    -> (1 - t)/(1 - q t).
+    -> (1 - t)/(1 - q t).  The exponents are merged per eigenvalue, so
+    numerator and denominator share no linear factor: lowest terms.
     """
     prime_power_base(q)
     resolved = space.resolve(q)

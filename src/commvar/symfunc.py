@@ -291,7 +291,8 @@ class SymFunc:
         With power=1 the ambient variable is read as the specialization
         variable itself; power=2 realizes the square-variable
         specialization used for Poincare polynomials, where the
-        coefficients already live in the same variable.
+        coefficients already live in the same variable.  The pair
+        N / (x^p; x^p)_n is returned unreduced.
         """
         return RatFunc(
             self.principal_spec_numerator(power), q_pochhammer(self.degree, power)

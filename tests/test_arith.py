@@ -1,4 +1,4 @@
-"""Exact arithmetic: canonical forms, field axioms, truncated series."""
+"""Exact arithmetic: normal forms, ring identities, truncated series."""
 
 import math
 import random
@@ -39,7 +39,7 @@ def random_ratfunc(rng):
 
 class TestRatFuncArith:
     def test_cancellation(self):
-        assert (RatFunc(1, ONE - U) * (ONE - U)).is_one()
+        assert RatFunc(1, ONE - U) * (ONE - U) == 1
 
     def test_common_denominator(self):
         s = RatFunc(1, ONE - U) + RatFunc(1, ONE + U)
@@ -48,13 +48,11 @@ class TestRatFuncArith:
     def test_geometric_factor(self):
         assert RatFunc(ONE - U**3, ONE - U) == RatFunc(ONE + U + U**2)
 
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            RatFunc(1, ONE - U) / RatFunc(0)
+    def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(ONE, Poly())
 
-    def test_field_axioms_randomized(self):
+    def test_ring_axioms_randomized(self):
         rng = random.Random(91)
         for _ in range(40):
             a, b, c = (random_ratfunc(rng) for _ in range(3))
@@ -62,8 +60,7 @@ class TestRatFuncArith:
             assert a * (b + c) == a * b + a * c
             assert (a * b) * c == a * (b * c)
             assert a + b == b + a
-            if not b.is_zero():
-                assert (a / b) * b == a
+            assert a * b == b * a
 
     def test_canonical_congruence(self):
         rng = random.Random(17)
@@ -73,29 +70,22 @@ class TestRatFuncArith:
                 continue
             assert (RatFunc(a, b) == RatFunc(c, d)) == (a * d == c * b)
 
-    def test_pow(self):
-        f = RatFunc(U, ONE - U)
-        assert f**0 == RatFunc(1)
-        assert f**3 == f * f * f
-        assert f**-2 == RatFunc(1) / (f * f)
+    def test_pairs_are_kept_as_built(self):
+        f = RatFunc(2 * (ONE - U), 2 * (ONE - U**2))
+        assert (f.num, f.den) == (2 * (ONE - U), 2 * (ONE - U**2))
+        assert f == RatFunc(1, ONE + U)
+        assert f.render() == "(1 - u)/(1 - u^2)"
 
 
 class TestAgainstNaiveForms:
-    def test_sums_and_products_are_canonical(self):
-        # sums and products cross-multiply and leave the normal form to
-        # RatFunc.__init__; check the results against the defining
-        # identities and the canonical-form invariants: monic
-        # denominator, coprime numerator and denominator
+    def test_sums_and_products_are_the_cross_multiplied_pairs(self):
         rng = random.Random(123)
         for _ in range(150):
             a, b = random_ratfunc(rng), random_ratfunc(rng)
             s = a + b
-            assert s.num * (a.den * b.den) == (a.num * b.den + b.num * a.den) * s.den
+            assert (s.num, s.den) == (a.num * b.den + b.num * a.den, a.den * b.den)
             p = a * b
-            assert p.num * (a.den * b.den) == (a.num * b.num) * p.den
-            for f in (s, p):
-                assert f.den.leading() == 1
-                assert poly_gcd(f.num, f.den).degree() <= 0
+            assert (p.num, p.den) == (a.num * b.num, a.den * b.den)
 
 
 class TestRatFuncEval:
@@ -106,8 +96,10 @@ class TestRatFuncEval:
         with pytest.raises(PoleError, match="pole at 1"):
             RatFunc(U, ONE - U).evaluate(1)
 
-    def test_removable_singularity_is_gone(self):
-        assert RatFunc(ONE - U**2, ONE - U).evaluate(1) == 2
+    def test_unreduced_pair_keeps_its_removable_pole(self):
+        assert RatFunc(ONE + U).evaluate(1) == 2
+        with pytest.raises(PoleError, match="pole at 1"):
+            RatFunc(ONE - U**2, ONE - U).evaluate(1)
 
     def test_eval_is_multiplicative(self):
         rng = random.Random(23)
@@ -125,15 +117,14 @@ class TestRatFuncEval:
 class TestPoly:
     def test_gcd(self):
         g = poly_gcd((ONE - U) ** 3 * (ONE + U), (ONE - U) * (ONE + U) ** 2)
-        assert g == ((ONE - U) * (ONE + U)).monic()
+        assert g == U**2 - ONE
         assert poly_gcd(Poly(), Poly()) == Poly()
-        assert poly_gcd(ONE - U, Poly()) == (ONE - U).monic()
+        assert poly_gcd(ONE - U, Poly()) == U - ONE
+        assert poly_gcd(2 * U - ONE, Poly([F(1, 3)])) == ONE
 
-    def test_exact_div(self):
-        q = ((ONE - U**6)).exact_div(ONE - U**2)
-        assert q == ONE + U**2 + U**4
-        with pytest.raises(ValueError):
-            (ONE + U).exact_div(ONE - U)
+    def test_divmod(self):
+        assert divmod(ONE - U**6, ONE - U**2) == (ONE + U**2 + U**4, Poly())
+        assert divmod(ONE + U, ONE - U) == (-ONE, 2 * ONE)
 
     def test_subst_power(self):
         p = ONE - U + 2 * U**2
@@ -501,7 +492,6 @@ class TestPolyAgainstFractionOracle:
                 agree(a**e, fa**e)
             for k in range(1, 4):
                 agree(a.subst_power(k), fa.subst_power(k))
-            agree(a.monic(), fa.monic())
             x = F(rng.randint(-7, 7), rng.choice(DENOMINATORS))
             assert a.evaluate(x) == fa.evaluate(x)
             assert a.evaluate(3) == fa.evaluate(F(3))
@@ -530,12 +520,9 @@ class TestPolyAgainstFractionOracle:
             fq, fr = divmod(fa, fb)
             agree(q, fq)
             agree(r, fr)
-            agree((a * b).exact_div(b), fa)
-            if r:
-                with pytest.raises(ValueError, match="remainder"):
-                    a.exact_div(b)
-            else:
-                agree(a.exact_div(b), fq)
+            q, r = divmod(a * b, b)
+            agree(q, fa)
+            assert not r
 
 
 def primitive_remainder_gcd(a, b):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from commvar import charmodel
+from commvar import arith, charmodel
 from commvar.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -18,6 +18,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, timeout, **kwargs):
+    """Run the CLI in a fresh interpreter that writes no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "commvar.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        **kwargs,
+    )
 
 
 class TestPoincare:
@@ -43,6 +57,22 @@ class TestPoincare:
         assert code == 0
         assert out == "1 + u + u^3 + u^4\n"
         assert "signs" in err
+
+    @pytest.mark.parametrize(
+        "argv, den",
+        [
+            (
+                ["--space", "coh", "--variety", "p1"],
+                "-1 + 2*u^2 - u^4 + u^6 - 2*u^8 + u^10",
+            ),
+            (["--space", "bgln"], "-1 + u^2 + u^4 - u^8 - u^10 + u^12"),
+        ],
+    )
+    def test_absolute_needs_a_polynomial(self, capsys, argv, den):
+        # the message names the denominator made monic
+        code, out, err = run(capsys, "poincare", *argv, "-n", "3", "--absolute")
+        assert (code, out) == (2, "")
+        assert err == f"error: not a polynomial: denominator {den} remains\n"
 
     def test_missing_variety(self, capsys):
         code, _, err = run(capsys, "poincare", "-n", "2")
@@ -149,6 +179,12 @@ class TestSeries:
         lines = out.splitlines()
         assert lines[0] == "stable: 1 + u^2 + 2*u^4 + 3*u^6"
         assert lines[-1] == "verdict: equal"
+
+    def test_zeta_over_a_ten_digit_prime(self):
+        # q = 10^9 + 7 is prime: factoring it must not try every p <= q
+        proc = run_child("series", "zeta", "--variety", "torus", "-q", "1000000007", timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "(1 - t)/(1 - 1000000007*t)\n"
 
     def test_groupoid_requires_q(self, capsys):
         code, _, err = run(capsys, "series", "groupoid", "--variety", "torus")
@@ -326,6 +362,45 @@ class TestVerify:
         assert out == "point-counts: PASS (7 cross-checks)\n"
 
 
+# verify, poincare for every space, and the series kinds.
+NO_GCD_COMMANDS = [
+    ["verify"],
+    *(
+        ["poincare", "--space", space, "--variety", variety, "-n", "5"]
+        for space in ("cn", "sn", "coh")
+        for variety in ("point", "torus", "p1", "punctured")
+    ),
+    ["poincare", "--space", "flag", "-n", "5"],
+    ["poincare", "--space", "bgln", "-n", "5"],
+    ["series", "zeta", "--variety", "punctured", "-q", "4"],
+    ["series", "groupoid", "--variety", "torus", "-q", "3", "--t-order", "3"],
+    ["series", "coh", "--variety", "p1", "--t-order", "3", "--u-order", "8"],
+    ["series", "stable", "--variety", "torus", "--u-order", "8"],
+]
+
+
+class TestNoGcdOnProductionPaths:
+    """Values are built in lowest terms, so no command runs a gcd: with
+    ``poly_gcd`` and ``Poly.__divmod__`` made to raise, each command
+    prints what it prints unpatched."""
+
+    @pytest.mark.parametrize("argv", NO_GCD_COMMANDS, ids=" ".join)
+    def test_same_output_without_gcd(self, capsys, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("gcd or polynomial division on a production path")
+
+        with monkeypatch.context() as m:
+            for name, module in list(sys.modules.items()):
+                if name == "commvar" or name.startswith("commvar."):
+                    for key, value in list(vars(module).items()):
+                        if value is arith.poly_gcd:
+                            m.setattr(module, key, forbidden)
+            m.setattr(arith.Poly, "__divmod__", forbidden)
+            patched = run(capsys, *argv)
+        assert patched == run(capsys, *argv)
+        assert patched[0] == 0
+
+
 class TestFailureExitCodes:
     def test_series_mismatch_exits_one(self, capsys, monkeypatch):
         import commvar.cli as cli
@@ -389,17 +464,8 @@ class TestDescriptorBounds:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         argv = ["poincare", "--space", "cn", "--variety", str(path), "-n", "2"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "commvar.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=limit_memory,
-            timeout=120,
-        )
+        proc = run_child(*argv, timeout=120, preexec_fn=limit_memory)
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {path}: strata[1]: field 'deg' must be <= {charmodel.MAX_DEG}\n"

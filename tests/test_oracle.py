@@ -260,12 +260,16 @@ def gl_class_number(n, q):
 class TestNumberTheory:
     def test_is_prime(self):
         assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert is_prime(1000000007) and not is_prime(1000000007 * 3)
+        assert not any(is_prime(n) for n in (-7, 0, 1, 961, 3**19))
 
     def test_prime_power_base(self):
         assert prime_power_base(8) == (2, 3)
         assert prime_power_base(9) == (3, 2)
         assert prime_power_base(5) == (5, 1)
-        for bad in (1, 6, 12, 100):
+        assert prime_power_base(3**19) == (3, 19)
+        assert prime_power_base(1000000007) == (1000000007, 1)
+        for bad in (1, 6, 12, 100, 2 * 1000000007):
             with pytest.raises(ValueError):
                 prime_power_base(bad)
 

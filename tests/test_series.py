@@ -1,10 +1,11 @@
 """Generating series: zeta expansions, product formulas, stabilization."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from commvar.arith import Poly, RatFunc, TSeries
+from commvar.arith import Poly, RatFunc, TSeries, poly_gcd
 from commvar.charmodel import GradedSpace, QPower, Stratum, poincare
 from commvar.series import (
     _compare,
@@ -163,6 +164,22 @@ class TestWeilZeta:
     def test_projective_line(self):
         expected = RatFunc(1, Poly([1, -1]) * Poly([1, -5]))
         assert weil_zeta_from_eigendata(PROJ, 5) == expected
+
+    def test_lowest_terms_on_random_eigendata(self):
+        # RatFunc runs no gcd: the merged exponents must leave num and
+        # den without a common factor; poly_gcd is the oracle
+        rng = random.Random(2718)
+        eigs = (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3), QPower(-1), QPower(1))
+        for _ in range(200):
+            space = GradedSpace(
+                [
+                    Stratum(rng.randint(0, 5), rng.randint(1, 3), rng.choice(eigs))
+                    for _ in range(rng.randint(1, 6))
+                ]
+            )
+            q = rng.choice((2, 3, 4, 5, 9))
+            zeta = weil_zeta_from_eigendata(space, q)
+            assert poly_gcd(zeta.num, zeta.den) == ONE, (space, q)
 
 
 class TestGroupoidSeries:

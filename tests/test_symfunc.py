@@ -75,14 +75,16 @@ def pochhammer_by_products(n: int, power: int) -> Poly:
 
 
 def numerator_by_poly_division(f: SymFunc, power: int) -> Poly:
-    """Sum of c_lam * (x^p;x^p)_n / prod (1 - x^(p*lam_i)), one Poly.exact_div per term; oracle only."""
+    """Sum of c_lam * (x^p;x^p)_n / prod (1 - x^(p*lam_i)), one Poly divmod per term; oracle only."""
     pochhammer = pochhammer_by_products(f.degree, power)
     acc = Poly()
     for lam, coeff in f.terms.items():
         den = ONE
         for part in lam.parts:
             den = den * (ONE - Poly.monomial(power * part))
-        acc = acc + coeff * pochhammer.exact_div(den)
+        quotient, rem = divmod(pochhammer, den)
+        assert not rem
+        acc = acc + coeff * quotient
     return acc
 
 
