@@ -29,7 +29,6 @@ from .oracle import (
     PuncturedLine,
     Torus,
     count_points,
-    cross_check,
     gl_order,
 )
 from .partitions import Partition, partitions_of
@@ -44,6 +43,6 @@ from .series import (
 )
 from .symfunc import SymFunc, mn_character, q_pochhammer
 from .varieties import builtin_space, eigendata_for_family, family_for, resolve_variety
-from .verify import run_suite
+from .verify import cross_check, run_suite
 
 __version__ = "0.1.0"

@@ -54,7 +54,7 @@ def _check_q(args, q: int) -> None:
     that collide modulo its prime p."""
     p, _ = prime_power_base(q)
     if args.variety == "punctured":
-        PuncturedLine(_avoided(args)).reduced_avoided(p)
+        PuncturedLine(_avoided(args)).shifts(p)
 
 
 def _add_variety_args(sub, required: bool = True):

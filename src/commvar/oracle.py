@@ -3,20 +3,21 @@
 Counts the F_p-points of C_n(X) for the built-in variety families
 exactly and single-threaded: the tuples of commuting n x n matrices
 that satisfy the family's unit constraints.  The enumeration counts
-points rather than testing candidates.  The first matrix is built row
-by row, and a row that would make some M - a*I singular is pruned at
-once.  For a one-matrix family the number of ways to finish depends
-only on the row reached and on the spans of the rows of M - a*I so
-far, so it is computed once per such state, and the last row is
-counted, not walked: the rows off a union of hyperplanes, by
-inclusion-exclusion.  Each later matrix is drawn from the common
+points rather than testing candidates.  A one-matrix family is built
+row by row; the number of ways to finish depends only on the row
+reached and on the spans of the rows of M - a*I so far, so it is
+computed once per such state, and the last row is counted, not walked:
+the rows off a union of hyperplanes, by inclusion-exclusion.  In a
+tuple of several matrices, each matrix is drawn from the common
 centralizer of the earlier ones, the solution space of [A, X] = 0 over
-F_p.  As in Feit & Fine ("Pairs of commuting matrices over a finite
-field", Duke Math. J. 27 (1960)), the number of ways to finish a tuple
-depends only on that centralizer and on how many matrices are left to
-choose, so each subtree is counted once per distinct common
-centralizer.  Nothing here knows about symmetric functions; the counts
-are later compared with the two character-level formula routes.
+F_p; for the first matrix that is all of M_n(F_p).  As in Feit & Fine
+("Pairs of commuting matrices over a finite field", Duke Math. J. 27
+(1960)), the number of ways to finish a tuple depends only on that
+centralizer and on how many matrices are left to choose, so each
+subtree is counted once per distinct common centralizer.  Nothing here
+knows about symmetric functions, and no other commvar module is
+imported; ``verify.cross_check`` compares the counts with the formula
+routes.
 """
 
 from __future__ import annotations
@@ -47,33 +48,69 @@ def default_budget() -> int:
     return value
 
 
-def _smallest_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+# Miller-Rabin on the prime bases up to 41 decides primality exactly
+# below this bound, the least strong pseudoprime to all of those bases
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _smallest_factor(n) == n
+    """Deterministic Miller-Rabin; raises for a probable prime at or above
+    ``PRIMALITY_BOUND``, where the test no longer decides."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: Miller-Rabin on the prime "
+            f"bases up to 41 is exact only below {PRIMALITY_BOUND}"
+        )
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power_base(q: int) -> tuple[int, int]:
-    """Decompose q = p**k with p prime; raises for non prime powers."""
+    """Decompose q = p**k with p prime; raises for non prime powers.
+
+    k is the largest exponent, at most log2(q), for which q is a perfect
+    k-th power; q is a prime power exactly when that root is prime.
+    """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = _smallest_factor(q)
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    for k in range(q.bit_length() - 1, 0, -1):
+        root = _iroot(q, k)
+        if root**k == q:
+            break
+    if not is_prime(root):
         raise ValueError(f"{q} is not a prime power")
-    return p, k
+    return root, k
 
 
 def gl_order(n: int, q: int) -> int:
@@ -171,16 +208,13 @@ class PuncturedLine:
                 return False
         return True
 
-    def reduced_avoided(self, p: int) -> tuple[int, ...]:
+    def shifts(self, p: int) -> tuple[int, ...]:
         reduced = tuple(a % p for a in self.avoided)
         if len(set(reduced)) != len(reduced):
             raise ValueError(
                 f"avoided values {self.avoided} collide modulo {p}"
             )
         return reduced
-
-    def shifts(self, p: int) -> tuple[int, ...]:
-        return self.reduced_avoided(p)
 
     def describe(self) -> str:
         return "affine line avoiding " + ",".join(str(a) for a in self.avoided)
@@ -285,16 +319,26 @@ def _nullspace(basis: tuple, size: int, p: int) -> list[tuple]:
     return out
 
 
-def _coset(start: tuple, vectors: list[tuple], p: int) -> Iterator[tuple]:
-    """Every vector of ``start`` + span(``vectors``) over F_p, each once if
-    ``vectors`` are linearly independent."""
-    if not vectors:
-        yield start
-        return
-    head, rest = vectors[0], vectors[1:]
-    for tail in _coset(start, rest, p):
-        for c in range(p):
-            yield tuple((t + c * h) % p for t, h in zip(tail, head))
+def _solutions(basis: tuple, size: int, p: int) -> Iterator[tuple]:
+    """Every x in F_p^size with row . x = 0 for each row of ``basis``, once.
+
+    The free coordinates, those that are no row's pivot, run over F_p.
+    Each row of a reduced basis is 1 at its pivot and 0 at the other
+    rows' pivots, so the coordinate at its pivot is minus the row's
+    linear form in the free coordinates.  An empty basis gives F_p^size.
+    """
+    pivots = {pivot for pivot, _ in basis}
+    free = [j for j in range(size) if j not in pivots]
+    forms = [
+        (pivot, [(k, row[j]) for k, j in enumerate(free) if row[j]]) for pivot, row in basis
+    ]
+    x = [0] * size
+    for values in product(range(p), repeat=len(free)):
+        for j, v in zip(free, values):
+            x[j] = v
+        for pivot, form in forms:
+            x[pivot] = -sum(c * values[k] for k, c in form) % p
+        yield tuple(x)
 
 
 def _commutator_equations(a, p: int) -> Iterator[tuple]:
@@ -307,39 +351,6 @@ def _commutator_equations(a, p: int) -> Iterator[tuple]:
                 eq[k * n + j] += a[i][k]
                 eq[i * n + k] -= a[k][j]
             yield tuple(e % p for e in eq)
-
-
-def _first_rows(n: int, p: int, shifts: tuple[int, ...]) -> Iterator[tuple[tuple, set]]:
-    """Each allowed choice of the first n - 1 rows of M, with the set of
-    last rows it forbids.
-
-    M runs over the n x n matrices over F_p with M - a*I invertible for
-    each shift a, built row by row.  The rows of M - a*I chosen so far
-    are linearly independent, so row i of M is allowed unless it lies in
-    the coset a*e_i + span(those rows), for some shift a; a forbidden row
-    prunes its whole subtree.  The walk stops before the last row and
-    hands back the prefix and the forbidden last rows.  Candidate rows
-    are generated lazily, so memory does not grow with p^n.
-    """
-
-    def extend(prefix: tuple) -> Iterator[tuple[tuple, set]]:
-        i = len(prefix)
-        forbidden = set()
-        for a in shifts:
-            shifted = [
-                tuple((x - a * (j == k)) % p for j, x in enumerate(row))
-                for k, row in enumerate(prefix)
-            ]
-            start = tuple(a * (j == i) for j in range(n))
-            forbidden.update(_coset(start, shifted, p))
-        if i + 1 == n:
-            yield prefix, forbidden
-            return
-        for row in product(range(p), repeat=n):
-            if row not in forbidden:
-                yield from extend(prefix + (row,))
-
-    return extend(())
 
 
 def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int) -> int:
@@ -415,17 +426,16 @@ def search_space_size(family: VarietyFamily, n: int, p: int) -> int:
 def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = None) -> int:
     """Exact number of F_p points.
 
-    The first matrix runs over the n x n matrices M with M - a*I
-    invertible for each of the family's shifts a, built row by row.  A
-    one-matrix family is counted by ``_count_one_matrix``, memoised on
-    the shifted row spaces, and visits no leaf.  Otherwise each allowed
-    first matrix is completed: each later matrix runs over the common
-    centralizer of the earlier ones, solved from [A, X] = 0 by Gaussian
-    elimination mod p, and is kept if it passes ``family.matrix_ok``.
-    The number of ways to finish a tuple depends only on that
-    centralizer and the depth reached, so it is computed once per
-    distinct (reduced basis of the commutator equations, depth) and
-    then looked up.  The only candidates built and rejected are
+    A one-matrix family is counted by ``_count_one_matrix``, memoised on
+    the shifted row spaces, and visits no leaf.  Otherwise each matrix
+    of the tuple runs over the common centralizer of the earlier ones,
+    solved from [A, X] = 0 by Gaussian elimination mod p (all of
+    M_n(F_p) for the first), and is kept if it passes
+    ``family.matrix_ok``.  The number of ways to finish a tuple depends
+    only on that centralizer and the depth reached, so it is computed
+    once per distinct (reduced basis of the commutator equations, depth)
+    and then looked up; the last matrix is counted without solving its
+    own equations.  The only candidates built and rejected are
     centralizer elements that fail ``matrix_ok``.  Single-threaded.
 
     The budget bounds the nominal search p^(dim*n^2), not the work
@@ -448,77 +458,28 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
         return _count_one_matrix(n, p, shifts)
     subtree: dict[tuple, int] = {}
 
-    def extend(mat, equations: tuple, depth: int) -> int:
-        # ``equations``: the reduced basis of the commutator equations of
-        # the matrices chosen before ``mat``; ``depth`` counts ``mat``.
-        if depth == family.tuple_len:
-            return 1
-        for eq in _commutator_equations(mat, p):
-            grown = _grow(equations, eq, p)
-            if grown is not None:
-                equations = grown
+    def finish(equations: tuple, depth: int) -> int:
+        # The ways to choose the matrices from index ``depth`` on, each in
+        # the common centralizer of the earlier ones, whose commutator
+        # equations have the reduced basis ``equations``.
         key = (equations, depth)
         total = subtree.get(key)
-        if total is None:
-            total = 0
-            for x in _coset((0,) * (n * n), _nullspace(equations, n * n, p), p):
-                nxt = tuple(x[i * n : (i + 1) * n] for i in range(n))
-                if family.matrix_ok(nxt, p):
-                    total += extend(nxt, equations, depth + 1)
-            subtree[key] = total
+        if total is not None:
+            return total
+        last = depth + 1 == family.tuple_len
+        total = 0
+        for x in _solutions(equations, n * n, p):
+            mat = tuple(x[i * n : (i + 1) * n] for i in range(n))
+            if not family.matrix_ok(mat, p):
+                continue
+            if last:
+                total += 1
+                continue
+            grown = equations
+            for eq in _commutator_equations(mat, p):
+                grown = _grow(grown, eq, p) or grown
+            total += finish(grown, depth + 1)
+        subtree[key] = total
         return total
 
-    total = 0
-    for prefix, forbidden in _first_rows(n, p, shifts):
-        for row in product(range(p), repeat=n):
-            if row not in forbidden:
-                total += extend(prefix + (row,), (), 1)
-    return total
-
-
-# -- cross checking -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossCheck:
-    """A brute-force count compared over three routes: oracle, formula, series."""
-
-    family: VarietyFamily
-    n: int
-    q: int
-    oracle_count: int
-    formula_count: object
-    series_rhs_count: object
-
-    @property
-    def ok(self) -> bool:
-        return self.oracle_count == self.formula_count == self.series_rhs_count
-
-    def describe(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return (
-            f"{self.family.describe()}, n={self.n}, q={self.q}: "
-            f"oracle={self.oracle_count} formula={self.formula_count} "
-            f"series-rhs={self.series_rhs_count} [{status}]"
-        )
-
-
-def cross_check(family: VarietyFamily, n: int, q: int, space, budget=None) -> CrossCheck:
-    """Compare the enumerated count with the formula and series routes.
-
-    ``space`` is the graded eigenvalue data of the same variety.  The
-    formula route is the left side of ``groupoid_series`` (the point
-    count over the group order), the series route its product side;
-    both are multiplied back by the group order, so all three numbers
-    count matrix tuples.
-    """
-    from .series import groupoid_series
-
-    if not family.is_curve():
-        raise ValueError("cross_check applies to the curve families only")
-    oracle_count = count_points(family, n, q, budget=budget)
-    report = groupoid_series(space, q, n)
-    order = gl_order(n, q)
-    formula = report.lhs.coeff(n).evaluate(0) * order
-    rhs = report.rhs.coeff(n).evaluate(0) * order
-    return CrossCheck(family, n, q, oracle_count, formula, rhs)
+    return finish((), 0)

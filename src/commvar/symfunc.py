@@ -3,9 +3,9 @@
 Everything is stored in the power-sum basis, where the two pairings we
 need are diagonal: the Hall inner product satisfies
 ``<p_lam, p_mu> = delta * z_lam`` and the principal specialization acts
-by ``p_k -> 1/(1 - x^k)``.  The complete homogeneous and Schur bases
-exist as conversion views.  The change of basis to Schur functions goes
-through one integer character table per degree n: the row of lam holds
+by ``p_k -> 1/(1 - x^k)``.  The Schur basis exists as a conversion
+view.  The change of basis to Schur functions goes through one integer
+character table per degree n: the row of lam holds
 chi^lam(mu) for every mu, in ``partitions_of(n)`` order, from the
 Murnaghan-Nakayama border-strip recursion (Macdonald, I.7), and is
 built once.  Since s_lam = sum_mu chi^lam(mu) p_mu / z_mu and the
@@ -72,14 +72,6 @@ def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         value = _mn(newparts, rest)
         total += -value if height % 2 else value
     return total
-
-
-@lru_cache(maxsize=None)
-def _h_in_p(n: int) -> tuple[tuple[Partition, Fraction], ...]:
-    # h_n = sum over mu of p_mu / z_mu
-    return tuple(
-        (mu, Fraction(1, mu.centralizer_order())) for mu in partitions_of(n)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -155,13 +147,6 @@ class SymFunc:
     @classmethod
     def from_p(cls, lam: Partition) -> "SymFunc":
         return cls(lam.n, {lam: 1})
-
-    @classmethod
-    def from_h(cls, lam: Partition) -> "SymFunc":
-        result = cls.unit()
-        for part in lam.parts:
-            result = result * cls(part, dict(_h_in_p(part)))
-        return result
 
     @classmethod
     def schur(cls, lam: Partition) -> "SymFunc":

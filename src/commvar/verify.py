@@ -23,9 +23,9 @@ from .charmodel import (
     flag_schur_coefficient,
     poincare,
 )
-from .oracle import AffineSpace, PuncturedLine, Torus, cross_check
+from .oracle import AffineSpace, PuncturedLine, Torus, VarietyFamily, count_points, gl_order
 from .partitions import partitions_of
-from .series import betti_zeta, coh_series, stable_betti_verified
+from .series import betti_zeta, coh_series, groupoid_series, stable_betti_verified
 from .symfunc import SymFunc, mn_character, q_pochhammer
 from .varieties import eigendata_for_family
 
@@ -43,6 +43,49 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         suffix = f" ({self.detail})" if self.detail else ""
         return f"{self.name}: {status}{suffix}"
+
+
+@dataclass(frozen=True)
+class CrossCheck:
+    """A brute-force count compared over three routes: oracle, formula, series."""
+
+    family: VarietyFamily
+    n: int
+    q: int
+    oracle_count: int
+    formula_count: object
+    series_rhs_count: object
+
+    @property
+    def ok(self) -> bool:
+        return self.oracle_count == self.formula_count == self.series_rhs_count
+
+    def describe(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        return (
+            f"{self.family.describe()}, n={self.n}, q={self.q}: "
+            f"oracle={self.oracle_count} formula={self.formula_count} "
+            f"series-rhs={self.series_rhs_count} [{status}]"
+        )
+
+
+def cross_check(family: VarietyFamily, n: int, q: int, space, budget=None) -> CrossCheck:
+    """Compare the enumerated count with the formula and series routes.
+
+    ``space`` is the graded eigenvalue data of the same variety.  The
+    formula route is the left side of ``groupoid_series`` (the point
+    count over the group order), the series route its product side;
+    both are multiplied back by the group order, so all three numbers
+    count matrix tuples.
+    """
+    if not family.is_curve():
+        raise ValueError("cross_check applies to the curve families only")
+    oracle_count = count_points(family, n, q, budget=budget)
+    report = groupoid_series(space, q, n)
+    order = gl_order(n, q)
+    formula = report.lhs.coeff(n).evaluate(0) * order
+    rhs = report.rhs.coeff(n).evaluate(0) * order
+    return CrossCheck(family, n, q, oracle_count, formula, rhs)
 
 
 def _random_space(rng: random.Random) -> GradedSpace:

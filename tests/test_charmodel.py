@@ -28,6 +28,7 @@ from commvar.charmodel import (
 from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, q_pochhammer
 from commvar.varieties import builtin_space
+from h_basis import from_h
 
 P = Partition
 U = Poly.monomial(1)
@@ -95,7 +96,7 @@ class TestTraceProduct:
 class TestEnhancedCharacter:
     def test_affine_line_gives_trivial_character(self):
         for n in range(6):
-            expected = SymFunc.from_h(P((n,)) if n else P(()))
+            expected = from_h(P((n,)) if n else P(()))
             assert enhanced_character(AFFINE, n) == expected
 
     def test_torus_rank_two_schur_view(self):
@@ -250,7 +251,7 @@ class TestSeriesRoute:
     def test_point_gives_complete_homogeneous(self):
         series = enhanced_character_series(AFFINE, 4)
         for n in range(5):
-            assert series[n] == SymFunc.from_h(P((n,)) if n else P(()))
+            assert series[n] == from_h(P((n,)) if n else P(()))
 
     def test_empty_space(self):
         series = enhanced_character_series(GradedSpace([]), 3)

@@ -186,6 +186,25 @@ class TestSeries:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "(1 - t)/(1 - 1000000007*t)\n"
 
+    @pytest.mark.parametrize(
+        "q", ["1000000014000000049", "1000000000000000003"], ids=["prime-squared", "prime"]
+    )
+    def test_zeta_over_a_large_prime_power(self, q):
+        # (10^9 + 7)^2 and the prime 10^18 + 3: trial division would take
+        # about 10^9 steps to reach the prime
+        proc = run_child("series", "zeta", "--variety", "torus", "-q", q, timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"(1 - t)/(1 - {q}*t)\n"
+
+    def test_rejects_a_prime_beyond_the_primality_bound(self):
+        q = str(2**89 - 1)
+        proc = run_child("series", "zeta", "--variety", "torus", "-q", q, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: cannot decide whether {q} is prime: Miller-Rabin on the "
+            "prime bases up to 41 is exact only below 3317044064679887385961981\n"
+        )
+
     def test_groupoid_requires_q(self, capsys):
         code, _, err = run(capsys, "series", "groupoid", "--variety", "torus")
         assert code == 2

@@ -45,3 +45,26 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def commvar_imports(source: str) -> list[str]:
+    """Every commvar module a source file imports, relative or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "commvar":
+                found.append("." * node.level + module)
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "commvar"]
+    return found
+
+
+def test_detects_commvar_imports():
+    source = "import os\nimport commvar.arith\nfrom . import series\nfrom .arith import Poly\n"
+    assert commvar_imports(source) == ["commvar.arith", ".", ".arith"]
+    assert commvar_imports("from functools import lru_cache\n") == []
+
+
+def test_oracle_is_a_leaf():
+    assert commvar_imports((SRC / "oracle.py").read_text(encoding="utf-8")) == []

@@ -1,9 +1,14 @@
 """Brute-force enumerator: exact counts, budget handling, cross-checks."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +20,12 @@ from commvar.oracle import (
     PuncturedLine,
     Torus,
     _commutator_equations,
-    _coset,
     _grow,
     _nullspace,
     _rows_off_planes,
+    _solutions,
     commute,
     count_points,
-    cross_check,
     det_mod,
     gl_order,
     is_prime,
@@ -29,6 +33,9 @@ from commvar.oracle import (
     search_space_size,
 )
 from commvar.varieties import eigendata_for_family
+from commvar.verify import cross_check
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invertible_count_by_hand(n, p):
@@ -67,6 +74,18 @@ def count_by_exhaustion(family, n, p):
 EXHAUSTION_LIMIT = 3**8
 
 
+def coset(start, vectors, p):
+    # every vector of start + span(vectors) over F_p, each once if the
+    # vectors are linearly independent
+    if not vectors:
+        yield start
+        return
+    head, rest = vectors[0], vectors[1:]
+    for tail in coset(start, rest, p):
+        for c in range(p):
+            yield tuple((t + c * h) % p for t, h in zip(tail, head))
+
+
 def avoiding_matrices(n, p, shifts):
     # every n x n matrix M with M - a*I invertible for each shift a, built
     # row by row: row i is forbidden if it lies in a*e_i + span(rows of
@@ -82,7 +101,7 @@ def avoiding_matrices(n, p, shifts):
                 for k, row in enumerate(prefix)
             ]
             start = tuple(a * (j == i) for j in range(n))
-            forbidden.update(_coset(start, shifted, p))
+            forbidden.update(coset(start, shifted, p))
         for row in rows:
             if row not in forbidden:
                 if i + 1 == n:
@@ -105,7 +124,7 @@ def count_by_centralizer_walk(family, n, p):
             if grown is not None:
                 equations = grown
         total = 0
-        for x in _coset((0,) * (n * n), _nullspace(equations, n * n, p), p):
+        for x in coset((0,) * (n * n), _nullspace(equations, n * n, p), p):
             nxt = tuple(x[i * n : (i + 1) * n] for i in range(n))
             if family.matrix_ok(nxt, p):
                 total += extend(nxt, equations, depth + 1)
@@ -273,6 +292,55 @@ class TestNumberTheory:
             with pytest.raises(ValueError):
                 prime_power_base(bad)
 
+    def test_is_prime_matches_trial_division(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(10**5) if is_prime(n)] == [
+            n for n in range(10**5) if by_trial_division(n)
+        ]
+
+    def test_perfect_powers(self):
+        assert prime_power_base(2**100) == (2, 100)
+        assert prime_power_base(7**11) == (7, 11)
+        assert prime_power_base(65537**3) == (65537, 3)
+        for bad in (6**10, 2**40 * 3, 36, 1000003 * 1000033):
+            with pytest.raises(ValueError, match="not a prime power"):
+                prime_power_base(bad)
+
+    def test_large_inputs_finish(self):
+        # trial division would take about 10^9 steps on each of the first
+        # three; 318665857834031151167461 and 3825123056546413051 are
+        # strong pseudoprimes to the prime bases up to 37 and 23, and
+        # 3317044064679887385961981 to every prime base up to 41
+        script = "\n".join(
+            [
+                "from commvar.oracle import is_prime, prime_power_base",
+                "print(prime_power_base((10**9 + 7) ** 2))",
+                "print(prime_power_base(10**18 + 3))",
+                "print(is_prime((10**9 + 7) * (10**9 + 9)))",
+                "print(is_prime(318665857834031151167461), is_prime(3825123056546413051))",
+                "try:",
+                "    is_prime(3317044064679887385961981)",
+                "except ValueError as exc:",
+                "    print(exc)",
+            ]
+        )
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "(1000000007, 2)",
+            "(1000000000000000003, 1)",
+            "False",
+            "False False",
+            "cannot decide whether 3317044064679887385961981 is prime: Miller-Rabin "
+            "on the prime bases up to 41 is exact only below 3317044064679887385961981",
+        ]
+
 
 class TestGlOrder:
     def test_rank_one(self):
@@ -408,13 +476,52 @@ class TestReducedBasis:
             assert commute(mat, other, p)
 
 
+def random_basis(seed):
+    # the reduced basis of a few random vectors, so that dependent
+    # vectors, the empty basis and a full-rank one all turn up
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5))
+    size = rng.randrange(1, 7)
+    basis = ()
+    for _ in range(rng.randrange(size + 3)):
+        basis = _grow(basis, [rng.randrange(p) for _ in range(size)], p) or basis
+    return basis, size, p
+
+
+class TestSolutions:
+    """The solutions of a reduced basis, against every x in F_p^size."""
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_random_basis(self, seed):
+        basis, size, p = random_basis(seed)
+        expected = [
+            x
+            for x in product(range(p), repeat=size)
+            if all(sum(r * y for r, y in zip(row, x)) % p == 0 for _, row in basis)
+        ]
+        solutions = list(_solutions(basis, size, p))
+        assert len(solutions) == len(set(solutions)) == p ** (size - len(basis))
+        assert sorted(solutions) == expected
+
+    def test_random_bases_cover_every_rank(self):
+        ranks = set()
+        for seed in range(80):
+            basis, size, _ = random_basis(seed)
+            ranks.add("empty" if not basis else "full" if len(basis) == size else "partial")
+        assert ranks == {"empty", "partial", "full"}
+
+    def test_empty_and_full_rank(self):
+        assert list(_solutions((), 2, 3)) == list(product(range(3), repeat=2))
+        full = ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1)))
+        assert list(_solutions(full, 3, 5)) == [(0, 0, 0)]
+
+
 class TestOneMatrixFamilies:
     def test_no_centralizer_is_solved(self, monkeypatch):
-        # nor a set of forbidden rows built
         def refuse(*args):
-            raise AssertionError("a one-matrix family walked a centralizer or a coset")
+            raise AssertionError("a one-matrix family walked a centralizer")
 
-        for name in ("_commutator_equations", "_first_rows", "_coset"):
+        for name in ("_commutator_equations", "_solutions"):
             monkeypatch.setattr(oracle, name, refuse)
         assert count_points(Torus(1), 3, 2) == gl_order(3, 2)
         assert count_points(PuncturedLine((0, 1)), 3, 3) == 6291
