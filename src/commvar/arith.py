@@ -3,30 +3,32 @@
 Dense polynomials with rational coefficients, stored as one vector of
 Python ints over one positive int denominator; rational functions as a
 plain pair num / den, built in lowest terms by the code that makes them
-and compared by cross-multiplication; and truncated power series in a
-counting variable whose coefficients are polynomials in a second,
-grading variable.  A rational function appears only where a denominator
-is printed or compared; the series layer never carries one.  There is
-no floating point anywhere; every operation is exact, so equality of
-values is decidable: polynomials by their normal form, rational
-functions by a * d == c * b.
+and compared by cross-multiplication; and ``TSeries``, the container of
+a truncated power series in a counting variable whose coefficients are
+polynomials in a second, grading variable.  A rational function appears
+only where a denominator is printed or compared; the series layer never
+carries one.  There is no floating point anywhere; every operation is
+exact, so equality of values is decidable: polynomials by their normal
+form, rational functions by a * d == c * b.
 
 The integer-vector kernel of the layers above lives here too: int
 lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
-exact with a remainder check or cut modulo x^(M+1); the cached
-Pochhammer (x^p; x^p)_n and its exact cofactors (``pochhammer_ints``,
-``cofactor_ints``); binomial and cyclotomic helpers; and the one
-integer long division, ``pseudo_divmod``, which ``Poly.__divmod__``,
-``poly_gcd``, the cyclotomic polynomials and the coh cancellation in
-``charmodel`` share.  No production path calls ``poly_gcd`` or
-``Poly.__divmod__``; the tests use them as oracles.
+exact with a remainder check or cut modulo x^(M+1); the rows in x of a
+product of factors (1 - x^a t)^e, one row per power of t
+(``euler_rows``), on which the Betti zeta and the coh product run; the
+cached Pochhammer (x^p; x^p)_n and its exact cofactors
+(``pochhammer_ints``, ``cofactor_ints``); the cyclotomic polynomials;
+and the one integer long division, ``pseudo_divmod``, which
+``Poly.__divmod__``, ``poly_gcd``, the cyclotomic polynomials and the
+coh cancellation in ``charmodel`` share.  No production path calls
+``poly_gcd`` or ``Poly.__divmod__``; the tests use them as oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -185,7 +187,7 @@ class Poly:
         a, b = self.num, other.num
         if not a or not b:
             return _ZERO
-        return _make(*_normal(_convolve(a, b, len(a) + len(b) - 1), self.den * other.den))
+        return _make(*_normal(_convolve(a, b), self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -242,14 +244,6 @@ class Poly:
         if order + 1 >= len(self.num):
             return self
         return _make(*_normal(list(self.num[: max(order + 1, 0)]), self.den))
-
-    def mul_trunc(self, other: "Poly", order: int) -> "Poly":
-        """The product cut modulo x^(order+1)."""
-        a, b = self.num[: order + 1], other.num[: order + 1]
-        if not a or not b:
-            return _ZERO
-        out = _convolve(a, b, min(order + 1, len(a) + len(b) - 1))
-        return _make(*_normal(out, self.den * other.den))
 
     # -- rendering -----------------------------------------------------
 
@@ -320,20 +314,14 @@ def _add(p: Poly, b, db: int) -> Poly:
     return _make(*_normal(out, da))
 
 
-def _convolve(a, b, size: int) -> list[int]:
-    """The first ``size`` coefficients of the product of int vectors a, b."""
-    out = [0] * size
+def _convolve(a, b) -> list[int]:
+    """The product of nonempty int vectors a, b."""
+    out = [0] * (len(a) + len(b) - 1)
     terms = [(j, c) for j, c in enumerate(b) if c]
     for i, ca in enumerate(a):
         if ca:
-            if i + len(b) <= size:
-                for j, cb in terms:
-                    out[i + j] += ca * cb
-            else:
-                for j, cb in terms:
-                    if i + j >= size:
-                        break
-                    out[i + j] += ca * cb
+            for j, cb in terms:
+                out[i + j] += ca * cb
     return out
 
 
@@ -593,15 +581,33 @@ def cofactor_ints(n: int, power: int, parts: tuple[int, ...]) -> tuple[int, ...]
     return tuple(v)
 
 
-def one_minus_x_coeffs(e: int, order: int) -> list[int]:
-    """Integer coefficients of (1 - x)**e up to x**order, for any integer e.
+def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]:
+    """The product of (1 - x^a t)^e over the pairs (a, e) in ``factors``.
 
-    Nonnegative e is the finite binomial (-1)^k C(e, k); negative e is
-    the series C(k - e - 1, k).
+    Returns the rows 0..t_order: row k holds the int coefficients in x
+    of t^k.  Multiplying by 1 - x^a t subtracts row k - 1, shifted by a,
+    from row k, going from the top row down; dividing by it adds the new
+    row k - 1 to row k, going from the bottom row up; either is repeated
+    |e| times.  With top = M every row is cut modulo x^(M+1), so a
+    factor with a > M is 1 and is skipped.
     """
-    if e >= 0:
-        return [(-1) ** k * comb(e, k) for k in range(order + 1)]
-    return [comb(k - e - 1, k) for k in range(order + 1)]
+    if t_order < 0:
+        raise ValueError(f"t order must be >= 0, got {t_order}")
+    rows: list[list[int]] = [[1]] + [[] for _ in range(t_order)]
+    for a, e in factors:
+        if a < 0:
+            raise ValueError(f"a must be >= 0, got {a}")
+        if top is not None and a > top:
+            continue
+        sign, ks = (-1, range(t_order, 0, -1)) if e > 0 else (1, range(1, t_order + 1))
+        for _ in range(abs(e)):
+            for k in ks:
+                prev, row = rows[k - 1], rows[k]
+                end = a + len(prev) if top is None else min(a + len(prev), top + 1)
+                if len(row) < end:
+                    row.extend([0] * (end - len(row)))
+                row[a:end] = [c + sign * b for c, b in zip(row[a:end], prev)]
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -625,7 +631,7 @@ class TSeries:
     """Power series in the counting variable t, truncated at a fixed order.
 
     Coefficients are polynomials in the grading variable, coerced by
-    ``to_poly``.  Arithmetic on two series truncates to the smaller order.
+    ``to_poly``.  The product of two series truncates to the smaller order.
     """
 
     __slots__ = ("coeffs",)
@@ -646,16 +652,6 @@ class TSeries:
     def coeff(self, n: int) -> Poly:
         return self.coeffs[n]
 
-    @classmethod
-    def one(cls, order: int) -> "TSeries":
-        return cls([1] + [0] * order)
-
-    @classmethod
-    def binomial_factor(cls, c, e: int, order: int) -> "TSeries":
-        """The expansion of (1 - c*t)**e to the given order."""
-        c = to_poly(c)
-        return cls(c**k * b for k, b in enumerate(one_minus_x_coeffs(e, order)))
-
     def __eq__(self, other):
         if isinstance(other, TSeries):
             return self.coeffs == other.coeffs
@@ -664,40 +660,10 @@ class TSeries:
     def __hash__(self):
         return hash(("TSeries", self.coeffs))
 
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return TSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
     def __mul__(self, other):
-        return self._convolve(other, lambda a, b: a * b)
-
-    def mul_trunc(self, other, u_order: int) -> "TSeries":
-        """The product with every coefficient cut modulo u^(u_order+1)."""
-        return self._convolve(other, lambda a, b: a.mul_trunc(b, u_order))
-
-    def _convolve(self, other, mul) -> "TSeries":
-        n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc = Poly()
-            for i in range(k + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[k - i]
-                if a and b:
-                    acc = acc + mul(a, b)
-            out.append(acc)
-        return TSeries(out)
-
-    def scale_t(self, factor) -> "TSeries":
-        """Substitute t -> factor*t, coefficientwise multiplication by factor**n."""
-        factor = to_poly(factor)
-        out = []
-        fk = Poly.constant(1)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                fk = fk * factor
-            out.append(c * fk)
-        return TSeries(out)
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        return TSeries(sum((a[i] * b[k - i] for i in range(k + 1)), Poly()) for k in range(n))
 
     def __repr__(self):
         return f"TSeries(order={self.order})"

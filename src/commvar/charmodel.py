@@ -39,7 +39,7 @@ from .arith import (
     pochhammer_ints,
     pseudo_divmod,
 )
-from .oracle import gl_order, prime_power_base
+from .oracle import prime_power_base
 from .partitions import Partition, partitions_of
 from .symfunc import SymFunc, q_pochhammer
 
@@ -491,28 +491,15 @@ def point_count(space_data: GradedSpace, n: int, q: int) -> Fraction:
     """Formula value for the number of F_q points of the rank-n space.
 
     Group order times the principal specialization at 1/q of the
-    twist-aware character with the grading variable set to 1.  This is
-    an honest point count for smooth-curve data; for other inputs it is
-    a well-defined formula value only.
+    twist-aware character with the grading variable set to 1.  As
+    |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n, that is q^(n^2) N(1/q) for the
+    ``principal_spec_numerator`` N.  This is an honest point count for
+    smooth-curve data; for other inputs it is a well-defined formula
+    value only.
     """
     prime_power_base(q)
     if n < 1:
         raise ValueError("n must be >= 1")
-    resolved = space_data.resolve(q)
-    qinv = Fraction(1, q)
-    total = Fraction(0)
-    for lam in partitions_of(n):
-        tr = Fraction(1)
-        for i, a in lam.exp:
-            w = eigen_power_sum(resolved, i).evaluate(1)
-            if w == 0:
-                tr = Fraction(0)
-                break
-            tr *= w**a
-        if tr == 0:
-            continue
-        weight = Fraction(1)
-        for part in lam.parts:
-            weight /= 1 - qinv**part
-        total += tr / lam.centralizer_order() * weight
-    return gl_order(n, q) * total
+    character = enhanced_character(space_data.resolve(q), n)
+    at_one = SymFunc(n, {lam: c.evaluate(1) for lam, c in character.terms.items()})
+    return q ** (n * n) * at_one.principal_spec_numerator().evaluate(Fraction(1, q))

@@ -435,8 +435,10 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     only on that centralizer and the depth reached, so it is computed
     once per distinct (reduced basis of the commutator equations, depth)
     and then looked up; the last matrix is counted without solving its
-    own equations.  The only candidates built and rejected are
-    centralizer elements that fail ``matrix_ok``.  Single-threaded.
+    own equations, and without visiting the centralizer when the family
+    has no unit constraint (no ``shifts``): it has p^(n^2 - rank)
+    elements.  The only candidates built and rejected are centralizer
+    elements that fail ``matrix_ok``.  Single-threaded.
 
     The budget bounds the nominal search p^(dim*n^2), not the work
     done, and is checked before any work.
@@ -467,6 +469,10 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
         if total is not None:
             return total
         last = depth + 1 == family.tuple_len
+        if last and not shifts:
+            # no unit constraint: every centralizer element counts
+            subtree[key] = total = p ** (n * n - len(equations))
+            return total
         total = 0
         for x in _solutions(equations, n * n, p):
             mat = tuple(x[i * n : (i + 1) * n] for i in range(n))

@@ -10,15 +10,20 @@ compared coefficient by coefficient, exactly:
 * the groupoid point-count series over a finite field, against the
   product of Weil zeta factors at geometrically shrinking arguments.
 
-The last product has infinitely many non-unit factors, so its
-coefficients are evaluated in closed form: the logarithm of the product
-is a geometric series in the field size, summed exactly.
+Every factor of the first two products is (1 - u^a t)^e, and the
+products run on integer rows, one per power of t (``arith.euler_rows``);
+no polynomial is multiplied.  The last product has infinitely many
+non-unit factors, so its coefficients are evaluated in closed form: the
+logarithm of the product is a geometric series in the field size,
+summed exactly.
 
 The stabilization report compares the residue-route limit of the
-commuting-space Betti numbers with two finite ranks, read from one pass
-of the rank recurrence ``charmodel.rank_numerators`` cut modulo
-u^(u_order+1): n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n
-is checked for a remainder at every rank.
+commuting-space Betti numbers, the same factors at t = 1 applied to
+one int vector by ``arith.mul_one_minus`` and ``arith.div_one_minus``,
+with two finite ranks, read from one pass of the rank recurrence
+``charmodel.rank_numerators`` cut modulo u^(u_order+1):
+n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n is checked for a
+remainder at every rank.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Poly, RatFunc, TSeries, div_one_minus, one_minus_x_coeffs
+from .arith import Poly, RatFunc, TSeries, div_one_minus, euler_rows, mul_one_minus
 from .charmodel import GradedSpace, point_count, rank_numerators
 from .oracle import gl_order, prime_power_base
 
@@ -76,6 +81,11 @@ def _compare(lhs: TSeries, rhs: TSeries, t_order: int, u_order: int | None) -> S
 # -- Betti zeta ------------------------------------------------------------
 
 
+def _zeta_factors(betti: dict[int, int], shift: int = 0) -> list[tuple[int, int]]:
+    """The pairs (i + shift, -(-1)^i b_i): the Betti zeta at u^shift t."""
+    return [(deg + shift, b if deg % 2 else -b) for deg, b in sorted(betti.items())]
+
+
 def betti_zeta(space: GradedSpace, order: int) -> TSeries:
     """Generating series of signed Poincare polynomials of symmetric powers.
 
@@ -84,11 +94,7 @@ def betti_zeta(space: GradedSpace, order: int) -> TSeries:
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
-    acc = TSeries.one(order)
-    for deg, b in sorted(space.betti().items()):
-        e = -b if deg % 2 == 0 else b
-        acc = acc * TSeries.binomial_factor(Poly.monomial(deg), e, order)
-    return acc
+    return TSeries(Poly.from_ints(row) for row in euler_rows(_zeta_factors(space.betti()), order))
 
 
 # -- sheaf-counting product formula ------------------------------------------
@@ -99,32 +105,26 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
 
     The left side holds the stack Poincare series N_n / (u^2; u^2)_n
     modulo u^(u_order+1) for every n <= t_order: all N_n come from one
-    ``rank_numerators`` pass cut at ``top = u_order``, and the integer
-    series of 1 / (u^2; u^2)_n is that of rank n - 1 over 1 - u^(2n)
-    (``arith.div_one_minus``).  The right side multiplies the factors at
-    t, u^2 t, u^4 t, ... with every product cut modulo u^(u_order+1)
-    (``TSeries.mul_trunc``), and stops once an omitted factor would be
-    congruent to 1 modulo u^(u_order+1).  Both sides are compared
-    modulo (t^(t_order+1), u^(u_order+1)).
+    ``rank_numerators`` pass cut at ``top = u_order``, and each is
+    divided by 1 - u^(2j) for j = 1..n as a power series
+    (``arith.div_one_minus``).  The right side is the product of the
+    Betti zeta factors at t, u^2 t, u^4 t, ..., whose factors
+    (1 - u^(i+2j) t)^(-(-1)^i b_i) run on integer rows cut modulo
+    u^(u_order+1) (``arith.euler_rows``); it stops once an omitted
+    factor would be congruent to 1 modulo u^(u_order+1).  Both sides are
+    compared modulo (t^(t_order+1), u^(u_order+1)).
     """
     if t_order < 0 or u_order < 0:
         raise ValueError("orders must be >= 0")
-    ranks = rank_numerators(space, t_order, top=u_order)
-    inverse = [1]
     lhs_coeffs = []
-    for n, numerator in enumerate(ranks):
-        if n:
-            inverse = div_one_minus(inverse, 2 * n, u_order)
-        lhs_coeffs.append(Poly.from_ints(numerator).mul_trunc(Poly.from_ints(inverse), u_order))
-    lhs = TSeries(lhs_coeffs)
-    base = betti_zeta(space, t_order)
-    rhs = TSeries.one(t_order)
-    i = 0
-    while 2 * i <= u_order:
-        factor = base if i == 0 else base.scale_t(Poly.monomial(2 * i))
-        rhs = rhs.mul_trunc(factor, u_order)
-        i += 1
-    return _compare(lhs, rhs, t_order, u_order)
+    for n, v in enumerate(rank_numerators(space, t_order, top=u_order)):
+        for j in range(1, n + 1):
+            v = div_one_minus(v, 2 * j, u_order)
+        lhs_coeffs.append(Poly.from_ints(v))
+    betti = space.betti()
+    factors = [f for j in range(u_order // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
+    rhs = TSeries(Poly.from_ints(row) for row in euler_rows(factors, t_order, u_order))
+    return _compare(TSeries(lhs_coeffs), rhs, t_order, u_order)
 
 
 # -- Weil zeta and the groupoid series -----------------------------------------
@@ -205,13 +205,6 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
 # -- stabilization -------------------------------------------------------------
 
 
-def _one_minus_power(a: int, e: int, order: int) -> Poly:
-    """(1 - u^a)^e as a polynomial modulo u^(order+1); a >= 1."""
-    if a < 1:
-        raise ValueError("exponent gap must be >= 1")
-    return Poly.from_ints(one_minus_x_coeffs(e, order // a)).subst_power(a)
-
-
 def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     """Limit of the commuting-space Poincare polynomials, mod u^(u_order+1).
 
@@ -219,7 +212,8 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     the sheaf-counting product at t = 1: the simple pole of the i = 0
     factor is cancelled by (1 - t), every remaining factor is evaluated
     at t = 1, and the whole product is multiplied by the infinite
-    Pochhammer at u^2, all truncated.
+    Pochhammer at u^2.  Each factor (1 - u^a)^e is |e| calls of
+    ``arith.mul_one_minus`` or ``arith.div_one_minus`` cut at u_order.
     """
     betti = space.betti()
     if betti.get(0, 0) != 1:
@@ -229,26 +223,17 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     if u_order < 0:
         raise ValueError("u order must be >= 0")
     M = u_order
-    acc = Poly.constant(1)
-    # residue of the i = 0 factor: drop the b_0 pole, keep degrees >= 1
-    for deg, b in sorted(betti.items()):
-        if deg == 0:
-            continue
-        e = b if deg % 2 else -b
-        acc = acc.mul_trunc(_one_minus_power(deg, e, M), M)
-    # factors at u^2, u^4, ... evaluated at t = 1
-    i = 1
-    while 2 * i <= M:
-        for deg, b in sorted(betti.items()):
-            e = b if deg % 2 else -b
-            acc = acc.mul_trunc(_one_minus_power(deg + 2 * i, e, M), M)
-        i += 1
+    # residue of the i = 0 factor: drop the b_0 pole, keep degrees >= 1;
+    # then the factors at u^2, u^4, ... evaluated at t = 1
+    factors = [f for f in _zeta_factors(betti) if f[0]]
+    factors += [f for j in range(1, M // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
     # infinite Pochhammer at u^2, truncated
-    i = 1
-    while 2 * i <= M:
-        acc = acc.mul_trunc(_one_minus_power(2 * i, 1, M), M)
-        i += 1
-    return acc.truncate(M)
+    factors += [(2 * j, 1) for j in range(1, M // 2 + 1)]
+    v = [1]
+    for a, e in factors:
+        for _ in range(abs(e)):
+            v = mul_one_minus(v, a, M) if e > 0 else div_one_minus(v, a, M)
+    return Poly.from_ints(v)
 
 
 @dataclass(frozen=True)

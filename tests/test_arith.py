@@ -15,12 +15,13 @@ from commvar.arith import (
     cofactor_ints,
     cyclotomic_coeffs,
     div_one_minus,
+    euler_rows,
     mul_one_minus,
-    one_minus_x_coeffs,
     pochhammer_ints,
     poly_gcd,
     pseudo_divmod,
 )
+from series_oracle import binomial_factor, one_minus_x_coeffs, scale_t
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -170,11 +171,11 @@ class TestTSeries:
 
     def test_inverse_of_geometric(self):
         geo = TSeries([1, 1, 1, 1])
-        assert geo * TSeries([1, -1, 0, 0]) == TSeries.one(3)
+        assert geo * TSeries([1, -1, 0, 0]) == TSeries([1, 0, 0, 0])
 
     def test_convolution_with_grading(self):
         q = RatFunc(U)
-        conv = TSeries.binomial_factor(q, -1, 2) * TSeries.binomial_factor(1, -1, 2)
+        conv = binomial_factor(q, -1, 2) * binomial_factor(1, -1, 2)
         assert conv.coeff(0) == RatFunc(1)
         assert conv.coeff(1) == RatFunc(ONE + U)
         assert conv.coeff(2) == RatFunc(ONE + U + U**2)
@@ -183,33 +184,59 @@ class TestTSeries:
         a = TSeries([1, 2, 3, 4])
         b = TSeries([1, 1])
         assert (a * b).order == 1
-        assert (a + b).order == 1
 
     def test_scale_t(self):
         geo = TSeries([1, 1, 1])
-        scaled = geo.scale_t(RatFunc(U**2))
+        scaled = scale_t(geo, RatFunc(U**2))
         assert scaled == TSeries([RatFunc(1), RatFunc(U**2), RatFunc(U**4)])
 
     def test_binomial_factor_positive_exponent(self):
-        b = TSeries.binomial_factor(RatFunc(U), 2, 4)
+        b = binomial_factor(RatFunc(U), 2, 4)
         assert b == TSeries([RatFunc(1), RatFunc(-2 * U), RatFunc(U**2), RatFunc(0), RatFunc(0)])
-
-    def test_truncated_product_is_the_product_cut(self):
-        rng = random.Random(515)
-        for _ in range(20):
-            a = TSeries([random_poly(rng, 6) for _ in range(rng.randint(1, 5))])
-            b = TSeries([random_poly(rng, 6) for _ in range(rng.randint(1, 5))])
-            for u_order in range(8):
-                got = a.mul_trunc(b, u_order)
-                assert got == TSeries([c.truncate(u_order) for c in (a * b).coeffs])
 
     def test_coefficients_are_polynomials(self):
         s = TSeries([F(1, 2), RatFunc(ONE + U), U])
         assert all(isinstance(c, Poly) for c in s.coeffs)
         with pytest.raises(ValueError, match="not a polynomial"):
             TSeries([RatFunc(1, ONE - U)])
-        with pytest.raises(ValueError, match="not a polynomial"):
-            TSeries.one(2).scale_t(RatFunc(1, ONE - U))
+
+
+class TestEulerRows:
+    """The int rows of prod (1 - x^a t)^e against the ``TSeries`` product
+    of the binomial expansions of its factors, cut at the end."""
+
+    def test_against_the_polynomial_product(self):
+        rng = random.Random(1515)
+        for _ in range(200):
+            factors = [(rng.randint(0, 6), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+            t_order = rng.randint(0, 6)
+            full = TSeries([1] + [0] * t_order)
+            for a, e in factors:
+                full = full * binomial_factor(Poly.monomial(a), e, t_order)
+            for top in (None, 0, 1, 7):
+                rows = euler_rows(factors, t_order, top)
+                assert len(rows) == t_order + 1
+                assert all(type(c) is int for row in rows for c in row)
+                if top is not None:
+                    assert all(len(row) <= top + 1 for row in rows)
+                    expected = [c.truncate(top) for c in full.coeffs]
+                else:
+                    expected = list(full.coeffs)
+                assert [Poly.from_ints(row) for row in rows] == expected, (factors, top)
+
+    def test_shifted_geometric_series(self):
+        # 1 / ((1 - t)(1 - x^2 t)): row k is 1 + x^2 + ... + x^(2k)
+        rows = euler_rows([(0, -1), (2, -1)], 4)
+        assert [Poly.from_ints(r) for r in rows] == [
+            Poly([1] * (k + 1)).subst_power(2) for k in range(5)
+        ]
+        assert euler_rows([(0, -1), (2, -1)], 4, top=3)[4] == [1, 0, 1, 0]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="t order"):
+            euler_rows([], -1)
+        with pytest.raises(ValueError, match="a must be >= 0"):
+            euler_rows([(-1, 1)], 2)
 
 
 class TestBinomialCoefficients:
@@ -382,9 +409,6 @@ class FracPoly:
                 out[i + j] += ca * cb
         return FracPoly(out)
 
-    def mul_trunc(self, other, order):
-        return (self * other).truncate(order)
-
     def __pow__(self, e):
         out = FracPoly([1])
         for _ in range(e):
@@ -486,7 +510,6 @@ class TestPolyAgainstFractionOracle:
             agree(-a, -fa)
             agree(a * b, fa * fb)
             for order in range(-1, 9):
-                agree(a.mul_trunc(b, order), fa.mul_trunc(fb, order))
                 agree(a.truncate(order), fa.truncate(order))
             for e in range(4):
                 agree(a**e, fa**e)
@@ -649,7 +672,7 @@ class TestPolyNormalForm:
             U * F(1, 3) - U * F(1, 3),
             Poly([F(1, 11)]).truncate(-1),
             Poly([F(1, 13)]) * Poly(),
-            Poly([F(1, 13)]).mul_trunc(U, 0),
+            (Poly([F(1, 13)]) * U).truncate(0),
             divmod(Poly([F(1, 2)]), U)[0],
             divmod(U * F(2, 3), U)[1],
         ]

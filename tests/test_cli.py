@@ -420,6 +420,37 @@ class TestNoGcdOnProductionPaths:
         assert patched[0] == 0
 
 
+# the series products and the suites that check them
+NO_PRODUCT_COMMANDS = [
+    ["series", "betti", "--variety", "p1", "--t-order", "6"],
+    ["series", "betti", "--variety", "punctured"],
+    ["series", "coh", "--variety", "torus", "--t-order", "4", "--u-order", "12"],
+    ["series", "coh", "--variety", "p1"],
+    ["series", "stable", "--variety", "punctured", "--u-order", "9"],
+    ["series", "stable", "--variety", "p1"],
+    ["verify", "--suite", "coh"],
+    ["verify", "--suite", "macdonald"],
+    ["verify", "--suite", "stabilization"],
+]
+
+
+class TestNoPolynomialProductOnSeriesPaths:
+    """The series products run on int rows, so no ``Poly`` is multiplied:
+    with ``arith._convolve``, the int product behind ``Poly.__mul__``,
+    made to raise, each command prints what it prints unpatched."""
+
+    @pytest.mark.parametrize("argv", NO_PRODUCT_COMMANDS, ids=" ".join)
+    def test_same_output_without_products(self, capsys, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("polynomial product on a series path")
+
+        with monkeypatch.context() as m:
+            m.setattr(arith, "_convolve", forbidden)
+            patched = run(capsys, *argv)
+        assert patched == run(capsys, *argv)
+        assert patched[0] == 0
+
+
 class TestFailureExitCodes:
     def test_series_mismatch_exits_one(self, capsys, monkeypatch):
         import commvar.cli as cli

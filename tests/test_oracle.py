@@ -424,6 +424,19 @@ class TestAgainstCentralizerWalk:
         assert count_points(family, n, p) == count_by_centralizer_walk(family, n, p)
 
 
+class TestAffineLastMatrix:
+    """With no unit constraint the last matrix of a tuple is counted by
+    the size of its centralizer, p^(n^2 - rank), so ``matrix_ok`` runs
+    only on the first matrix of a pair: p^(n^2) calls."""
+
+    @pytest.mark.parametrize("n, p, expected", [(2, 3, 945), (3, 2, 7456)])
+    def test_pairs_test_only_the_first_matrix(self, monkeypatch, n, p, expected):
+        calls = []
+        monkeypatch.setattr(AffineSpace, "matrix_ok", lambda self, mat, p: calls.append(mat) or True)
+        assert count_points(AffineSpace(2), n, p) == expected
+        assert len(calls) == p ** (n * n)
+
+
 class TestRankTwoClosedForm:
     """n = 2, any number d of matrices: every non-scalar 2 x 2 matrix is
     cyclic, so its centralizer is the 2-dimensional algebra F_q[M]."""
