@@ -7,15 +7,17 @@ the graded character of the flag variety, signed Poincare polynomials
 of the commuting-matrix spaces, and exact point-count values over a
 chosen prime power.
 
-The Poincare polynomials of the commuting-matrix spaces need no
-partition sums: with w_k the signed power sum of the Betti data, the
-numerators N_n of sum_n N_n / (u^2; u^2)_n t^n =
+The Poincare polynomials and the point counts need no partition sums:
+for weights w_k, the numerators N_n of sum_n N_n / (u^2; u^2)_n t^n =
 exp sum_k w_k t^k / (k (1 - u^(2k))) satisfy the integer recurrence
 n N_n = sum_k w_k E_(n,k) N_(n-k), where E_(n,k) is k consecutive
-factors 1 - u^(2j) over 1 - u^(2k) (``rank_numerators``).  Its two
-divisions, by 1 - u^(2k) and by n, are exact and are checked for a
-remainder.  The character-sum route, (u^2; u^2)_n times the principal
-specialization of ``enhanced_character``, is its test oracle.
+factors 1 - u^(2j) over 1 - u^(2k).  Its two divisions, by 1 - u^(2k)
+and by n, are exact and are checked for a remainder.  ``rank_numerators``
+runs it on the signed Betti power sums, ``point_counts`` on the
+eigenvalue power sums at u = 1.  The character-sum route, (u^2; u^2)_n
+times the principal specialization of ``enhanced_character``, is the
+test oracle of both; the enumerator is the independent check of a
+point count.
 
 Sign convention used throughout: the Poincare polynomial of a space is
 ``sum_i dim H^i * (-u)^i``, so odd cohomology enters negatively.
@@ -27,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .arith import (
@@ -365,39 +368,24 @@ def flag_character(n: int) -> SymFunc:
 SPACES = ("cn", "sn", "coh", "flag", "bgln")
 
 
-def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[list[int]]:
-    """Integer coefficients of the Poincare polynomials N_0 .. N_N of C_n.
+def _rank_recurrence(weights: list, N: int, top: int | None = None) -> list[list[int]]:
+    """Integer coefficients in u of N_0 .. N_N for int weights w_1 .. w_N.
 
-    Frobenius eigenvalues are ignored.  With w_k the signed power sum
-    ``eigen_power_sum`` at unit eigenvalues, the Macdonald-type series
+    ``weights[k - 1]`` lists the nonzero terms (d, c) of w_k = sum c u^d.
+    The numerators of sum_n N_n / (u^2; u^2)_n t^n =
+    exp sum_k w_k t^k / (k (1 - u^(2k))) (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.2-3) satisfy the log-derivative recurrence
 
-        sum_n N_n / (u^2; u^2)_n t^n = exp sum_k w_k t^k / (k (1 - u^(2k)))
+        n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),  N_0 = 1,
+        E_(n,k) = prod_(j=n-k+1..n) (1 - u^(2j)) / (1 - u^(2k)).
 
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.2-3) has the
-    log-derivative recurrence
-
-        n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),
-        E_(n,k) = prod_(j=n-k+1..n) (1 - u^(2j)) / (1 - u^(2k)),
-
-    with N_0 = 1.  E_(n,k) is applied as ``arith.mul_one_minus`` by
-    1 - u^(2j) for each j and one ``arith.div_one_minus`` by 1 - u^(2k),
-    w_k as its few terms, so no partition is enumerated.  Both
-    divisions raise ValueError on a remainder.  With ``top = M`` the
-    same calls cut every step modulo u^(M+1), so the first division is
-    a power-series quotient; the division by n is still checked.
-    Trailing zeros are stripped, so a zero polynomial is the empty list.
+    E_(n,k) is k calls of ``arith.mul_one_minus`` and one of
+    ``arith.div_one_minus``, so no partition is enumerated.  Both
+    divisions raise ValueError on a remainder.  With ``top = M`` every
+    step is cut modulo u^(M+1), so the first division is a power-series
+    quotient; the division by n is still checked.  Trailing zeros are
+    stripped, so a zero polynomial is the empty list.
     """
-    if N < 0:
-        raise ValueError("n must be >= 0")
-    if top is not None and top < 0:
-        raise ValueError("u order must be >= 0")
-    unit = space.with_unit_eigenvalues()
-    weights = {}
-    for k in range(1, N + 1):
-        w = eigen_power_sum(unit, k)
-        if w.den != 1:
-            raise ValueError(f"power sum w_{k} is not an integer polynomial: {w.render()}")
-        weights[k] = [(d, c) for d, c in enumerate(w.num) if c]
     # factors 1 - u^(2j) with 2j > top are 1 modulo u^(top+1)
     jmax = N if top is None else top // 2
     ranks = [[1]]
@@ -410,7 +398,7 @@ def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[
             for j in range(n - k + 1, min(n, jmax) + 1):
                 v = mul_one_minus(v, 2 * j, top)
             v = div_one_minus(v, 2 * k, top)
-            for d, c in weights[k]:
+            for d, c in weights[k - 1]:
                 end = d + len(v) if top is None else min(d + len(v), top + 1)
                 if end <= d:
                     break
@@ -424,6 +412,23 @@ def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[
             acc.pop()
         ranks.append(acc)
     return ranks
+
+
+def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[list[int]]:
+    """Integer coefficients of the Poincare polynomials N_0 .. N_N of C_n.
+
+    The rank recurrence with w_k = ``eigen_power_sum`` at unit
+    eigenvalues: Frobenius eigenvalues are ignored.
+    """
+    if N < 0:
+        raise ValueError("n must be >= 0")
+    if top is not None and top < 0:
+        raise ValueError("u order must be >= 0")
+    unit = space.with_unit_eigenvalues()
+    weights = [
+        [(d, c) for d, c in enumerate(eigen_power_sum(unit, k).num) if c] for k in range(1, N + 1)
+    ]
+    return _rank_recurrence(weights, N, top)
 
 
 def _coh_value(num: list[int], n: int) -> RatFunc:
@@ -487,19 +492,39 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
 # -- point counts ------------------------------------------------------------
 
 
-def point_count(space_data: GradedSpace, n: int, q: int) -> Fraction:
-    """Formula value for the number of F_q points of the rank-n space.
+def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Fraction]:
+    """Formula values for the numbers of F_q points of the ranks 0 .. N.
 
-    Group order times the principal specialization at 1/q of the
-    twist-aware character with the grading variable set to 1.  As
-    |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n, that is q^(n^2) N(1/q) for the
-    ``principal_spec_numerator`` N.  This is an honest point count for
-    smooth-curve data; for other inputs it is a well-defined formula
-    value only.
+    One pass of the rank recurrence with w_k = ``eigen_power_sum`` of
+    the resolved data at u = 1.  For D the lcm of the eigenvalue
+    denominators, D^k w_k is checked to be an integer and put at degree
+    0; the pass then gives D^n N_n(x) at x = u^2, and the count is
+    q^(n^2) N_n(1/q), as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
+    log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
+    Weil zeta Z.  The enumerator ``oracle.count_points`` is the
+    independent check.  This is an honest point count for smooth-curve
+    data; for other inputs it is a well-defined formula value only.
     """
     prime_power_base(q)
+    if N < 0:
+        raise ValueError("n must be >= 0")
+    resolved = space_data.resolve(q)
+    D = lcm(*(s.eig.denominator for s in resolved.strata))
+    weights = []
+    for k in range(1, N + 1):
+        w = eigen_power_sum(resolved, k).evaluate(1) * D**k
+        if w.denominator != 1:
+            raise ValueError(f"power sum w_{k} times D^{k} = {D**k} is not an integer: {w}")
+        weights.append([(0, w.numerator)] if w else [])
+    x = Fraction(1, q)
+    return [
+        q ** (n * n) * Poly.from_ints(v[::2]).evaluate(x) / D**n
+        for n, v in enumerate(_rank_recurrence(weights, N))
+    ]
+
+
+def point_count(space_data: GradedSpace, n: int, q: int) -> Fraction:
+    """The rank-n value of ``point_counts``: q^(n^2) N_n(1/q)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    character = enhanced_character(space_data.resolve(q), n)
-    at_one = SymFunc(n, {lam: c.evaluate(1) for lam, c in character.terms.items()})
-    return q ** (n * n) * at_one.principal_spec_numerator().evaluate(Fraction(1, q))
+    return point_counts(space_data, n, q)[n]

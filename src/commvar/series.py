@@ -15,7 +15,9 @@ products run on integer rows, one per power of t (``arith.euler_rows``);
 no polynomial is multiplied.  The last product has infinitely many
 non-unit factors, so its coefficients are evaluated in closed form: the
 logarithm of the product is a geometric series in the field size,
-summed exactly.
+summed exactly.  The point counts on the other side come from one
+pass of the rank recurrence (``charmodel.point_counts``) and share no
+code with it.
 
 The stabilization report compares the residue-route limit of the
 commuting-space Betti numbers, the same factors at t = 1 applied to
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Poly, RatFunc, TSeries, div_one_minus, euler_rows, mul_one_minus
-from .charmodel import GradedSpace, point_count, rank_numerators
+from .charmodel import GradedSpace, point_counts, rank_numerators
 from .oracle import gl_order, prime_power_base
 
 
@@ -176,18 +178,21 @@ def _series_log(coeffs: list[Fraction]) -> list[Fraction]:
 def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
     """Point-count series against the infinite product of shrunk zeta factors.
 
-    Left side: formula point counts normalized by the group order.
-    Right side: the product over i >= 1 of the Weil zeta at t/q^i.  The
-    factors never become trivial at any finite cutoff, so the product
-    is evaluated in closed form instead: its logarithm turns the i-sum
-    into geometric series 1/(q^m - 1), which is exact.
+    Left side: the formula point counts over the group order, from one
+    ``charmodel.point_counts`` pass.  Right side: the product over
+    i >= 1 of the Weil zeta at t/q^i.  The factors never become trivial
+    at any finite cutoff, so the product is evaluated in closed form
+    instead: its logarithm turns the i-sum into geometric series
+    1/(q^m - 1), which is exact.  Both sides are one identity,
+    log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
+    eigenvalue power sums w_k, but share no code.  The enumerator is
+    the independent check of a point count.
     """
     prime_power_base(q)
     if order < 0:
         raise ValueError("series order must be >= 0")
-    lhs = TSeries(
-        [Fraction(1)] + [point_count(space, n, q) / gl_order(n, q) for n in range(1, order + 1)]
-    )
+    counts = point_counts(space, order, q)
+    lhs = TSeries([Fraction(1)] + [counts[n] / gl_order(n, q) for n in range(1, order + 1)])
 
     zeta = weil_zeta_from_eigendata(space, q)
     z_coeffs = zeta.series(order)

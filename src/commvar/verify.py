@@ -74,9 +74,12 @@ def cross_check(family: VarietyFamily, n: int, q: int, space, budget=None) -> Cr
 
     ``space`` is the graded eigenvalue data of the same variety.  The
     formula route is the left side of ``groupoid_series`` (the point
-    count over the group order), the series route its product side;
-    both are multiplied back by the group order, so all three numbers
-    count matrix tuples.
+    count over the group order, from the rank recurrence of
+    ``charmodel.point_counts``), the series route its product side, the
+    Weil zeta factors at t/q^i; both are multiplied back by the group
+    order, so all three numbers count matrix tuples.  Both formula routes
+    expand log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))),
+    so the enumerated count is the independent check of a point count.
     """
     if not family.is_curve():
         raise ValueError("cross_check applies to the curve families only")

@@ -22,6 +22,7 @@ from commvar.charmodel import (
     parse_descriptor,
     parse_eigenvalue,
     point_count,
+    point_counts,
     poincare,
     rank_numerators,
 )
@@ -39,8 +40,7 @@ TORUS = GradedSpace([Stratum(0, 1), Stratum(1, 1)], name="torus")
 PROJ = GradedSpace([Stratum(0, 1), Stratum(2, 1)], name="projective line")
 
 
-def random_space(rng):
-    eigs = (F(1), F(1, 2), F(1, 3), F(2))
+def random_space(rng, eigs=(F(1), F(1, 2), F(1, 3), F(2))):
     return GradedSpace(
         [
             Stratum(rng.randint(0, 4), rng.randint(1, 3), rng.choice(eigs))
@@ -511,7 +511,47 @@ class TestLowestTerms:
             assert poly_gcd(value.num, value.den) == ONE
 
 
+def point_count_by_character_sum(space, n, q):
+    """q^(n^2) times the principal specialization numerator at 1/q of the
+    character at u = 1, summed over the partitions of n; oracle only."""
+    character = enhanced_character(space.resolve(q), n)
+    at_one = SymFunc(n, {lam: c.evaluate(1) for lam, c in character.terms.items()})
+    return q ** (n * n) * at_one.principal_spec_numerator().evaluate(F(1, q))
+
+
+POINT_EIGS = (F(1), F(1, 2), F(1, 3), F(2), QPower(-1), QPower(1), QPower(-2))
+POINT_SPACES = [builtin_space(name) for name in ("point", "affine", "torus", "punctured", "p1")]
+POINT_SPACES += [
+    builtin_space("torus", dim=2),
+    builtin_space("affine", dim=3),
+    builtin_space("punctured", avoided=(0, 1, 2)),
+]
+POINT_IDS = ["point", "affine", "torus", "punctured", "p1", "torus2", "affine3", "punctured012"]
+POINT_SPACES += [random_space(random.Random(seed), POINT_EIGS) for seed in range(40)]
+POINT_IDS += [f"random{seed}" for seed in range(40)]
+
+
 class TestPointCount:
+    @pytest.mark.parametrize("space", POINT_SPACES, ids=POINT_IDS)
+    def test_matches_character_sum(self, space):
+        for q in (2, 3, 4, 5, 7, 9):
+            counts = point_counts(space, 5, q)
+            assert counts[0] == 1
+            for n in range(1, 6):
+                expected = point_count_by_character_sum(space, n, q)
+                assert counts[n] == expected, (space, q, n)
+                assert point_count(space, n, q) == expected, (space, q, n)
+
+    def test_weight_conversion_is_checked(self, monkeypatch):
+        # w_2 = 1/2 with all eigenvalues 1, so D = 1 and D^2 w_2 is not an integer
+        monkeypatch.setattr(
+            charmodel, "eigen_power_sum", lambda space, k: Poly.constant(F(1, k))
+        )
+        assert point_counts(AFFINE, 1, 2) == [1, 2]
+        with pytest.raises(ValueError, match="w_2") as info:
+            point_count(AFFINE, 2, 2)
+        assert "\n" not in str(info.value)
+
     def test_affine_line_full_matrix_space(self):
         space = GradedSpace([Stratum(0, 1, F(1))])
         assert point_count(space, 2, 2) == 16

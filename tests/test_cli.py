@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from commvar import arith, charmodel
+from commvar import arith, charmodel, partitions
 from commvar.cli import main
+from commvar.symfunc import SymFunc
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -157,6 +159,14 @@ class TestSeries:
         lines = out.splitlines()
         assert lines[1].startswith("t^1: 1/2")
         assert lines[-1] == "verdict: equal"
+
+    def test_groupoid_high_order_is_fast(self):
+        # one pass of the rank recurrence; the partition sum per rank took
+        # about 13 s on a 2-vCPU VM
+        argv = ["series", "groupoid", "--variety", "p1", "-q", "5", "--t-order", "30"]
+        proc = run_child(*argv, timeout=5)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "verdict: equal"
 
     def test_groupoid_warns_for_non_curves(self, capsys):
         code, out, err = run(
@@ -446,6 +456,40 @@ class TestNoPolynomialProductOnSeriesPaths:
 
         with monkeypatch.context() as m:
             m.setattr(arith, "_convolve", forbidden)
+            patched = run(capsys, *argv)
+        assert patched == run(capsys, *argv)
+        assert patched[0] == 0
+
+
+# every golden ``series groupoid`` command and the point-count suite
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["commands"]
+POINT_COUNT_COMMANDS = [c.split() for c in sorted(GOLDEN) if c.startswith("series groupoid ")]
+POINT_COUNT_COMMANDS.append(["verify", "--suite", "pointcounts"])
+
+
+class TestNoCharacterCodeOnPointCountPath:
+    """The point counts run on the rank recurrence: with
+    ``enhanced_character``, ``partitions_of``, ``SymFunc`` construction
+    and ``SymFunc.principal_spec_numerator`` made to raise, each command
+    prints what it prints unpatched."""
+
+    def test_golden_has_two_groupoid_commands(self):
+        assert len(POINT_COUNT_COMMANDS) == 2 + 1
+
+    @pytest.mark.parametrize("argv", POINT_COUNT_COMMANDS, ids=" ".join)
+    def test_same_output_without_character_code(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("character code on the point-count path")
+
+        targets = (charmodel.enhanced_character, partitions.partitions_of)
+        with monkeypatch.context() as m:
+            for name, module in list(sys.modules.items()):
+                if name == "commvar" or name.startswith("commvar."):
+                    for key, value in list(vars(module).items()):
+                        if any(value is t for t in targets):
+                            m.setattr(module, key, forbidden)
+            m.setattr(SymFunc, "__init__", forbidden)
+            m.setattr(SymFunc, "principal_spec_numerator", forbidden)
             patched = run(capsys, *argv)
         assert patched == run(capsys, *argv)
         assert patched[0] == 0

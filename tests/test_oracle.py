@@ -657,17 +657,16 @@ class TestCrossCheck:
         text = result.describe()
         assert text.endswith(": oracle=6 formula=6 series-rhs=6 [PASS]")
 
-    def test_point_count_runs_once_per_rank(self, monkeypatch):
-        from commvar import charmodel, series
+    def test_left_side_recurrence_runs_once(self, monkeypatch):
+        from commvar import charmodel
 
         calls = []
-        real = charmodel.point_count
+        real = charmodel._rank_recurrence
 
-        def counted(*args):
-            calls.append(args[1:])
-            return real(*args)
+        def counted(weights, N, top=None):
+            calls.append((N, top))
+            return real(weights, N, top)
 
-        monkeypatch.setattr(charmodel, "point_count", counted)
-        monkeypatch.setattr(series, "point_count", counted)
+        monkeypatch.setattr(charmodel, "_rank_recurrence", counted)
         assert cross_check(Torus(1), 3, 2, eigendata_for_family(Torus(1))).ok
-        assert calls == [(1, 2), (2, 2), (3, 2)]
+        assert calls == [(3, None)]
