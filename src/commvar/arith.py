@@ -55,8 +55,8 @@ class Poly:
     and the zero polynomial is ``num == ()``, ``den == 1`` with
     ``degree() == -1``.  Equal values therefore have equal (num, den),
     so ``==`` and ``hash`` compare tuples, and every ring operation runs
-    on ints.  ``coeffs`` is a read-only view of the coefficients as
-    Fractions.
+    on ints, printing included.  ``coeffs`` is a read-only view of the
+    coefficients as Fractions.
     """
 
     __slots__ = ("num", "den")
@@ -248,19 +248,30 @@ class Poly:
     # -- rendering -----------------------------------------------------
 
     def render(self, var: str = "u") -> str:
-        """Canonical text form, ascending degree: ``1 - u + 2*u^2``."""
+        """Canonical text form, ascending degree: ``1 - u + 2*u^2``.
+
+        A coefficient c / den prints as ``str(Fraction(c, den))`` would,
+        from ints: c when den is 1 or divides c, otherwise a/b in lowest
+        terms by one gcd.
+        """
         if not self.num:
             return "0"
+        den = self.den
         pieces = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, c in enumerate(self.num):
+            if not c:
                 continue
             mag = -c if c < 0 else c
+            if den == 1:
+                text = str(mag)
+            else:
+                g = _igcd(mag, den)
+                text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
             if k == 0:
-                body = str(mag)
+                body = text
             else:
                 varpart = var if k == 1 else f"{var}^{k}"
-                body = varpart if mag == 1 else f"{mag}*{varpart}"
+                body = varpart if text == "1" else f"{text}*{varpart}"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:

@@ -324,16 +324,21 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
 
 
 def flag_schur_coefficient(n: int, lam: Partition) -> Poly:
-    """Graded multiplicity of the Schur piece in the flag character.
+    """Graded multiplicity of the Schur piece s_lam in the flag character.
 
-    Equals the q-Pochhammer (q;q)_n times the principal specialization
-    of the Schur function, i.e. the specialization numerator; an exact
-    polynomial (the q-analog of the standard tableaux count, with value
-    dim at q = 1).
+    The fake degree q^(n(lam)) (q; q)_n / prod_h (1 - q^h), h over the
+    hook lengths of lam and n(lam) = ``weighted_row_sum`` (Stanley, EC2
+    7.21; Macdonald, Symmetric Functions and Hall Polynomials, I.3
+    Ex. 2): (q; q)_n times the principal specialization of s_lam, an
+    integer polynomial with value dim lam at q = 1.  The quotient is
+    ``arith.cofactor_ints`` over the hook lengths, so no character value
+    is used.
     """
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    return SymFunc.schur(lam).principal_spec_numerator()
+    # sorted, so lam and its conjugate share one cached cofactor
+    hooks = tuple(sorted(lam.hook_lengths(), reverse=True))
+    return Poly.from_ints((0,) * lam.weighted_row_sum() + cofactor_ints(n, 1, hooks))
 
 
 def flag_character(n: int) -> SymFunc:
@@ -350,7 +355,10 @@ def flag_character(n: int) -> SymFunc:
     at q = u^2.  The numerators are the integer cofactors
     ``arith.cofactor_ints`` of the principal specialization.  The Schur
     coefficients are the graded multiplicities ``flag_schur_coefficient``
-    at u^2; at u = 1 this degenerates to the regular representation.
+    at u^2, which ``char --flag`` prints from the hook formula; its
+    Schur view ``to_schur``, read off the character table, is their
+    test oracle.  At u = 1 this degenerates to the regular
+    representation.
     """
     if n < 1:
         raise ValueError("flag rank must be >= 1")
@@ -379,24 +387,28 @@ def _rank_recurrence(weights: list, N: int, top: int | None = None) -> list[list
         n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),  N_0 = 1,
         E_(n,k) = prod_(j=n-k+1..n) (1 - u^(2j)) / (1 - u^(2k)).
 
-    E_(n,k) is k calls of ``arith.mul_one_minus`` and one of
-    ``arith.div_one_minus``, so no partition is enumerated.  Both
-    divisions raise ValueError on a remainder.  With ``top = M`` every
-    step is cut modulo u^(M+1), so the first division is a power-series
-    quotient; the division by n is still checked.  Trailing zeros are
-    stripped, so a zero polynomial is the empty list.
+    E_(n,k) N_(n-k) is R_(n-k) / (1 - u^(2k)) for the running products
+    R_m = N_m prod_(j=m+1..n) (1 - u^(2j)): at each n every R_m takes
+    one more factor by ``arith.mul_one_minus``, and each term is one
+    ``arith.div_one_minus``, so a pass makes O(N^2) vector passes and
+    no partition is enumerated.  Both divisions raise ValueError on a
+    remainder.  With ``top = M`` every step is cut modulo u^(M+1), so the
+    first division is a power-series quotient; the division by n is
+    still checked.  Trailing zeros are stripped, so a zero polynomial is
+    the empty list.
     """
     # factors 1 - u^(2j) with 2j > top are 1 modulo u^(top+1)
     jmax = N if top is None else top // 2
     ranks = [[1]]
+    runs = [[1]]  # runs[m] = R_m at the current n; empty when N_m = 0
     for n in range(1, N + 1):
+        if n <= jmax:
+            runs = [mul_one_minus(v, 2 * n, top) if v else v for v in runs]
         acc: list[int] = []
         for k in range(1, n + 1):
-            v = ranks[n - k]
+            v = runs[n - k]
             if not v:
                 continue
-            for j in range(n - k + 1, min(n, jmax) + 1):
-                v = mul_one_minus(v, 2 * j, top)
             v = div_one_minus(v, 2 * k, top)
             for d, c in weights[k - 1]:
                 end = d + len(v) if top is None else min(d + len(v), top + 1)
@@ -411,6 +423,7 @@ def _rank_recurrence(weights: list, N: int, top: int | None = None) -> list[list
         while acc and not acc[-1]:
             acc.pop()
         ranks.append(acc)
+        runs.append(acc)
     return ranks
 
 

@@ -16,6 +16,7 @@ from .charmodel import (
     DescriptorError,
     enhanced_character,
     flag_character,
+    flag_schur_coefficient,
     graded_trace_product,
     poincare,
 )
@@ -26,7 +27,7 @@ from .oracle import (
     count_points,
     prime_power_base,
 )
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 from .series import (
     betti_zeta,
     coh_series,
@@ -34,6 +35,7 @@ from .series import (
     stable_betti_verified,
     weil_zeta_from_eigendata,
 )
+from .symfunc import render_basis
 from .varieties import BUILTIN_NAMES, family_for, is_curve_name, resolve_variety
 from .verify import POINT_COUNT_FIELDS, SUITES, run_suite
 
@@ -185,7 +187,10 @@ def _cmd_char(args) -> int:
         for option in ("--variety", "-n", "-q", "--cycle-type", "--dim", "--avoid"):
             if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
                 raise ValueError(f"{option} does not apply to char --flag")
-        ch = flag_character(args.flag)
+        n = args.flag
+        ch = flag_character(n)
+        schur = {lam: flag_schur_coefficient(n, lam).subst_power(2) for lam in partitions_of(n)}
+        print(f"schur: {render_basis(schur, n, 's')}")
     else:
         if not args.variety or args.n is None:
             raise ValueError("char: need either --flag N or --variety ... -n N")
@@ -210,7 +215,7 @@ def _cmd_char(args) -> int:
                 )
             print(f"trace {lam}: {graded_trace_product(space, lam).render()}")
         ch = enhanced_character(space, args.n)
-    print(f"schur: {ch.render_schur()}")
+        print(f"schur: {ch.render_schur()}")
     print(f"p: {ch.render()}")
     return 0
 

@@ -5,16 +5,19 @@ need are diagonal: the Hall inner product satisfies
 ``<p_lam, p_mu> = delta * z_lam`` and the principal specialization acts
 by ``p_k -> 1/(1 - x^k)``.  The Schur basis exists as a conversion
 view.  The change of basis to Schur functions goes through one integer
-character table per degree n: the row of lam holds
-chi^lam(mu) for every mu, in ``partitions_of(n)`` order, from the
-Murnaghan-Nakayama border-strip recursion (Macdonald, I.7), and is
-built once.  Since s_lam = sum_mu chi^lam(mu) p_mu / z_mu and the
-p_mu / z_mu are dual to the p_mu, the Schur coefficient of f is
-sum_mu chi^lam(mu) * [p_mu] f.  That sum runs over ints: the
-p-coefficients, int vectors over one denominator each, are brought to
-the lcm D of those denominators, each
-Schur coefficient is a row of the table dotted with the scaled
-coefficients, degree by degree, and D is divided out once per lam.
+character table per degree n, built once, one column per cycle type mu
+in ``partitions_of(n)`` order.  The column chi^.(mu) comes from the
+column of mu[1:], a cycle type of n - mu_1, by the Murnaghan-Nakayama
+rule (Macdonald, I.7): every chi^nu(mu[1:]) goes, with the sign of the
+strip height, to each lam that a border strip of length mu_1 added to
+nu makes.  Those strips are listed once per (size of nu, strip length)
+and cached, as is every column.  Since s_lam = sum_mu chi^lam(mu)
+p_mu / z_mu and the p_mu / z_mu are dual to the p_mu, the Schur
+coefficient of f is sum_mu chi^lam(mu) * [p_mu] f.  That sum runs over
+ints: the p-coefficients, int vectors over one denominator each, are
+brought to the lcm D of those denominators, each Schur coefficient is
+a row of the table dotted with the scaled coefficients, degree by
+degree, and D is divided out once per lam.
 
 Coefficients are polynomials in the grading variable.  The principal
 specialization is the only operation that leaves the polynomial ring:
@@ -42,43 +45,73 @@ from .partitions import Partition, partitions_of
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Irreducible character value chi^lam at cycle type mu.
 
-    Both partitions must have the same size.  Values are computed by
-    peeling border strips of length mu_1, with the sign given by the
-    strip height; results are memoized on (lam, mu).
+    Both partitions must have the same size.  The value is read from
+    the cached column of mu (``_mn``).
     """
     if lam.n != mu.n:
         raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
-    return _mn(lam.parts, mu.parts)
+    return _mn(mu.parts)[_positions(lam.n)[lam.parts]]
 
 
 @lru_cache(maxsize=None)
-def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+def _positions(n: int) -> dict[tuple[int, ...], int]:
+    """The index of each partition of n in ``partitions_of(n)``."""
+    return {lam.parts: i for i, lam in enumerate(partitions_of(n))}
+
+
+@lru_cache(maxsize=None)
+def _strips(m: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each nu of m, in ``partitions_of`` order, the (index of lam in
+    ``partitions_of(m + r)``, sign) of every border strip of length r
+    that can be added to nu.
+
+    A strip moves one bead of the beta set, padded to len(nu) + r beads,
+    from b to the free position b + r, which takes its row i up to row
+    k: rows k + 1 to i gain one box each, row k gets the rest, and the
+    strip's height is i - k.
+    """
+    where = _positions(m + r)
+    table = []
+    for nu in partitions_of(m):
+        size = len(nu) + r
+        parts = nu.parts + (0,) * r
+        betas = [p + size - 1 - i for i, p in enumerate(parts)]
+        adds = []
+        for i, b in enumerate(betas):
+            if b + r in betas:
+                continue
+            k = i - sum(1 for x in betas[:i] if x < b + r)
+            moved = tuple(p + 1 for p in parts[k:i])
+            lam = parts[:k] + (parts[i] + r - i + k,) + moved + parts[i + 1 :]
+            adds.append((where[tuple(p for p in lam if p)], -1 if (i - k) % 2 else 1))
+        table.append(tuple(adds))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _mn(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """The column chi^lam(mu) over lam in ``partitions_of(|mu|)`` order.
+
+    Built from the column of mu[1:] by adding border strips of length
+    mu_1: chi^lam(mu) is the signed sum of chi^nu(mu[1:]) over the
+    strips that take nu to lam.
+    """
     if not mu:
-        return 1
+        return (1,)
     r, rest = mu[0], mu[1:]
-    m = len(lam)
-    betas = [lam[i] + (m - 1 - i) for i in range(m)]
-    bset = set(betas)
-    total = 0
-    for b in betas:
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in betas if nb < x < b)
-        newbetas = sorted((bset - {b}) | {nb}, reverse=True)
-        newparts = tuple(
-            p for p in (newbetas[i] - (m - 1 - i) for i in range(m)) if p > 0
-        )
-        value = _mn(newparts, rest)
-        total += -value if height % 2 else value
-    return total
+    m = sum(rest)
+    out = [0] * len(_positions(m + r))
+    for c, adds in zip(_mn(rest), _strips(m, r)):
+        if c:
+            for i, sign in adds:
+                out[i] += sign * c
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """chi^lam(mu) for lam (rows) and mu (columns) in ``partitions_of(n)`` order."""
-    parts = [lam.parts for lam in partitions_of(n)]
-    return tuple(tuple(_mn(lam, mu) for mu in parts) for lam in parts)
+    return tuple(zip(*(_mn(mu.parts) for mu in partitions_of(n))))
 
 
 @lru_cache(maxsize=None)
@@ -286,27 +319,20 @@ class SymFunc:
     # -- rendering -----------------------------------------------------------
 
     def render(self, var: str = "u") -> str:
-        return _render_basis(
-            ((lam, self.terms[lam]) for lam in partitions_of(self.degree) if lam in self.terms),
-            "p",
-            var,
-        )
+        return render_basis(self.terms, self.degree, "p", var)
 
     def render_schur(self, var: str = "u") -> str:
-        schur = self.to_schur()
-        return _render_basis(
-            ((lam, schur[lam]) for lam in partitions_of(self.degree) if lam in schur),
-            "s",
-            var,
-        )
+        return render_basis(self.to_schur(), self.degree, "s", var)
 
     def __repr__(self):
         return f"SymFunc({self.render()})"
 
 
-def _render_basis(items, symbol: str, var: str) -> str:
+def render_basis(coeffs: dict[Partition, Poly], n: int, symbol: str, var: str = "u") -> str:
+    """The sum of coeffs[lam] * symbol[lam] over the partitions lam of n
+    that are keys, in ``partitions_of(n)`` order: ``s[2] + u^2*s[1,1]``."""
     pieces = []
-    for lam, coeff in items:
+    for lam, coeff in ((lam, coeffs[lam]) for lam in partitions_of(n) if lam in coeffs):
         label = f"{symbol}[{','.join(str(p) for p in lam.parts)}]"
         rendered = coeff.render(var)
         if rendered == "1":

@@ -499,6 +499,34 @@ def agree(p, oracle):
     assert p.render() == oracle.render() and p.render("q") == oracle.render("q")
 
 
+class TestRenderAgainstFractionBody:
+    """``Poly.render`` prints from num / den the text that the earlier body
+    printed from the Fraction view, ``FracPoly.render``."""
+
+    POOL = (0, 0, 1, -1, 2, -7, 12, F(1, 2), F(-1, 3), F(5, 4), F(-9, 6), F(22, 11), F(-3, 437))
+
+    def test_seeded_polynomials(self):
+        rng = random.Random(1717)
+        kinds = dict.fromkeys(("zero", "unit", "negative", "fraction", "interior zero"), 0)
+        for _ in range(20000):
+            coeffs = [
+                rng.choice(self.POOL)
+                if rng.random() < 0.6
+                else F(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+                for _ in range(rng.randint(0, 8))
+            ]
+            var = rng.choice("ut")
+            p, oracle = Poly(coeffs), FracPoly(coeffs)
+            assert p.render(var) == oracle.render(var), coeffs
+            cs = oracle.coeffs
+            kinds["zero"] += not cs
+            kinds["unit"] += any(abs(c) == 1 for c in cs)
+            kinds["negative"] += any(c < 0 for c in cs)
+            kinds["fraction"] += any(c.denominator != 1 for c in cs)
+            kinds["interior zero"] += 0 in cs[1:-1]
+        assert min(kinds.values()) > 100, kinds
+
+
 class TestPolyAgainstFractionOracle:
     def test_ring_operations(self):
         rng = random.Random(8080)

@@ -318,6 +318,11 @@ class TestFlagCharacter:
         with pytest.raises(ValueError, match="not a partition of 4"):
             flag_schur_coefficient(4, P((2, 1)))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_hook_formula_matches_the_table_route(self, n):
+        hooks = {lam: flag_schur_coefficient(n, lam).subst_power(2) for lam in partitions_of(n)}
+        assert hooks == flag_character(n).to_schur()
+
 
 class TestPoincare:
     def test_affine_is_trivial(self):
@@ -447,6 +452,20 @@ class TestRankNumerators:
             rank_numerators(AFFINE, 2)
         with pytest.raises(ValueError, match="division by 2 left a remainder"):
             rank_numerators(AFFINE, 2, top=4)
+
+    @pytest.mark.parametrize("N, top", [(12, None), (20, None), (14, 14), (30, 7)])
+    def test_factor_passes_are_quadratic(self, monkeypatch, N, top):
+        # running products take each factor 1 - u^(2n) once per rank; one
+        # product per (n, k) would make about N^3 / 6 passes
+        expected = rank_numerators(PROJ, N, top)
+        calls = []
+        kernel = charmodel.mul_one_minus
+        monkeypatch.setattr(
+            charmodel, "mul_one_minus", lambda *args: calls.append(args) or kernel(*args)
+        )
+        weights = [[(0, 1), (2 * k, 1)] for k in range(1, N + 1)]
+        assert charmodel._rank_recurrence(weights, N, top) == expected
+        assert 0 < len(calls) <= N * (N + 1) // 2
 
     def test_rejects_negative_orders(self):
         with pytest.raises(ValueError, match="n must be >= 0"):

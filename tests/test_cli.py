@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from commvar import arith, charmodel, partitions
+from commvar import arith, charmodel, partitions, symfunc
 from commvar.cli import main
 from commvar.symfunc import SymFunc
 
@@ -490,6 +490,31 @@ class TestNoCharacterCodeOnPointCountPath:
                             m.setattr(module, key, forbidden)
             m.setattr(SymFunc, "__init__", forbidden)
             m.setattr(SymFunc, "principal_spec_numerator", forbidden)
+            patched = run(capsys, *argv)
+        assert patched == run(capsys, *argv)
+        assert patched[0] == 0
+
+
+FLAG_COMMANDS = [c.split() for c in sorted(GOLDEN) if c.startswith("char --flag ")]
+
+
+class TestNoCharacterTableOnFlagPath:
+    """``char --flag`` prints the hook-formula multiplicities: with the
+    character table, its columns and ``SymFunc.to_schur`` made to raise,
+    each golden flag command prints what it prints unpatched."""
+
+    def test_golden_has_seven_flag_commands(self):
+        assert len(FLAG_COMMANDS) == 7
+
+    @pytest.mark.parametrize("argv", FLAG_COMMANDS, ids=" ".join)
+    def test_same_output_without_character_table(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("character table on the flag path")
+
+        with monkeypatch.context() as m:
+            m.setattr(symfunc, "_character_table", forbidden)
+            m.setattr(symfunc, "_mn", forbidden)
+            m.setattr(SymFunc, "to_schur", forbidden)
             patched = run(capsys, *argv)
         assert patched == run(capsys, *argv)
         assert patched[0] == 0

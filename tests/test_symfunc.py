@@ -3,11 +3,14 @@
 The Murnaghan-Nakayama characters are cross-checked against a
 determinantal oracle: Schur functions built from complete homogeneous
 functions by the Jacobi-Trudi determinant, a code path that never
-touches the border-strip recursion.
+touches the border-strip recursion.  The character table, built column
+by column, is compared entry by entry with the per-entry border-strip
+recursion.
 """
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -261,6 +264,29 @@ class TestCharacters:
                 assert total == (1 if a == b else 0)
 
 
+@lru_cache(maxsize=None)
+def mn_by_border_strips(lam: tuple, mu: tuple) -> int:
+    """chi^lam(mu) entry by entry: peel border strips of length mu_1 off
+    lam, with the sign of the strip height; oracle only."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    m = len(lam)
+    betas = [lam[i] + (m - 1 - i) for i in range(m)]
+    bset = set(betas)
+    total = 0
+    for b in betas:
+        nb = b - r
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in betas if nb < x < b)
+        newbetas = sorted((bset - {b}) | {nb}, reverse=True)
+        newparts = tuple(p for p in (newbetas[i] - (m - 1 - i) for i in range(m)) if p > 0)
+        value = mn_by_border_strips(newparts, rest)
+        total += -value if height % 2 else value
+    return total
+
+
 class TestCharacterTable:
     @pytest.mark.parametrize("n", range(10))
     def test_entries_are_mn_characters(self, n):
@@ -271,6 +297,13 @@ class TestCharacterTable:
             assert len(row) == len(parts)
             for mu, value in zip(parts, row):
                 assert value == mn_character(lam, mu), (lam, mu)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_columns_match_the_border_strip_recursion(self, n):
+        parts = partitions_of(n)
+        for lam, row in zip(parts, _character_table(n)):
+            for mu, value in zip(parts, row):
+                assert value == mn_by_border_strips(lam.parts, mu.parts), (lam, mu)
 
     @pytest.mark.parametrize("n", range(10))
     def test_row_orthogonality(self, n):
