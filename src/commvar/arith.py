@@ -3,13 +3,15 @@
 Dense polynomials with rational coefficients, stored as one vector of
 Python ints over one positive int denominator; rational functions as a
 plain pair num / den, built in lowest terms by the code that makes them
-and compared by cross-multiplication; and ``TSeries``, the container of
-a truncated power series in a counting variable whose coefficients are
-polynomials in a second, grading variable.  A rational function appears
-only where a denominator is printed or compared; the series layer never
-carries one.  There is no floating point anywhere; every operation is
-exact, so equality of values is decidable: polynomials by their normal
-form, rational functions by a * d == c * b.
+and compared by cross-multiplication; and ``TSeries``, a truncated power
+series in a counting variable whose coefficients are polynomials in a
+second, grading variable.  A rational function appears only where a
+denominator is printed or compared; the series layer carries neither,
+only tuples of ``Poly``.  ``TSeries`` and ``Poly.truncate`` are the
+tests' product oracle; no production path calls them.  There is no
+floating point anywhere; every operation is exact, so equality of
+values is decidable: polynomials by their normal form, rational
+functions by a * d == c * b.
 
 The integer-vector kernel of the layers above lives here too: int
 lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
@@ -668,19 +670,7 @@ class TSeries:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(("TSeries", self.coeffs))
-
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         n = min(len(a), len(b))
         return TSeries(sum((a[i] * b[k - i] for i in range(k + 1)), Poly()) for k in range(n))
-
-    def __repr__(self):
-        return f"TSeries(order={self.order})"
-
-    def render(self, var: str = "u", tvar: str = "t") -> str:
-        lines = []
-        for n, c in enumerate(self.coeffs):
-            lines.append(f"{tvar}^{n}: {c.render(var)}")
-        return "\n".join(lines)

@@ -376,40 +376,44 @@ def flag_character(n: int) -> SymFunc:
 SPACES = ("cn", "sn", "coh", "flag", "bgln")
 
 
-def _rank_recurrence(weights: list, N: int, top: int | None = None) -> list[list[int]]:
+def _rank_recurrence(
+    weights: list, N: int, top: int | None = None, step: int = 2
+) -> list[list[int]]:
     """Integer coefficients in u of N_0 .. N_N for int weights w_1 .. w_N.
 
     ``weights[k - 1]`` lists the nonzero terms (d, c) of w_k = sum c u^d.
-    The numerators of sum_n N_n / (u^2; u^2)_n t^n =
-    exp sum_k w_k t^k / (k (1 - u^(2k))) (Macdonald, Symmetric Functions
+    With x = u^step, the numerators of sum_n N_n / (x; x)_n t^n =
+    exp sum_k w_k t^k / (k (1 - x^k)) (Macdonald, Symmetric Functions
     and Hall Polynomials, I.2-3) satisfy the log-derivative recurrence
 
         n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),  N_0 = 1,
-        E_(n,k) = prod_(j=n-k+1..n) (1 - u^(2j)) / (1 - u^(2k)).
+        E_(n,k) = prod_(j=n-k+1..n) (1 - x^j) / (1 - x^k).
 
-    E_(n,k) N_(n-k) is R_(n-k) / (1 - u^(2k)) for the running products
-    R_m = N_m prod_(j=m+1..n) (1 - u^(2j)): at each n every R_m takes
+    E_(n,k) N_(n-k) is R_(n-k) / (1 - x^k) for the running products
+    R_m = N_m prod_(j=m+1..n) (1 - x^j): at each n every R_m takes
     one more factor by ``arith.mul_one_minus``, and each term is one
     ``arith.div_one_minus``, so a pass makes O(N^2) vector passes and
     no partition is enumerated.  Both divisions raise ValueError on a
-    remainder.  With ``top = M`` every step is cut modulo u^(M+1), so the
+    remainder.  With ``top = M`` every vector is cut modulo u^(M+1), so the
     first division is a power-series quotient; the division by n is
     still checked.  Trailing zeros are stripped, so a zero polynomial is
-    the empty list.
+    the empty list.  ``rank_numerators`` runs at step 2 (x = u^2);
+    ``point_counts``, whose weights are constants, at step 1 (x = u), so
+    its vectors carry no zero at the odd degrees.
     """
-    # factors 1 - u^(2j) with 2j > top are 1 modulo u^(top+1)
-    jmax = N if top is None else top // 2
+    # factors 1 - u^(step j) with step j > top are 1 modulo u^(top+1)
+    jmax = N if top is None else top // step
     ranks = [[1]]
     runs = [[1]]  # runs[m] = R_m at the current n; empty when N_m = 0
     for n in range(1, N + 1):
         if n <= jmax:
-            runs = [mul_one_minus(v, 2 * n, top) if v else v for v in runs]
+            runs = [mul_one_minus(v, step * n, top) if v else v for v in runs]
         acc: list[int] = []
         for k in range(1, n + 1):
             v = runs[n - k]
             if not v:
                 continue
-            v = div_one_minus(v, 2 * k, top)
+            v = div_one_minus(v, step * k, top)
             for d, c in weights[k - 1]:
                 end = d + len(v) if top is None else min(d + len(v), top + 1)
                 if end <= d:
@@ -511,7 +515,7 @@ def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Fraction]:
     One pass of the rank recurrence with w_k = ``eigen_power_sum`` of
     the resolved data at u = 1.  For D the lcm of the eigenvalue
     denominators, D^k w_k is checked to be an integer and put at degree
-    0; the pass then gives D^n N_n(x) at x = u^2, and the count is
+    0; the pass at step 1 (x = u) then gives D^n N_n(x), and the count is
     q^(n^2) N_n(1/q), as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
     log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
     Weil zeta Z.  The enumerator ``oracle.count_points`` is the
@@ -531,8 +535,8 @@ def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Fraction]:
         weights.append([(0, w.numerator)] if w else [])
     x = Fraction(1, q)
     return [
-        q ** (n * n) * Poly.from_ints(v[::2]).evaluate(x) / D**n
-        for n, v in enumerate(_rank_recurrence(weights, N))
+        q ** (n * n) * Poly.from_ints(v).evaluate(x) / D**n
+        for n, v in enumerate(_rank_recurrence(weights, N, step=1))
     ]
 
 

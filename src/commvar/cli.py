@@ -241,8 +241,8 @@ def _cmd_series(args) -> int:
     space = _resolve_space(args)
     t_order = 5 if args.t_order is None else args.t_order
     if args.kind == "betti":
-        series = betti_zeta(space, t_order)
-        print(series.render())
+        for n, coeff in enumerate(betti_zeta(space, t_order)):
+            print(f"t^{n}: {coeff.render()}")
         return 0
     if args.kind == "coh":
         u_order = 20 if args.u_order is None else args.u_order

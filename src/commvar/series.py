@@ -19,6 +19,10 @@ summed exactly.  The point counts on the other side come from one
 pass of the rank recurrence (``charmodel.point_counts``) and share no
 code with it.
 
+A series is a tuple of its t-coefficients, t^0 first, each a ``Poly``
+in u (a constant for the groupoid series); ``SeriesReport`` holds the
+two sides of a product formula as two such tuples.
+
 The stabilization report compares the residue-route limit of the
 commuting-space Betti numbers, the same factors at t = 1 applied to
 one int vector by ``arith.mul_one_minus`` and ``arith.div_one_minus``,
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Poly, RatFunc, TSeries, div_one_minus, euler_rows, mul_one_minus
+from .arith import Poly, RatFunc, div_one_minus, euler_rows, mul_one_minus
 from .charmodel import GradedSpace, point_counts, rank_numerators
 from .oracle import gl_order, prime_power_base
 
@@ -42,42 +46,31 @@ from .oracle import gl_order, prime_power_base
 class SeriesReport:
     """Two series compared coefficientwise, with an exact verdict.
 
-    When ``u_order`` is set, both sides are reduced modulo
-    u^(u_order+1) before comparison; otherwise comparison is exact.
+    ``lhs`` and ``rhs`` hold the t-coefficients, t^0 first, as tuples of
+    ``Poly`` of one length.  Each builder has already cut its columns to
+    the orders it compares, so the verdict is exact equality, pair by
+    pair.
     """
 
-    lhs: TSeries
-    rhs: TSeries
-    t_order: int
-    u_order: int | None
-    equal: bool
-    first_mismatch: int | None
+    lhs: tuple[Poly, ...]
+    rhs: tuple[Poly, ...]
+
+    @property
+    def first_mismatch(self) -> int | None:
+        return next((n for n, (a, b) in enumerate(zip(self.lhs, self.rhs)) if a != b), None)
+
+    @property
+    def equal(self) -> bool:
+        return self.first_mismatch is None
 
     def rows(self):
-        for n in range(self.t_order + 1):
-            a = self.lhs.coeff(n)
-            b = self.rhs.coeff(n)
-            if self.u_order is not None:
-                a, b = a.truncate(self.u_order), b.truncate(self.u_order)
+        for n, (a, b) in enumerate(zip(self.lhs, self.rhs)):
             yield n, a.render(), b.render()
 
     def verdict(self) -> str:
         if self.equal:
             return "equal"
         return f"mismatch at t^{self.first_mismatch}"
-
-
-def _compare(lhs: TSeries, rhs: TSeries, t_order: int, u_order: int | None) -> SeriesReport:
-    equal = True
-    first = None
-    for n in range(t_order + 1):
-        a, b = lhs.coeff(n), rhs.coeff(n)
-        same = a.truncate(u_order) == b.truncate(u_order) if u_order is not None else a == b
-        if not same:
-            equal = False
-            first = n
-            break
-    return SeriesReport(lhs, rhs, t_order, u_order, equal, first)
 
 
 # -- Betti zeta ------------------------------------------------------------
@@ -88,15 +81,16 @@ def _zeta_factors(betti: dict[int, int], shift: int = 0) -> list[tuple[int, int]
     return [(deg + shift, b if deg % 2 else -b) for deg, b in sorted(betti.items())]
 
 
-def betti_zeta(space: GradedSpace, order: int) -> TSeries:
+def betti_zeta(space: GradedSpace, order: int) -> tuple[Poly, ...]:
     """Generating series of signed Poincare polynomials of symmetric powers.
 
     Computed as the finite product over cohomological degrees i of
-    (1 - u^i t)^(-(-1)^i b_i); the t-coefficients are polynomials in u.
+    (1 - u^i t)^(-(-1)^i b_i); the t-coefficients t^0 .. t^order are
+    polynomials in u.
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
-    return TSeries(Poly.from_ints(row) for row in euler_rows(_zeta_factors(space.betti()), order))
+    return tuple(Poly.from_ints(row) for row in euler_rows(_zeta_factors(space.betti()), order))
 
 
 # -- sheaf-counting product formula ------------------------------------------
@@ -118,15 +112,15 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     """
     if t_order < 0 or u_order < 0:
         raise ValueError("orders must be >= 0")
-    lhs_coeffs = []
+    lhs = []
     for n, v in enumerate(rank_numerators(space, t_order, top=u_order)):
         for j in range(1, n + 1):
             v = div_one_minus(v, 2 * j, u_order)
-        lhs_coeffs.append(Poly.from_ints(v))
+        lhs.append(Poly.from_ints(v))
     betti = space.betti()
     factors = [f for j in range(u_order // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
-    rhs = TSeries(Poly.from_ints(row) for row in euler_rows(factors, t_order, u_order))
-    return _compare(TSeries(lhs_coeffs), rhs, t_order, u_order)
+    rhs = tuple(Poly.from_ints(row) for row in euler_rows(factors, t_order, u_order))
+    return SeriesReport(tuple(lhs), rhs)
 
 
 # -- Weil zeta and the groupoid series -----------------------------------------
@@ -192,7 +186,7 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
     if order < 0:
         raise ValueError("series order must be >= 0")
     counts = point_counts(space, order, q)
-    lhs = TSeries([Fraction(1)] + [counts[n] / gl_order(n, q) for n in range(1, order + 1)])
+    lhs = [Fraction(1)] + [counts[n] / gl_order(n, q) for n in range(1, order + 1)]
 
     zeta = weil_zeta_from_eigendata(space, q)
     z_coeffs = zeta.series(order)
@@ -203,8 +197,7 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
         for m in range(1, n + 1):
             acc += a[m] / (q**m - 1) * rhs_coeffs[n - m]
         rhs_coeffs.append(acc / n)
-    rhs = TSeries(rhs_coeffs)
-    return _compare(lhs, rhs, order, None)
+    return SeriesReport(tuple(map(Poly.constant, lhs)), tuple(map(Poly.constant, rhs_coeffs)))
 
 
 # -- stabilization -------------------------------------------------------------

@@ -467,6 +467,25 @@ class TestRankNumerators:
         assert charmodel._rank_recurrence(weights, N, top) == expected
         assert 0 < len(calls) <= N * (N + 1) // 2
 
+    @pytest.mark.parametrize("top", [None, 0, 5, 12])
+    def test_step_two_is_step_one_at_even_degrees(self, top):
+        # with every weight at degree 0, the pass in x = u^2 is the pass
+        # in x = u with the coefficient of u^d moved to u^(2d)
+        rng = random.Random(1618)
+        N = 6
+        for _ in range(10):
+            roots = [(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))) for _ in range(3)]
+            sums = [sum(c * a**k for a, c in roots) for k in range(1, N + 1)]
+            weights = [[(0, w)] if w else [] for w in sums]
+            one = charmodel._rank_recurrence(weights, N, None if top is None else top // 2, 1)
+            two = charmodel._rank_recurrence(weights, N, top, 2)
+            spread = []
+            for v in one:
+                even = [0] * (2 * len(v) - 1) if v else []
+                even[::2] = v
+                spread.append(even)
+            assert two == spread, (roots, top)
+
     def test_rejects_negative_orders(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
             rank_numerators(TORUS, -1)

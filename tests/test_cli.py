@@ -1,5 +1,6 @@
 """Command-line front end: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -520,13 +521,42 @@ class TestNoCharacterTableOnFlagPath:
         assert patched[0] == 0
 
 
+# every golden series command whose output a series product or report
+# builds, and the suites that read one
+SERIES_KINDS = ("series betti ", "series coh ", "series groupoid ")
+SERIES_COMMANDS = [c.split() for c in sorted(GOLDEN) if c.startswith(SERIES_KINDS)]
+SERIES_COMMANDS += [["verify", "--suite", s] for s in ("coh", "macdonald", "pointcounts")]
+
+
+class TestNoTSeriesOnProductionPaths:
+    """Series travel as tuples of ``Poly``: with ``TSeries`` construction
+    made to raise, each command prints its golden bytes."""
+
+    def test_golden_has_the_series_commands(self):
+        assert len(SERIES_COMMANDS) == 4 + 3 + 2 + 3
+
+    @pytest.mark.parametrize("argv", SERIES_COMMANDS, ids=" ".join)
+    def test_golden_output_without_tseries(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("TSeries on a production path")
+
+        with monkeypatch.context() as m:
+            m.setattr(arith.TSeries, "__init__", forbidden)
+            code, out, _ = run(capsys, *argv)
+        golden = GOLDEN[" ".join(argv)]
+        assert code == golden["exit"] == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]
+
+
 class TestFailureExitCodes:
     def test_series_mismatch_exits_one(self, capsys, monkeypatch):
         import commvar.cli as cli
-        from commvar.arith import TSeries
+        from commvar.arith import Poly
         from commvar.series import SeriesReport
 
-        fake = SeriesReport(TSeries([1, 2]), TSeries([1, 3]), 1, None, False, 1)
+        fake = SeriesReport(
+            (Poly.constant(1), Poly.constant(2)), (Poly.constant(1), Poly.constant(3))
+        )
         monkeypatch.setattr(cli, "coh_series", lambda *a, **k: fake)
         code, out, _ = run(capsys, "series", "coh", "--variety", "point")
         assert code == 1
@@ -764,3 +794,126 @@ class TestPoincareSpaceOptions:
         code, out, err = run(capsys, "poincare", "--space", space, "-n", "2")
         assert (code, err) == (0, "")
         assert out
+
+
+HELP = {
+    (): """\
+usage: commvar [-h] {poincare,char,series,count,verify} ...
+
+Exact invariants of commuting-matrix moduli spaces from graded Betti/Frobenius
+data.
+
+positional arguments:
+  {poincare,char,series,count,verify}
+    poincare            signed Poincare polynomial of a moduli space
+    char                graded character in Schur and power-sum expansions
+    series              zeta-type generating series and product formulas
+    count               brute-force point count over a prime field
+    verify              run the exact cross-check suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("poincare",): """\
+usage: commvar poincare [-h] [--space {cn,sn,coh,flag,bgln}]
+                        [--variety VARIETY] [--dim DIM] [--avoid AVOID] -n N
+                        [--absolute]
+
+options:
+  -h, --help            show this help message and exit
+  --space {cn,sn,coh,flag,bgln}
+  --variety VARIETY     builtin name ('point', 'affine', 'torus', 'punctured',
+                        'p1') or path to a JSON descriptor file
+  --dim DIM             affine/torus builtins only (default 1)
+  --avoid AVOID         comma-separated values avoided by the punctured
+                        builtin only (default 0,1)
+  -n N                  rank (matrix size)
+  --absolute            display-only: print absolute values of the
+                        coefficients
+""",
+    ("char",): """\
+usage: commvar char [-h] [--flag FLAG] [--variety VARIETY] [--dim DIM]
+                    [--avoid AVOID] [-n N] [-q Q] [--cycle-type CYCLE_TYPE]
+
+options:
+  -h, --help            show this help message and exit
+  --flag FLAG           rank of the complete flag variety
+  --variety VARIETY     builtin name ('point', 'affine', 'torus', 'punctured',
+                        'p1') or path to a JSON descriptor file
+  --dim DIM             affine/torus builtins only (default 1)
+  --avoid AVOID         comma-separated values avoided by the punctured
+                        builtin only (default 0,1)
+  -n N                  tensor power for a variety character
+  -q Q                  resolve q^k eigenvalue tokens at this prime power
+  --cycle-type CYCLE_TYPE
+                        also print the graded trace at this cycle type, e.g.
+                        '(2,1)' or '1^1 2^1'
+""",
+    ("series",): """\
+usage: commvar series [-h] --variety VARIETY [--dim DIM] [--avoid AVOID]
+                      [--t-order T_ORDER] [--u-order U_ORDER] [-q Q]
+                      {betti,coh,groupoid,zeta,stable}
+
+positional arguments:
+  {betti,coh,groupoid,zeta,stable}
+                        which series or report to compute
+
+options:
+  -h, --help            show this help message and exit
+  --variety VARIETY     builtin name ('point', 'affine', 'torus', 'punctured',
+                        'p1') or path to a JSON descriptor file
+  --dim DIM             affine/torus builtins only (default 1)
+  --avoid AVOID         comma-separated values avoided by the punctured
+                        builtin only (default 0,1)
+  --t-order T_ORDER
+  --u-order U_ORDER
+  -q Q                  prime power for groupoid/zeta
+""",
+    ("count",): """\
+usage: commvar count [-h] --family {affine,torus,punctured} [--dim DIM] --n N
+                     --q Q [--avoid AVOID] [--budget BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --family {affine,torus,punctured}
+  --dim DIM             affine/torus only (default 1)
+  --n N, -n N
+  --q Q, -q Q
+  --avoid AVOID         punctured only (default 0,1)
+  --budget BUDGET       candidate limit (default 268435456, env
+                        COMMVAR_BUDGET)
+""",
+    ("verify",): """\
+usage: commvar verify [-h] [--suite SUITE] [-q Q]
+
+options:
+  -h, --help     show this help message and exit
+  --suite SUITE  one of 'all' or ['coh', 'degenerate', 'flag', 'gln',
+                 'macdonald', 'pointcounts', 'series-agreement',
+                 'stabilization', 'substrate']
+  -q Q           restrict point-count checks to this field size
+""",
+}
+
+
+class TestHelpText:
+    """``commvar --help`` and each command's ``--help`` at COLUMNS=80, as
+    literal text, so a change to the parser shows in the printed help.
+
+    The text is the same on Python 3.10.13, 3.11.7 and 3.12.1; CI runs
+    3.10 and 3.11.  From 3.13 argparse prints an option with several
+    flags as ``--n, -n N`` instead of ``--n N, -n N``, which changes two
+    lines of ``count --help``.
+    """
+
+    @pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "commvar")
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        expected = HELP[command]
+        if sys.version_info >= (3, 13):
+            expected = expected.replace("--n N, -n N", "--n, -n N")
+            expected = expected.replace("--q Q, -q Q", "--q, -q Q")
+        assert capsys.readouterr() == (expected, "")

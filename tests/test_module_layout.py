@@ -6,6 +6,9 @@ a public name in the module that owns it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,27 @@ def test_detects_commvar_imports():
 
 def test_oracle_is_a_leaf():
     assert commvar_imports((SRC / "oracle.py").read_text(encoding="utf-8")) == []
+
+
+def loaded_submodules(module: str) -> list[str]:
+    """The ``commvar.*`` modules a fresh interpreter holds after importing ``module``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    probe = "print(*sorted(m for m in sys.modules if m.startswith('commvar.')))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; {probe}"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_package_root_loads_no_submodule():
+    assert loaded_submodules("commvar") == []
+
+
+def test_oracle_loads_no_other_submodule():
+    assert loaded_submodules("commvar.oracle") == ["commvar.oracle"]

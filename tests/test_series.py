@@ -8,7 +8,7 @@ import pytest
 from commvar.arith import Poly, RatFunc, TSeries, poly_gcd
 from commvar.charmodel import GradedSpace, QPower, Stratum, poincare
 from commvar.series import (
-    _compare,
+    SeriesReport,
     betti_zeta,
     coh_series,
     groupoid_series,
@@ -34,30 +34,30 @@ PUNCT = GradedSpace(
 class TestBettiZeta:
     def test_point_is_geometric(self):
         series = betti_zeta(AFFINE, 5)
-        assert all(series.coeff(n) == RatFunc(1) for n in range(6))
+        assert all(series[n] == RatFunc(1) for n in range(6))
 
     def test_projective_line_gives_projective_spaces(self):
         series = betti_zeta(PROJ, 6)
         for n in range(7):
-            assert series.coeff(n) == RatFunc(Poly([1] * (n + 1)).subst_power(2))
+            assert series[n] == RatFunc(Poly([1] * (n + 1)).subst_power(2))
 
     def test_torus_signs(self):
         series = betti_zeta(TORUS, 4)
-        assert series.coeff(0) == RatFunc(1)
+        assert series[0] == RatFunc(1)
         for n in range(1, 5):
-            assert series.coeff(n) == RatFunc(ONE - U)
+            assert series[n] == RatFunc(ONE - U)
 
     @pytest.mark.parametrize("space", [POINT, AFFINE, TORUS, PROJ, PUNCT])
     def test_linear_coefficient_is_the_input(self, space):
-        assert betti_zeta(space, 2).coeff(1) == RatFunc(space.poincare_poly())
+        assert betti_zeta(space, 2)[1] == RatFunc(space.poincare_poly())
 
     def test_disjoint_union_multiplies(self):
         # concatenating strata adds Betti numbers, so the series multiply
         for a, b in ((TORUS, PROJ), (AFFINE, PUNCT), (PROJ, PROJ)):
             union = GradedSpace(a.strata + b.strata)
             lhs = betti_zeta(union, 4)
-            rhs = betti_zeta(a, 4) * betti_zeta(b, 4)
-            assert lhs == rhs
+            rhs = TSeries(betti_zeta(a, 4)) * TSeries(betti_zeta(b, 4))
+            assert lhs == rhs.coeffs
 
 
 class TestCohProduct:
@@ -73,13 +73,13 @@ class TestCohProduct:
         for n in range(5):
             exact = poincare(POINT, n, "coh")
             assert exact == RatFunc(1, q_pochhammer(n, power=2))
-            assert report.lhs.coeff(n) == Poly(exact.series(10))
+            assert report.lhs[n] == Poly(exact.series(10))
 
     def test_empty_space_is_one(self):
         report = coh_series(GradedSpace([]), 3, 8)
         assert report.equal
-        assert report.lhs.coeff(0) == RatFunc(1)
-        assert all(report.lhs.coeff(n) == RatFunc(0) for n in range(1, 4))
+        assert report.lhs[0] == RatFunc(1)
+        assert all(report.lhs[n] == RatFunc(0) for n in range(1, 4))
 
     def test_randomized_betti_data(self):
         import random
@@ -99,11 +99,11 @@ class TestCohProduct:
     def test_right_side_is_the_full_product_cut(self, space):
         # the right side as the untruncated product, cut only at the end
         report = coh_series(space, 5, 20)
-        base = betti_zeta(space, 5)
+        base = TSeries(betti_zeta(space, 5))
         full = TSeries([1, 0, 0, 0, 0, 0])
         for i in range(11):
             full = full * scale_t(base, Poly.monomial(2 * i))
-        assert report.rhs == TSeries([c.truncate(20) for c in full.coeffs])
+        assert report.rhs == tuple(c.truncate(20) for c in full.coeffs)
 
     def test_left_side_is_the_expanded_stack_poincare_value(self):
         # the left side from one rank pass against each rank's exact
@@ -132,21 +132,15 @@ class TestCohProduct:
                 expected = [
                     Poly(poincare(unit, n, "coh").series(u_order)) for n in range(t_order + 1)
                 ]
-                assert report.lhs == TSeries(expected), (space, t_order, u_order)
+                assert report.lhs == tuple(expected), (space, t_order, u_order)
 
     def test_mismatch_is_reported_with_index(self):
-        lhs = TSeries([1, 1, 2])
-        rhs = TSeries([1, 1, 3])
-        report = _compare(lhs, rhs, 2, None)
+        lhs = tuple(map(Poly.constant, [1, 1, 2]))
+        rhs = tuple(map(Poly.constant, [1, 1, 3]))
+        report = SeriesReport(lhs, rhs)
         assert not report.equal
         assert report.first_mismatch == 2
         assert report.verdict() == "mismatch at t^2"
-
-    def test_u_truncation_can_hide_high_degrees(self):
-        lhs = TSeries([RatFunc(1), RatFunc(ONE + U**9)])
-        rhs = TSeries([RatFunc(1), RatFunc(1)])
-        assert _compare(lhs, rhs, 1, 5).equal
-        assert not _compare(lhs, rhs, 1, 9).equal
 
 
 class TestWeilZeta:
@@ -187,18 +181,18 @@ class TestWeilZeta:
 class TestGroupoidSeries:
     def test_affine_line_linear_term(self):
         report = groupoid_series(AFFINE, 2, 2)
-        assert report.lhs.coeff(1) == RatFunc(F(2))
-        assert report.rhs.coeff(1) == RatFunc(F(2))
+        assert report.lhs[1] == RatFunc(F(2))
+        assert report.rhs[1] == RatFunc(F(2))
         assert report.equal
 
     def test_torus_is_constant_one(self):
         report = groupoid_series(TORUS, 2, 3)
         assert report.equal
-        assert all(report.lhs.coeff(n) == RatFunc(1) for n in range(4))
+        assert all(report.lhs[n] == RatFunc(1) for n in range(4))
 
     def test_punctured_over_f3(self):
         report = groupoid_series(PUNCT, 3, 2)
-        assert report.lhs.coeff(1) == RatFunc(F(1, 2))
+        assert report.lhs[1] == RatFunc(F(1, 2))
         assert report.equal
 
     @pytest.mark.parametrize("q", [2, 3])
@@ -212,7 +206,7 @@ class TestGroupoidSeries:
     def test_prime_power_field(self):
         report = groupoid_series(TORUS, 4, 2)
         assert report.equal
-        assert all(report.lhs.coeff(n) == RatFunc(1) for n in range(3))
+        assert all(report.lhs[n] == RatFunc(1) for n in range(3))
 
     def test_rejects_non_prime_power_field(self):
         with pytest.raises(ValueError, match="prime power"):
