@@ -51,9 +51,10 @@ class DescriptorError(ValueError):
     """A variety descriptor file is malformed; message names the field."""
 
 
-# The largest cohomological degree a descriptor stratum may have.  The
-# formulas build polynomials of degree about n * deg, so a larger value
-# is rejected while parsing, before anything is allocated.
+# The largest cohomological degree a descriptor stratum may have, and
+# the largest |k| of an eigenvalue q^k.  The formulas build polynomials
+# of degree about n * deg and numbers of about n * |k| digits of q, so a
+# larger value is rejected while parsing, before anything is allocated.
 MAX_DEG = 1000
 
 
@@ -81,7 +82,12 @@ def parse_eigenvalue(raw) -> Eigenvalue:
         text = raw.strip()
         m = re.fullmatch(r"q\^(-?\d+)", text)
         if m:
-            return QPower(int(m.group(1)))
+            k = int(m.group(1))
+            if abs(k) > MAX_DEG:
+                raise ValueError(
+                    f"the exponent of {text!r} must be at most {MAX_DEG} in absolute value"
+                )
+            return QPower(k)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -102,17 +108,18 @@ def _eig_sort_key(eig: Eigenvalue):
     return (0, eig.numerator, eig.denominator)
 
 
-class GradedSpace:
-    """Graded cohomology data of a variety: (degree, dim, eigenvalue) strata.
+class GradedSpace(tuple):
+    """Graded cohomology data of a variety: a tuple of (degree, dim,
+    eigenvalue) strata.
 
-    Canonical form merges strata with equal (degree, eigenvalue) by
-    adding dimensions and sorts deterministically.  Eigenvalues default
-    to 1 when only Betti data is supplied.
+    The tuple is the canonical form: strata with equal (degree,
+    eigenvalue) are merged by adding dimensions and sorted
+    deterministically, so two spaces are equal exactly when their strata
+    are, whatever their ``name``.  ``GradedSpace(a + b)`` is the disjoint
+    union.  Eigenvalues default to 1 when only Betti data is supplied.
     """
 
-    __slots__ = ("strata", "name")
-
-    def __init__(self, strata, name: str | None = None):
+    def __new__(cls, strata, name: str | None = None):
         merged: dict[tuple, int] = {}
         for s in strata:
             if not isinstance(s, Stratum):
@@ -123,36 +130,24 @@ class GradedSpace:
                 raise ValueError(f"stratum dimension must be >= 1, got {s.dim}")
             key = (s.deg, s.eig)
             merged[key] = merged.get(key, 0) + s.dim
-        canon = tuple(
-            Stratum(deg, dim, eig)
-            for (deg, eig), dim in sorted(
-                merged.items(), key=lambda kv: (kv[0][0], _eig_sort_key(kv[0][1]))
-            )
-        )
-        object.__setattr__(self, "strata", canon)
+        canon = sorted(merged.items(), key=lambda kv: (kv[0][0], _eig_sort_key(kv[0][1])))
+        self = super().__new__(cls, (Stratum(deg, dim, eig) for (deg, eig), dim in canon))
         object.__setattr__(self, "name", name)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedSpace is immutable")
 
-    def __eq__(self, other):
-        if isinstance(other, GradedSpace):
-            return self.strata == other.strata
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.strata)
-
     def __repr__(self):
         label = self.name or "GradedSpace"
-        body = ", ".join(f"(deg {s.deg}, dim {s.dim}, eig {s.eig})" for s in self.strata)
+        body = ", ".join(f"(deg {s.deg}, dim {s.dim}, eig {s.eig})" for s in self)
         return f"{label}[{body}]"
 
     # -- views ----------------------------------------------------------
 
     def betti(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for s in self.strata:
+        for s in self:
             out[s.deg] = out.get(s.deg, 0) + s.dim
         return out
 
@@ -162,7 +157,7 @@ class GradedSpace:
 
     def with_unit_eigenvalues(self) -> "GradedSpace":
         return GradedSpace(
-            [Stratum(s.deg, s.dim, Fraction(1)) for s in self.strata], name=self.name
+            [Stratum(s.deg, s.dim, Fraction(1)) for s in self], name=self.name
         )
 
     def resolve(self, q: int) -> "GradedSpace":
@@ -170,13 +165,13 @@ class GradedSpace:
         return GradedSpace(
             [
                 Stratum(s.deg, s.dim, s.eig.resolve(q) if isinstance(s.eig, QPower) else s.eig)
-                for s in self.strata
+                for s in self
             ],
             name=self.name,
         )
 
     def has_symbolic_eigenvalues(self) -> bool:
-        return any(isinstance(s.eig, QPower) for s in self.strata)
+        return any(isinstance(s.eig, QPower) for s in self)
 
     def require_exact(self) -> None:
         if self.has_symbolic_eigenvalues():
@@ -248,10 +243,10 @@ def eigen_power_sum(space: GradedSpace, i: int) -> Poly:
     permutation is the product of these over the cycles.
     """
     space.require_exact()
-    if not space.strata:
+    if not space:
         return Poly()
-    out = [Fraction(0)] * (max(s.deg for s in space.strata) * i + 1)
-    for s in space.strata:
+    out = [Fraction(0)] * (max(s.deg for s in space) * i + 1)
+    for s in space:
         out[s.deg * i] += s.dim * (-1) ** s.deg * s.eig**i
     return Poly(out)
 
@@ -365,7 +360,7 @@ def flag_character(n: int) -> SymFunc:
     return SymFunc(
         n,
         {
-            mu: Poly.from_ints(cofactor_ints(n, 2, mu.parts), mu.centralizer_order())
+            mu: Poly.from_ints(cofactor_ints(n, 2, mu), mu.centralizer_order())
             for mu in partitions_of(n)
         },
     )
@@ -526,7 +521,7 @@ def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Fraction]:
     if N < 0:
         raise ValueError("n must be >= 0")
     resolved = space_data.resolve(q)
-    D = lcm(*(s.eig.denominator for s in resolved.strata))
+    D = lcm(*(s.eig.denominator for s in resolved))
     weights = []
     for k in range(1, N + 1):
         w = eigen_power_sum(resolved, k).evaluate(1) * D**k

@@ -82,15 +82,19 @@ def _avoided(args) -> tuple[int, ...]:
     return (0, 1) if args.avoid is None else args.avoid
 
 
+def _reject(args, options, where: str) -> None:
+    """Raise for the first of ``options`` that was given: it does not apply ``where``."""
+    for option in options:
+        if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
+            raise ValueError(f"{option} does not apply {where}")
+
+
 def _check_variety_options(args) -> None:
     """Reject --dim unless the variety is affine/torus, and --avoid unless
     it is punctured; a descriptor file takes neither."""
-    for option, owners in (("--dim", ("affine", "torus")), ("--avoid", ("punctured",))):
-        if getattr(args, option[2:]) is None or args.variety in owners:
-            continue
-        if args.variety is None:
-            raise ValueError(f"{option} does not apply without --variety")
-        raise ValueError(f"{option} does not apply to --variety {args.variety}")
+    where = "without --variety" if args.variety is None else f"to --variety {args.variety}"
+    owners = (("--dim", ("affine", "torus")), ("--avoid", ("punctured",)))
+    _reject(args, [o for o, names in owners if args.variety not in names], where)
 
 
 def _resolve_space(args):
@@ -169,8 +173,8 @@ def _render_value(value: RatFunc, absolute: bool) -> str:
 
 
 def _cmd_poincare(args) -> int:
-    if args.space in ("flag", "bgln") and args.variety is not None:
-        raise ValueError(f"--variety does not apply to --space {args.space}")
+    if args.space in ("flag", "bgln"):
+        _reject(args, ("--variety",), f"to --space {args.space}")
     _check_variety_options(args)
     space = None
     if args.space in ("cn", "sn", "coh"):
@@ -184,9 +188,8 @@ def _cmd_poincare(args) -> int:
 
 def _cmd_char(args) -> int:
     if args.flag is not None:
-        for option in ("--variety", "-n", "-q", "--cycle-type", "--dim", "--avoid"):
-            if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
-                raise ValueError(f"{option} does not apply to char --flag")
+        options = ("--variety", "-n", "-q", "--cycle-type", "--dim", "--avoid")
+        _reject(args, options, "to char --flag")
         n = args.flag
         ch = flag_character(n)
         schur = {lam: flag_schur_coefficient(n, lam).subst_power(2) for lam in partitions_of(n)}
@@ -230,13 +233,12 @@ def _print_report(report) -> int:
 
 
 def _cmd_series(args) -> int:
-    for option, kinds in (
+    ignored = (
         ("--t-order", ("zeta", "stable")),
         ("--u-order", ("betti", "groupoid", "zeta")),
         ("-q", ("betti", "coh", "stable")),
-    ):
-        if args.kind in kinds and getattr(args, option.lstrip("-").replace("-", "_")) is not None:
-            raise ValueError(f"{option} does not apply to series {args.kind}")
+    )
+    _reject(args, [o for o, kinds in ignored if args.kind in kinds], f"to series {args.kind}")
     _check_variety_options(args)
     space = _resolve_space(args)
     t_order = 5 if args.t_order is None else args.t_order
@@ -280,8 +282,7 @@ def _cmd_count(args) -> int:
     if args.budget is not None and args.budget < 1:
         raise ValueError(f"--budget must be a positive integer, got {args.budget}")
     unused = "--dim" if args.family == "punctured" else "--avoid"
-    if getattr(args, unused[2:]) is not None:
-        raise ValueError(f"{unused} does not apply to --family {args.family}")
+    _reject(args, (unused,), f"to --family {args.family}")
     family = family_for(args.family, dim=_dim(args), avoided=_avoided(args))
     print(count_points(family, args.n, args.q, budget=args.budget))
     return 0

@@ -254,16 +254,12 @@ def det_mod(mat: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
-def mat_mul(a, b, p: int):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
 def commute(a, b, p: int) -> bool:
-    return mat_mul(a, b, p) == mat_mul(b, a, p)
+    """Whether ab = ba over Z/p, compared entry by entry."""
+    n = range(len(a))
+    return all(
+        sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in n) % p == 0 for i in n for j in n
+    )
 
 
 # -- linear algebra mod p -------------------------------------------------------

@@ -14,16 +14,17 @@ from math import factorial, prod
 from typing import Iterator
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
-    The exponential form (part -> multiplicity, cached at construction)
-    feeds the centralizer order and the cycle-indexed trace products.
+    A partition is the tuple of its parts, so it compares and hashes as
+    that tuple, and its slices are plain tuples.  Its size ``n`` and
+    exponential form ``exp`` (part -> multiplicity pairs) are fixed at
+    construction; ``exp`` feeds the centralizer order and the
+    cycle-indexed trace products.
     """
 
-    __slots__ = ("parts", "n", "exp")
-
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(int(p) for p in parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be positive: {parts}")
@@ -32,35 +33,19 @@ class Partition:
         exp: dict[int, int] = {}
         for p in parts:
             exp[p] = exp.get(p, 0) + 1
-        object.__setattr__(self, "parts", parts)
+        self = super().__new__(cls, parts)
         object.__setattr__(self, "n", sum(parts))
         object.__setattr__(self, "exp", tuple(sorted(exp.items())))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
-        return f"Partition({self.parts})"
+        return f"Partition({tuple(self)})"
 
     def __str__(self):
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(str(p) for p in self) + ")"
 
     # -- statistics ----------------------------------------------------
 
@@ -73,18 +58,18 @@ class Partition:
         return prod(i**a * factorial(a) for i, a in self.exp)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
+        if not self:
             return self
         cols = []
-        for j in range(self.parts[0]):
-            cols.append(sum(1 for p in self.parts if p > j))
+        for j in range(self[0]):
+            cols.append(sum(1 for p in self if p > j))
         return Partition(cols)
 
     def hook_lengths(self) -> list[int]:
         """Hook lengths of all cells, row by row."""
-        conj = self.conjugate().parts
+        conj = self.conjugate()
         hooks = []
-        for i, row in enumerate(self.parts):
+        for i, row in enumerate(self):
             for j in range(row):
                 hooks.append((row - j) + (conj[j] - i) - 1)
         return hooks
@@ -95,7 +80,7 @@ class Partition:
         Exponent of the leading monomial in the principal specialization
         of the corresponding Schur function.
         """
-        return sum(i * p for i, p in enumerate(self.parts))
+        return sum(i * p for i, p in enumerate(self))
 
     def dimension(self) -> int:
         """Number of standard Young tableaux, by the hook length formula."""

@@ -140,7 +140,7 @@ def weil_zeta_from_eigendata(space: GradedSpace, q: int) -> RatFunc:
     prime_power_base(q)
     resolved = space.resolve(q)
     exponents: dict[Fraction, int] = {}
-    for s in resolved.strata:
+    for s in resolved:
         exponents[s.eig] = exponents.get(s.eig, 0) + (-1) ** s.deg * s.dim
     num = Poly.constant(1)
     den = Poly.constant(1)

@@ -50,13 +50,13 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     """
     if lam.n != mu.n:
         raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
-    return _mn(mu.parts)[_positions(lam.n)[lam.parts]]
+    return _mn(mu)[_positions(lam.n)[lam]]
 
 
 @lru_cache(maxsize=None)
-def _positions(n: int) -> dict[tuple[int, ...], int]:
+def _positions(n: int) -> dict[Partition, int]:
     """The index of each partition of n in ``partitions_of(n)``."""
-    return {lam.parts: i for i, lam in enumerate(partitions_of(n))}
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def _strips(m: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     table = []
     for nu in partitions_of(m):
         size = len(nu) + r
-        parts = nu.parts + (0,) * r
+        parts = nu + (0,) * r
         betas = [p + size - 1 - i for i, p in enumerate(parts)]
         adds = []
         for i, b in enumerate(betas):
@@ -111,21 +111,21 @@ def _mn(mu: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """chi^lam(mu) for lam (rows) and mu (columns) in ``partitions_of(n)`` order."""
-    return tuple(zip(*(_mn(mu.parts) for mu in partitions_of(n))))
+    return tuple(zip(*(_mn(mu) for mu in partitions_of(n))))
 
 
 @lru_cache(maxsize=None)
 def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
     # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
     parts = partitions_of(lam.n)
-    row = _character_table(lam.n)[parts.index(lam)]
+    row = _character_table(lam.n)[_positions(lam.n)[lam]]
     return tuple(
         (mu, Fraction(chi, mu.centralizer_order())) for mu, chi in zip(parts, row) if chi
     )
 
 
 def _concat(a: Partition, b: Partition) -> Partition:
-    return Partition(sorted(a.parts + b.parts, reverse=True))
+    return Partition(sorted(a + b, reverse=True))
 
 
 def _add_product(acc: list[int], a, scale: int, b) -> None:
@@ -199,7 +199,7 @@ class SymFunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.terms.items(), key=lambda kv: kv[0].parts))))
+        return hash((self.degree, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if self.degree != other.degree:
@@ -300,7 +300,7 @@ class SymFunc:
         denom = lcm(*(coeff.den for coeff in self.terms.values()))
         acc: list[int] = []
         for lam, coeff in self.terms.items():
-            _add_product(acc, coeff.num, denom // coeff.den, cofactor_ints(n, power, lam.parts))
+            _add_product(acc, coeff.num, denom // coeff.den, cofactor_ints(n, power, lam))
         return Poly.from_ints(acc, denom)
 
     def principal_spec(self, power: int = 1) -> RatFunc:
@@ -333,7 +333,7 @@ def render_basis(coeffs: dict[Partition, Poly], n: int, symbol: str, var: str = 
     that are keys, in ``partitions_of(n)`` order: ``s[2] + u^2*s[1,1]``."""
     pieces = []
     for lam, coeff in ((lam, coeffs[lam]) for lam in partitions_of(n) if lam in coeffs):
-        label = f"{symbol}[{','.join(str(p) for p in lam.parts)}]"
+        label = f"{symbol}[{','.join(str(p) for p in lam)}]"
         rendered = coeff.render(var)
         if rendered == "1":
             sign, body = "+", label

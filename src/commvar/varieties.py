@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from math import comb
 
-from .charmodel import GradedSpace, QPower, Stratum, load_descriptor
+from .charmodel import MAX_DEG, GradedSpace, QPower, Stratum, load_descriptor
 from .oracle import AffineSpace, PuncturedLine, Torus, VarietyFamily
 
 BUILTIN_NAMES = ("point", "affine", "torus", "punctured", "p1")
@@ -54,11 +54,19 @@ def family_for(name: str, dim: int = 1, avoided: tuple[int, ...] = (0, 1)) -> Va
 
 
 def eigendata_for_family(family: VarietyFamily) -> GradedSpace:
-    """The graded eigenvalue data matching an enumerable family."""
+    """The graded eigenvalue data matching an enumerable family.
+
+    The affine eigenvalue is q^(dim - 1) and the torus strata reach
+    degree dim, so either dimension is capped at ``MAX_DEG``.
+    """
     if isinstance(family, AffineSpace):
+        if family.dim > MAX_DEG:
+            raise ValueError(f"affine dimension must be <= {MAX_DEG}")
         return GradedSpace([Stratum(0, 1, QPower(family.dim - 1))], name=f"affine^{family.dim}")
     if isinstance(family, Torus):
         dim = family.dim
+        if dim > MAX_DEG:
+            raise ValueError(f"torus dimension must be <= {MAX_DEG}")
         strata = [Stratum(i, comb(dim, i), QPower(dim - 1 - i)) for i in range(dim + 1)]
         return GradedSpace(strata, name=f"torus^{dim}")
     if isinstance(family, PuncturedLine):

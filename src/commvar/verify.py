@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import Poly
+from .arith import Poly, RatFunc
 from .charmodel import (
     GradedSpace,
     Stratum,
@@ -26,7 +26,7 @@ from .charmodel import (
 from .oracle import AffineSpace, PuncturedLine, Torus, VarietyFamily, count_points, gl_order
 from .partitions import partitions_of
 from .series import betti_zeta, coh_series, groupoid_series, stable_betti_verified
-from .symfunc import SymFunc, mn_character, q_pochhammer
+from .symfunc import SymFunc, mn_character
 from .varieties import eigendata_for_family
 
 RANDOM_SEED = 20260810
@@ -226,9 +226,11 @@ def check_series_agreement() -> CheckResult:
 
 def check_character_substrate() -> CheckResult:
     """Schur orthonormality, character orthogonality, and the hook form
-    c_lam * prod_h (1 - x^h) == x^b(lam) (x; x)_n, cross-multiplied,
-    for c_lam the principal specialization numerator of the Schur
-    function built from the character table."""
+    of the principal specialization, s_lam(1, x, x^2, ...) =
+    x^n(lam) / prod_h (1 - x^h) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3 Ex. 2), for the Schur function built from the
+    character table; ``==`` cross-multiplies, so the check is
+    N * prod_h (1 - x^h) == x^n(lam) (x; x)_n for its numerator N."""
     for n in range(8):
         parts = partitions_of(n)
         schurs = {lam: SymFunc.schur(lam) for lam in parts}
@@ -250,13 +252,12 @@ def check_character_substrate() -> CheckResult:
                         "character-substrate", False, f"chi^{a} . chi^{b} wrong"
                     )
     for n in range(1, 8):
-        pochhammer = q_pochhammer(n)
         for lam in partitions_of(n):
             den = Poly.constant(1)
             for h in lam.hook_lengths():
                 den = den * (Poly.constant(1) - Poly.monomial(h))
-            rhs = Poly.monomial(lam.weighted_row_sum()) * pochhammer
-            if SymFunc.schur(lam).principal_spec_numerator() * den != rhs:
+            hook_form = RatFunc(Poly.monomial(lam.weighted_row_sum()), den)
+            if SymFunc.schur(lam).principal_spec() != hook_form:
                 return CheckResult("character-substrate", False, f"hook form {lam}")
     return CheckResult("character-substrate", True, "n <= 7")
 

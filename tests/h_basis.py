@@ -12,7 +12,7 @@ from commvar.symfunc import SymFunc
 
 def from_h(lam: Partition) -> SymFunc:
     result = SymFunc.unit()
-    for part in lam.parts:
+    for part in lam:
         h = {mu: Fraction(1, mu.centralizer_order()) for mu in partitions_of(part)}
         result = result * SymFunc(part, h)
     return result

@@ -52,11 +52,11 @@ def random_space(rng, eigs=(F(1), F(1, 2), F(1, 3), F(2))):
 class TestGradedSpace:
     def test_merges_repeated_strata(self):
         space = GradedSpace([Stratum(1, 2), Stratum(0, 1), Stratum(1, 3)])
-        assert space.strata == (Stratum(0, 1), Stratum(1, 5))
+        assert space == (Stratum(0, 1), Stratum(1, 5))
 
     def test_betti_default_eigenvalue(self):
         space = GradedSpace([Stratum(0, 1), Stratum(1, 2)])
-        assert all(s.eig == 1 for s in space.strata)
+        assert all(s.eig == 1 for s in space)
 
     def test_poincare_poly_signs(self):
         assert TORUS.poincare_poly() == ONE - U
@@ -64,7 +64,7 @@ class TestGradedSpace:
 
     def test_resolve_tokens(self):
         space = GradedSpace([Stratum(1, 1, QPower(-1))])
-        assert space.resolve(3).strata[0].eig == F(1, 3)
+        assert space.resolve(3)[0].eig == F(1, 3)
         with pytest.raises(ValueError, match="q\\^k"):
             graded_trace_product(space, P((1,)))
 
@@ -73,6 +73,37 @@ class TestGradedSpace:
             GradedSpace([Stratum(-1, 1)])
         with pytest.raises(ValueError):
             GradedSpace([Stratum(0, 0)])
+
+
+class TestGradedSpaceTuple:
+    """A graded space is the tuple of its canonical strata."""
+
+    def test_equals_its_canonical_strata_whatever_its_name(self):
+        space = GradedSpace([Stratum(1, 2), Stratum(0, 1)], name="curve")
+        strata = (Stratum(0, 1), Stratum(1, 2))
+        assert isinstance(space, tuple)
+        assert space == strata and hash(space) == hash(strata)
+        assert space == GradedSpace(strata, name="other") == GradedSpace(strata)
+        assert space.name == "curve"
+
+    def test_length_is_the_number_of_strata(self):
+        assert len(GradedSpace([Stratum(1, 2), Stratum(0, 1), Stratum(1, 3)])) == 2
+        assert len(TORUS) == 2
+
+    def test_sum_is_the_disjoint_union(self):
+        union = GradedSpace(TORUS + PROJ)
+        assert union == (Stratum(0, 2), Stratum(1, 1), Stratum(2, 1))
+        assert union.poincare_poly() == TORUS.poincare_poly() + PROJ.poincare_poly()
+
+    def test_empty_space_is_falsy_with_zero_weights(self):
+        empty = GradedSpace([])
+        assert not empty
+        assert charmodel.eigen_power_sum(empty, 2) == Poly()
+
+    @pytest.mark.parametrize("name", ["name", "strata", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(GradedSpace([Stratum(0, 1)], name="x"), name, None)
 
 
 class TestTraceProduct:
@@ -176,7 +207,7 @@ class TestSignedTensorOracle:
         from math import factorial
 
         basis = []  # (degree, eigenvalue) per basis vector
-        for s in space.strata:
+        for s in space:
             basis.extend([(s.deg, s.eig)] * s.dim)
         terms = {}
         for sigma in permutations(range(n)):
@@ -631,7 +662,7 @@ class TestDescriptors:
         path.write_text(json.dumps(payload))
         space = load_descriptor(str(path))
         assert space.name == "twice punctured line"
-        assert space.strata == (
+        assert space == (
             Stratum(0, 1, F(1)),
             Stratum(1, 2, QPower(-1)),
         )
@@ -656,6 +687,26 @@ class TestDescriptors:
         message = rf"^<descriptor>: strata\[1\]: field 'deg' must be <= {charmodel.MAX_DEG}$"
         with pytest.raises(DescriptorError, match=message):
             parse_descriptor({"strata": [{"deg": 0}, {"deg": charmodel.MAX_DEG + 1}]})
+
+    def test_eigenvalue_exponent_is_capped(self):
+        cap = charmodel.MAX_DEG
+        assert parse_eigenvalue(f"q^-{cap}") == QPower(-cap)
+        assert parse_eigenvalue(f"q^{cap}") == QPower(cap)
+        for k in (cap + 1, -cap - 1, -50000000):
+            message = (
+                rf"^<descriptor>: strata\[1\]: field 'eigenvalue': the exponent of "
+                rf"'q\^{k}' must be at most {cap} in absolute value$"
+            )
+            with pytest.raises(DescriptorError, match=message):
+                parse_descriptor({"strata": [{"deg": 0}, {"deg": 1, "eigenvalue": f"q^{k}"}]})
+
+    def test_builtin_dimension_is_capped(self):
+        cap = charmodel.MAX_DEG
+        assert builtin_space("affine", dim=cap) == (Stratum(0, 1, QPower(cap - 1)),)
+        assert len(builtin_space("torus", dim=cap)) == cap + 1
+        for name in ("affine", "torus"):
+            with pytest.raises(ValueError, match=rf"^{name} dimension must be <= {cap}$"):
+                builtin_space(name, dim=cap + 1)
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

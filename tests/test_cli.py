@@ -599,7 +599,8 @@ class TestErrorsAndDeterminism:
 
 
 class TestDescriptorBounds:
-    """A descriptor's degrees are bounded before anything is allocated."""
+    """Descriptor degrees and exponents and builtin dimensions are bounded
+    before anything is allocated."""
 
     def test_huge_degree_exits_two_under_memory_limit(self, tmp_path):
         # The command runs in a child limited to 1.5 GB of address space;
@@ -618,6 +619,44 @@ class TestDescriptorBounds:
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {path}: strata[1]: field 'deg' must be <= {charmodel.MAX_DEG}\n"
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "-n", "2", "-q", "3"],
+            ["series", "zeta", "-q", "3"],
+            ["series", "groupoid", "-q", "3", "--t-order", "2"],
+        ],
+        ids=["char", "zeta", "groupoid"],
+    )
+    def test_huge_eigenvalue_exponent_exits_two(self, tmp_path, argv):
+        # Resolved at q = 3, q^-50000000 has a denominator of about 2.4 * 10^7
+        # digits; with no cap on the exponent each command ran past 20 s.
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps({"strata": [{"deg": 0, "eigenvalue": "q^-50000000"}]}))
+        proc = run_child(*argv, "--variety", str(path), timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: {path}: strata[0]: field 'eigenvalue': the exponent of 'q^-50000000' "
+            f"must be at most {charmodel.MAX_DEG} in absolute value\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, family",
+        [
+            (["poincare", "--variety", "torus", "--dim", "3000", "-n", "2"], "torus"),
+            (["char", "--variety", "affine", "--dim", "300000000", "-n", "2", "-q", "2"], "affine"),
+        ],
+        ids=["torus", "affine"],
+    )
+    def test_builtin_dimension_above_the_cap_exits_two(self, argv, family):
+        # The torus strata reach degree dim and the affine eigenvalue is
+        # q^(dim - 1); with no cap these ran past 15 s or ended in Python's
+        # int-to-str digit limit.
+        proc = run_child(*argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {family} dimension must be <= {charmodel.MAX_DEG}\n"
 
 
 # Each command that takes a variety, with the arguments it needs besides.

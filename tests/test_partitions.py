@@ -21,7 +21,7 @@ class TestEnumeration:
         assert partitions_of(0) == (Partition(()),)
 
     def test_three(self):
-        assert [p.parts for p in partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]
+        assert list(partitions_of(3)) == [(3,), (2, 1), (1, 1, 1)]
 
     def test_five_has_seven(self):
         fives = partitions_of(5)
@@ -35,7 +35,7 @@ class TestEnumeration:
             for k in range(min(remaining, maxpart), 0, -1):
                 rec(remaining - k, k, prefix + (k,))
         rec(5, 5, ())
-        assert {p.parts for p in fives} == found
+        assert set(fives) == found
 
     @pytest.mark.parametrize("n", range(31))
     def test_count_matches_dp_oracle(self, n):
@@ -43,7 +43,7 @@ class TestEnumeration:
 
     def test_reverse_lex_order(self):
         for n in range(1, 9):
-            parts = [p.parts for p in partitions_of(n)]
+            parts = list(partitions_of(n))
             assert parts[0] == (n,)
             assert parts[-1] == (1,) * n
             assert parts == sorted(parts, reverse=True)
@@ -117,3 +117,29 @@ class TestConstruction:
     def test_conjugate(self):
         assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
         assert Partition(()).conjugate() == Partition(())
+
+
+class TestTupleContract:
+    """A partition is the tuple of its parts."""
+
+    def test_equals_and_hashes_as_its_parts(self):
+        lam = Partition((2, 1))
+        assert isinstance(lam, tuple)
+        assert lam == (2, 1) and (2, 1) == lam
+        assert hash(lam) == hash((2, 1))
+        assert {lam: "x"}[(2, 1)] == "x"
+
+    def test_slices_are_plain_tuples(self):
+        rest = Partition((3, 2, 1))[1:]
+        assert type(rest) is tuple and rest == (2, 1)
+
+    def test_repr_size_and_exponents(self):
+        lam = Partition((2, 2, 1))
+        assert repr(lam) == "Partition((2, 2, 1))"
+        assert repr(Partition(())) == "Partition(())"
+        assert (len(lam), lam.n, lam.exp) == (3, 5, ((1, 1), (2, 2)))
+
+    @pytest.mark.parametrize("name", ["n", "exp", "parts", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(Partition((2, 1)), name, 0)

@@ -54,7 +54,7 @@ class TestBettiZeta:
     def test_disjoint_union_multiplies(self):
         # concatenating strata adds Betti numbers, so the series multiply
         for a, b in ((TORUS, PROJ), (AFFINE, PUNCT), (PROJ, PROJ)):
-            union = GradedSpace(a.strata + b.strata)
+            union = GradedSpace(a + b)
             lhs = betti_zeta(union, 4)
             rhs = TSeries(betti_zeta(a, 4)) * TSeries(betti_zeta(b, 4))
             assert lhs == rhs.coeffs

@@ -21,6 +21,8 @@ from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import (
     SymFunc,
     _character_table,
+    _mn,
+    _positions,
     mn_character,
     q_pochhammer,
 )
@@ -33,7 +35,7 @@ ONE = Poly.constant(1)
 
 def schur_by_jacobi_trudi(lam: Partition) -> SymFunc:
     """det(h_{lam_i - i + j}) expanded over permutations; oracle only."""
-    ell = len(lam.parts)
+    ell = len(lam)
     if ell == 0:
         return SymFunc.unit()
     result = SymFunc.zero(lam.n)
@@ -48,7 +50,7 @@ def schur_by_jacobi_trudi(lam: Partition) -> SymFunc:
         term = SymFunc.unit()
         ok = True
         for i in range(ell):
-            m = lam.parts[i] - (i + 1) + (sigma[i] + 1)
+            m = lam[i] - (i + 1) + (sigma[i] + 1)
             if m < 0:
                 ok = False
                 break
@@ -64,7 +66,7 @@ def principal_spec_per_term(f: SymFunc, power: int) -> RatFunc:
     acc = RatFunc(0)
     for lam, coeff in f.terms.items():
         den = ONE
-        for part in lam.parts:
+        for part in lam:
             den = den * (ONE - Poly.monomial(power * part))
         acc = acc + RatFunc(coeff, den)
     return acc
@@ -84,7 +86,7 @@ def numerator_by_poly_division(f: SymFunc, power: int) -> Poly:
     acc = Poly()
     for lam, coeff in f.terms.items():
         den = ONE
-        for part in lam.parts:
+        for part in lam:
             den = den * (ONE - Poly.monomial(power * part))
         quotient, rem = divmod(pochhammer, den)
         assert not rem
@@ -303,7 +305,7 @@ class TestCharacterTable:
         parts = partitions_of(n)
         for lam, row in zip(parts, _character_table(n)):
             for mu, value in zip(parts, row):
-                assert value == mn_by_border_strips(lam.parts, mu.parts), (lam, mu)
+                assert value == mn_by_border_strips(lam, mu), (lam, mu)
 
     @pytest.mark.parametrize("n", range(10))
     def test_row_orthogonality(self, n):
@@ -324,6 +326,17 @@ class TestCharacterTable:
             for j in range(len(parts)):
                 total = sum(x * y for x, y in zip(columns[i], columns[j]))
                 assert total == (mu.centralizer_order() if i == j else 0), (n, i, j)
+
+
+class TestPartitionKeys:
+    """The character caches take a partition or the plain tuple of its parts."""
+
+    def test_positions_are_keyed_by_parts(self):
+        assert _positions(3)[(2, 1)] == _positions(3)[Partition((2, 1))] == 1
+
+    def test_partition_and_tuple_share_one_cached_column(self):
+        assert _mn(Partition((2, 1))) is _mn((2, 1))
+        assert _mn(Partition((3, 2, 2))) is _mn((3, 2, 2))
 
 
 class TestSchurConversion:
