@@ -25,9 +25,7 @@ Sign convention used throughout: the Poincare polynomial of a space is
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -42,7 +40,7 @@ from .arith import (
     pochhammer_ints,
     pseudo_divmod,
 )
-from .oracle import prime_power_base
+from .oracle import Frozen, prime_power_base
 from .partitions import Partition, partitions_of
 from .symfunc import SymFunc, q_pochhammer
 
@@ -58,11 +56,13 @@ class DescriptorError(ValueError):
 MAX_DEG = 1000
 
 
-@dataclass(frozen=True)
-class QPower:
+class QPower(Frozen):
     """Symbolic eigenvalue q**k, resolved once a prime power is chosen."""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k)
 
     def resolve(self, q: int) -> Fraction:
         return Fraction(q) ** self.k
@@ -95,11 +95,13 @@ def parse_eigenvalue(raw) -> Eigenvalue:
     raise ValueError(f"cannot parse eigenvalue {raw!r}")
 
 
-@dataclass(frozen=True)
-class Stratum:
-    deg: int
-    dim: int
-    eig: Eigenvalue = Fraction(1)
+class Stratum(Frozen):
+    __slots__ = ("deg", "dim", "eig")
+
+    def __init__(self, deg: int, dim: int, eig: Eigenvalue = Fraction(1)):
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "eig", eig)
 
 
 def _eig_sort_key(eig: Eigenvalue):
@@ -184,6 +186,8 @@ def _int_field(entry: dict, field: str, where: str) -> int:
     # JSON integers only: true, 1.7, "2" and null are rejected, not coerced
     value = entry[field]
     if isinstance(value, bool) or not isinstance(value, int):
+        import json
+
         raise DescriptorError(
             f"{where}: field '{field}' must be an integer, got {json.dumps(value)}"
         )
@@ -224,6 +228,8 @@ def parse_descriptor(obj, source: str = "<descriptor>") -> GradedSpace:
 
 
 def load_descriptor(path: str) -> GradedSpace:
+    import json  # only a descriptor file needs it, not a builtin variety
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:

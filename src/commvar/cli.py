@@ -101,14 +101,7 @@ def _resolve_space(args):
     return resolve_variety(args.variety, dim=_dim(args), avoided=_avoided(args))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="commvar",
-        description="Exact invariants of commuting-matrix moduli spaces from graded Betti/Frobenius data.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("poincare", help="signed Poincare polynomial of a moduli space")
+def _poincare_args(p) -> None:
     p.add_argument("--space", choices=("cn", "sn", "coh", "flag", "bgln"), default="cn")
     _add_variety_args(p, required=False)
     p.add_argument("-n", type=int, required=True, help="rank (matrix size)")
@@ -118,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="display-only: print absolute values of the coefficients",
     )
 
-    c = subs.add_parser("char", help="graded character in Schur and power-sum expansions")
+
+def _char_args(c) -> None:
     c.add_argument("--flag", type=int, help="rank of the complete flag variety")
     _add_variety_args(c, required=False)
     c.add_argument("-n", type=int, help="tensor power for a variety character")
@@ -128,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the graded trace at this cycle type, e.g. '(2,1)' or '1^1 2^1'",
     )
 
-    s = subs.add_parser("series", help="zeta-type generating series and product formulas")
+
+def _series_args(s) -> None:
     s.add_argument(
         "kind",
         choices=("betti", "coh", "groupoid", "zeta", "stable"),
@@ -139,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--u-order", type=int, default=None)
     s.add_argument("-q", type=int, help="prime power for groupoid/zeta")
 
-    k = subs.add_parser("count", help="brute-force point count over a prime field")
+
+def _count_args(k) -> None:
     k.add_argument("--family", choices=("affine", "torus", "punctured"), required=True)
     k.add_argument("--dim", type=int, default=None, help="affine/torus only (default 1)")
     k.add_argument("--n", "-n", type=int, required=True, dest="n")
@@ -154,10 +150,35 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"candidate limit (default {DEFAULT_BUDGET}, env COMMVAR_BUDGET)",
     )
 
-    v = subs.add_parser("verify", help="run the exact cross-check suites")
+
+def _verify_args(v) -> None:
     v.add_argument("--suite", default="all", help=f"one of 'all' or {sorted(SUITES)}")
     v.add_argument("-q", type=int, help="restrict point-count checks to this field size")
 
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``.
+
+    When ``argv[0]`` names a command, only that command's subparser is
+    built: the top-level parser has no option that takes a value, so the
+    rest of ``argv`` goes to it.  Its usage line must still list every
+    command, hence the metavar.  In every other case (no command, a help
+    flag or ``--`` first, an unknown command) all subparsers are built,
+    and the default metavar keeps argparse's ``argument command:`` errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="commvar",
+        description="Exact invariants of commuting-matrix moduli spaces from graded Betti/Frobenius data.",
+    )
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = COMMANDS[name]
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -306,18 +327,22 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# name -> (help line, argument builder, handler), in help order
+COMMANDS = {
+    "poincare": ("signed Poincare polynomial of a moduli space", _poincare_args, _cmd_poincare),
+    "char": ("graded character in Schur and power-sum expansions", _char_args, _cmd_char),
+    "series": ("zeta-type generating series and product formulas", _series_args, _cmd_series),
+    "count": ("brute-force point count over a prime field", _count_args, _cmd_count),
+    "verify": ("run the exact cross-check suites", _verify_args, _cmd_verify),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "poincare": _cmd_poincare,
-        "char": _cmd_char,
-        "series": _cmd_series,
-        "count": _cmd_count,
-        "verify": _cmd_verify,
-    }
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

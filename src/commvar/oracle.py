@@ -23,7 +23,6 @@ routes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -128,15 +127,44 @@ def gl_order(n: int, q: int) -> int:
 # -- variety families ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineSpace:
+class Frozen:
+    """Base of a small immutable value with its fields in ``__slots__``.
+
+    ``==``, ``hash`` and ``repr`` run over the fields in slot order, and
+    an instance equals only an instance of its own class.  A subclass's
+    ``__init__`` sets its fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class AffineSpace(Frozen):
     """N-tuples of commuting matrices, no unit constraint."""
 
-    dim: int = 1
+    __slots__ = ("dim",)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int = 1):
+        if dim < 1:
             raise ValueError("affine dimension must be >= 1")
+        object.__setattr__(self, "dim", dim)
 
     @property
     def tuple_len(self) -> int:
@@ -156,15 +184,15 @@ class AffineSpace:
         return self.dim == 1
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(Frozen):
     """N-tuples of commuting invertible matrices."""
 
-    dim: int = 1
+    __slots__ = ("dim",)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int = 1):
+        if dim < 1:
             raise ValueError("torus dimension must be >= 1")
+        object.__setattr__(self, "dim", dim)
 
     @property
     def tuple_len(self) -> int:
@@ -183,15 +211,15 @@ class Torus:
         return self.dim == 1
 
 
-@dataclass(frozen=True)
-class PuncturedLine:
+class PuncturedLine(Frozen):
     """Single matrices M with M - a*I invertible for each avoided value a."""
 
-    avoided: tuple[int, ...] = (0, 1)
+    __slots__ = ("avoided",)
 
-    def __post_init__(self):
-        if len(set(self.avoided)) != len(self.avoided):
+    def __init__(self, avoided: tuple[int, ...] = (0, 1)):
+        if len(set(avoided)) != len(avoided):
             raise ValueError("avoided values must be distinct")
+        object.__setattr__(self, "avoided", avoided)
 
     @property
     def tuple_len(self) -> int:

@@ -34,7 +34,6 @@ remainder at every rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Poly, RatFunc, div_one_minus, euler_rows, mul_one_minus
@@ -42,7 +41,6 @@ from .charmodel import GradedSpace, point_counts, rank_numerators
 from .oracle import gl_order, prime_power_base
 
 
-@dataclass(frozen=True)
 class SeriesReport:
     """Two series compared coefficientwise, with an exact verdict.
 
@@ -52,8 +50,11 @@ class SeriesReport:
     pair.
     """
 
-    lhs: tuple[Poly, ...]
-    rhs: tuple[Poly, ...]
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: tuple[Poly, ...], rhs: tuple[Poly, ...]):
+        self.lhs = lhs
+        self.rhs = rhs
 
     @property
     def first_mismatch(self) -> int | None:
@@ -234,14 +235,16 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     return Poly.from_ints(v)
 
 
-@dataclass(frozen=True)
 class StabilizationReport:
     """Residue-route limit against two consecutive finite-rank values."""
 
-    stable: Poly
-    n: int
-    at_n: Poly
-    at_next: Poly
+    __slots__ = ("stable", "n", "at_n", "at_next")
+
+    def __init__(self, stable: Poly, n: int, at_n: Poly, at_next: Poly):
+        self.stable = stable
+        self.n = n
+        self.at_n = at_n
+        self.at_next = at_next
 
     @property
     def ok(self) -> bool:

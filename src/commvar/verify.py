@@ -9,7 +9,6 @@ the pytest acceptance module asserts the same results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -33,11 +32,13 @@ RANDOM_SEED = 20260810
 _EIG_CHOICES = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2))
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -45,16 +46,26 @@ class CheckResult:
         return f"{self.name}: {status}{suffix}"
 
 
-@dataclass(frozen=True)
 class CrossCheck:
     """A brute-force count compared over three routes: oracle, formula, series."""
 
-    family: VarietyFamily
-    n: int
-    q: int
-    oracle_count: int
-    formula_count: object
-    series_rhs_count: object
+    __slots__ = ("family", "n", "q", "oracle_count", "formula_count", "series_rhs_count")
+
+    def __init__(
+        self,
+        family: VarietyFamily,
+        n: int,
+        q: int,
+        oracle_count: int,
+        formula_count: object,
+        series_rhs_count: object,
+    ):
+        self.family = family
+        self.n = n
+        self.q = q
+        self.oracle_count = oracle_count
+        self.formula_count = formula_count
+        self.series_rhs_count = series_rhs_count
 
     @property
     def ok(self) -> bool:

@@ -105,6 +105,16 @@ class TestGradedSpaceTuple:
         with pytest.raises(AttributeError):
             setattr(GradedSpace([Stratum(0, 1)], name="x"), name, None)
 
+    def test_strata_and_eigenvalues_are_values(self):
+        assert Stratum(1, 2) == Stratum(1, 2, F(1)) != (1, 2, F(1))
+        assert hash(Stratum(1, 2)) == hash(Stratum(1, 2, F(1)))
+        assert QPower(-1) == QPower(-1) != QPower(0)
+        assert repr(Stratum(2, 1, QPower(-1))) == "Stratum(deg=2, dim=1, eig=QPower(k=-1))"
+        with pytest.raises(AttributeError):
+            Stratum(0, 1).dim = 2
+        with pytest.raises(AttributeError):
+            QPower(1).k = 2
+
 
 class TestTraceProduct:
     def test_torus_identity_type(self):

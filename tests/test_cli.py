@@ -1,8 +1,10 @@
 """Command-line front end: golden outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from commvar import arith, charmodel, partitions, symfunc
-from commvar.cli import main
+from commvar.cli import COMMANDS, build_parser, main
 from commvar.symfunc import SymFunc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -956,3 +958,81 @@ class TestHelpText:
             expected = expected.replace("--n N, -n N", "--n, -n N")
             expected = expected.replace("--q Q, -q Q", "--q, -q Q")
         assert capsys.readouterr() == (expected, "")
+
+
+USAGE = "usage: commvar [-h] {poincare,char,series,count,verify} ...\n"
+CHOICES = "(choose from 'poincare', 'char', 'series', 'count', 'verify')"
+
+# argv -> (exit, stdout, stderr) at COLUMNS=80; the same on Python
+# 3.10.13, 3.11.7 and 3.12.1
+PARSER_PATHS = {
+    ("verify", "coh"): (2, "", USAGE + "commvar: error: unrecognized arguments: coh\n"),
+    ("poincare", "--space", "flag", "-n", "3", "extra"): (
+        2,
+        "",
+        USAGE + "commvar: error: unrecognized arguments: extra\n",
+    ),
+    (): (2, "", USAGE + "commvar: error: the following arguments are required: command\n"),
+    ("bogus",): (
+        2,
+        "",
+        USAGE + f"commvar: error: argument command: invalid choice: 'bogus' {CHOICES}\n",
+    ),
+    ("-h", "poincare"): (0, HELP[()], ""),
+    ("--", "poincare", "--space", "flag", "-n", "3"): (
+        2,
+        "",
+        USAGE + f"commvar: error: argument command: invalid choice: '--' {CHOICES}\n",
+    ),
+}
+
+# tokens of every subparser's options and values, valid and not
+ARGV_TOKENS = (
+    *COMMANDS, "-h", "--help", "--", "bogus", "extra", "--space", "flag", "cn", "coh",
+    "-n", "--n", "3", "-n3", "--variety", "--variety=p1", "p1", "torus", "--dim", "2",
+    "--avoid", "0,1", "0,x", "--absolute", "--flag", "-q", "--q", "5", "--cycle-type",
+    "(2,1)", "betti", "zeta", "--t-order", "--u-order", "--family", "affine", "punctured",
+    "--budget", "--suite", "all", "-x", "--sp", "--fl",
+)
+
+
+class TestParserPaths:
+    """``build_parser(argv)`` builds only the subparser of a command named
+    first; errors the top-level parser reports must still read as they do
+    with every subparser built."""
+
+    @pytest.mark.parametrize("argv", PARSER_PATHS, ids=lambda a: " ".join(a) or "commvar")
+    def test_literal_output(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert (exc.value.code, *capsys.readouterr()) == PARSER_PATHS[argv]
+
+    def test_one_subparser_parses_as_all_of_them(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(parser, argv):
+            try:
+                namespace, code = vars(parser.parse_args(argv)), None
+            except SystemExit as exc:
+                namespace, code = None, exc.code
+            return code, *capsys.readouterr(), namespace
+
+        rng = random.Random(20)
+        for _ in range(300):
+            argv = [rng.choice(list(COMMANDS))]
+            argv += [rng.choice(ARGV_TOKENS) for _ in range(rng.randint(0, 6))]
+            assert outcome(build_parser(argv), argv) == outcome(build_parser([]), argv), argv
+
+    def test_a_command_builds_two_parsers(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, out, _ = run(capsys, "poincare", "--space", "flag", "-n", "3")
+        assert (code, out) == (0, "1 + 2*u^2 + 2*u^4 + u^6\n")
+        assert built == ["commvar", "commvar poincare"]

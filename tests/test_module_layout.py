@@ -73,20 +73,24 @@ def test_oracle_is_a_leaf():
     assert commvar_imports((SRC / "oracle.py").read_text(encoding="utf-8")) == []
 
 
-def loaded_submodules(module: str) -> list[str]:
-    """The ``commvar.*`` modules a fresh interpreter holds after importing ``module``."""
+def fresh_modules(module: str, *flags: str) -> set[str]:
+    """The modules a fresh interpreter, started with ``flags``, holds after importing ``module``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
-    probe = "print(*sorted(m for m in sys.modules if m.startswith('commvar.')))"
     result = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; {probe}"],
+        [sys.executable, *flags, "-c", f"import sys, {module}; print(*sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.split()
+    return set(result.stdout.split())
+
+
+def loaded_submodules(module: str) -> list[str]:
+    """The ``commvar.*`` modules a fresh interpreter holds after importing ``module``."""
+    return sorted(m for m in fresh_modules(module) if m.startswith("commvar."))
 
 
 def test_package_root_loads_no_submodule():
@@ -95,3 +99,8 @@ def test_package_root_loads_no_submodule():
 
 def test_oracle_loads_no_other_submodule():
     assert loaded_submodules("commvar.oracle") == ["commvar.oracle"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # -S keeps what site imports out of the count: only commvar's imports show
+    assert fresh_modules("commvar.cli", "-S") & {"dataclasses", "inspect", "json"} == set()

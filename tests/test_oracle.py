@@ -529,6 +529,35 @@ class TestSolutions:
         assert list(_solutions(full, 3, 5)) == [(0, 0, 0)]
 
 
+class TestFamilyValues:
+    """The families are immutable values, each equal only to its own kind."""
+
+    def test_equality_hash_and_repr(self):
+        assert Torus(2) == Torus(2) and hash(Torus(2)) == hash(Torus(2))
+        assert Torus(1) != AffineSpace(1) and Torus() != Torus(2)
+        assert PuncturedLine() == PuncturedLine((0, 1)) != (0, 1)
+        assert len({AffineSpace(), AffineSpace(1), Torus(), PuncturedLine()}) == 3
+        assert repr(AffineSpace()) == "AffineSpace(dim=1)"
+        assert repr(PuncturedLine((0, 2))) == "PuncturedLine(avoided=(0, 2))"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: AffineSpace(0), "affine dimension must be >= 1"),
+            (lambda: Torus(-1), "torus dimension must be >= 1"),
+            (lambda: PuncturedLine((1, 1)), "avoided values must be distinct"),
+        ],
+    )
+    def test_validation(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("family", [AffineSpace(), Torus(), PuncturedLine()], ids=repr)
+    def test_fields_cannot_be_set(self, family):
+        with pytest.raises(AttributeError):
+            family.dim = 2
+
+
 class TestOneMatrixFamilies:
     def test_no_centralizer_is_solved(self, monkeypatch):
         def refuse(*args):
