@@ -50,9 +50,10 @@ class DescriptorError(ValueError):
 
 
 # The largest cohomological degree a descriptor stratum may have, and
-# the largest |k| of an eigenvalue q^k.  The formulas build polynomials
-# of degree about n * deg and numbers of about n * |k| digits of q, so a
-# larger value is rejected while parsing, before anything is allocated.
+# the largest |k| of an eigenvalue q^k or a decimal eigenvalue d*10^k.
+# The formulas build polynomials of degree about n * deg and numbers of
+# about n * |k| digits of q, so a larger value is rejected while parsing,
+# before anything is allocated.
 MAX_DEG = 1000
 
 
@@ -80,14 +81,19 @@ def parse_eigenvalue(raw) -> Eigenvalue:
         return Fraction(raw)
     if isinstance(raw, str):
         text = raw.strip()
-        m = re.fullmatch(r"q\^(-?\d+)", text)
+        if "_" in text:
+            # Fraction takes PEP 515 underscores only from Python 3.11 on
+            raise ValueError(f"cannot parse eigenvalue {raw!r}")
+        # q^k, or a decimal with an exponent, which Fraction would expand
+        m = re.fullmatch(r"q\^(-?\d+)|[-+]?(?:\d+\.?\d*|\.\d+)[eE]([-+]?\d+)", text)
         if m:
-            k = int(m.group(1))
-            if abs(k) > MAX_DEG:
+            k = m[1] or m[2]
+            if len(k.lstrip("+-0")) > len(str(MAX_DEG)) or abs(int(k)) > MAX_DEG:
                 raise ValueError(
                     f"the exponent of {text!r} must be at most {MAX_DEG} in absolute value"
                 )
-            return QPower(k)
+            if m[1]:
+                return QPower(int(k))
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

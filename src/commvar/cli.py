@@ -8,8 +8,8 @@ verify subcommand exits nonzero on any failed check.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .arith import Poly, RatFunc
 from .charmodel import (
@@ -46,6 +46,8 @@ def _parse_avoid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
@@ -157,7 +159,8 @@ def _verify_args(v) -> None:
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``.
+    """The argparse parser for ``argv``, which ``main`` uses only where
+    ``_fast_parse`` declines.
 
     When ``argv[0]`` names a command, only that command's subparser is
     built: the top-level parser has no option that takes a value, so the
@@ -166,6 +169,8 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     flag or ``--`` first, an unknown command) all subparsers are built,
     and the default metavar keeps argparse's ``argument command:`` errors.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="commvar",
         description="Exact invariants of commuting-matrix moduli spaces from graded Betti/Frobenius data.",
@@ -180,6 +185,86 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         help_text, add_arguments, _ = COMMANDS[name]
         add_arguments(subs.add_parser(name, help=help_text))
     return parser
+
+
+class _Options:
+    """The ``add_argument`` calls of one command's argument builder, as
+    ``_fast_parse`` reads them.  An argument is (dest, type, choices),
+    with type None for a ``store_true`` flag; a keyword or action that
+    ``_fast_parse`` does not reproduce raises."""
+
+    def __init__(self):
+        self.by_flag = {}  # option string -> argument
+        self.positional = None
+        self.defaults = {}
+        self.required = set()
+
+    def add_argument(
+        self, *names, dest=None, type=None, choices=None, default=None,
+        required=False, action=None, help=None,
+    ):
+        if action not in (None, "store_true") or (isinstance(default, str) and type):
+            raise TypeError(f"_fast_parse does not model the argument {names}")
+        if names[0].startswith("-"):
+            long = [n for n in names if n.startswith("--")]
+            dest = dest or (long or names)[0].lstrip("-").replace("-", "_")
+            argument = (dest, None, None) if action else (dest, type or str, choices)
+            self.by_flag.update(dict.fromkeys(names, argument))
+        else:
+            dest, required = names[0], True
+            self.positional = (dest, type or str, choices)
+        self.defaults[dest] = False if action else default
+        if required:
+            self.required.add(dest)
+
+
+def _fast_parse(argv):
+    """``argv`` parsed as argparse parses it, without argparse, or None.
+
+    Only a command followed by exact option strings, each with one value
+    that does not start with ``-``, ``store_true`` flags and the one
+    positional is accepted, each destination at most once, with values
+    that pass ``type`` and ``choices`` and every required destination
+    given.  Anything else (help, ``--``, abbreviations, ``--opt=value``,
+    ``-n3``, repeats, values starting with ``-``, bad values, missing
+    options) returns None: help, usage and error text come only from
+    argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = _Options()
+    COMMANDS[argv[0]][1](options)
+    values = dict(options.defaults)
+    seen = set()
+    positional = options.positional
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            if token not in options.by_flag:
+                return None
+            dest, convert, choices = options.by_flag[token]
+            value = True if convert is None else next(tokens, "-")
+        elif positional is not None:
+            (dest, convert, choices), positional = positional, None
+            value = token
+        else:
+            return None
+        if dest in seen:
+            return None
+        seen.add(dest)
+        if convert is not None:
+            if value.startswith("-"):
+                return None
+            try:
+                value = convert(value)
+            except Exception:  # argparse converts it again, then reports or re-raises
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+    if not options.required <= seen:
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _render_value(value: RatFunc, absolute: bool) -> str:
@@ -340,7 +425,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
     try:
         return COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -709,6 +710,31 @@ class TestDescriptors:
             )
             with pytest.raises(DescriptorError, match=message):
                 parse_descriptor({"strata": [{"deg": 0}, {"deg": 1, "eigenvalue": f"q^{k}"}]})
+
+    def test_decimal_exponent_is_capped(self):
+        # Fraction("1e100000000") builds 10^100000000, which took more than 20 s
+        cap = charmodel.MAX_DEG
+        assert parse_eigenvalue(f"1e-{cap}") == F(1, 10**cap)
+        assert parse_eigenvalue(f" 2.5E+{cap} ") == F(25 * 10 ** (cap - 1))
+        assert parse_eigenvalue(".5e0001") == F(5)
+        for text in (f"1e{cap + 1}", "1e100000000", "-.5E-100000000", "7.e" + "9" * 5000):
+            message = (
+                rf"^<descriptor>: strata\[1\]: field 'eigenvalue': the exponent of "
+                rf"{re.escape(repr(text))} must be at most {cap} in absolute value$"
+            )
+            with pytest.raises(DescriptorError, match=message):
+                parse_descriptor({"strata": [{"deg": 0}, {"deg": 1, "eigenvalue": text}]})
+
+    def test_huge_q_exponent_names_the_eigenvalue(self):
+        text = "q^-" + "9" * 5000
+        with pytest.raises(ValueError, match=rf"^the exponent of {re.escape(repr(text))} must be at most"):
+            parse_eigenvalue(text)
+
+    @pytest.mark.parametrize("text", ["1_000", "1_0/3", "1/1_0", "1.5_0", "1e1_0", "q^1_0"])
+    def test_underscores_are_rejected_on_every_version(self, text):
+        # Fraction takes PEP 515 underscores from Python 3.11 on, not on 3.10
+        with pytest.raises(ValueError, match=rf"^cannot parse eigenvalue {re.escape(repr(text))}$"):
+            parse_eigenvalue(text)
 
     def test_builtin_dimension_is_capped(self):
         cap = charmodel.MAX_DEG

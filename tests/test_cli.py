@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from commvar import arith, charmodel, partitions, symfunc
-from commvar.cli import COMMANDS, build_parser, main
+from commvar.cli import COMMANDS, _fast_parse, _Options, build_parser, main
 from commvar.symfunc import SymFunc
+from test_readme import EXAMPLES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -644,6 +646,18 @@ class TestDescriptorBounds:
             f"must be at most {charmodel.MAX_DEG} in absolute value\n"
         )
 
+    def test_huge_decimal_exponent_exits_two(self, tmp_path):
+        # Fraction("1e100000000") builds 10^100000000: with no cap on the
+        # decimal exponent the command ran past 20 s
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps({"strata": [{"deg": 0, "eigenvalue": "1e100000000"}]}))
+        proc = run_child("char", "--variety", str(path), "-n", "2", "-q", "3", timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: {path}: strata[0]: field 'eigenvalue': the exponent of '1e100000000' "
+            f"must be at most {charmodel.MAX_DEG} in absolute value\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, family",
         [
@@ -986,13 +1000,14 @@ PARSER_PATHS = {
     ),
 }
 
-# tokens of every subparser's options and values, valid and not
+# tokens of every subparser's options and values, valid and not; int()
+# reads " 4" as 4 and "\u0663", an Arabic-Indic digit, as 3
 ARGV_TOKENS = (
     *COMMANDS, "-h", "--help", "--", "bogus", "extra", "--space", "flag", "cn", "coh",
     "-n", "--n", "3", "-n3", "--variety", "--variety=p1", "p1", "torus", "--dim", "2",
     "--avoid", "0,1", "0,x", "--absolute", "--flag", "-q", "--q", "5", "--cycle-type",
     "(2,1)", "betti", "zeta", "--t-order", "--u-order", "--family", "affine", "punctured",
-    "--budget", "--suite", "all", "-x", "--sp", "--fl",
+    "--budget", "--suite", "all", "-x", "--sp", "--fl", "-3", "", " 4", "\u0663",
 )
 
 
@@ -1024,7 +1039,15 @@ class TestParserPaths:
             argv += [rng.choice(ARGV_TOKENS) for _ in range(rng.randint(0, 6))]
             assert outcome(build_parser(argv), argv) == outcome(build_parser([]), argv), argv
 
-    def test_a_command_builds_two_parsers(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [
+            (["poincare", "--space", "flag", "-n", "3"], []),
+            (["poincare", "--space=flag", "-n", "3"], ["commvar", "commvar poincare"]),
+        ],
+        ids=["fast", "fallback"],
+    )
+    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -1033,6 +1056,110 @@ class TestParserPaths:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        code, out, _ = run(capsys, "poincare", "--space", "flag", "-n", "3")
+        code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, "1 + 2*u^2 + 2*u^4 + u^6\n")
-        assert built == ["commvar", "commvar poincare"]
+        assert built == parsers
+
+
+GOLDEN_ARGV = [
+    shlex.split(command)
+    for command in json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))[
+        "commands"
+    ]
+]
+README_ARGV = [shlex.split(command)[1:] for command, _, _ in EXAMPLES]
+
+
+def declared_argv(rng, command):
+    """``command`` with its required options, some of its others and its
+    positional, in random order, each value most often of its option's
+    type and choices and otherwise any of ``ARGV_TOKENS``."""
+
+    def value(convert, choices):
+        if rng.random() < 0.2:
+            return rng.choice(ARGV_TOKENS)
+        if choices:
+            return rng.choice(choices)
+        if convert is int:
+            return rng.choice(("2", "3", " 4", "\u0663"))
+        return rng.choice(("p1", "torus", "0,1", "(2,1)", "all"))
+
+    options = _Options()
+    COMMANDS[command][1](options)
+    strings = {}
+    for string, argument in options.by_flag.items():
+        strings.setdefault(argument, []).append(string)
+    groups = [
+        [rng.choice(names)] + ([] if convert is None else [value(convert, choices)])
+        for (dest, convert, choices), names in strings.items()
+        if dest in options.required or rng.random() < 0.3
+    ]
+    if options.positional:
+        groups.append([value(*options.positional[1:])])
+    rng.shuffle(groups)
+    return [command] + [token for group in groups for token in group]
+
+
+class TestFastParse:
+    """``_fast_parse`` gives argparse's namespace wherever it accepts an
+    argv, and accepts every argv the benchmark and the README run."""
+
+    @pytest.fixture(scope="class")
+    def parser(self):
+        return build_parser([])
+
+    def test_accepts_every_golden_and_readme_argv(self, parser):
+        assert len(GOLDEN_ARGV) == 275 and len(README_ARGV) >= 10
+        for argv in GOLDEN_ARGV + README_ARGV:
+            fast = _fast_parse(argv)
+            assert fast is not None, argv
+            assert vars(fast) == vars(parser.parse_args(argv)), argv
+
+    def test_agrees_with_argparse_on_seeded_argv(self, parser):
+        rng = random.Random(21)
+        accepted = dict.fromkeys(COMMANDS, 0)
+        for i in range(10000):
+            command = rng.choice(list(COMMANDS))
+            if i % 2:
+                argv = declared_argv(rng, command)
+            else:
+                argv = [command] + [rng.choice(ARGV_TOKENS) for _ in range(rng.randint(0, 6))]
+            fast = _fast_parse(argv)
+            if fast is not None:
+                accepted[command] += 1
+                assert vars(fast) == vars(parser.parse_args(argv)), argv
+        assert min(accepted.values()) > 200, accepted
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poincare", "-h"],
+            ["poincare", "--space", "flag", "-n", "3", "--"],
+            ["poincare", "--spa", "flag", "-n", "3"],
+            ["poincare", "--space=flag", "-n", "3"],
+            ["poincare", "--space", "flag", "-n3"],
+            ["poincare", "--space", "flag", "-n", "3", "-n", "3"],
+            ["poincare", "--space", "flag", "-n", "-3"],
+            ["poincare", "--space", "flag", "-n", "x"],
+            ["poincare", "--space", "pt", "-n", "3"],
+            ["poincare", "--space", "flag"],
+            ["poincare", "--space", "flag", "-n"],
+            ["poincare", "--space", "flag", "-n", "3", "extra"],
+            ["count", "--family", "torus", "--n", "2", "-n", "2", "--q", "2"],
+            ["count", "--family", "punctured", "--avoid", "0,x", "--n", "2", "--q", "2"],
+            ["series", "betti", "zeta", "--variety", "p1"],
+            ["series", "--variety", "p1"],
+            ["-h", "poincare"],
+            ["--", "poincare", "--space", "flag", "-n", "3"],
+            [],
+        ],
+    )
+    def test_declines_what_argparse_must_answer(self, argv):
+        assert _fast_parse(argv) is None
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"nargs": 2}, {"metavar": "N"}, {"action": "count"}, {"type": int, "default": "1"}]
+    )
+    def test_an_unmodelled_argument_raises(self, kwargs):
+        with pytest.raises(TypeError):
+            _Options().add_argument("--x", **kwargs)

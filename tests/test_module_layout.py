@@ -73,12 +73,13 @@ def test_oracle_is_a_leaf():
     assert commvar_imports((SRC / "oracle.py").read_text(encoding="utf-8")) == []
 
 
-def fresh_modules(module: str, *flags: str) -> set[str]:
-    """The modules a fresh interpreter, started with ``flags``, holds after importing ``module``."""
+def fresh_modules(module: str, *flags: str, then: str = "pass") -> set[str]:
+    """The modules a fresh interpreter, started with ``flags``, holds after
+    importing ``module`` and running the statement ``then``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, *flags, "-c", f"import sys, {module}; print(*sys.modules)"],
+        [sys.executable, *flags, "-c", f"import sys, {module}; {then}; print(*sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
@@ -102,5 +103,14 @@ def test_oracle_loads_no_other_submodule():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    # -S keeps what site imports out of the count: only commvar's imports show
-    assert fresh_modules("commvar.cli", "-S") & {"dataclasses", "inspect", "json"} == set()
+    # -S keeps what site imports out of the count: only commvar's imports show.
+    # argparse, with gettext, is imported only where argparse parses.
+    unwanted = {"dataclasses", "inspect", "json", "argparse", "gettext"}
+    assert fresh_modules("commvar.cli", "-S") & unwanted == set()
+
+
+def test_a_command_argparse_need_not_parse_loads_no_argparse():
+    run = "commvar.cli.main(['poincare', '--space', 'flag', '-n', '3'])"
+    assert fresh_modules("commvar.cli", "-S", then=run) & {"argparse", "gettext"} == set()
+    run = "commvar.cli.main(['poincare', '--space=flag', '-n', '3'])"
+    assert "argparse" in fresh_modules("commvar.cli", "-S", then=run)
