@@ -77,12 +77,13 @@ Eigenvalue = Union[Fraction, QPower]
 
 def parse_eigenvalue(raw) -> Eigenvalue:
     """Exact rational like ``1/2`` or a deferred power like ``q^-1``."""
-    if isinstance(raw, (int, Fraction)):
+    if isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, str):
         text = raw.strip()
-        if "_" in text:
-            # Fraction takes PEP 515 underscores only from Python 3.11 on
+        if re.search(r"[\s_]", text):
+            # Fraction takes PEP 515 underscores from Python 3.11 on and
+            # whitespace around "/" from 3.12 on: one grammar on every version
             raise ValueError(f"cannot parse eigenvalue {raw!r}")
         # q^k, or a decimal with an exponent, which Fraction would expand
         m = re.fullmatch(r"q\^(-?\d+)|[-+]?(?:\d+\.?\d*|\.\d+)[eE]([-+]?\d+)", text)
@@ -200,9 +201,21 @@ def _int_field(entry: dict, field: str, where: str) -> int:
     return value
 
 
+_DESCRIPTOR_FIELDS = frozenset(("name", "strata"))
+_STRATUM_FIELDS = frozenset(("deg", "dim", "eigenvalue"))
+
+
+def _check_fields(obj: dict, fields: frozenset, where: str) -> None:
+    # a misspelt key would otherwise leave its field at the default
+    if not obj.keys() <= fields:
+        key = next(k for k in obj if k not in fields)
+        raise DescriptorError(f"{where}: unknown field {key!r}; expected one of {sorted(fields)}")
+
+
 def parse_descriptor(obj, source: str = "<descriptor>") -> GradedSpace:
     if not isinstance(obj, dict):
         raise DescriptorError(f"{source}: top level must be an object")
+    _check_fields(obj, _DESCRIPTOR_FIELDS, source)
     strata_raw = obj.get("strata")
     if not isinstance(strata_raw, list) or not strata_raw:
         raise DescriptorError(f"{source}: field 'strata' must be a nonempty list")
@@ -211,6 +224,7 @@ def parse_descriptor(obj, source: str = "<descriptor>") -> GradedSpace:
         where = f"{source}: strata[{i}]"
         if not isinstance(entry, dict):
             raise DescriptorError(f"{where} must be an object")
+        _check_fields(entry, _STRATUM_FIELDS, where)
         if "deg" not in entry:
             raise DescriptorError(f"{where}: missing field 'deg'")
         deg = _int_field(entry, "deg", where)

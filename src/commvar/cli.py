@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 from .arith import Poly, RatFunc
 from .charmodel import (
-    DescriptorError,
+    SPACES,
     enhanced_character,
     flag_character,
     flag_schur_coefficient,
@@ -91,12 +91,14 @@ def _reject(args, options, where: str) -> None:
             raise ValueError(f"{option} does not apply {where}")
 
 
-def _check_variety_options(args) -> None:
-    """Reject --dim unless the variety is affine/torus, and --avoid unless
-    it is punctured; a descriptor file takes neither."""
-    where = "without --variety" if args.variety is None else f"to --variety {args.variety}"
+def _check_variety_options(args, option: str = "--variety") -> None:
+    """Reject --dim unless the variety (or ``count``'s family) named by
+    ``option`` is affine/torus, and --avoid unless it is punctured; a
+    descriptor file takes neither."""
+    name = getattr(args, option.lstrip("-"))
+    where = f"without {option}" if name is None else f"to {option} {name}"
     owners = (("--dim", ("affine", "torus")), ("--avoid", ("punctured",)))
-    _reject(args, [o for o, names in owners if args.variety not in names], where)
+    _reject(args, [o for o, names in owners if name not in names], where)
 
 
 def _resolve_space(args):
@@ -104,7 +106,7 @@ def _resolve_space(args):
 
 
 def _poincare_args(p) -> None:
-    p.add_argument("--space", choices=("cn", "sn", "coh", "flag", "bgln"), default="cn")
+    p.add_argument("--space", choices=SPACES, default="cn")
     _add_variety_args(p, required=False)
     p.add_argument("-n", type=int, required=True, help="rank (matrix size)")
     p.add_argument(
@@ -158,31 +160,17 @@ def _verify_args(v) -> None:
     v.add_argument("-q", type=int, help="restrict point-count checks to this field size")
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The argparse parser for ``argv``, which ``main`` uses only where
-    ``_fast_parse`` declines.
-
-    When ``argv[0]`` names a command, only that command's subparser is
-    built: the top-level parser has no option that takes a value, so the
-    rest of ``argv`` goes to it.  Its usage line must still list every
-    command, hence the metavar.  In every other case (no command, a help
-    flag or ``--`` first, an unknown command) all subparsers are built,
-    and the default metavar keeps argparse's ``argument command:`` errors.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, which ``main`` uses only where ``_fast_parse``
+    declines: help, usage and error text come only from it."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="commvar",
         description="Exact invariants of commuting-matrix moduli spaces from graded Betti/Frobenius data.",
     )
-    if argv and argv[0] in COMMANDS:
-        names = [argv[0]]
-        metavar = "{" + ",".join(COMMANDS) + "}"
-    else:
-        names, metavar = list(COMMANDS), None
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, _ = COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
@@ -387,8 +375,7 @@ def _cmd_series(args) -> int:
 def _cmd_count(args) -> int:
     if args.budget is not None and args.budget < 1:
         raise ValueError(f"--budget must be a positive integer, got {args.budget}")
-    unused = "--dim" if args.family == "punctured" else "--avoid"
-    _reject(args, (unused,), f"to --family {args.family}")
+    _check_variety_options(args, "--family")
     family = family_for(args.family, dim=_dim(args), avoided=_avoided(args))
     print(count_points(family, args.n, args.q, budget=args.budget))
     return 0
@@ -427,13 +414,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _fast_parse(argv)
     if args is None:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DescriptorError, ValueError) as exc:
+    except ValueError as exc:  # a DescriptorError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

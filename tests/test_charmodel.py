@@ -653,6 +653,43 @@ class TestPointCount:
             point_count(space, 2, 6)
 
 
+# eigenvalue text -> its value, or None where it is rejected.  The table
+# holds on every Python version: Fraction takes whitespace around "/"
+# from 3.12 on and "_" from 3.11 on, and parse_eigenvalue rejects both.
+EIGENVALUE_GRAMMAR = {
+    "1/2": F(1, 2),
+    " 1/2 ": F(1, 2),
+    "\t-3/6\n": F(-1, 2),
+    "+3": F(3),
+    "007": F(7),
+    "1.5": F(3, 2),
+    ".5": F(1, 2),
+    "5.": F(5),
+    "-2.5e-1": F(-1, 4),
+    "1E3": F(1000),
+    "\u0663/\u0664": F(3, 4),
+    "q^-1": QPower(-1),
+    "q^0": QPower(0),
+    "1 / 2": None,
+    "1/ 2": None,
+    "1 /2": None,
+    "1\u00a0/2": None,
+    "- 1": None,
+    "1 .5": None,
+    "1e 3": None,
+    "q^ 1": None,
+    "q^+1": None,
+    "1_000": None,
+    "": None,
+    "1/0": None,
+    "1/-2": None,
+    "1.5/2": None,
+    "0x10": None,
+    "inf": None,
+    "nan": None,
+}
+
+
 class TestDescriptors:
     def test_parse_eigenvalues(self):
         assert parse_eigenvalue("1/2") == F(1, 2)
@@ -753,3 +790,41 @@ class TestDescriptors:
     def test_top_level_must_be_object(self):
         with pytest.raises(DescriptorError, match="top level"):
             parse_descriptor([1, 2])
+
+    @pytest.mark.parametrize("text", EIGENVALUE_GRAMMAR)
+    def test_eigenvalue_grammar(self, text):
+        expected = EIGENVALUE_GRAMMAR[text]
+        if expected is not None:
+            assert parse_eigenvalue(text) == expected
+        else:
+            with pytest.raises(ValueError, match=rf"^cannot parse eigenvalue {re.escape(repr(text))}$"):
+                parse_eigenvalue(text)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_eigenvalues(self, value):
+        # bool is a subclass of int; deg and dim reject it too
+        message = rf"^<descriptor>: strata\[0\]: field 'eigenvalue': cannot parse eigenvalue {value}$"
+        with pytest.raises(DescriptorError, match=message):
+            parse_descriptor({"strata": [{"deg": 0, "eigenvalue": value}]})
+
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            (
+                {"strata": [{"deg": 0, "eigenvalues": "1/2", "dimension": 3}]},
+                "strata[0]: unknown field 'eigenvalues'; expected one of ['deg', 'dim', 'eigenvalue']",
+            ),
+            (
+                {"strata": [{"deg": 0}, {"deg": 1, "Dim": 2}]},
+                "strata[1]: unknown field 'Dim'; expected one of ['deg', 'dim', 'eigenvalue']",
+            ),
+            (
+                {"name": "x", "strata": [{"deg": 0}], "stratum": []},
+                "unknown field 'stratum'; expected one of ['name', 'strata']",
+            ),
+        ],
+        ids=["stratum", "second-stratum", "top-level"],
+    )
+    def test_unknown_fields_are_rejected(self, descriptor, message):
+        with pytest.raises(DescriptorError, match=f"^{re.escape('<descriptor>: ' + message)}$"):
+            parse_descriptor(descriptor)

@@ -592,6 +592,24 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "deg" in err
 
+    @pytest.mark.parametrize(
+        "stratum, message",
+        [
+            ({"deg": 0, "eigenvalue": True}, "field 'eigenvalue': cannot parse eigenvalue True"),
+            ({"deg": 0, "eigenvalue": "1 / 2"}, "field 'eigenvalue': cannot parse eigenvalue '1 / 2'"),
+            (
+                {"deg": 0, "eigenvalues": "1/2"},
+                "unknown field 'eigenvalues'; expected one of ['deg', 'dim', 'eigenvalue']",
+            ),
+        ],
+        ids=["boolean", "spaced-slash", "unknown-field"],
+    )
+    def test_malformed_stratum_exits_two(self, capsys, tmp_path, stratum, message):
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps({"strata": [stratum]}))
+        code, out, err = run(capsys, "series", "zeta", "--variety", str(path), "-q", "3")
+        assert (code, out, err) == (2, "", f"error: {path}: strata[0]: {message}\n")
+
     def test_byte_identical_reruns(self, capsys):
         outputs = []
         for _ in range(2):
@@ -956,7 +974,7 @@ class TestHelpText:
     literal text, so a change to the parser shows in the printed help.
 
     The text is the same on Python 3.10.13, 3.11.7 and 3.12.1; CI runs
-    3.10 and 3.11.  From 3.13 argparse prints an option with several
+    3.10 to 3.13.  From 3.13 argparse prints an option with several
     flags as ``--n, -n N`` instead of ``--n N, -n N``, which changes two
     lines of ``count --help``.
     """
@@ -1012,9 +1030,8 @@ ARGV_TOKENS = (
 
 
 class TestParserPaths:
-    """``build_parser(argv)`` builds only the subparser of a command named
-    first; errors the top-level parser reports must still read as they do
-    with every subparser built."""
+    """What argparse prints for argv that ``_fast_parse`` declines, and how
+    many parsers each route builds."""
 
     @pytest.mark.parametrize("argv", PARSER_PATHS, ids=lambda a: " ".join(a) or "commvar")
     def test_literal_output(self, capsys, monkeypatch, argv):
@@ -1023,27 +1040,11 @@ class TestParserPaths:
             main(list(argv))
         assert (exc.value.code, *capsys.readouterr()) == PARSER_PATHS[argv]
 
-    def test_one_subparser_parses_as_all_of_them(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-
-        def outcome(parser, argv):
-            try:
-                namespace, code = vars(parser.parse_args(argv)), None
-            except SystemExit as exc:
-                namespace, code = None, exc.code
-            return code, *capsys.readouterr(), namespace
-
-        rng = random.Random(20)
-        for _ in range(300):
-            argv = [rng.choice(list(COMMANDS))]
-            argv += [rng.choice(ARGV_TOKENS) for _ in range(rng.randint(0, 6))]
-            assert outcome(build_parser(argv), argv) == outcome(build_parser([]), argv), argv
-
     @pytest.mark.parametrize(
         "argv, parsers",
         [
             (["poincare", "--space", "flag", "-n", "3"], []),
-            (["poincare", "--space=flag", "-n", "3"], ["commvar", "commvar poincare"]),
+            (["poincare", "--space=flag", "-n", "3"], ["commvar"] + [f"commvar {c}" for c in COMMANDS]),
         ],
         ids=["fast", "fallback"],
     )
@@ -1106,7 +1107,7 @@ class TestFastParse:
 
     @pytest.fixture(scope="class")
     def parser(self):
-        return build_parser([])
+        return build_parser()
 
     def test_accepts_every_golden_and_readme_argv(self, parser):
         assert len(GOLDEN_ARGV) == 275 and len(README_ARGV) >= 10
