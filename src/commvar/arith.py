@@ -1,7 +1,10 @@
 """Exact univariate arithmetic.
 
 Dense polynomials with rational coefficients, stored as one vector of
-Python ints over one positive int denominator; rational functions as a
+Python ints over one positive int denominator, and a rational scalar
+(an eigenvalue, a point count, 1/z_lam) as a constant one, so rationals
+run on ints everywhere and ``fractions`` is imported only by the
+Fraction accessors the tests read; rational functions as a
 plain pair num / den, built in lowest terms by the code that makes them
 and compared by cross-multiplication; and ``TSeries``, a truncated power
 series in a counting variable whose coefficients are polynomials in a
@@ -28,24 +31,33 @@ coh cancellation in ``charmodel`` share.  No production path calls
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd as _igcd, lcm as _ilcm
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational scalar.
+
+    An int, a constant ``Poly`` (the package's rational scalar), or any
+    value with int ``numerator`` and ``denominator`` attributes, such as
+    a ``fractions.Fraction``; the denominator of the result is positive
+    and the pair is in lowest terms when the input is.
+    """
     if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+        return int(c), 1  # a bool as 0 or 1
+    if isinstance(c, Poly):
+        if len(c.num) > 1:
+            raise TypeError(f"expected a rational scalar, got the polynomial {c.render()}")
+        return (c.num[0] if c.num else 0), c.den
+    n, d = getattr(c, "numerator", None), getattr(c, "denominator", None)
+    if type(n) is not int or type(d) is not int or d < 1:
+        raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+    return n, d
 
 
 class Poly:
@@ -57,28 +69,20 @@ class Poly:
     and the zero polynomial is ``num == ()``, ``den == 1`` with
     ``degree() == -1``.  Equal values therefore have equal (num, den),
     so ``==`` and ``hash`` compare tuples, and every ring operation runs
-    on ints, printing included.  ``coeffs`` is a read-only view of the
-    coefficients as Fractions.
+    on ints, printing included.  A rational scalar is a constant Poly:
+    coefficients and operands may be ints, constant Polys or any value
+    with int ``numerator`` and ``denominator`` (``ratio``), and ``/``
+    divides by a nonzero scalar.  ``coeffs``, ``coeff``,
+    ``constant_term`` and ``evaluate`` hand out ``fractions.Fraction``
+    values for the tests and import ``fractions`` only when called.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = list(coeffs)
-        den = 1
-        for c in cs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    den = _ilcm(den, c.denominator)
-            elif not isinstance(c, int):
-                raise TypeError(f"expected an exact rational, got {type(c).__name__}")
-        if den == 1:
-            num = [int(c) for c in cs]
-        else:
-            num = [
-                c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
-                for c in cs
-            ]
+    def __init__(self, coeffs: Iterable = ()):
+        pairs = [ratio(c) for c in coeffs]
+        den = _ilcm(*[d for _, d in pairs])
+        num = [n * (den // d) for n, d in pairs] if den != 1 else [n for n, _ in pairs]
         num, den = _normal(num, den)
         _set_num(self, num)
         _set_den(self, den)
@@ -89,13 +93,13 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
+    def constant(cls, c) -> "Poly":
         if type(c) is int:
             return _make((c,), 1) if c else _ZERO
         return cls((c,))
 
     @classmethod
-    def monomial(cls, k: int, c: Scalar = 1) -> "Poly":
+    def monomial(cls, k: int, c=1) -> "Poly":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
         return cls((0,) * k + (c,))
@@ -114,8 +118,10 @@ class Poly:
     # -- basic queries -------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple:
         """The coefficients as Fractions, by ascending exponent."""
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
 
@@ -128,23 +134,24 @@ class Poly:
     def is_one(self) -> bool:
         return self.num == (1,) and self.den == 1
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
+    def constant_term(self):
+        """The coefficient of x^0 as a Fraction."""
+        return self.coeff(0)
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.num):
-            return Fraction(self.num[k], self.den)
-        return Fraction(0)
+    def coeff(self, k: int):
+        """The coefficient of x^k as a Fraction."""
+        from fractions import Fraction
+
+        return Fraction(self.num[k] if 0 <= k < len(self.num) else 0, self.den)
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
-        return NotImplemented
+        other = Poly._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash(("Poly", self.num, self.den))
@@ -152,13 +159,16 @@ class Poly:
     def __repr__(self):
         return f"Poly({self.render()})"
 
+    def __str__(self):
+        return self.render()
+
     # -- ring operations -----------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "Poly":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or hasattr(other, "denominator"):
             return Poly.constant(other)
         return NotImplemented
 
@@ -193,6 +203,17 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """The quotient by a nonzero rational scalar."""
+        other = Poly._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if len(other.num) != 1:
+            if not other.num:
+                raise ZeroDivisionError("polynomial division by zero")
+            raise TypeError("division by a nonconstant polynomial; use RatFunc or divmod")
+        return self * Poly.from_ints((other.den,), other.num[0])
+
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
@@ -219,11 +240,13 @@ class Poly:
 
     # -- analysis ------------------------------------------------------
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        x = _as_fraction(x)
+    def evaluate(self, x):
+        """The value at the rational x, as a Fraction."""
+        from fractions import Fraction
+
+        p, s = ratio(x)
         if not self.num:
             return Fraction(0)
-        p, s = x.numerator, x.denominator
         acc = 0
         sk = 1
         for c in reversed(self.num):
@@ -442,7 +465,7 @@ class RatFunc:
         if den.degree() > 0:
             monic = Poly.from_ints(den.num, den.num[-1])
             raise ValueError(f"not a polynomial: denominator {monic.render()} remains")
-        return self.num if den.is_one() else self.num * (1 / den.constant_term())
+        return self.num if den.is_one() else self.num / den
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -450,7 +473,7 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num * other.den == other.num * self.den
-        if isinstance(other, (Poly, int, Fraction)):
+        if isinstance(other, (Poly, int)) or hasattr(other, "denominator"):
             return self.num == self.den * other
         return NotImplemented
 
@@ -471,30 +494,37 @@ class RatFunc:
 
     # -- evaluation and expansion -----------------------------------------
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        x = _as_fraction(x)
+    def evaluate(self, x):
+        """The value at the rational x, as a Fraction."""
         d = self.den.evaluate(x)
         if d == 0:
             raise PoleError(f"pole at {x}")
         return self.num.evaluate(x) / d
 
-    def series(self, order: int) -> list[Fraction]:
-        """Power series coefficients up to the given order.
+    def series(self, order: int) -> list[Poly]:
+        """Power series coefficients x^0 .. x^order, as constant Polys.
 
         Requires the denominator to be invertible as a power series,
-        i.e. nonzero constant term.
+        i.e. nonzero constant term.  For the int vectors a, b of num and
+        den, the coefficient c_k of a / b is e_k / b_0^(k+1) with
+        e_k = a_k b_0^k - sum_(j=1..k) b_j e_(k-j) b_0^(j-1), over ints.
         """
-        d0 = self.den.constant_term()
-        if d0 == 0:
+        a, b = self.num.num, self.den.num
+        b0 = b[0] if b else 0
+        if not b0:
             raise PoleError("series expansion at a pole (denominator vanishes at 0)")
-        num, den = self.num.coeffs, self.den.coeffs
-        out: list[Fraction] = []
+        powers = [1]
+        for _ in range(order + 1):
+            powers.append(powers[-1] * b0)
+        e: list[int] = []
         for k in range(order + 1):
-            acc = num[k] if k < len(num) else Fraction(0)
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * out[k - j]
-            out.append(acc / d0)
-        return out
+            acc = a[k] * powers[k] if k < len(a) else 0
+            for j in range(1, min(k, len(b) - 1) + 1):
+                acc -= b[j] * e[k - j] * powers[j - 1]
+            e.append(acc)
+        # num / den = (den.den / num.den) * (a / b)
+        scale, base = self.den.den, self.num.den
+        return [Poly.from_ints((c * scale,), base * powers[k + 1]) for k, c in enumerate(e)]
 
     # -- rendering ---------------------------------------------------------
 
@@ -503,10 +533,9 @@ class RatFunc:
         one, so a pair in lowest terms prints the same whatever scalar
         it was built with."""
         num, den = self.num, self.den
-        c0 = den.constant_term()
-        if c0 != 0 and c0 != 1:
-            num = num * (1 / c0)
-            den = den * (1 / c0)
+        c0 = Poly.from_ints(den.num[:1], den.den)
+        if c0 and not c0.is_one():
+            num, den = num / c0, den / c0
         if den.is_one():
             return num.render(var)
         num_s = num.render(var)
@@ -519,7 +548,7 @@ class RatFunc:
 
 
 def to_poly(value) -> Poly:
-    """Coerce an int, Fraction or Poly to Poly.
+    """Coerce an int, a rational (``ratio``) or a Poly to Poly.
 
     A RatFunc is accepted only when its denominator is 1; otherwise
     ``as_poly`` raises ValueError.

@@ -25,10 +25,7 @@ Sign convention used throughout: the Poincare polynomial of a space is
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from math import lcm
-from typing import Union
 
 from .arith import (
     Poly,
@@ -39,6 +36,7 @@ from .arith import (
     mul_one_minus,
     pochhammer_ints,
     pseudo_divmod,
+    ratio,
 )
 from .oracle import Frozen, prime_power_base
 from .partitions import Partition, partitions_of
@@ -65,56 +63,106 @@ class QPower(Frozen):
     def __init__(self, k: int):
         object.__setattr__(self, "k", k)
 
-    def resolve(self, q: int) -> Fraction:
-        return Fraction(q) ** self.k
+    def resolve(self, q: int) -> Poly:
+        k = self.k
+        return Poly.constant(q**k) if k >= 0 else Poly.from_ints((1,), q**-k)
 
     def __str__(self):
         return f"q^{self.k}"
 
 
-Eigenvalue = Union[Fraction, QPower]
+def _exponent(k: str, text: str, bad: ValueError) -> int:
+    """The exponent k of ``text``, checked against ``MAX_DEG`` by its
+    length before it is read; ``bad`` if int() cannot read it."""
+    too_big = ValueError(f"the exponent of {text!r} must be at most {MAX_DEG} in absolute value")
+    if len(k.lstrip("+-0")) > len(str(MAX_DEG)):
+        raise too_big
+    try:
+        value = int(k)
+    except ValueError:  # more digits, leading zeros included, than int() reads
+        raise bad from None
+    if abs(value) > MAX_DEG:
+        raise too_big
+    return value
 
 
-def parse_eigenvalue(raw) -> Eigenvalue:
-    """Exact rational like ``1/2`` or a deferred power like ``q^-1``."""
-    if isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        text = raw.strip()
-        if re.search(r"[\s_]", text):
-            # Fraction takes PEP 515 underscores from Python 3.11 on and
-            # whitespace around "/" from 3.12 on: one grammar on every version
-            raise ValueError(f"cannot parse eigenvalue {raw!r}")
-        # q^k, or a decimal with an exponent, which Fraction would expand
-        m = re.fullmatch(r"q\^(-?\d+)|[-+]?(?:\d+\.?\d*|\.\d+)[eE]([-+]?\d+)", text)
-        if m:
-            k = m[1] or m[2]
-            if len(k.lstrip("+-0")) > len(str(MAX_DEG)) or abs(int(k)) > MAX_DEG:
-                raise ValueError(
-                    f"the exponent of {text!r} must be at most {MAX_DEG} in absolute value"
-                )
-            if m[1]:
-                return QPower(int(k))
+def _signed_digits(text: str, signs: str) -> bool:
+    """Whether text is decimal digits after at most one of ``signs``."""
+    return (text[1:] if text[:1] and text[0] in signs else text).isdecimal()
+
+
+def parse_eigenvalue(raw) -> Poly | QPower:
+    """An exact rational, as a constant Poly, or a deferred power q^k.
+
+    A string is stripped of surrounding whitespace and must then be
+    ``q^k`` with k decimal digits after an optional ``-``, or a number:
+    an optional sign, then either ``a/b`` (b nonzero) or a decimal
+    ``a.b``, where either side of the point, or the point itself, may be
+    left out, with an optional exponent: ``e`` or ``E``, an optional
+    sign and digits.  Digits are the Unicode decimal digits, those that
+    ``str.isdecimal`` and ``int`` take.  Whitespace or ``_`` inside is
+    rejected, and so is an exponent above ``MAX_DEG`` in absolute value,
+    before any number is built.  An int, or a value with int
+    ``numerator`` and ``denominator``, is taken as it is; a bool is not.
+    """
+    bad = ValueError(f"cannot parse eigenvalue {raw!r}")
+    if not isinstance(raw, str):
+        if isinstance(raw, bool):
+            raise bad
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse eigenvalue {raw!r}") from exc
-    raise ValueError(f"cannot parse eigenvalue {raw!r}")
+            n, d = ratio(raw)
+        except TypeError:
+            raise bad from None
+        return Poly.from_ints((n,), d)
+    text = raw.strip()
+    if any(c == "_" or c.isspace() for c in text):
+        raise bad
+    if text.startswith("q^"):
+        if not _signed_digits(text[2:], "-"):
+            raise bad
+        return QPower(_exponent(text[2:], text, bad))
+    body = text[1:] if text[:1] in ("+", "-") else text
+    whole, slash, rest = body.partition("/")
+    frac, k = "", 0
+    if slash:
+        if not (whole.isdecimal() and rest.isdecimal()):
+            raise bad
+    else:
+        mantissa, e, exp = body.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        if not (whole or frac) or not all(p.isdecimal() for p in (whole, frac) if p):
+            raise bad
+        if e:
+            if not _signed_digits(exp, "+-"):
+                raise bad
+            k = _exponent(exp, text, bad)
+    try:
+        n = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
+        d = int(rest) if slash else 10 ** len(frac)
+    except ValueError:  # more digits than int() reads
+        raise bad from None
+    if not d:
+        raise bad
+    n, d = (n * 10**k, d) if k >= 0 else (n, d * 10**-k)
+    return Poly.from_ints((-n if text[0] == "-" else n,), d)
 
 
 class Stratum(Frozen):
     __slots__ = ("deg", "dim", "eig")
 
-    def __init__(self, deg: int, dim: int, eig: Eigenvalue = Fraction(1)):
+    def __init__(self, deg: int, dim: int, eig: Poly | QPower = 1):
+        # an int or a Fraction-like eigenvalue becomes a constant Poly
+        if not isinstance(eig, (Poly, QPower)):
+            eig = Poly.constant(eig)
         object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "eig", eig)
 
 
-def _eig_sort_key(eig: Eigenvalue):
+def _eig_sort_key(eig: Poly | QPower):
     if isinstance(eig, QPower):
         return (1, eig.k, 1)
-    return (0, eig.numerator, eig.denominator)
+    return (0, *ratio(eig))
 
 
 class GradedSpace(tuple):
@@ -165,9 +213,7 @@ class GradedSpace(tuple):
         return eigen_power_sum(self.with_unit_eigenvalues(), 1)
 
     def with_unit_eigenvalues(self) -> "GradedSpace":
-        return GradedSpace(
-            [Stratum(s.deg, s.dim, Fraction(1)) for s in self], name=self.name
-        )
+        return GradedSpace([Stratum(s.deg, s.dim) for s in self], name=self.name)
 
     def resolve(self, q: int) -> "GradedSpace":
         """Substitute the chosen prime power into symbolic eigenvalues."""
@@ -271,10 +317,13 @@ def eigen_power_sum(space: GradedSpace, i: int) -> Poly:
     space.require_exact()
     if not space:
         return Poly()
-    out = [Fraction(0)] * (max(s.deg for s in space) * i + 1)
+    den = lcm(*[s.eig.den for s in space]) ** i
+    out = [0] * (max(s.deg for s in space) * i + 1)
     for s in space:
-        out[s.deg * i] += s.dim * (-1) ** s.deg * s.eig**i
-    return Poly(out)
+        n, d = ratio(s.eig)
+        term = s.dim * n**i * (den // d**i)
+        out[s.deg * i] += -term if s.deg % 2 else term
+    return Poly.from_ints(out, den)
 
 
 def graded_trace_product(space: GradedSpace, lam: Partition) -> Poly:
@@ -310,7 +359,7 @@ def enhanced_character(space: GradedSpace, n: int) -> SymFunc:
         powers[i] = row
     terms = {}
     for lam in partitions_of(n):
-        tr = Poly.constant(Fraction(1, lam.centralizer_order()))
+        tr = Poly.from_ints((1,), lam.centralizer_order())
         for i, a in lam.exp:
             tr = tr * powers[i][a]
         if tr:
@@ -337,7 +386,7 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
                 continue
             bump = SymFunc.from_p(Partition((i,))) * coeffs[n - i]
             acc = acc + bump.scale(w)
-        coeffs.append(acc.scale(Fraction(1, n)))
+        coeffs.append(acc.scale(Poly.from_ints((1,), n)))
     return coeffs
 
 
@@ -456,16 +505,15 @@ def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[
     """Integer coefficients of the Poincare polynomials N_0 .. N_N of C_n.
 
     The rank recurrence with w_k = ``eigen_power_sum`` at unit
-    eigenvalues: Frobenius eigenvalues are ignored.
+    eigenvalues, read off the Betti numbers b_i as the terms
+    (-1)^i b_i u^(k i): Frobenius eigenvalues are ignored.
     """
     if N < 0:
         raise ValueError("n must be >= 0")
     if top is not None and top < 0:
         raise ValueError("u order must be >= 0")
-    unit = space.with_unit_eigenvalues()
-    weights = [
-        [(d, c) for d, c in enumerate(eigen_power_sum(unit, k).num) if c] for k in range(1, N + 1)
-    ]
+    signed = [(i, -b if i % 2 else b) for i, b in sorted(space.betti().items())]
+    weights = [[(k * i, c) for i, c in signed] for k in range(1, N + 1)]
     return _rank_recurrence(weights, N, top)
 
 
@@ -530,14 +578,15 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
 # -- point counts ------------------------------------------------------------
 
 
-def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Fraction]:
+def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Poly]:
     """Formula values for the numbers of F_q points of the ranks 0 .. N.
 
     One pass of the rank recurrence with w_k = ``eigen_power_sum`` of
     the resolved data at u = 1.  For D the lcm of the eigenvalue
     denominators, D^k w_k is checked to be an integer and put at degree
-    0; the pass at step 1 (x = u) then gives D^n N_n(x), and the count is
-    q^(n^2) N_n(1/q), as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
+    0; the pass at step 1 (x = u) then gives D^n N_n(x), and the count,
+    a constant Poly, is q^(n^2) N_n(1/q), read off the int coefficients
+    of N_n by Horner's rule, as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
     log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
     Weil zeta Z.  The enumerator ``oracle.count_points`` is the
     independent check.  This is an honest point count for smooth-curve
@@ -547,21 +596,28 @@ def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Fraction]:
     if N < 0:
         raise ValueError("n must be >= 0")
     resolved = space_data.resolve(q)
-    D = lcm(*(s.eig.denominator for s in resolved))
+    D = lcm(*[s.eig.den for s in resolved])
     weights = []
     for k in range(1, N + 1):
-        w = eigen_power_sum(resolved, k).evaluate(1) * D**k
-        if w.denominator != 1:
-            raise ValueError(f"power sum w_{k} times D^{k} = {D**k} is not an integer: {w}")
-        weights.append([(0, w.numerator)] if w else [])
-    x = Fraction(1, q)
-    return [
-        q ** (n * n) * Poly.from_ints(v).evaluate(x) / D**n
-        for n, v in enumerate(_rank_recurrence(weights, N, step=1))
-    ]
+        w = eigen_power_sum(resolved, k)
+        scaled, rem = divmod(sum(w.num) * D**k, w.den)
+        if rem:
+            value = Poly.from_ints((sum(w.num) * D**k,), w.den)
+            raise ValueError(f"power sum w_{k} times D^{k} = {D**k} is not an integer: {value}")
+        weights.append([(0, scaled)] if scaled else [])
+    counts = []
+    for n, v in enumerate(_rank_recurrence(weights, N, step=1)):
+        # q^(n^2) sum_j v_j q^-j = q^e sum_j v_j q^(len(v)-1-j), e = n^2 - len(v) + 1
+        acc = 0
+        for c in v:
+            acc = acc * q + c
+        e = n * n - len(v) + 1
+        num, den = (acc * q**e, D**n) if e >= 0 else (acc, D**n * q**-e)
+        counts.append(Poly.from_ints((num,), den))
+    return counts
 
 
-def point_count(space_data: GradedSpace, n: int, q: int) -> Fraction:
+def point_count(space_data: GradedSpace, n: int, q: int) -> Poly:
     """The rank-n value of ``point_counts``: q^(n^2) N_n(1/q)."""
     if n < 1:
         raise ValueError("n must be >= 1")

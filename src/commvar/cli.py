@@ -33,6 +33,7 @@ from .series import (
     coh_series,
     groupoid_series,
     stable_betti_verified,
+    weil_zeta_digits,
     weil_zeta_from_eigendata,
 )
 from .symfunc import render_basis
@@ -326,6 +327,20 @@ def _print_report(report) -> int:
     return 0 if report.equal else 1
 
 
+def _check_zeta_digits(args, space) -> None:
+    """Reject, before it is built, a zeta whose ints the bound
+    ``weil_zeta_digits`` puts past Python's int-to-str digit limit
+    (0: no limit), which ``render`` could not print."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = weil_zeta_digits(space, args.q)
+    if limit and digits > limit:
+        given = f"--dim {args.dim}" if args.dim is not None else f"--variety {args.variety}"
+        raise ValueError(
+            f"series zeta: -q {args.q} and {given} give numbers of up to {digits} digits; "
+            f"at most {limit} can be printed"
+        )
+
+
 def _cmd_series(args) -> int:
     ignored = (
         ("--t-order", ("zeta", "stable")),
@@ -355,6 +370,7 @@ def _cmd_series(args) -> int:
         raise ValueError(f"series {args.kind}: -q is required")
     _check_q(args, args.q)
     if args.kind == "zeta":
+        _check_zeta_digits(args, space)
         print(weil_zeta_from_eigendata(space, args.q).render("t"))
         return 0
     if args.variety in BUILTIN_NAMES and not is_curve_name(args.variety, _dim(args)):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from itertools import product
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 DEFAULT_BUDGET = 2**28
 BUDGET_ENV_VAR = "COMMVAR_BUDGET"

@@ -8,10 +8,9 @@ reverse-lexicographic, (n) first and (1, ..., 1) last.
 
 from __future__ import annotations
 
-import re
+from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterator
 
 
 class Partition(tuple):
@@ -95,10 +94,11 @@ class Partition(tuple):
         if "^" in text:
             parts: list[int] = []
             for token in text.replace(",", " ").split():
-                m = re.fullmatch(r"(\d+)\^(\d+)", token)
-                if not m:
+                part, caret, count = token.partition("^")
+                # isdecimal takes the Unicode decimal digits, as the pattern \d did
+                if not (caret and part.isdecimal() and count.isdecimal()):
                     raise ValueError(f"bad exponential-form token {token!r}")
-                parts.extend([int(m.group(1))] * int(m.group(2)))
+                parts.extend([int(part)] * int(count))
             return cls(sorted(parts, reverse=True))
         body = text.strip("()[]")
         if not body:

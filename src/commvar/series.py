@@ -34,9 +34,7 @@ remainder at every rank.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .arith import Poly, RatFunc, div_one_minus, euler_rows, mul_one_minus
+from .arith import Poly, RatFunc, div_one_minus, euler_rows, mul_one_minus, ratio
 from .charmodel import GradedSpace, point_counts, rank_numerators
 from .oracle import gl_order, prime_power_base
 
@@ -138,18 +136,11 @@ def weil_zeta_from_eigendata(space: GradedSpace, q: int) -> RatFunc:
     -> (1 - t)/(1 - q t).  The exponents are merged per eigenvalue, so
     numerator and denominator share no linear factor: lowest terms.
     """
-    prime_power_base(q)
-    resolved = space.resolve(q)
-    exponents: dict[Fraction, int] = {}
-    for s in resolved:
-        exponents[s.eig] = exponents.get(s.eig, 0) + (-1) ** s.deg * s.dim
     num = Poly.constant(1)
     den = Poly.constant(1)
-    for eig in sorted(exponents, key=lambda e: (e.numerator, e.denominator)):
-        e = exponents[eig]
-        if e == 0:
-            continue
-        factor = Poly([1, -eig * q]) ** abs(e)
+    for (n, d), e in _zeta_exponents(space, q).items():
+        # 1 - (n/d) q t = (d - n q t) / d
+        factor = Poly.from_ints((d, -n * q), d) ** abs(e)
         if e > 0:
             den = den * factor
         else:
@@ -157,15 +148,40 @@ def weil_zeta_from_eigendata(space: GradedSpace, q: int) -> RatFunc:
     return RatFunc(num, den)
 
 
-def _series_log(coeffs: list[Fraction]) -> list[Fraction]:
+def _zeta_exponents(space: GradedSpace, q: int) -> dict[tuple[int, int], int]:
+    """Each eigenvalue n/d, as the pair (n, d), to its nonzero signed
+    multiplicity e: the Weil zeta is the product of (1 - n/d q t)^(-e)."""
+    prime_power_base(q)
+    exponents: dict[tuple[int, int], int] = {}
+    for s in space.resolve(q):
+        key = ratio(s.eig)
+        exponents[key] = exponents.get(key, 0) + (-s.dim if s.deg % 2 else s.dim)
+    return {key: e for key, e in exponents.items() if e}
+
+
+def weil_zeta_digits(space: GradedSpace, q: int) -> int:
+    """A bound on the decimal digits of every int that the rendered
+    ``weil_zeta_from_eigendata(space, q)`` holds, found without building it.
+
+    The coefficients of (1 - c t)^|e|, c = n q / d, have numerators and
+    denominators below (|n q| + d)^|e|, and those of a product below the
+    product of the bounds.
+    """
+    bits = sum(
+        abs(e) * (abs(n * q) + d).bit_length() for (n, d), e in _zeta_exponents(space, q).items()
+    )
+    return bits * 30103 // 100000 + 1
+
+
+def _series_log(coeffs: list[Poly]) -> list[Poly]:
     """a_n with log(sum z_n t^n) = sum a_n t^n / n; requires z_0 = 1."""
     if not coeffs or coeffs[0] != 1:
         raise ValueError("series logarithm needs constant term 1")
-    a: list[Fraction] = [Fraction(0)]
+    a = [Poly()]
     for n in range(1, len(coeffs)):
-        acc = n * coeffs[n]
+        acc = coeffs[n] * n
         for m in range(1, n):
-            acc -= a[m] * coeffs[n - m]
+            acc = acc - a[m] * coeffs[n - m]
         a.append(acc)
     return a
 
@@ -187,18 +203,16 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
     if order < 0:
         raise ValueError("series order must be >= 0")
     counts = point_counts(space, order, q)
-    lhs = [Fraction(1)] + [counts[n] / gl_order(n, q) for n in range(1, order + 1)]
+    lhs = [Poly.constant(1)] + [counts[n] / gl_order(n, q) for n in range(1, order + 1)]
 
-    zeta = weil_zeta_from_eigendata(space, q)
-    z_coeffs = zeta.series(order)
-    a = _series_log(z_coeffs)
-    rhs_coeffs = [Fraction(1)]
+    a = _series_log(weil_zeta_from_eigendata(space, q).series(order))
+    rhs = [Poly.constant(1)]
     for n in range(1, order + 1):
-        acc = Fraction(0)
+        acc = Poly()
         for m in range(1, n + 1):
-            acc += a[m] / (q**m - 1) * rhs_coeffs[n - m]
-        rhs_coeffs.append(acc / n)
-    return SeriesReport(tuple(map(Poly.constant, lhs)), tuple(map(Poly.constant, rhs_coeffs)))
+            acc = acc + a[m] * rhs[n - m] / (q**m - 1)
+        rhs.append(acc / n)
+    return SeriesReport(tuple(lhs), tuple(rhs))
 
 
 # -- stabilization -------------------------------------------------------------

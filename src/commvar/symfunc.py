@@ -33,7 +33,6 @@ at the end.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
@@ -115,12 +114,12 @@ def _character_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
+def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Poly], ...]:
     # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
     parts = partitions_of(lam.n)
     row = _character_table(lam.n)[_positions(lam.n)[lam]]
     return tuple(
-        (mu, Fraction(chi, mu.centralizer_order())) for mu, chi in zip(parts, row) if chi
+        (mu, Poly.from_ints((chi,), mu.centralizer_order())) for mu, chi in zip(parts, row) if chi
     )
 
 

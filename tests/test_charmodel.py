@@ -484,16 +484,14 @@ class TestRankNumerators:
         assert rank_numerators(GradedSpace([]), 4) == [[1], [], [], [], []]
         assert poincare(GradedSpace([]), 3, "coh") == RatFunc(0)
 
-    def test_division_by_n_is_checked(self, monkeypatch):
+    def test_division_by_n_is_checked(self):
         # w_1 = 1 and w_k = 0 otherwise: N_2 = (1 + u^2) / 2 is not integral
-        monkeypatch.setattr(
-            charmodel, "eigen_power_sum", lambda space, k: Poly.constant(1 if k == 1 else 0)
-        )
-        assert rank_numerators(AFFINE, 1) == [[1], [1]]
+        weights = [[(0, 1)], []]
+        assert charmodel._rank_recurrence(weights, 1) == [[1], [1]]
         with pytest.raises(ValueError, match="division by 2 left a remainder"):
-            rank_numerators(AFFINE, 2)
+            charmodel._rank_recurrence(weights, 2)
         with pytest.raises(ValueError, match="division by 2 left a remainder"):
-            rank_numerators(AFFINE, 2, top=4)
+            charmodel._rank_recurrence(weights, 2, top=4)
 
     @pytest.mark.parametrize("N, top", [(12, None), (20, None), (14, 14), (30, 7)])
     def test_factor_passes_are_quadratic(self, monkeypatch, N, top):
@@ -688,6 +686,68 @@ EIGENVALUE_GRAMMAR = {
     "inf": None,
     "nan": None,
 }
+
+
+def fraction_oracle(text):
+    """What the eigenvalue grammar reads ``text`` as, by Fraction and one
+    pattern for q^k (test oracle only), or None where neither reads it."""
+    inner = text.strip()
+    m = re.fullmatch(r"q\^(-?\d+)", inner)
+    if m:
+        return QPower(int(m[1]))
+    try:
+        return F(inner)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def exponent_above_cap(text):
+    m = re.fullmatch(r"q\^(-?\d+)|[-+]?(?:\d+\.?\d*|\.\d+)[eE]([-+]?\d+)", text.strip())
+    return bool(m) and abs(int(m[1] or m[2])) > charmodel.MAX_DEG
+
+
+def eigenvalue_corpus(count, seed):
+    """Seeded strings over digits (one of them non-ASCII), signs, point,
+    e, E, slash, q^, underscore and space, digits drawn most often."""
+    rng = random.Random(seed)
+    tokens = list("0123456789") + ["\u0663"] + list("+-.eE/") + ["q^", "_", " "]
+    weights = [6] * 11 + [3, 3, 3, 2, 2, 3, 2, 1, 1]
+    return [
+        "".join(rng.choices(tokens, weights, k=rng.randint(1, 8))) for _ in range(count)
+    ]
+
+
+class TestEigenvalueParserAgainstFraction:
+    """``parse_eigenvalue`` reads into ints; Fraction is the oracle here only."""
+
+    CORPUS = eigenvalue_corpus(12000, 20261019)
+
+    def test_corpus_reaches_every_branch(self):
+        values = [fraction_oracle(text) for text in self.CORPUS]
+        assert sum(isinstance(v, QPower) for v in values) >= 50
+        assert sum(v is not None and "/" in t for v, t in zip(values, self.CORPUS)) >= 200
+        assert sum(v is not None and "e" in t.lower() for v, t in zip(values, self.CORPUS)) >= 200
+        assert sum(v is not None and "\u0663" in t for v, t in zip(values, self.CORPUS)) >= 200
+
+    def test_values_agree_and_rejections_are_the_documented_ones(self):
+        for text in self.CORPUS:
+            expected = fraction_oracle(text)
+            try:
+                got = parse_eigenvalue(text)
+            except ValueError as exc:
+                inner = text.strip()
+                if exponent_above_cap(text) and not re.search(r"[\s_]", inner):
+                    assert str(exc).startswith(f"the exponent of {inner!r} must be at most"), text
+                else:
+                    assert str(exc) == f"cannot parse eigenvalue {text!r}", text
+                    extra = "_" in inner or re.search(r"\s", inner) or exponent_above_cap(text)
+                    assert expected is None or extra, text
+                continue
+            assert expected is not None, text
+            assert got == expected, text
+            if not isinstance(got, QPower):
+                # a rational eigenvalue is a constant Poly over ints
+                assert isinstance(got, Poly) and got.degree() <= 0, text
 
 
 class TestDescriptors:

@@ -676,6 +676,20 @@ class TestDescriptorBounds:
             f"must be at most {charmodel.MAX_DEG} in absolute value\n"
         )
 
+    def test_zeta_past_the_digit_limit_exits_two(self, capsys):
+        # q^1000 at q = 1000003 has about 6000 digits, more than str(int)
+        # prints by default; the bound rejects it before the zeta is built
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or limit >= 6000:
+            pytest.skip("needs an int-to-str digit limit below 6000")
+        argv = ["series", "zeta", "--variety", "affine", "--dim", "1000", "-q", "1000003"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: series zeta: -q 1000003 and --dim 1000 give numbers of up to 6001 digits; "
+            f"at most {limit} can be printed\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, family",
         [

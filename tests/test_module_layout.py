@@ -6,6 +6,7 @@ a public name in the module that owns it.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -114,3 +115,26 @@ def test_a_command_argparse_need_not_parse_loads_no_argparse():
     assert fresh_modules("commvar.cli", "-S", then=run) & {"argparse", "gettext"} == set()
     run = "commvar.cli.main(['poincare', '--space=flag', '-n', '3'])"
     assert "argparse" in fresh_modules("commvar.cli", "-S", then=run)
+
+
+def test_no_command_loads_fraction_modules(tmp_path):
+    # Rationals are constant Polys over ints; fractions (with decimal and
+    # numbers) is imported only by the Fraction accessors the tests use.
+    from commvar.verify import SUITES
+
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps({"strata": [{"deg": 0}, {"deg": 1, "dim": 2, "eigenvalue": "1/2"}]}))
+    argvs = [
+        ["poincare", "--variety", "torus", "-n", "4"],
+        ["poincare", "--space", "coh", "--variety", "p1", "-n", "3"],
+        ["char", "--variety", "torus", "-n", "3", "-q", "3", "--cycle-type", "1^3"],
+        ["char", "--variety", str(path), "-n", "3"],
+        ["series", "groupoid", "--variety", "punctured", "-q", "3", "--t-order", "3"],
+        ["series", "zeta", "--variety", "torus", "-q", "3"],
+        ["series", "stable", "--variety", "p1"],
+        ["count", "--family", "torus", "-n", "2", "-q", "2"],
+    ]
+    argvs += [["verify", "--suite", name] for name in SUITES]
+    run = f"assert [commvar.cli.main(a) for a in {argvs!r}] == [0] * {len(argvs)}"
+    loaded = fresh_modules("commvar.cli", "-S", then=run)
+    assert loaded & {"fractions", "decimal", "numbers"} == set()

@@ -1,5 +1,7 @@
 """Partition enumeration and statistics against independent recurrences."""
 
+import random
+import re
 from math import factorial
 
 import pytest
@@ -113,6 +115,26 @@ class TestConstruction:
             Partition.parse("2^")
         with pytest.raises(ValueError):
             Partition.parse("a,b")
+
+    def test_exponential_form_against_the_pattern(self):
+        # oracle: the pattern the exponential form was once read with
+        def outcome(read, token):
+            try:
+                return read(token)
+            except ValueError as exc:
+                return str(exc)
+
+        def oracle(token):
+            m = re.fullmatch(r"(\d+)\^(\d+)", token)
+            if not m:
+                raise ValueError(f"bad exponential-form token {token!r}")
+            return Partition([int(m[1])] * int(m[2]))
+
+        rng = random.Random(2026)
+        alphabet = list("0123^^") + ["\u0663", "a", "-", "+"]
+        tokens = ["".join(rng.choices(alphabet, k=rng.randint(1, 5))) for _ in range(3000)]
+        for token in (t for t in tokens if "^" in t):
+            assert outcome(Partition.parse, token) == outcome(oracle, token), token
 
     def test_conjugate(self):
         assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
