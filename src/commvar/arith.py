@@ -166,11 +166,17 @@ class Poly:
 
     @staticmethod
     def _coerce(other) -> "Poly":
+        """other as a Poly when it is one or a rational scalar that
+        ``ratio`` accepts, NotImplemented otherwise."""
         if isinstance(other, Poly):
             return other
-        if isinstance(other, int) or hasattr(other, "denominator"):
+        if type(other) is int:
             return Poly.constant(other)
-        return NotImplemented
+        try:
+            n, d = ratio(other)
+        except TypeError:
+            return NotImplemented
+        return Poly.from_ints((n,), d)
 
     def __add__(self, other):
         other = Poly._coerce(other)
@@ -473,9 +479,10 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num * other.den == other.num * self.den
-        if isinstance(other, (Poly, int)) or hasattr(other, "denominator"):
-            return self.num == self.den * other
-        return NotImplemented
+        other = Poly._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num == self.den * other
 
     def __repr__(self):
         return f"RatFunc({self.render()})"

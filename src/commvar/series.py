@@ -165,12 +165,15 @@ def weil_zeta_digits(space: GradedSpace, q: int) -> int:
 
     The coefficients of (1 - c t)^|e|, c = n q / d, have numerators and
     denominators below (|n q| + d)^|e|, and those of a product below the
-    product of the bounds.
+    product of the bounds.  Each printed int belongs to one side, the
+    numerator (e < 0) or the denominator (e > 0), and both sides have
+    constant term 1, so ``render`` rescales neither: the larger side's
+    bound bounds them all.
     """
-    bits = sum(
-        abs(e) * (abs(n * q) + d).bit_length() for (n, d), e in _zeta_exponents(space, q).items()
-    )
-    return bits * 30103 // 100000 + 1
+    bits = {True: 0, False: 0}
+    for (n, d), e in _zeta_exponents(space, q).items():
+        bits[e > 0] += abs(e) * (abs(n * q) + d).bit_length()
+    return max(bits.values()) * 30103 // 100000 + 1
 
 
 def _series_log(coeffs: list[Poly]) -> list[Poly]:

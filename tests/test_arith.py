@@ -721,3 +721,18 @@ class TestPolyNormalForm:
             Poly.from_ints([1], 0)
         with pytest.raises(AttributeError):
             U.num = (1,)
+
+    def test_operands_that_are_not_rational_scalars(self):
+        # The one rule is ``ratio``'s: ints, constant Polys and values with
+        # int numerator and denominator.  Anything else is NotImplemented,
+        # so == is False and + raises Python's own TypeError.
+        class FloatDenominator:
+            numerator, denominator = 1, 2.0
+
+        for other in (FloatDenominator(), 0.5, "u"):
+            assert (U == other) is False
+            assert (RatFunc(U) == other) is False
+            with pytest.raises(TypeError, match="unsupported operand"):
+                U + other
+        assert U * F(1, 2) == Poly.from_ints([0, 1], 2) == RatFunc(U) * F(1, 2)
+        assert RatFunc(Poly([F(1, 2)])) == F(1, 2)

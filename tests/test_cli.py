@@ -690,6 +690,16 @@ class TestDescriptorBounds:
             f"at most {limit} can be printed\n"
         )
 
+    def test_torus_zeta_below_the_digit_limit_prints(self, capsys):
+        # Numerator and denominator each reach about q^512 at q = 1000003,
+        # some 3070 digits: the bound takes the larger side, not the sum
+        argv = ["series", "zeta", "--variety", "torus", "--dim", "8", "-q", "1000003"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        num, den = out.rstrip("\n").split(")/(")
+        assert num.startswith("(1 - ") and den.startswith("1 - ")
+        assert 3000 < max(len(c) for c in den.replace("*", " ").split() if c.isdigit()) < 4300
+
     @pytest.mark.parametrize(
         "argv, family",
         [

@@ -1,6 +1,7 @@
 """Generating series: zeta expansions, product formulas, stabilization."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from commvar.series import (
     groupoid_series,
     stable_betti,
     stable_betti_verified,
+    weil_zeta_digits,
     weil_zeta_from_eigendata,
 )
 from series_oracle import scale_t
@@ -176,6 +178,28 @@ class TestWeilZeta:
             q = rng.choice((2, 3, 4, 5, 9))
             zeta = weil_zeta_from_eigendata(space, q)
             assert poly_gcd(zeta.num, zeta.den) == ONE, (space, q)
+
+    def test_digit_bound_covers_every_printed_int(self):
+        rng = random.Random(3141)
+        eigs = (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3), QPower(-1), QPower(1))
+        for _ in range(200):
+            space = GradedSpace(
+                [
+                    Stratum(rng.randint(0, 5), rng.randint(1, 3), rng.choice(eigs))
+                    for _ in range(rng.randint(1, 6))
+                ]
+            )
+            q = rng.choice((2, 3, 4, 5, 9, 1000003))
+            text = weil_zeta_from_eigendata(space, q).render("t")
+            # ints of the coefficients, not the exponents of t
+            longest = max((len(m) for m in re.findall(r"(?<![\^\d])\d+", text)), default=0)
+            assert longest <= weil_zeta_digits(space, q), (space, q, text)
+
+    def test_digit_bound_takes_the_larger_side(self):
+        # The torus zeta is (1 - t)/(1 - q t): its ints are those of the
+        # affine line's 1/(1 - q t), whatever the numerator adds
+        for q in (2, 9, 1000003):
+            assert weil_zeta_digits(TORUS, q) == weil_zeta_digits(AFFINE, q)
 
 
 class TestGroupoidSeries:
