@@ -25,7 +25,7 @@ Sign convention used throughout: the Poincare polynomial of a space is
 
 from __future__ import annotations
 
-from math import lcm
+from math import factorial, lcm
 
 from .arith import (
     Poly,
@@ -59,9 +59,6 @@ class QPower(Frozen):
     """Symbolic eigenvalue q**k, resolved once a prime power is chosen."""
 
     __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        object.__setattr__(self, "k", k)
 
     def resolve(self, q: int) -> Poly:
         k = self.k
@@ -365,6 +362,32 @@ def enhanced_character(space: GradedSpace, n: int) -> SymFunc:
         if tr:
             terms[lam] = tr
     return SymFunc(n, terms)
+
+
+def character_digits(space: GradedSpace, n: int) -> int:
+    """A bound on the decimal digits of every int in the rendered
+    ``enhanced_character(space, n)``, in either basis, and in
+    ``graded_trace_product(space, lam)`` for lam of n, found without
+    building them.
+
+    For D the lcm of the eigenvalue denominators, D^i w_i has integer
+    coefficients of absolute sum at most S^i, S = sum dim |eig| D, so a
+    product of the w_i of weight n is P / D^n with ints |P| <= S^n.  A
+    p-coefficient is such a product over z_lam, which divides n!, and an
+    s-coefficient sum_mu chi^lam(mu) times them, over D^n n! with a
+    numerator at most S^n n!: sum_mu |chi^lam(mu)| n! / z_mu <= n! by
+    Cauchy-Schwarz and the orthogonality of the characters.
+    """
+    space.require_exact()
+    if n < 1:
+        return 1
+    D = lcm(*[s.eig.den for s in space])
+    S = 0
+    for s in space:
+        a, d = ratio(s.eig)
+        S += s.dim * abs(a) * (D // d)
+    bits = n * max(S, D).bit_length() + factorial(n).bit_length()
+    return bits * 30103 // 100000 + 1
 
 
 def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from .arith import Poly, RatFunc
 from .charmodel import (
     SPACES,
+    character_digits,
     enhanced_character,
     flag_character,
     flag_schur_coefficient,
@@ -31,6 +32,7 @@ from .partitions import Partition, partitions_of
 from .series import (
     betti_zeta,
     coh_series,
+    groupoid_digits,
     groupoid_series,
     stable_betti_verified,
     weil_zeta_digits,
@@ -299,6 +301,10 @@ def _cmd_char(args) -> int:
             space = space.resolve(args.q)
         elif space.has_symbolic_eigenvalues():
             space = space.with_unit_eigenvalues()
+        options = [f"-n {args.n}", _variety_option(args)]
+        if args.q is not None:
+            options.insert(0, f"-q {args.q}")
+        _check_digits("char", character_digits(space, args.n), options)
         if args.cycle_type:
             try:
                 lam = Partition.parse(args.cycle_type)
@@ -327,18 +333,22 @@ def _print_report(report) -> int:
     return 0 if report.equal else 1
 
 
-def _check_zeta_digits(args, space) -> None:
-    """Reject, before it is built, a zeta whose ints the bound
-    ``weil_zeta_digits`` puts past Python's int-to-str digit limit
-    (0: no limit), which ``render`` could not print."""
+def _check_digits(command: str, digits: int, options: list[str]) -> None:
+    """Reject, before it is built, output whose ints the estimate
+    ``digits`` puts past Python's int-to-str digit limit (0: no limit),
+    which ``render`` could not print; ``options``, two or more, name
+    what set them."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = weil_zeta_digits(space, args.q)
     if limit and digits > limit:
-        given = f"--dim {args.dim}" if args.dim is not None else f"--variety {args.variety}"
+        given = f"{', '.join(options[:-1])} and {options[-1]}"
         raise ValueError(
-            f"series zeta: -q {args.q} and {given} give numbers of up to {digits} digits; "
+            f"{command}: {given} give numbers of up to {digits} digits; "
             f"at most {limit} can be printed"
         )
+
+
+def _variety_option(args) -> str:
+    return f"--dim {args.dim}" if args.dim is not None else f"--variety {args.variety}"
 
 
 def _cmd_series(args) -> int:
@@ -370,9 +380,12 @@ def _cmd_series(args) -> int:
         raise ValueError(f"series {args.kind}: -q is required")
     _check_q(args, args.q)
     if args.kind == "zeta":
-        _check_zeta_digits(args, space)
+        options = [f"-q {args.q}", _variety_option(args)]
+        _check_digits("series zeta", weil_zeta_digits(space, args.q), options)
         print(weil_zeta_from_eigendata(space, args.q).render("t"))
         return 0
+    options = [f"-q {args.q}", f"--t-order {t_order}", _variety_option(args)]
+    _check_digits("series groupoid", groupoid_digits(space, args.q, t_order), options)
     if args.variety in BUILTIN_NAMES and not is_curve_name(args.variety, _dim(args)):
         print(
             "warning: input is not a smooth curve; coefficients are formula "

@@ -131,11 +131,16 @@ class Frozen:
     """Base of a small immutable value with its fields in ``__slots__``.
 
     ``==``, ``hash`` and ``repr`` run over the fields in slot order, and
-    an instance equals only an instance of its own class.  A subclass's
-    ``__init__`` sets its fields with ``object.__setattr__``.
+    an instance equals only an instance of its own class.  The default
+    ``__init__`` takes the fields in slot order; a subclass's own sets
+    them with ``object.__setattr__``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -156,102 +161,98 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class AffineSpace(Frozen):
-    """N-tuples of commuting matrices, no unit constraint."""
+class VarietyFamily(Frozen):
+    """C_n(X) for X = (A^1 minus S)^d: d-tuples of commuting matrices
+    none of which has an eigenvalue in S.
+
+    A family states d as ``dim`` and S as ``avoided``, each a field or a
+    class attribute, and its builtin variety ``name``; every rule below
+    reads only d and S.  The concrete classes bind ``matrix_ok`` in
+    their own bodies because the benchmark's tracer
+    (``perfbench/tracer.py``) wraps it in each class's own ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def tuple_len(self) -> int:
+        return self.dim
+
+    def is_curve(self) -> bool:
+        return self.dim == 1
+
+    def shifts(self, p: int) -> tuple[int, ...]:
+        """The values a in S mod p, for which M - a*I must be invertible."""
+        reduced = tuple(a % p for a in self.avoided)
+        if len(set(reduced)) != len(reduced):
+            raise ValueError(f"avoided values {self.avoided} collide modulo {p}")
+        return reduced
+
+    def matrix_ok(self, mat, p: int) -> bool:
+        """Whether M - a*I is invertible over F_p for every a in S.
+
+        ``det_mod`` reduces mod p itself, so M is passed as it is for
+        a = 0 and shifted without reduction otherwise.
+        """
+        for a in self.avoided:
+            shifted = mat if not a else tuple(
+                tuple(x - a if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(mat)
+            )
+            if det_mod(shifted, p) == 0:
+                return False
+        return True
+
+
+class AffineSpace(VarietyFamily):
+    """d-tuples of commuting matrices: S is empty."""
 
     __slots__ = ("dim",)
+    name = "affine"
+    avoided = ()
+    matrix_ok = VarietyFamily.matrix_ok
 
     def __init__(self, dim: int = 1):
         if dim < 1:
             raise ValueError("affine dimension must be >= 1")
         object.__setattr__(self, "dim", dim)
 
-    @property
-    def tuple_len(self) -> int:
-        return self.dim
-
-    def matrix_ok(self, mat, p: int) -> bool:
-        return True
-
-    def shifts(self, p: int) -> tuple[int, ...]:
-        """The values a for which M - a*I must be invertible."""
-        return ()
-
     def describe(self) -> str:
         return f"affine space of dimension {self.dim}"
 
-    def is_curve(self) -> bool:
-        return self.dim == 1
 
-
-class Torus(Frozen):
-    """N-tuples of commuting invertible matrices."""
+class Torus(VarietyFamily):
+    """d-tuples of commuting invertible matrices: S = {0}."""
 
     __slots__ = ("dim",)
+    name = "torus"
+    avoided = (0,)
+    matrix_ok = VarietyFamily.matrix_ok
 
     def __init__(self, dim: int = 1):
         if dim < 1:
             raise ValueError("torus dimension must be >= 1")
         object.__setattr__(self, "dim", dim)
 
-    @property
-    def tuple_len(self) -> int:
-        return self.dim
-
-    def matrix_ok(self, mat, p: int) -> bool:
-        return det_mod(mat, p) != 0
-
-    def shifts(self, p: int) -> tuple[int, ...]:
-        return (0,)
-
     def describe(self) -> str:
         return f"torus of dimension {self.dim}"
 
-    def is_curve(self) -> bool:
-        return self.dim == 1
 
-
-class PuncturedLine(Frozen):
-    """Single matrices M with M - a*I invertible for each avoided value a."""
+class PuncturedLine(VarietyFamily):
+    """Single matrices with no eigenvalue among the avoided values: d = 1."""
 
     __slots__ = ("avoided",)
+    name = "punctured"
+    dim = 1
+    matrix_ok = VarietyFamily.matrix_ok
 
     def __init__(self, avoided: tuple[int, ...] = (0, 1)):
         if len(set(avoided)) != len(avoided):
             raise ValueError("avoided values must be distinct")
         object.__setattr__(self, "avoided", avoided)
 
-    @property
-    def tuple_len(self) -> int:
-        return 1
-
-    def matrix_ok(self, mat, p: int) -> bool:
-        n = len(mat)
-        for a in self.avoided:
-            shifted = tuple(
-                tuple((mat[i][j] - (a if i == j else 0)) % p for j in range(n))
-                for i in range(n)
-            )
-            if det_mod(shifted, p) == 0:
-                return False
-        return True
-
-    def shifts(self, p: int) -> tuple[int, ...]:
-        reduced = tuple(a % p for a in self.avoided)
-        if len(set(reduced)) != len(reduced):
-            raise ValueError(
-                f"avoided values {self.avoided} collide modulo {p}"
-            )
-        return reduced
-
     def describe(self) -> str:
         return "affine line avoiding " + ",".join(str(a) for a in self.avoided)
-
-    def is_curve(self) -> bool:
-        return True
-
-
-VarietyFamily = AffineSpace | Torus | PuncturedLine
 
 
 # -- matrix arithmetic mod p ----------------------------------------------

@@ -34,12 +34,14 @@ remainder at every rank.
 
 from __future__ import annotations
 
+from math import comb, lcm
+
 from .arith import Poly, RatFunc, div_one_minus, euler_rows, mul_one_minus, ratio
 from .charmodel import GradedSpace, point_counts, rank_numerators
-from .oracle import gl_order, prime_power_base
+from .oracle import Frozen, gl_order, prime_power_base
 
 
-class SeriesReport:
+class SeriesReport(Frozen):
     """Two series compared coefficientwise, with an exact verdict.
 
     ``lhs`` and ``rhs`` hold the t-coefficients, t^0 first, as tuples of
@@ -49,10 +51,6 @@ class SeriesReport:
     """
 
     __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: tuple[Poly, ...], rhs: tuple[Poly, ...]):
-        self.lhs = lhs
-        self.rhs = rhs
 
     @property
     def first_mismatch(self) -> int | None:
@@ -176,6 +174,32 @@ def weil_zeta_digits(space: GradedSpace, q: int) -> int:
     return max(bits.values()) * 30103 // 100000 + 1
 
 
+def groupoid_digits(space: GradedSpace, q: int, order: int) -> int:
+    """A bound on the decimal digits of every int that the rendered rows
+    of ``groupoid_series(space, q, order)`` hold, found without building
+    them.
+
+    Both sides print c_n = [t^n] exp sum_k w_k t^k / (k (1 - q^(-k))),
+    n <= order, for the eigenvalue power sums w_k.  With e_v the signed
+    multiplicity of the eigenvalue v (``_zeta_exponents``), E the sum of
+    the |e_v| and V the largest |v|, |w_k| <= E V^k and
+    1 / (1 - q^(-k)) <= 2, so |c_n| is at most the t^n coefficient
+    binom(2E + n - 1, n) V^n of (1 - V t)^(-2E).  The denominator of c_n
+    divides D^n |GL_n(F_q)|, D the lcm of the eigenvalue denominators
+    (``charmodel.point_counts``), so with V = A / D its numerator is at
+    most binom(2E + n - 1, n) A^n |GL_n(F_q)|.  Both grow with n.
+    """
+    if order < 1:
+        return 1
+    exponents = _zeta_exponents(space, q)
+    D = lcm(*[d for _, d in exponents])
+    A = max((abs(a) * (D // d) for a, d in exponents), default=0)
+    E = sum(abs(e) for e in exponents.values())
+    num = order * A.bit_length() + comb(2 * E + order - 1, order).bit_length()
+    bits = max(num, order * D.bit_length()) + gl_order(order, q).bit_length()
+    return bits * 30103 // 100000 + 1
+
+
 def _series_log(coeffs: list[Poly]) -> list[Poly]:
     """a_n with log(sum z_n t^n) = sum a_n t^n / n; requires z_0 = 1."""
     if not coeffs or coeffs[0] != 1:
@@ -252,16 +276,11 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     return Poly.from_ints(v)
 
 
-class StabilizationReport:
-    """Residue-route limit against two consecutive finite-rank values."""
+class StabilizationReport(Frozen):
+    """Residue-route limit ``stable`` against the Poincare polynomials
+    ``at_n`` and ``at_next`` of the ranks n and n + 1."""
 
     __slots__ = ("stable", "n", "at_n", "at_next")
-
-    def __init__(self, stable: Poly, n: int, at_n: Poly, at_next: Poly):
-        self.stable = stable
-        self.n = n
-        self.at_n = at_n
-        self.at_next = at_next
 
     @property
     def ok(self) -> bool:

@@ -54,30 +54,20 @@ def family_for(name: str, dim: int = 1, avoided: tuple[int, ...] = (0, 1)) -> Va
 
 
 def eigendata_for_family(family: VarietyFamily) -> GradedSpace:
-    """The graded eigenvalue data matching an enumerable family.
+    """The graded eigenvalue data of a family's X = (A^1 minus S)^d.
 
-    The affine eigenvalue is q^(dim - 1) and the torus strata reach
-    degree dim, so either dimension is capped at ``MAX_DEG``.
+    A^1 minus S carries (deg 0, 1, 1) and (deg 1, r, q^-1) for r = |S|,
+    so by Kunneth X carries (deg i, C(d, i) r^i, q^(d - 1 - i)) for
+    i = 0..d, the strata of dimension 0 left out; its point count is
+    q sum_i (-1)^i C(d, i) r^i q^(d - 1 - i) = (q - r)^d.  The strata reach
+    degree d and the eigenvalue q^(d - 1), so d is capped at ``MAX_DEG``.
     """
-    if isinstance(family, AffineSpace):
-        if family.dim > MAX_DEG:
-            raise ValueError(f"affine dimension must be <= {MAX_DEG}")
-        return GradedSpace([Stratum(0, 1, QPower(family.dim - 1))], name=f"affine^{family.dim}")
-    if isinstance(family, Torus):
-        dim = family.dim
-        if dim > MAX_DEG:
-            raise ValueError(f"torus dimension must be <= {MAX_DEG}")
-        strata = [Stratum(i, comb(dim, i), QPower(dim - 1 - i)) for i in range(dim + 1)]
-        return GradedSpace(strata, name=f"torus^{dim}")
-    if isinstance(family, PuncturedLine):
-        r = len(family.avoided)
-        strata = [Stratum(0, 1, QPower(0))]
-        if r:
-            strata.append(Stratum(1, r, QPower(-1)))
-        label = ",".join(str(a) for a in family.avoided)
-        return GradedSpace(strata, name=f"affine line minus {{{label}}}")
-    raise TypeError(f"unsupported family {family!r}")
+    d, r = family.dim, len(family.avoided)
+    if d > MAX_DEG:
+        raise ValueError(f"{family.name} dimension must be <= {MAX_DEG}")
+    strata = [Stratum(i, comb(d, i) * r**i, QPower(d - 1 - i)) for i in range(d + 1 if r else 1)]
+    return GradedSpace(strata, name=family.describe())
 
 
 def is_curve_name(name: str, dim: int = 1) -> bool:
-    return name in ("p1", "punctured") or (name in ("affine", "torus") and dim == 1)
+    return name == "p1" or (name != "point" and family_for(name, dim=dim).is_curve())

@@ -21,7 +21,7 @@ from .charmodel import (
     flag_schur_coefficient,
     poincare,
 )
-from .oracle import AffineSpace, PuncturedLine, Torus, VarietyFamily, count_points, gl_order
+from .oracle import AffineSpace, Frozen, PuncturedLine, Torus, VarietyFamily, count_points, gl_order
 from .partitions import partitions_of
 from .series import betti_zeta, coh_series, groupoid_series, stable_betti_verified
 from .symfunc import SymFunc, mn_character
@@ -31,13 +31,11 @@ RANDOM_SEED = 20260810
 _EIG_CHOICES = tuple(Poly.from_ints((n,), d) for n, d in ((1, 1), (1, 2), (1, 3), (2, 1)))
 
 
-class CheckResult:
+class CheckResult(Frozen):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+        super().__init__(name, passed, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -45,26 +43,12 @@ class CheckResult:
         return f"{self.name}: {status}{suffix}"
 
 
-class CrossCheck:
-    """A brute-force count compared over three routes: oracle, formula, series."""
+class CrossCheck(Frozen):
+    """A brute-force count compared over three routes: the enumerated
+    ``oracle_count`` of ``family`` at rank n over F_q, and the
+    ``formula_count`` and ``series_rhs_count``, constant ``Poly``."""
 
     __slots__ = ("family", "n", "q", "oracle_count", "formula_count", "series_rhs_count")
-
-    def __init__(
-        self,
-        family: VarietyFamily,
-        n: int,
-        q: int,
-        oracle_count: int,
-        formula_count: Poly,
-        series_rhs_count: Poly,
-    ):
-        self.family = family
-        self.n = n
-        self.q = q
-        self.oracle_count = oracle_count
-        self.formula_count = formula_count
-        self.series_rhs_count = series_rhs_count
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,12 @@ verify`` subcommand.
 
 import pytest
 
+from commvar.arith import Poly
+from commvar.oracle import Torus
+from commvar.series import SeriesReport, StabilizationReport
 from commvar.verify import (
+    CheckResult,
+    CrossCheck,
     check_character_substrate,
     check_coh_product,
     check_degenerate_cases,
@@ -38,3 +43,20 @@ def test_acceptance_criterion(check):
     result = check()
     print(result.line())
     assert result.passed, result.line()
+
+
+ONE = Poly.constant(1)
+RECORDS = [
+    pytest.param(CheckResult("x", True), "passed", id="CheckResult"),
+    pytest.param(CrossCheck(Torus(1), 1, 2, 1, ONE, ONE), "oracle_count", id="CrossCheck"),
+    pytest.param(SeriesReport((ONE,), (ONE,)), "lhs", id="SeriesReport"),
+    pytest.param(StabilizationReport(ONE, 1, ONE, ONE), "at_n", id="StabilizationReport"),
+]
+
+
+@pytest.mark.parametrize("record, field", RECORDS)
+def test_result_records_are_immutable(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) == before

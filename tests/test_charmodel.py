@@ -14,6 +14,7 @@ from commvar.charmodel import (
     GradedSpace,
     QPower,
     Stratum,
+    character_digits,
     enhanced_character,
     enhanced_character_series,
     flag_character,
@@ -159,6 +160,26 @@ class TestEnhancedCharacter:
                 lam = P((1,) * n)
                 got = ch.coeff(lam) * lam.centralizer_order()
                 assert got == space.poincare_poly() ** n
+
+    def test_digit_bound_covers_every_printed_int(self):
+        # the ints of both bases and of every trace, not the partition
+        # labels or the exponents of u
+        rng = random.Random(1618)
+        eigs = (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3), F(7, 5), QPower(-1), QPower(2))
+        for _ in range(100):
+            space = GradedSpace(
+                [
+                    Stratum(rng.randint(0, 4), rng.randint(1, 3), rng.choice(eigs))
+                    for _ in range(rng.randint(1, 5))
+                ]
+            ).resolve(rng.choice((2, 3, 4, 5, 9, 1000003)))
+            n = rng.randint(0, 5)
+            ch = enhanced_character(space, n)
+            texts = [ch.render(), ch.render_schur()]
+            texts += [graded_trace_product(space, lam).render() for lam in partitions_of(n)]
+            text = re.sub(r"[sp]\[[\d,]*\]|\^\d+", "", " ".join(texts))
+            longest = max((len(m) for m in re.findall(r"\d+", text)), default=0)
+            assert longest <= character_digits(space, n), (space, n, text)
 
 
 BUILTINS = [

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -689,6 +690,54 @@ class TestDescriptorBounds:
             "error: series zeta: -q 1000003 and --dim 1000 give numbers of up to 6001 digits; "
             f"at most {limit} can be printed\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, given, digits",
+        [
+            (["char", "-n", "1", "-q", "1000003"], "char: -q 1000003, -n 1", 5995),
+            (
+                ["series", "groupoid", "-q", "1000003", "--t-order", "1"],
+                "series groupoid: -q 1000003, --t-order 1",
+                6001,
+            ),
+        ],
+        ids=["char", "groupoid"],
+    )
+    def test_past_the_digit_limit_exits_two(self, capsys, argv, given, digits):
+        # the ints hold q^999 or q^1000 at q = 1000003, about 6000 digits;
+        # without the bound each command stopped at Python's own message
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or limit >= digits:
+            pytest.skip(f"needs an int-to-str digit limit below {digits}")
+        code, out, err = run(capsys, *argv, "--variety", "affine", "--dim", "1000")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {given} and --dim 1000 give numbers of up to {digits} digits; "
+            f"at most {limit} can be printed\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["char", "-n", "1", "-q", "1000003"], ["series", "groupoid", "-q", "1000003", "--t-order", "1"]],
+        ids=["char", "groupoid"],
+    )
+    def test_below_the_digit_limit_prints(self, capsys, argv):
+        # q^700 at q = 1000003 has about 4200 digits: printable, and the
+        # bound lets it through
+        code, out, err = run(capsys, *argv, "--variety", "affine", "--dim", "700")
+        assert code == 0
+        assert 4000 < max(len(m) for m in re.findall(r"\d+", out)) < 4300
+
+    def test_descriptor_char_past_the_digit_limit_names_the_file(self, capsys, tmp_path):
+        # 10^1000 to the fifth power: -q plays no part, -n and the file do
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or limit >= 5000:
+            pytest.skip("needs an int-to-str digit limit below 5000")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"strata": [{"deg": 0, "eigenvalue": "1e1000"}]}))
+        code, out, err = run(capsys, "char", "--variety", str(path), "-n", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: char: -n 5 and --variety {path} give numbers of up to ")
 
     def test_torus_zeta_below_the_digit_limit_prints(self, capsys):
         # Numerator and denominator each reach about q^512 at q = 1000003,

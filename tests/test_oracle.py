@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from commvar import oracle
+from commvar.charmodel import point_counts
 from commvar.oracle import (
     DEFAULT_BUDGET,
     AffineSpace,
@@ -699,3 +700,28 @@ class TestCrossCheck:
         monkeypatch.setattr(charmodel, "_rank_recurrence", counted)
         assert cross_check(Torus(1), 3, 2, eigendata_for_family(Torus(1))).ok
         assert calls == [(3, None, 1)]
+
+
+def rank_one_grid():
+    # affine and torus of dimension 1-3 and punctured lines avoiding 0-3
+    # values, at every p where the avoided values stay distinct: 39 cases
+    families = [cls(d) for cls in (AffineSpace, Torus) for d in (1, 2, 3)]
+    families += [PuncturedLine(tuple(range(r))) for r in range(4)]
+    for family in families:
+        for p in (2, 3, 5, 7):
+            if isinstance(family, PuncturedLine) and len(family.avoided) > p:
+                continue
+            yield pytest.param(family, p, id=f"{family.describe()}-p{p}")
+
+
+class TestEigendataAtRankOne:
+    """At rank 1 the formula count is |X(F_p)| for any X, curve or not, so
+    the enumerator checks the eigendata of every family, where
+    ``cross_check`` takes the curves only."""
+
+    def test_grid_size(self):
+        assert len(list(rank_one_grid())) == 39
+
+    @pytest.mark.parametrize("family, p", list(rank_one_grid()))
+    def test_formula_count_is_the_enumerated_count(self, family, p):
+        assert point_counts(eigendata_for_family(family), 1, p)[1] == count_points(family, 1, p)

@@ -12,6 +12,7 @@ from commvar.series import (
     SeriesReport,
     betti_zeta,
     coh_series,
+    groupoid_digits,
     groupoid_series,
     stable_betti,
     stable_betti_verified,
@@ -236,6 +237,23 @@ class TestGroupoidSeries:
         with pytest.raises(ValueError, match="prime power"):
             groupoid_series(TORUS, 6, 2)
 
+
+    def test_digit_bound_covers_every_printed_int(self):
+        rng = random.Random(2718)
+        eigs = (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3), QPower(-1), QPower(1), QPower(2))
+        for _ in range(100):
+            space = GradedSpace(
+                [
+                    Stratum(rng.randint(0, 5), rng.randint(1, 3), rng.choice(eigs))
+                    for _ in range(rng.randint(1, 6))
+                ]
+            )
+            q = rng.choice((2, 3, 4, 5, 9, 1000003))
+            order = rng.randint(0, 5)
+            report = groupoid_series(space, q, order)
+            text = " ".join(side for _, lhs, rhs in report.rows() for side in (lhs, rhs))
+            longest = max(len(m) for m in re.findall(r"\d+", text))
+            assert longest <= groupoid_digits(space, q, order), (space, q, order, text)
 
 class TestStableBetti:
     def test_affine_line_is_one(self):
