@@ -18,9 +18,11 @@ functions by a * d == c * b.
 
 The integer-vector kernel of the layers above lives here too: int
 lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
-exact with a remainder check or cut modulo x^(M+1); the rows in x of a
-product of factors (1 - x^a t)^e, one row per power of t
-(``euler_rows``), on which the Betti zeta and the coh product run; the
+exact with a remainder check or cut modulo x^(M+1); a scaled product
+of two int lists added in place (``add_product``); the rows in x of a
+product of factors (1 - x^a t)^e, one row per power of t, each factor
+in one binomial pass where that is less work (``euler_rows``), on which
+the Betti zeta and the coh product run; the
 cached Pochhammer (x^p; x^p)_n and its exact cofactors
 (``pochhammer_ints``, ``cofactor_ints``); the cyclotomic polynomials;
 and the one integer long division, ``pseudo_divmod``, which
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from math import gcd as _igcd, lcm as _ilcm
+from math import comb, gcd as _igcd, lcm as _ilcm
 
 
 class PoleError(ZeroDivisionError):
@@ -630,15 +632,32 @@ def cofactor_ints(n: int, power: int, parts: tuple[int, ...]) -> tuple[int, ...]
     return tuple(v)
 
 
+def add_product(acc: list[int], a, scale: int, b) -> None:
+    """acc += scale * a * b for int vectors a and b, lengthening acc as needed."""
+    width = len(b)
+    need = len(a) + width - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, c in enumerate(a):
+        if c:
+            f = c * scale
+            acc[i : i + width] = [s + f * y for s, y in zip(acc[i : i + width], b)]
+
+
 def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]:
     """The product of (1 - x^a t)^e over the pairs (a, e) in ``factors``.
 
     Returns the rows 0..t_order: row k holds the int coefficients in x
-    of t^k.  Multiplying by 1 - x^a t subtracts row k - 1, shifted by a,
-    from row k, going from the top row down; dividing by it adds the new
-    row k - 1 to row k, going from the bottom row up; either is repeated
-    |e| times.  With top = M every row is cut modulo x^(M+1), so a
-    factor with a > M is 1 and is skipped.
+    of t^k.  A factor with e > 0 is its binomial expansion, the sum of
+    c_j x^(a j) t^j with c_j = (-1)^j C(e, j) for j <= min(e, t_order):
+    going from the top row down, c_j times row k - j, shifted by a j, is
+    added to row k, so one pass makes no more row updates than e passes
+    by 1 - x^a t.  Dividing by 1 - x^a t adds the new row k - 1, shifted
+    by a, to row k, going from the bottom row up; a factor with e < 0 is
+    |e| such passes while |e| <= t_order, and above that one pass of the
+    series c_j = C(j + |e| - 1, j), j <= t_order, from the top row down.
+    With top = M every row is cut modulo x^(M+1), so a factor with
+    a > M is 1 and is skipped.
     """
     if t_order < 0:
         raise ValueError(f"t order must be >= 0, got {t_order}")
@@ -648,14 +667,23 @@ def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]
             raise ValueError(f"a must be >= 0, got {a}")
         if top is not None and a > top:
             continue
-        sign, ks = (-1, range(t_order, 0, -1)) if e > 0 else (1, range(1, t_order + 1))
-        for _ in range(abs(e)):
+        if e > 0 or -e > t_order:
+            steps = range(1, (min(e, t_order) if e > 0 else t_order) + 1)
+            coeffs = [(-1) ** j * comb(e, j) if e > 0 else comb(j - e - 1, j) for j in steps]
+            passes = [(range(t_order, 0, -1), coeffs)]
+        else:
+            passes = [(range(1, t_order + 1), [1])] * -e
+        for ks, coeffs in passes:
             for k in ks:
-                prev, row = rows[k - 1], rows[k]
-                end = a + len(prev) if top is None else min(a + len(prev), top + 1)
-                if len(row) < end:
-                    row.extend([0] * (end - len(row)))
-                row[a:end] = [c + sign * b for c, b in zip(row[a:end], prev)]
+                row = rows[k]
+                for j, c in enumerate(coeffs[:k], 1):
+                    prev, shift = rows[k - j], a * j
+                    end = shift + len(prev) if top is None else min(shift + len(prev), top + 1)
+                    if end <= shift:
+                        continue
+                    if len(row) < end:
+                        row.extend([0] * (end - len(row)))
+                    row[shift:end] = [s + c * b for s, b in zip(row[shift:end], prev)]
     return rows
 
 

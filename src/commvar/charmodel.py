@@ -30,6 +30,7 @@ from math import factorial, lcm
 from .arith import (
     Poly,
     RatFunc,
+    add_product,
     cofactor_ints,
     cyclotomic_coeffs,
     div_one_minus,
@@ -393,24 +394,41 @@ def character_digits(space: GradedSpace, n: int) -> int:
 def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
     """Characters of all tensor powers 0..order via the exponential route.
 
-    Expands exp(sum_i p_i/i * w_i * t^i) with the derivative recurrence
-    n*C_n = sum_i w_i * (p_i * C_(n-i)); coefficientwise this must agree
-    exactly with enhanced_character, which is the module's self-check.
+    Expands exp(sum_i p_i/i * w_i * t^i) by the derivative recurrence
+    n*C_n = sum_i w_i * p_i * C_(n-i), over ints.  For L the lcm of the
+    eigenvalue denominators, a_i = L^i w_i is an int vector, and so is
+    every p-coefficient of N_n = n! L^n C_n:
+
+        N_n[mu + (i)] += (n-1)!/(n-i)! * a_i * N_(n-i)[mu],
+
+    accumulated by ``arith.add_product``; C_n has the coefficients
+    N_n[mu] / (n! L^n).  No ``Poly`` or ``SymFunc`` is multiplied and
+    ``enhanced_character`` is not called, so coefficientwise the two
+    routes check each other.
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
-    weights = {i: eigen_power_sum(space, i) for i in range(1, order + 1)}
-    coeffs = [SymFunc.unit()]
+    weights = [eigen_power_sum(space, i) for i in range(1, order + 1)]
+    L = lcm(*[s.eig.den for s in space]) if weights else 1
+    scaled = [[c * (L**i // w.den) for c in w.num] for i, w in enumerate(weights, 1)]
+    # levels[n] maps the partitions mu of n to N_n[mu]
+    levels: list[dict[Partition, list[int]]] = [{Partition(): [1]}]
+    series = [SymFunc.unit()]
     for n in range(1, order + 1):
-        acc = SymFunc.zero(n)
+        parts = {mu: mu for mu in partitions_of(n)}  # found by the tuple of its parts
+        acc: dict[Partition, list[int]] = {}
         for i in range(1, n + 1):
-            w = weights[i]
-            if not w:
+            a = scaled[i - 1]
+            if not a:
                 continue
-            bump = SymFunc.from_p(Partition((i,))) * coeffs[n - i]
-            acc = acc + bump.scale(w)
-        coeffs.append(acc.scale(Poly.from_ints((1,), n)))
-    return coeffs
+            scale = factorial(n - 1) // factorial(n - i)
+            for mu, v in levels[n - i].items():
+                key = parts[tuple(sorted((*mu, i), reverse=True))]
+                add_product(acc.setdefault(key, []), a, scale, v)
+        levels.append(acc)
+        den = factorial(n) * L**n
+        series.append(SymFunc(n, {mu: Poly.from_ints(v, den) for mu, v in acc.items()}))
+    return series
 
 
 # -- flag variety --------------------------------------------------------

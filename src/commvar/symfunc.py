@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .arith import Poly, RatFunc, cofactor_ints, pochhammer_ints, to_poly
+from .arith import Poly, RatFunc, add_product, cofactor_ints, pochhammer_ints, to_poly
 from .partitions import Partition, partitions_of
 
 
@@ -108,7 +108,7 @@ def _mn(mu: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _character_table(n: int) -> tuple[tuple[int, ...], ...]:
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """chi^lam(mu) for lam (rows) and mu (columns) in ``partitions_of(n)`` order."""
     return tuple(zip(*(_mn(mu) for mu in partitions_of(n))))
 
@@ -117,7 +117,7 @@ def _character_table(n: int) -> tuple[tuple[int, ...], ...]:
 def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Poly], ...]:
     # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
     parts = partitions_of(lam.n)
-    row = _character_table(lam.n)[_positions(lam.n)[lam]]
+    row = character_table(lam.n)[_positions(lam.n)[lam]]
     return tuple(
         (mu, Poly.from_ints((chi,), mu.centralizer_order())) for mu, chi in zip(parts, row) if chi
     )
@@ -125,18 +125,6 @@ def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Poly], ...]:
 
 def _concat(a: Partition, b: Partition) -> Partition:
     return Partition(sorted(a + b, reverse=True))
-
-
-def _add_product(acc: list[int], a, scale: int, b) -> None:
-    """acc += scale * a * b for int vectors a and b, lengthening acc as needed."""
-    width = len(b)
-    need = len(a) + width - 1
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for i, c in enumerate(a):
-        if c:
-            f = c * scale
-            acc[i : i + width] = [s + f * y for s, y in zip(acc[i : i + width], b)]
 
 
 class SymFunc:
@@ -247,7 +235,7 @@ class SymFunc:
         acc: list[int] = []
         for lam, a, b in pairs:
             scale = lam.centralizer_order() * (denom // (a.den * b.den))
-            _add_product(acc, a.num, scale, b.num)
+            add_product(acc, a.num, scale, b.num)
         return Poly.from_ints(acc, denom)
 
     def to_schur(self) -> dict[Partition, Poly]:
@@ -274,7 +262,7 @@ class SymFunc:
                 for k, c in enumerate(coeff.num):
                     columns[k][j] = c * scale
         out: dict[Partition, Poly] = {}
-        for lam, row in zip(parts, _character_table(self.degree)):
+        for lam, row in zip(parts, character_table(self.degree)):
             acc = [sum(map(mul, row, column)) for column in columns]
             if any(acc):
                 out[lam] = Poly.from_ints(acc, denom)
@@ -299,7 +287,7 @@ class SymFunc:
         denom = lcm(*(coeff.den for coeff in self.terms.values()))
         acc: list[int] = []
         for lam, coeff in self.terms.items():
-            _add_product(acc, coeff.num, denom // coeff.den, cofactor_ints(n, power, lam))
+            add_product(acc, coeff.num, denom // coeff.den, cofactor_ints(n, power, lam))
         return Poly.from_ints(acc, denom)
 
     def principal_spec(self, power: int = 1) -> RatFunc:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from math import factorial
+from operator import mul
 
-from .arith import Poly, RatFunc
+from .arith import Poly, mul_one_minus, pochhammer_ints
 from .charmodel import (
     GradedSpace,
     Stratum,
@@ -24,7 +25,7 @@ from .charmodel import (
 from .oracle import AffineSpace, Frozen, PuncturedLine, Torus, VarietyFamily, count_points, gl_order
 from .partitions import partitions_of
 from .series import betti_zeta, coh_series, groupoid_series, stable_betti_verified
-from .symfunc import SymFunc, mn_character
+from .symfunc import SymFunc, character_table
 from .varieties import eigendata_for_family
 
 RANDOM_SEED = 20260810
@@ -221,35 +222,36 @@ def check_character_substrate() -> CheckResult:
     of the principal specialization, s_lam(1, x, x^2, ...) =
     x^n(lam) / prod_h (1 - x^h) (Macdonald, Symmetric Functions and Hall
     Polynomials, I.3 Ex. 2), for the Schur function built from the
-    character table; ``==`` cross-multiplies, so the check is
-    N * prod_h (1 - x^h) == x^n(lam) (x; x)_n for its numerator N."""
+    character table.  The orthogonality sums are int dot products of
+    rows of ``character_table`` with the class sizes; the hook form is
+    compared over ints, N * prod_h (1 - x^h) == D * x^n(lam) * (x; x)_n
+    for N / D the ``principal_spec_numerator`` of s_lam."""
     for n in range(8):
         parts = partitions_of(n)
         schurs = {lam: SymFunc.schur(lam) for lam in parts}
         # class sizes n!/z_mu: sum_mu chi^a(mu) chi^b(mu) n!/z_mu = n! delta_ab
         order = factorial(n)
         class_sizes = [order // mu.centralizer_order() for mu in parts]
-        for a in parts:
-            for b in parts:
+        table = character_table(n)
+        for a, row_a in zip(parts, table):
+            weighted = [chi * size for chi, size in zip(row_a, class_sizes)]
+            for b, row_b in zip(parts, table):
                 if schurs[a].hall(schurs[b]) != (1 if a == b else 0):
                     return CheckResult(
                         "character-substrate", False, f"<s{a}, s{b}> wrong"
                     )
-                ortho = sum(
-                    mn_character(a, mu) * mn_character(b, mu) * size
-                    for mu, size in zip(parts, class_sizes)
-                )
-                if ortho != (order if a == b else 0):
+                if sum(map(mul, weighted, row_b)) != (order if a == b else 0):
                     return CheckResult(
                         "character-substrate", False, f"chi^{a} . chi^{b} wrong"
                     )
     for n in range(1, 8):
         for lam in partitions_of(n):
-            den = Poly.constant(1)
+            spec = SymFunc.schur(lam).principal_spec_numerator()
+            lhs = list(spec.num)
             for h in lam.hook_lengths():
-                den = den * (Poly.constant(1) - Poly.monomial(h))
-            hook_form = RatFunc(Poly.monomial(lam.weighted_row_sum()), den)
-            if SymFunc.schur(lam).principal_spec() != hook_form:
+                lhs = mul_one_minus(lhs, h)
+            rhs = [0] * lam.weighted_row_sum() + [spec.den * c for c in pochhammer_ints(n, 1)]
+            if lhs != rhs:
                 return CheckResult("character-substrate", False, f"hook form {lam}")
     return CheckResult("character-substrate", True, "n <= 7")
 

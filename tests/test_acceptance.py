@@ -8,9 +8,11 @@ verify`` subcommand.
 
 import pytest
 
+from commvar import verify
 from commvar.arith import Poly
 from commvar.oracle import Torus
 from commvar.series import SeriesReport, StabilizationReport
+from commvar.symfunc import SymFunc
 from commvar.verify import (
     CheckResult,
     CrossCheck,
@@ -60,3 +62,64 @@ def test_result_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) == before
+
+
+def flip_last(f: SymFunc) -> SymFunc:
+    """f with the sign of one int coefficient flipped: the top one of its
+    first p-coefficient."""
+    terms = dict(f.terms)
+    lam, c = next(iter(terms.items()))
+    terms[lam] = Poly.from_ints(c.num[:-1] + (-c.num[-1],), c.den)
+    return SymFunc(f.degree, terms)
+
+
+class TestOneCorruptedRouteFails:
+    """Each check compares two routes; corrupting exactly one of them, in
+    the namespace of ``verify`` only, turns its PASS into a FAIL."""
+
+    def test_series_agreement_direct_route(self, monkeypatch):
+        real = verify.enhanced_character
+
+        def corrupt(space, n):
+            f = real(space, n)
+            return flip_last(f) if n == 3 else f
+
+        monkeypatch.setattr(verify, "enhanced_character", corrupt)
+        result = check_series_agreement()
+        assert not result.passed
+        assert result.detail.startswith("sample 0, n=3, ")
+
+    def test_series_agreement_exponential_route(self, monkeypatch):
+        real = verify.enhanced_character_series
+
+        def corrupt(space, order):
+            return [flip_last(f) if f.degree == 3 else f for f in real(space, order)]
+
+        monkeypatch.setattr(verify, "enhanced_character_series", corrupt)
+        result = check_series_agreement()
+        assert not result.passed
+        assert result.detail.startswith("sample 0, n=3, ")
+
+    def test_substrate_orthogonality(self, monkeypatch):
+        real = verify.character_table
+
+        def flipped(n):
+            # chi^(2,1)(3) = -1 becomes 1
+            table = real(n)
+            return table if n != 3 else (table[0], (-table[1][0], *table[1][1:]), table[2])
+
+        monkeypatch.setattr(verify, "character_table", flipped)
+        result = check_character_substrate()
+        assert (result.passed, result.detail) == (False, "chi^(3) . chi^(2,1) wrong")
+
+    @pytest.mark.parametrize("shift", [(1,), (0, 0, 1)])
+    def test_substrate_hook_form(self, monkeypatch, shift):
+        real = SymFunc.principal_spec_numerator
+
+        def perturbed(self, power=1):
+            value = real(self, power)
+            return value + Poly.from_ints(shift) if self.degree == 3 else value
+
+        monkeypatch.setattr(SymFunc, "principal_spec_numerator", perturbed)
+        result = check_character_substrate()
+        assert (result.passed, result.detail) == (False, "hook form (3)")

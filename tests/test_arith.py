@@ -232,6 +232,30 @@ class TestEulerRows:
         ]
         assert euler_rows([(0, -1), (2, -1)], 4, top=3)[4] == [1, 0, 1, 0]
 
+    @pytest.mark.parametrize("t_order", [0, 1, 2, 3, 5])
+    def test_one_factor_is_its_binomial_expansion(self, t_order):
+        # e > 0 takes one binomial pass; e < 0 takes |e| division passes
+        # up to |e| = t_order and one series pass above it
+        for a in (0, 1, 3):
+            for e in range(-t_order - 3, t_order + 4):
+                coeffs = one_minus_x_coeffs(e, t_order)
+                expected = [Poly.monomial(a * k, c) for k, c in enumerate(coeffs)]
+                rows = euler_rows([(a, e)], t_order)
+                assert [Poly.from_ints(r) for r in rows] == expected, (a, e)
+                for top in (0, 2, 4):
+                    rows = euler_rows([(a, e)], t_order, top)
+                    assert all(len(r) <= top + 1 for r in rows)
+                    # a factor with a > top is 1 modulo x^(top+1)
+                    cut = [c.truncate(top) for c in expected] if a <= top else [1] + [0] * t_order
+                    assert [Poly.from_ints(r) for r in rows] == cut, (a, e, top)
+
+    @pytest.mark.parametrize("e", [math.comb(20, 10), -math.comb(20, 10), 10**30, -(10**30)])
+    def test_large_exponents(self, e):
+        # the torus of dimension 20 has factors with |e| = C(20, 10)
+        rows = euler_rows([(1, e), (2, 3)], 3)
+        full = binomial_factor(Poly.monomial(1), e, 3) * binomial_factor(Poly.monomial(2), 3, 3)
+        assert [Poly.from_ints(r) for r in rows] == list(full.coeffs)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="t order"):
             euler_rows([], -1)

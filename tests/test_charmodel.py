@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from commvar import charmodel
+from commvar import arith, charmodel
 from commvar.arith import Poly, RatFunc, cyclotomic_coeffs, poly_gcd
 from commvar.charmodel import (
     DescriptorError,
@@ -333,6 +333,74 @@ class TestSeriesRoute:
             series = enhanced_character_series(space, 5)
             for n in range(6):
                 assert series[n] == enhanced_character(space, n)
+
+
+def enhanced_character_series_by_symfunc(space, order):
+    """The exponential route by ``SymFunc`` products, scalings and sums;
+    oracle only: n*C_n = sum_i w_i * (p_i * C_(n-i))."""
+    weights = {i: charmodel.eigen_power_sum(space, i) for i in range(1, order + 1)}
+    coeffs = [SymFunc.unit()]
+    for n in range(1, order + 1):
+        acc = SymFunc.zero(n)
+        for i in range(1, n + 1):
+            w = weights[i]
+            if not w:
+                continue
+            bump = SymFunc.from_p(Partition((i,))) * coeffs[n - i]
+            acc = acc + bump.scale(w)
+        coeffs.append(acc.scale(Poly.from_ints((1,), n)))
+    return coeffs
+
+
+class TestSeriesKernel:
+    """The int kernel of ``enhanced_character_series`` against the
+    ``SymFunc``-operation route it replaced."""
+
+    def test_seeded_random_spaces(self):
+        rng = random.Random(2525)
+        for _ in range(40):
+            space = random_space(rng)
+            assert enhanced_character_series(space, 6) == enhanced_character_series_by_symfunc(
+                space, 6
+            ), space
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            GradedSpace([]),
+            GradedSpace([Stratum(0, 1)]),
+            GradedSpace([Stratum(3, 2, F(1, 2))]),
+            GradedSpace([Stratum(0, 1, F(1, 2)), Stratum(1, 2, F(1, 3)), Stratum(2, 1, F(2))]),
+            GradedSpace([Stratum(1, 3, F(2, 3)), Stratum(1, 1, F(-1, 6)), Stratum(4, 2)]),
+        ],
+        ids=["empty", "point", "one-stratum", "L=6", "negative-eigenvalue"],
+    )
+    def test_special_spaces(self, space):
+        series = enhanced_character_series(space, 6)
+        assert len(series) == 7
+        assert series == enhanced_character_series_by_symfunc(space, 6)
+
+    def test_multiplies_no_polynomial_or_symmetric_function(self, monkeypatch):
+        space = GradedSpace([Stratum(0, 1, F(1, 2)), Stratum(1, 2, F(1, 3)), Stratum(2, 1, F(2))])
+        expected = enhanced_character_series_by_symfunc(space, 6)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("direct route or SymFunc operation in the series kernel")
+
+        with monkeypatch.context() as m:
+            m.setattr(arith, "_convolve", forbidden)
+            for name in ("enhanced_character", "graded_trace_product"):
+                m.setattr(charmodel, name, forbidden)
+            for name in ("__mul__", "__add__", "scale"):
+                m.setattr(SymFunc, name, forbidden)
+            series = enhanced_character_series(space, 6)
+        assert series == expected
+
+    def test_symbolic_eigenvalues_need_q(self):
+        space = GradedSpace([Stratum(0, 1, QPower(1))])
+        assert enhanced_character_series(space, 0) == [SymFunc.unit()]
+        with pytest.raises(ValueError, match="unresolved"):
+            enhanced_character_series(space, 1)
 
 
 def flag_character_by_schur_sum(n: int) -> SymFunc:

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,26 @@ class TestSeries:
         proc = run_child(*argv, timeout=5)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "verdict: equal"
+
+    def test_betti_of_a_high_dimensional_torus_is_fast(self, capsys):
+        # the factor (1 - u^10 t)^-C(20, 10) is one series pass, not
+        # 184,756 passes (3.9 s on a 2-vCPU VM); the digest is the output
+        # of those repeated passes
+        def too_slow(signum, frame):
+            raise TimeoutError("series betti --dim 20 took over 1 s")
+
+        argv = ["series", "betti", "--variety", "torus", "--dim", "20", "--t-order", "2"]
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "7bc7e0eceb23ed3efd2be6f756cbea76ff81e1b89f142695eae0c533de6f18bf"
+        )
 
     def test_groupoid_warns_for_non_curves(self, capsys):
         code, out, err = run(
@@ -518,7 +539,7 @@ class TestNoCharacterTableOnFlagPath:
             raise AssertionError("character table on the flag path")
 
         with monkeypatch.context() as m:
-            m.setattr(symfunc, "_character_table", forbidden)
+            m.setattr(symfunc, "character_table", forbidden)
             m.setattr(symfunc, "_mn", forbidden)
             m.setattr(SymFunc, "to_schur", forbidden)
             patched = run(capsys, *argv)

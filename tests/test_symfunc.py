@@ -20,9 +20,9 @@ from commvar.charmodel import GradedSpace, Stratum, enhanced_character, poincare
 from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import (
     SymFunc,
-    _character_table,
     _mn,
     _positions,
+    character_table,
     mn_character,
     q_pochhammer,
 )
@@ -293,7 +293,7 @@ class TestCharacterTable:
     @pytest.mark.parametrize("n", range(10))
     def test_entries_are_mn_characters(self, n):
         parts = partitions_of(n)
-        table = _character_table(n)
+        table = character_table(n)
         assert len(table) == len(parts)
         for lam, row in zip(parts, table):
             assert len(row) == len(parts)
@@ -303,7 +303,7 @@ class TestCharacterTable:
     @pytest.mark.parametrize("n", range(11))
     def test_columns_match_the_border_strip_recursion(self, n):
         parts = partitions_of(n)
-        for lam, row in zip(parts, _character_table(n)):
+        for lam, row in zip(parts, character_table(n)):
             for mu, value in zip(parts, row):
                 assert value == mn_by_border_strips(lam, mu), (lam, mu)
 
@@ -311,7 +311,7 @@ class TestCharacterTable:
     def test_row_orthogonality(self, n):
         # sum_mu chi^a(mu) chi^b(mu) / z_mu = delta_ab
         zs = [mu.centralizer_order() for mu in partitions_of(n)]
-        table = _character_table(n)
+        table = character_table(n)
         for i, a in enumerate(table):
             for j, b in enumerate(table):
                 total = sum(F(x * y, z) for x, y, z in zip(a, b, zs))
@@ -321,7 +321,7 @@ class TestCharacterTable:
     def test_column_orthogonality(self, n):
         # sum_lam chi^lam(mu) chi^lam(nu) = delta_mu,nu * z_mu
         parts = partitions_of(n)
-        columns = list(zip(*_character_table(n)))
+        columns = list(zip(*character_table(n)))
         for i, mu in enumerate(parts):
             for j in range(len(parts)):
                 total = sum(x * y for x, y in zip(columns[i], columns[j]))
