@@ -21,7 +21,7 @@ lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
 exact with a remainder check or cut modulo x^(M+1); a scaled product
 of two int lists added in place (``add_product``); the rows in x of a
 product of factors (1 - x^a t)^e, one row per power of t, each factor
-in one binomial pass where that is less work (``euler_rows``), on which
+in one pass of its binomial terms (``euler_rows``), on which
 the Betti zeta and the coh product run; the
 cached Pochhammer (x^p; x^p)_n and its exact cofactors
 (``pochhammer_ints``, ``cofactor_ints``); the cyclotomic polynomials;
@@ -648,14 +648,12 @@ def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]
     """The product of (1 - x^a t)^e over the pairs (a, e) in ``factors``.
 
     Returns the rows 0..t_order: row k holds the int coefficients in x
-    of t^k.  A factor with e > 0 is its binomial expansion, the sum of
-    c_j x^(a j) t^j with c_j = (-1)^j C(e, j) for j <= min(e, t_order):
-    going from the top row down, c_j times row k - j, shifted by a j, is
-    added to row k, so one pass makes no more row updates than e passes
-    by 1 - x^a t.  Dividing by 1 - x^a t adds the new row k - 1, shifted
-    by a, to row k, going from the bottom row up; a factor with e < 0 is
-    |e| such passes while |e| <= t_order, and above that one pass of the
-    series c_j = C(j + |e| - 1, j), j <= t_order, from the top row down.
+    of t^k.  Each factor is applied in one pass of its binomial terms
+    c_j x^(a j) t^j, c_j = (-1)^j C(|e|, j) for 1 <= j <= min(|e|, t_order).
+    Multiplying (e > 0) adds c_j times row k - j, shifted by a j, to
+    row k, going from the top row down; dividing (e < 0) subtracts it,
+    going from the bottom row up, so row k - j is already divided.  Row
+    k takes min(k, |e|) updates, no more than |e| passes by 1 - x^a t.
     With top = M every row is cut modulo x^(M+1), so a factor with
     a > M is 1 and is skipped.
     """
@@ -667,23 +665,18 @@ def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]
             raise ValueError(f"a must be >= 0, got {a}")
         if top is not None and a > top:
             continue
-        if e > 0 or -e > t_order:
-            steps = range(1, (min(e, t_order) if e > 0 else t_order) + 1)
-            coeffs = [(-1) ** j * comb(e, j) if e > 0 else comb(j - e - 1, j) for j in steps]
-            passes = [(range(t_order, 0, -1), coeffs)]
-        else:
-            passes = [(range(1, t_order + 1), [1])] * -e
-        for ks, coeffs in passes:
-            for k in ks:
-                row = rows[k]
-                for j, c in enumerate(coeffs[:k], 1):
-                    prev, shift = rows[k - j], a * j
-                    end = shift + len(prev) if top is None else min(shift + len(prev), top + 1)
-                    if end <= shift:
-                        continue
-                    if len(row) < end:
-                        row.extend([0] * (end - len(row)))
-                    row[shift:end] = [s + c * b for s, b in zip(row[shift:end], prev)]
+        sign = 1 if e > 0 else -1
+        coeffs = [sign * (-1) ** j * comb(abs(e), j) for j in range(1, min(abs(e), t_order) + 1)]
+        for k in range(t_order, 0, -1) if e > 0 else range(1, t_order + 1):
+            row = rows[k]
+            for j, c in enumerate(coeffs[:k], 1):
+                prev, shift = rows[k - j], a * j
+                end = shift + len(prev) if top is None else min(shift + len(prev), top + 1)
+                if end <= shift:
+                    continue
+                if len(row) < end:
+                    row.extend([0] * (end - len(row)))
+                row[shift:end] = [s + c * b for s, b in zip(row[shift:end], prev)]
     return rows
 
 

@@ -52,14 +52,9 @@ class Partition(tuple):
         """z = prod over parts i with multiplicity a of i**a * a!.
 
         The order of the centralizer of a permutation with this cycle
-        type; n!/z is the size of the conjugacy class.  Computed once
-        per partition and kept.
+        type; n!/z is the size of the conjugacy class.
         """
-        z = self.__dict__.get("z")
-        if z is None:
-            z = prod(i**a * factorial(a) for i, a in self.exp)
-            object.__setattr__(self, "z", z)
-        return z
+        return prod(i**a * factorial(a) for i, a in self.exp)
 
     def conjugate(self) -> "Partition":
         if not self:

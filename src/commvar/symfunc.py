@@ -161,14 +161,6 @@ class SymFunc:
         return cls(0, {Partition(): 1})
 
     @classmethod
-    def zero(cls, degree: int) -> "SymFunc":
-        return cls(degree)
-
-    @classmethod
-    def from_p(cls, lam: Partition) -> "SymFunc":
-        return cls(lam.n, {lam: 1})
-
-    @classmethod
     def schur(cls, lam: Partition) -> "SymFunc":
         return cls(lam.n, dict(_schur_in_p(lam)))
 
@@ -195,17 +187,6 @@ class SymFunc:
         for key, value in other.terms.items():
             out[key] = out.get(key, Poly()) + value
         return SymFunc(self.degree, out)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymFunc":
-        c = to_poly(c)
-        if not c:
-            return SymFunc(self.degree)
-        return SymFunc(
-            self.degree, {key: value * c for key, value in self.terms.items()}
-        )
 
     def __mul__(self, other: "SymFunc") -> "SymFunc":
         """Product in the ring of symmetric functions; degrees add."""

@@ -1,0 +1,22 @@
+"""Power sums and scalings of symmetric functions that only the tests build.
+
+The package builds its symmetric functions from terms directly; the
+oracles and the examples in the tests write them as p_lam and c * f.
+"""
+
+from commvar.arith import to_poly
+from commvar.partitions import Partition
+from commvar.symfunc import SymFunc
+
+
+def power_sum(lam: Partition) -> SymFunc:
+    """p_lam."""
+    return SymFunc(lam.n, {lam: 1})
+
+
+def scale(f: SymFunc, c) -> SymFunc:
+    """c * f for a polynomial (or scalar) c."""
+    c = to_poly(c)
+    if not c:
+        return SymFunc(f.degree)
+    return SymFunc(f.degree, {key: value * c for key, value in f.terms.items()})

@@ -234,8 +234,8 @@ class TestEulerRows:
 
     @pytest.mark.parametrize("t_order", [0, 1, 2, 3, 5])
     def test_one_factor_is_its_binomial_expansion(self, t_order):
-        # e > 0 takes one binomial pass; e < 0 takes |e| division passes
-        # up to |e| = t_order and one series pass above it
+        # every factor is one binomial pass, multiplying for e > 0 and
+        # dividing for e < 0, with e on both sides of t_order
         for a in (0, 1, 3):
             for e in range(-t_order - 3, t_order + 4):
                 coeffs = one_minus_x_coeffs(e, t_order)

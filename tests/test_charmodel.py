@@ -32,6 +32,7 @@ from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, q_pochhammer
 from commvar.varieties import builtin_space
 from h_basis import from_h
+from symfunc_ops import power_sum, scale
 
 P = Partition
 U = Poly.monomial(1)
@@ -341,14 +342,14 @@ def enhanced_character_series_by_symfunc(space, order):
     weights = {i: charmodel.eigen_power_sum(space, i) for i in range(1, order + 1)}
     coeffs = [SymFunc.unit()]
     for n in range(1, order + 1):
-        acc = SymFunc.zero(n)
+        acc = SymFunc(n)
         for i in range(1, n + 1):
             w = weights[i]
             if not w:
                 continue
-            bump = SymFunc.from_p(Partition((i,))) * coeffs[n - i]
-            acc = acc + bump.scale(w)
-        coeffs.append(acc.scale(Poly.from_ints((1,), n)))
+            bump = power_sum(Partition((i,))) * coeffs[n - i]
+            acc = acc + scale(bump, w)
+        coeffs.append(scale(acc, Poly.from_ints((1,), n)))
     return coeffs
 
 
@@ -391,7 +392,7 @@ class TestSeriesKernel:
             m.setattr(arith, "_convolve", forbidden)
             for name in ("enhanced_character", "graded_trace_product"):
                 m.setattr(charmodel, name, forbidden)
-            for name in ("__mul__", "__add__", "scale"):
+            for name in ("__mul__", "__add__"):
                 m.setattr(SymFunc, name, forbidden)
             series = enhanced_character_series(space, 6)
         assert series == expected
@@ -405,10 +406,10 @@ class TestSeriesKernel:
 
 def flag_character_by_schur_sum(n: int) -> SymFunc:
     """sum over lam of flag_schur_coefficient(n, lam)(u^2) * s_lam; oracle only."""
-    acc = SymFunc.zero(n)
+    acc = SymFunc(n)
     for lam in partitions_of(n):
         coeff = flag_schur_coefficient(n, lam).subst_power(2)
-        acc = acc + SymFunc.schur(lam).scale(coeff)
+        acc = acc + scale(SymFunc.schur(lam), coeff)
     return acc
 
 

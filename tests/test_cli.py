@@ -176,7 +176,7 @@ class TestSeries:
         assert proc.stdout.splitlines()[-1] == "verdict: equal"
 
     def test_betti_of_a_high_dimensional_torus_is_fast(self, capsys):
-        # the factor (1 - u^10 t)^-C(20, 10) is one series pass, not
+        # the factor (1 - u^10 t)^-C(20, 10) is one binomial pass, not
         # 184,756 passes (3.9 s on a 2-vCPU VM); the digest is the output
         # of those repeated passes
         def too_slow(signum, frame):
