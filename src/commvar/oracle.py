@@ -14,17 +14,24 @@ F_p; for the first matrix that is all of M_n(F_p).  As in Feit & Fine
 ("Pairs of commuting matrices over a finite field", Duke Math. J. 27
 (1960)), the number of ways to finish a tuple depends only on that
 centralizer and on how many matrices are left to choose, so each
-subtree is counted once per distinct common centralizer.  Nothing here
-knows about symmetric functions, and no other commvar module is
-imported; ``verify.cross_check`` compares the counts with the formula
-routes.
+subtree is counted once per distinct common centralizer.
+
+Within one count, the two pure kernels that most inputs revisit are
+memoised: ``_grow`` on (basis, row), where a one-matrix family has two
+or more shifts and throughout a tuple of several matrices, and
+``family.matrix_ok`` on the matrix, in a tuple of several.  Each memo
+is a dict local to the count, at most one entry per distinct input it
+sees, and is freed when the count returns; no cache outlives a count.
+Nothing here knows about symmetric functions, and no other commvar
+module is imported; ``verify.cross_check`` compares the counts with the
+formula routes.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import product
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 DEFAULT_BUDGET = 2**28
 BUDGET_ENV_VAR = "COMMVAR_BUDGET"
@@ -378,7 +385,29 @@ def _commutator_equations(a, p: int) -> Iterator[tuple]:
             yield tuple(e % p for e in eq)
 
 
-def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int) -> int:
+_UNSEEN = object()
+
+
+def _memo_grow() -> Callable[[tuple, tuple, int], tuple | None]:
+    """A drop-in for ``_grow`` that keeps every result in a dict of its
+    own, keyed on (basis, vec), so a repeated input is looked up rather
+    than reduced again.  The dict holds one entry per distinct input and
+    lives as long as the returned function."""
+    seen: dict[tuple, tuple | None] = {}
+
+    def grow(basis: tuple, vec: tuple, p: int) -> tuple | None:
+        key = (basis, vec)
+        out = seen.get(key, _UNSEEN)
+        if out is _UNSEEN:
+            seen[key] = out = _grow(basis, vec, p)
+        return out
+
+    return grow
+
+
+def _rows_off_planes(
+    planes: Sequence[tuple[tuple, int]], n: int, p: int, grow: Callable | None = None
+) -> int:
     """How many x in F_p^n have f . x != a * f[n-1] for every (f, a) in ``planes``.
 
     Inclusion-exclusion over the subsets of ``planes``, in recursive
@@ -387,8 +416,10 @@ def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int) -> int
     flat is the reduced basis of its planes' augmented rows
     (f | -a * f[n-1]).  A pivot in that last column means the planes do
     not meet; a plane whose row is already in the span holds the whole
-    flat; otherwise the flat has p^(n - rank) points.
+    flat; otherwise the flat has p^(n - rank) points.  ``grow`` stands
+    in for ``_grow``, so that a caller can share its memo.
     """
+    grow = grow or _grow
     rows = [f + (-a * f[-1] % p,) for f, a in planes]
 
     def off(k: int, flat: tuple) -> int:
@@ -396,12 +427,17 @@ def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int) -> int
             return 0
         if k == len(rows):
             return p ** (n - len(flat))
-        grown = _grow(flat, rows[k], p)
+        grown = grow(flat, rows[k], p)
         if grown is None:
             return 0
         return off(k + 1, flat) - off(k + 1, grown)
 
-    return off(0, ())
+    try:
+        return off(0, ())
+    finally:
+        # off refers to itself through its closure; breaking that cycle
+        # frees the memos now rather than at the next garbage collection
+        del off
 
 
 def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
@@ -413,7 +449,15 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
     is allowed when each W_a grows by row - a*e_i.  At the last row each
     W_a is a hyperplane with normal f_a, and the allowed rows are those
     off every plane f_a . x = a * f_a[n-1].
+
+    With two or more shifts, one W_a recurs beside different others, so
+    ``_grow`` is memoised on (basis, row) for the count, shared with the
+    last-row inclusion-exclusion: at most one entry per distinct pair
+    reduced, freed on return.  With one shift no pair recurs: the
+    dimension of W fixes i, each state is walked once, and distinct last
+    spaces give distinct planes; ``_grow`` is called directly.
     """
+    grow = _memo_grow() if len(shifts) > 1 else _grow
     finish: dict[tuple, int] = {}
 
     def walk(i: int, spaces: tuple) -> int:
@@ -423,13 +467,13 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
             return total
         if i == n - 1:
             planes = [(_nullspace(w, n, p)[0], a) for w, a in zip(spaces, shifts)]
-            total = _rows_off_planes(planes, n, p)
+            total = _rows_off_planes(planes, n, p, grow)
         else:
             total = 0
             for row in product(range(p), repeat=n):
                 grown = []
                 for w, a in zip(spaces, shifts):
-                    g = _grow(w, row[:i] + ((row[i] - a) % p,) + row[i + 1 :], p)
+                    g = grow(w, row[:i] + ((row[i] - a) % p,) + row[i + 1 :], p)
                     if g is None:
                         break
                     grown.append(g)
@@ -438,7 +482,12 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
         finish[key] = total
         return total
 
-    return walk(0, ((),) * len(shifts))
+    try:
+        return walk(0, ((),) * len(shifts))
+    finally:
+        # walk refers to itself through its closure; breaking that cycle
+        # frees the memos now rather than at the next garbage collection
+        del walk
 
 
 # -- counting ----------------------------------------------------------------
@@ -465,6 +514,11 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     elements.  The only candidates built and rejected are centralizer
     elements that fail ``matrix_ok``.  Single-threaded.
 
+    A matrix recurs in many centralizers and a partial basis of the
+    commutator equations in many growths, so ``family.matrix_ok`` is
+    memoised on the matrix and ``_grow`` on (basis, equation) for the
+    count: one entry per distinct matrix or pair seen, freed on return.
+
     The budget bounds the nominal search p^(dim*n^2), not the work
     done, and is checked before any work.
     """
@@ -484,6 +538,8 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     if family.tuple_len == 1:
         return _count_one_matrix(n, p, shifts)
     subtree: dict[tuple, int] = {}
+    accepted: dict[tuple, bool] = {}
+    grow = _memo_grow()
 
     def finish(equations: tuple, depth: int) -> int:
         # The ways to choose the matrices from index ``depth`` on, each in
@@ -500,17 +556,26 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             return total
         total = 0
         for x in _solutions(equations, n * n, p):
-            mat = tuple(x[i * n : (i + 1) * n] for i in range(n))
-            if not family.matrix_ok(mat, p):
+            ok = accepted.get(x)
+            if ok is None:
+                mat = tuple(x[i * n : (i + 1) * n] for i in range(n))
+                accepted[x] = ok = family.matrix_ok(mat, p)
+            if not ok:
                 continue
             if last:
                 total += 1
                 continue
+            mat = tuple(x[i * n : (i + 1) * n] for i in range(n))
             grown = equations
             for eq in _commutator_equations(mat, p):
-                grown = _grow(grown, eq, p) or grown
+                grown = grow(grown, eq, p) or grown
             total += finish(grown, depth + 1)
         subtree[key] = total
         return total
 
-    return finish((), 0)
+    try:
+        return finish((), 0)
+    finally:
+        # finish refers to itself through its closure; breaking that cycle
+        # frees the memos now rather than at the next garbage collection
+        del finish

@@ -252,8 +252,12 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     the sheaf-counting product at t = 1: the simple pole of the i = 0
     factor is cancelled by (1 - t), every remaining factor is evaluated
     at t = 1, and the whole product is multiplied by the infinite
-    Pochhammer at u^2.  Each factor (1 - u^a)^e is |e| calls of
-    ``arith.mul_one_minus`` or ``arith.div_one_minus`` cut at u_order.
+    Pochhammer at u^2.  A factor (1 - u^a)^e, cut at M = u_order, takes
+    min(|e|, M // a) passes over one int vector: |e| calls of
+    ``arith.mul_one_minus`` or ``arith.div_one_minus`` when |e| <= M // a,
+    and otherwise one pass per binomial term u^(a j), j <= M // a, whose
+    coefficient is (-1)^j C(e, j) for e > 0 and C(|e| + j - 1, j) for
+    e < 0.
     """
     betti = space.betti()
     if betti.get(0, 0) != 1:
@@ -269,10 +273,18 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     factors += [f for j in range(1, M // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
     # infinite Pochhammer at u^2, truncated
     factors += [(2 * j, 1) for j in range(1, M // 2 + 1)]
-    v = [1]
+    v = [1] + [0] * M
     for a, e in factors:
-        for _ in range(abs(e)):
-            v = mul_one_minus(v, a, M) if e > 0 else div_one_minus(v, a, M)
+        terms = M // a
+        if abs(e) <= terms:
+            for _ in range(abs(e)):
+                v = mul_one_minus(v, a, M) if e > 0 else div_one_minus(v, a, M)
+            continue
+        out = list(v)
+        for j in range(1, terms + 1):
+            c = (-1) ** j * comb(e, j) if e > 0 else comb(j - e - 1, j)
+            out[a * j :] = [x + c * y for x, y in zip(out[a * j :], v)]
+        v = out
     return Poly.from_ints(v)
 
 

@@ -9,7 +9,7 @@ The production routes run on int rows (``arith.euler_rows``,
 
 from math import comb
 
-from commvar.arith import Poly, TSeries, to_poly
+from commvar.arith import Poly, TSeries, div_one_minus, mul_one_minus, to_poly
 
 
 def one_minus_x_coeffs(e, order):
@@ -40,14 +40,29 @@ def one_minus_power(a, e, order):
     return Poly.from_ints(one_minus_x_coeffs(e, order // a)).subst_power(a)
 
 
-def stable_betti(space, M):
-    """The residue-route limit as a product of ``one_minus_power`` factors."""
+def stable_factors(space, M):
+    """The pairs (a, e) of the residue-route product of (1 - u^a)^e."""
     betti = space.betti()
     factors = [(deg, b if deg % 2 else -b) for deg, b in sorted(betti.items()) if deg]
     for i in range(1, M // 2 + 1):
         factors += [(deg + 2 * i, b if deg % 2 else -b) for deg, b in sorted(betti.items())]
         factors.append((2 * i, 1))
+    return factors
+
+
+def stable_betti(space, M):
+    """The residue-route limit as a product of ``one_minus_power`` factors."""
     acc = Poly.constant(1)
-    for a, e in factors:
+    for a, e in stable_factors(space, M):
         acc = (acc * one_minus_power(a, e, M)).truncate(M)
     return acc
+
+
+def stable_betti_by_repeated_passes(space, M):
+    """The residue-route limit with each factor (1 - u^a)^e applied as
+    |e| passes of ``mul_one_minus`` or ``div_one_minus``."""
+    v = [1]
+    for a, e in stable_factors(space, M):
+        for _ in range(abs(e)):
+            v = mul_one_minus(v, a, M) if e > 0 else div_one_minus(v, a, M)
+    return Poly.from_ints(v)

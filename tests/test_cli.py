@@ -29,6 +29,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_within_a_second(capsys, *argv):
+    """``run``, raising TimeoutError if the command takes over 1 s."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def run_child(*argv, timeout, **kwargs):
     """Run the CLI in a fresh interpreter that writes no bytecode."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -179,20 +194,22 @@ class TestSeries:
         # the factor (1 - u^10 t)^-C(20, 10) is one binomial pass, not
         # 184,756 passes (3.9 s on a 2-vCPU VM); the digest is the output
         # of those repeated passes
-        def too_slow(signum, frame):
-            raise TimeoutError("series betti --dim 20 took over 1 s")
-
         argv = ["series", "betti", "--variety", "torus", "--dim", "20", "--t-order", "2"]
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
-            code, out, err = run(capsys, *argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        code, out, err = run_within_a_second(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "7bc7e0eceb23ed3efd2be6f756cbea76ff81e1b89f142695eae0c533de6f18bf"
+        )
+
+    def test_stable_betti_of_a_high_dimensional_torus_is_fast(self, capsys):
+        # the factor (1 - u)^C(20, 1) and its like take at most
+        # u_order // a binomial passes each, not C(20, i) passes (about
+        # 3 s on a 2-vCPU VM); the digest is the output of those passes
+        argv = ["series", "stable", "--variety", "torus", "--dim", "20", "--u-order", "4"]
+        code, out, err = run_within_a_second(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "c6dfd90d0b781d0714a50d2d2e576d1d9ec93af563386140ceb62ca15fdbb304"
         )
 
     def test_groupoid_warns_for_non_curves(self, capsys):

@@ -1,5 +1,6 @@
 """Brute-force enumerator: exact counts, budget handling, cross-checks."""
 
+import gc
 import os
 import random
 import subprocess
@@ -438,6 +439,70 @@ class TestAffineLastMatrix:
         assert len(calls) == p ** (n * n)
 
 
+class TestKernelMemo:
+    """Within one count, ``_grow`` and ``matrix_ok`` run once per distinct
+    input; later calls are looked up.  So the memo holds one entry per
+    distinct (basis, row) pair or matrix, and the call counts below are
+    its sizes.  Without the memo the first two counts make 4,842
+    ``_grow`` calls and 2,152 ``matrix_ok`` calls."""
+
+    def count_grow_calls(self, monkeypatch, family, n, p):
+        calls = []
+        grow = oracle._grow
+
+        def counted(basis, vec, p):
+            calls.append((basis, vec))
+            return grow(basis, vec, p)
+
+        monkeypatch.setattr(oracle, "_grow", counted)
+        return count_points(family, n, p), calls
+
+    def test_grow_runs_once_per_input_with_several_shifts(self, monkeypatch):
+        count, calls = self.count_grow_calls(monkeypatch, PuncturedLine((0, 1, 2)), 3, 3)
+        assert count == 3456
+        assert len(calls) == len(set(calls)) == 933
+
+    def test_matrix_ok_runs_once_per_matrix(self, monkeypatch):
+        calls = []
+        matrix_ok = Torus.matrix_ok
+        monkeypatch.setattr(
+            Torus, "matrix_ok", lambda self, mat, p: calls.append(mat) or matrix_ok(self, mat, p)
+        )
+        count, grown = self.count_grow_calls(monkeypatch, Torus(2), 3, 2)
+        assert count == 1008
+        assert len(calls) == len(set(calls)) == 2**9
+        assert len(grown) == len(set(grown))
+
+    def test_one_shift_calls_grow_directly(self, monkeypatch):
+        # no (basis, row) pair recurs with one shift, so no memo is built
+        def refuse():
+            raise AssertionError("a one-shift count built a memo")
+
+        monkeypatch.setattr(oracle, "_memo_grow", refuse)
+        count, calls = self.count_grow_calls(monkeypatch, Torus(1), 3, 3)
+        assert count == gl_order(3, 3)
+        assert len(calls) == 391
+
+    @pytest.mark.parametrize(
+        "family, n, p",
+        [(PuncturedLine((0, 1, 2)), 3, 3), (Torus(2), 3, 2), (Torus(1), 3, 3), (AffineSpace(2), 2, 3)],
+        ids=repr,
+    )
+    def test_memos_are_freed_on_return(self, family, n, p):
+        # every memo is reachable only from the count's own frame and
+        # closures, so reference counting frees it when the count returns:
+        # no cycle is left for the collector, and nothing stays behind
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            count_points(family, n, p)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestRankTwoClosedForm:
     """n = 2, any number d of matrices: every non-scalar 2 x 2 matrix is
     cyclic, so its centralizer is the 2-dimensional algebra F_q[M]."""
@@ -645,14 +710,17 @@ class TestFeitFine:
 class TestCommutingInvertiblePairs:
     """Torus(2) counts commuting pairs in G = GL_n(F_q), which number
     |G| times the class number of G.  At n = 3 the centralizer solve
-    needs back-substitution, which no n = 2 case does."""
+    needs back-substitution, which no n = 2 case does, and the count
+    runs through the memoised ``_grow`` and ``matrix_ok``.  The class
+    number is q - 1, q^2 - 1 and q^3 - q for n = 1, 2, 3 (Macdonald
+    1981), e.g. 1008 = 168 * 6 at (3, 2)."""
 
     @pytest.mark.parametrize(
         "q, n, classes, expected",
         [(2, 1, 1, 1), (2, 2, 3, 18), (3, 2, 8, 384), (5, 2, 24, 11520), (2, 3, 6, 1008)],
     )
     def test_group_order_times_class_number(self, q, n, classes, expected):
-        assert gl_class_number(n, q) == classes
+        assert gl_class_number(n, q) == classes == (q - 1, q * q - 1, q**3 - q)[n - 1]
         assert gl_order(n, q) * classes == expected
         assert count_points(Torus(2), n, q) == expected
 

@@ -21,6 +21,7 @@ from commvar.series import (
 )
 from series_oracle import scale_t
 from series_oracle import stable_betti as stable_betti_by_polynomials
+from series_oracle import stable_betti_by_repeated_passes
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -277,6 +278,15 @@ class TestStableBetti:
             )
             for M in (0, 1, 5, 12):
                 assert stable_betti(space, M) == stable_betti_by_polynomials(space, M), (space, M)
+
+    @pytest.mark.parametrize("M", [4, 6, 9])
+    def test_binomial_passes_match_repeated_passes(self, M):
+        # b classes in degree a give the factor (1 - u^a)^e with e = b for
+        # odd a and e = -b for even a; b runs to either side of M // a
+        for a in range(1, M + 1):
+            for b in range(1, M // a + 3):
+                space = GradedSpace([Stratum(0, 1), Stratum(a, b)])
+                assert stable_betti(space, M) == stable_betti_by_repeated_passes(space, M), (a, b)
 
     def test_projective_line_two_routes(self):
         report = stable_betti_verified(PROJ, 6)
