@@ -22,6 +22,10 @@ or more shifts and throughout a tuple of several matrices, and
 ``family.matrix_ok`` on the matrix, in a tuple of several.  Each memo
 is a dict local to the count, at most one entry per distinct input it
 sees, and is freed when the count returns; no cache outlives a count.
+The recursive closures that hold the memos refer to themselves through
+their closure cells, so each is deleted on return: that breaks the
+cycle, and reference counting frees the memos at once rather than at
+the next garbage collection.
 Nothing here knows about symmetric functions, and no other commvar
 module is imported; ``verify.cross_check`` compares the counts with the
 formula routes.
@@ -373,6 +377,11 @@ def _solutions(basis: tuple, size: int, p: int) -> Iterator[tuple]:
         yield tuple(x)
 
 
+def _as_matrix(x: tuple, n: int) -> tuple:
+    """The n x n matrix whose row-major entries are ``x``."""
+    return tuple(x[i * n : (i + 1) * n] for i in range(n))
+
+
 def _commutator_equations(a, p: int) -> Iterator[tuple]:
     """The n^2 linear forms (aX - Xa)_ij in the row-major entries of X."""
     n = len(a)
@@ -405,9 +414,7 @@ def _memo_grow() -> Callable[[tuple, tuple, int], tuple | None]:
     return grow
 
 
-def _rows_off_planes(
-    planes: Sequence[tuple[tuple, int]], n: int, p: int, grow: Callable | None = None
-) -> int:
+def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int, grow: Callable) -> int:
     """How many x in F_p^n have f . x != a * f[n-1] for every (f, a) in ``planes``.
 
     Inclusion-exclusion over the subsets of ``planes``, in recursive
@@ -416,10 +423,9 @@ def _rows_off_planes(
     flat is the reduced basis of its planes' augmented rows
     (f | -a * f[n-1]).  A pivot in that last column means the planes do
     not meet; a plane whose row is already in the span holds the whole
-    flat; otherwise the flat has p^(n - rank) points.  ``grow`` stands
-    in for ``_grow``, so that a caller can share its memo.
+    flat; otherwise the flat has p^(n - rank) points.  ``grow`` is
+    ``_grow`` or a memoised one, so that a caller can share its memo.
     """
-    grow = grow or _grow
     rows = [f + (-a * f[-1] % p,) for f, a in planes]
 
     def off(k: int, flat: tuple) -> int:
@@ -435,9 +441,7 @@ def _rows_off_planes(
     try:
         return off(0, ())
     finally:
-        # off refers to itself through its closure; breaking that cycle
-        # frees the memos now rather than at the next garbage collection
-        del off
+        del off  # breaks its self-reference; see the module docstring
 
 
 def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
@@ -485,9 +489,7 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
     try:
         return walk(0, ((),) * len(shifts))
     finally:
-        # walk refers to itself through its closure; breaking that cycle
-        # frees the memos now rather than at the next garbage collection
-        del walk
+        del walk  # breaks its self-reference; see the module docstring
 
 
 # -- counting ----------------------------------------------------------------
@@ -558,16 +560,14 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
         for x in _solutions(equations, n * n, p):
             ok = accepted.get(x)
             if ok is None:
-                mat = tuple(x[i * n : (i + 1) * n] for i in range(n))
-                accepted[x] = ok = family.matrix_ok(mat, p)
+                accepted[x] = ok = family.matrix_ok(_as_matrix(x, n), p)
             if not ok:
                 continue
             if last:
                 total += 1
                 continue
-            mat = tuple(x[i * n : (i + 1) * n] for i in range(n))
             grown = equations
-            for eq in _commutator_equations(mat, p):
+            for eq in _commutator_equations(_as_matrix(x, n), p):
                 grown = grow(grown, eq, p) or grown
             total += finish(grown, depth + 1)
         subtree[key] = total
@@ -576,6 +576,4 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     try:
         return finish((), 0)
     finally:
-        # finish refers to itself through its closure; breaking that cycle
-        # frees the memos now rather than at the next garbage collection
-        del finish
+        del finish  # breaks its self-reference; see the module docstring

@@ -25,9 +25,9 @@ two sides of a product formula as two such tuples.
 
 The stabilization report compares the residue-route limit of the
 commuting-space Betti numbers, the same factors at t = 1 applied to
-one int vector by ``arith.mul_one_minus`` and ``arith.div_one_minus``,
-with two finite ranks, read from one pass of the rank recurrence
-``charmodel.rank_numerators`` cut modulo u^(u_order+1):
+one int vector in one binomial pass each, with two finite ranks, read
+from one pass of the rank recurrence ``charmodel.rank_numerators`` cut
+modulo u^(u_order+1):
 n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n is checked for a
 remainder at every rank.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .arith import Poly, RatFunc, div_one_minus, euler_rows, mul_one_minus, ratio
+from .arith import Poly, RatFunc, div_one_minus, euler_rows, ratio
 from .charmodel import GradedSpace, point_counts, rank_numerators
 from .oracle import Frozen, gl_order, prime_power_base
 
@@ -252,12 +252,13 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     the sheaf-counting product at t = 1: the simple pole of the i = 0
     factor is cancelled by (1 - t), every remaining factor is evaluated
     at t = 1, and the whole product is multiplied by the infinite
-    Pochhammer at u^2.  A factor (1 - u^a)^e, cut at M = u_order, takes
-    min(|e|, M // a) passes over one int vector: |e| calls of
-    ``arith.mul_one_minus`` or ``arith.div_one_minus`` when |e| <= M // a,
-    and otherwise one pass per binomial term u^(a j), j <= M // a, whose
-    coefficient is (-1)^j C(e, j) for e > 0 and C(|e| + j - 1, j) for
-    e < 0.
+    Pochhammer at u^2.  A factor (1 - u^a)^e, cut at M = u_order, is one
+    pass over one int vector, as in ``arith.euler_rows``: its binomial
+    terms are c_j u^(a j), c_j = (-1)^j C(|e|, j) for 1 <= j <=
+    min(|e|, M // a).  Multiplying (e > 0) adds c_j v[k - a j] to v[k],
+    going from the top coefficient down; dividing (e < 0) subtracts it,
+    going from the bottom up, so v[k - a j] is already divided.  Entry k
+    takes min(|e|, k // a) updates, no more than |e| passes by 1 - u^a.
     """
     betti = space.betti()
     if betti.get(0, 0) != 1:
@@ -275,16 +276,13 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     factors += [(2 * j, 1) for j in range(1, M // 2 + 1)]
     v = [1] + [0] * M
     for a, e in factors:
-        terms = M // a
-        if abs(e) <= terms:
-            for _ in range(abs(e)):
-                v = mul_one_minus(v, a, M) if e > 0 else div_one_minus(v, a, M)
-            continue
-        out = list(v)
-        for j in range(1, terms + 1):
-            c = (-1) ** j * comb(e, j) if e > 0 else comb(j - e - 1, j)
-            out[a * j :] = [x + c * y for x, y in zip(out[a * j :], v)]
-        v = out
+        sign = 1 if e > 0 else -1
+        coeffs = [sign * (-1) ** j * comb(abs(e), j) for j in range(1, min(abs(e), M // a) + 1)]
+        for k in range(M, a - 1, -1) if e > 0 else range(a, M + 1):
+            x = v[k]
+            for j, c in enumerate(coeffs[: k // a], 1):
+                x += c * v[k - a * j]
+            v[k] = x
     return Poly.from_ints(v)
 
 

@@ -647,7 +647,7 @@ class TestRowsOffPlanes:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_planes(self, seed):
         planes, n, p = random_planes(seed)
-        assert _rows_off_planes(planes, n, p) == rows_off_by_brute_force(planes, n, p)
+        assert _rows_off_planes(planes, n, p, _grow) == rows_off_by_brute_force(planes, n, p)
 
     def test_random_planes_cover_every_kind(self):
         kinds = set()
@@ -678,7 +678,7 @@ class TestRowsOffPlanes:
     )
     def test_special_planes(self, planes, n, p, expected):
         assert rows_off_by_brute_force(planes, n, p) == expected
-        assert _rows_off_planes(planes, n, p) == expected
+        assert _rows_off_planes(planes, n, p, _grow) == expected
 
 
 class TestMemory:
