@@ -16,15 +16,15 @@ floating point anywhere; every operation is exact, so equality of
 values is decidable: polynomials by their normal form, rational
 functions by a * d == c * b.
 
-The integer-vector kernel of the layers above lives here too: int
-lists times and over 1 - x^k (``mul_one_minus``, ``div_one_minus``),
-exact with a remainder check or cut modulo x^(M+1); a scaled product
-of two int lists added in place (``add_product``); the rows in x of a
-product of factors (1 - x^a t)^e, one row per power of t, each factor
-in one pass of its binomial terms (``euler_rows``), on which
-the Betti zeta and the coh product run; the
-cached Pochhammer (x^p; x^p)_n and its exact cofactors
-(``pochhammer_ints``, ``cofactor_ints``); the cyclotomic polynomials;
+The integer-vector kernel of the layers above lives here too: an int
+list times one Euler factor (1 - x^a)^e for any int e
+(``euler_factor``), exact with a remainder check or cut modulo
+x^(M+1); a scaled product of two int lists added in place
+(``add_product``); the rows in x of a product of factors
+(1 - x^a t)^e, one row per power of t, each factor in one pass of its
+binomial terms (``euler_rows``), on which the Betti zeta and the coh
+product run; the cached Pochhammer (x^p; x^p)_n and its exact
+cofactors (``pochhammer_ints``); the cyclotomic polynomials;
 and the one integer long division, ``pseudo_divmod``, which
 ``Poly.__divmod__``, ``poly_gcd``, the cyclotomic polynomials and the
 coh cancellation in ``charmodel`` share.  No production path calls
@@ -571,64 +571,78 @@ def to_poly(value) -> Poly:
 
 # -- integer coefficient vectors ------------------------------------------
 
-def mul_one_minus(v, k: int, top: int | None = None) -> list[int]:
-    """v * (1 - x^k) for an int vector v.
+def euler_factor(v, a: int, e: int, top: int | None = None) -> list[int]:
+    """v * (1 - x^a)^e for an int vector v and any int e.
 
-    With top = M the product is cut modulo x^(M+1) and has M + 1 entries.
+    With top = M the result is cut modulo x^(M+1), M + 1 entries long,
+    so a division is the power-series quotient.  With top = None a
+    product has len(v) + a e entries and a division must be exact: it
+    raises ValueError on a remainder, which is there exactly when the
+    top a |e| entries of the running quotient are nonzero.  1 - x^0 = 0.
+
+    e = 1 is one vector difference and e = -1 the running sums
+    q[k] += q[k - a].  Any other e is one pass of the binomial terms
+    c_j x^(a j), c_j = (-1)^j C(|e|, j): multiplying adds c_j q[k - a j]
+    to q[k] from the top entry down, dividing subtracts it from the
+    bottom up, so q[k - a j] is already divided.  Cost: entry k of the
+    result takes min(|e|, k // a) updates.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if top is None:
-        pad = [0] * k
-        return [a - b for a, b in zip([*v, *pad], [*pad, *v])]
-    v = list(v[: top + 1]) + [0] * (top + 1 - len(v))
-    return v[:k] + [a - b for a, b in zip(v[k:], v)]
-
-
-def div_one_minus(v, k: int, top: int | None = None) -> list[int]:
-    """v / (1 - x^k) for an int vector v, by running sums q[j] = v[j] + q[j - k].
-
-    With top = M the result is the power-series quotient modulo
-    x^(M+1), M + 1 entries long.  With top = None the division must be
-    exact, which it is exactly when the top k running sums vanish;
-    ValueError is raised on a remainder.
-    """
-    if k < 1:
-        raise ZeroDivisionError("division by 1 - x^0 = 0")
+    if a < 1:
+        if a < 0:
+            raise ValueError(f"a must be >= 0, got {a}")
+        if e < 0:
+            raise ZeroDivisionError("division by 1 - x^0 = 0")
+        e = min(e, 1)  # (1 - x^0)^e is 0 for e >= 1
+    if e == 1:
+        if top is None:
+            pad = [0] * a
+            return [x - y for x, y in zip([*v, *pad], [*pad, *v])]
+        v = list(v[: top + 1]) + [0] * (top + 1 - len(v))
+        return v[:a] + [x - y for x, y in zip(v[a:], v)]
     q = list(v) if top is None else list(v[: top + 1]) + [0] * (top + 1 - len(v))
-    for j in range(k, len(q)):
-        q[j] += q[j - k]
-    if top is None:
-        if any(q[-k:]):
-            raise ValueError(f"division by 1 - x^{k} left a remainder")
-        del q[-k:]
+    if e == -1:
+        for k in range(a, len(q)):
+            q[k] += q[k - a]
+    elif e:
+        m = abs(e)
+        if e > 0 and top is None:
+            q += [0] * (a * m)
+        coeffs = []  # a comprehension would make e and m closure cells before Python 3.12
+        for j in range(1, min(m, (len(q) - 1) // a) + 1):
+            coeffs.append((-1) ** (j + (e < 0)) * comb(m, j))
+        for k in range(len(q) - 1, a - 1, -1) if e > 0 else range(a, len(q)):
+            x = q[k]
+            for j, c in enumerate(coeffs[: k // a], 1):
+                x += c * q[k - a * j]
+            q[k] = x
+    if top is None and e < 0:
+        if any(q[a * e :]):
+            raise ValueError(f"division by (1 - x^{a})^{-e} left a remainder")
+        del q[a * e :]
     return q
 
 
 @lru_cache(maxsize=None)
-def pochhammer_ints(n: int, power: int) -> tuple[int, ...]:
-    """Integer coefficients of (x^p; x^p)_n = prod_(i=1..n) (1 - x^(p*i)), p = power."""
+def pochhammer_ints(n: int, power: int, parts: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """Integer coefficients of (x^p; x^p)_n / prod_i (1 - x^(p*parts_i)), p = power.
+
+    With no parts this is the Pochhammer prod_(i=1..n) (1 - x^(p*i))
+    itself; with parts it is divided, exactly and remainder-checked, by
+    one factor per part.  For a partition of n no division leaves a
+    remainder (Macdonald, Symmetric Functions and Hall Polynomials, I.3).
+    """
+    if parts:
+        v = pochhammer_ints(n, power)
+        for part in parts:
+            v = euler_factor(v, power * part, -1)
+        return tuple(v)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     v = [1]
     for i in range(1, n + 1):
-        v = mul_one_minus(v, power * i)
-    return tuple(v)
-
-
-@lru_cache(maxsize=None)
-def cofactor_ints(n: int, power: int, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Integer coefficients of (x^p; x^p)_n / prod_i (1 - x^(p*parts_i)), p = power.
-
-    Each division is exact and remainder-checked; for a partition of n
-    none leaves a remainder (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.3).
-    """
-    v = pochhammer_ints(n, power)
-    for part in parts:
-        v = div_one_minus(v, power * part)
+        v = euler_factor(v, power * i, 1)
     return tuple(v)
 
 
@@ -648,14 +662,12 @@ def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]
     """The product of (1 - x^a t)^e over the pairs (a, e) in ``factors``.
 
     Returns the rows 0..t_order: row k holds the int coefficients in x
-    of t^k.  Each factor is applied in one pass of its binomial terms
-    c_j x^(a j) t^j, c_j = (-1)^j C(|e|, j) for 1 <= j <= min(|e|, t_order).
-    Multiplying (e > 0) adds c_j times row k - j, shifted by a j, to
-    row k, going from the top row down; dividing (e < 0) subtracts it,
-    going from the bottom row up, so row k - j is already divided.  Row
-    k takes min(k, |e|) updates, no more than |e| passes by 1 - x^a t.
-    With top = M every row is cut modulo x^(M+1), so a factor with
-    a > M is 1 and is skipped.
+    of t^k.  Each factor is the binomial pass of ``euler_factor`` with
+    rows for entries: its term c_j x^(a j) t^j adds (e > 0, top row
+    down) or subtracts (e < 0, bottom row up) c_j times row k - j,
+    shifted by a j, to row k, so row k takes min(k, |e|) updates.  With
+    top = M every row is cut modulo x^(M+1), so a factor with a > M is 1
+    and is skipped.
     """
     if t_order < 0:
         raise ValueError(f"t order must be >= 0, got {t_order}")

@@ -31,10 +31,8 @@ from .arith import (
     Poly,
     RatFunc,
     add_product,
-    cofactor_ints,
     cyclotomic_coeffs,
-    div_one_minus,
-    mul_one_minus,
+    euler_factor,
     pochhammer_ints,
     pseudo_divmod,
     ratio,
@@ -442,14 +440,14 @@ def flag_schur_coefficient(n: int, lam: Partition) -> Poly:
     7.21; Macdonald, Symmetric Functions and Hall Polynomials, I.3
     Ex. 2): (q; q)_n times the principal specialization of s_lam, an
     integer polynomial with value dim lam at q = 1.  The quotient is
-    ``arith.cofactor_ints`` over the hook lengths, so no character value
-    is used.
+    ``arith.pochhammer_ints`` over the hook lengths, so no character
+    value is used.
     """
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of {n}")
     # sorted, so lam and its conjugate share one cached cofactor
     hooks = tuple(sorted(lam.hook_lengths(), reverse=True))
-    return Poly.from_ints((0,) * lam.weighted_row_sum() + cofactor_ints(n, 1, hooks))
+    return Poly.from_ints((0,) * lam.weighted_row_sum() + pochhammer_ints(n, 1, hooks))
 
 
 def flag_character(n: int) -> SymFunc:
@@ -464,19 +462,19 @@ def flag_character(n: int) -> SymFunc:
         flag_character(n) = sum_mu (q;q)_n / prod (1 - q^mu_i) * p_mu / z_mu
 
     at q = u^2.  The numerators are the integer cofactors
-    ``arith.cofactor_ints`` of the principal specialization.  The Schur
-    coefficients are the graded multiplicities ``flag_schur_coefficient``
-    at u^2, which ``char --flag`` prints from the hook formula; its
-    Schur view ``to_schur``, read off the character table, is their
-    test oracle.  At u = 1 this degenerates to the regular
-    representation.
+    ``arith.pochhammer_ints(n, 2, mu)`` of the principal specialization.
+    The Schur coefficients are the graded multiplicities
+    ``flag_schur_coefficient`` at u^2, which ``char --flag`` prints from
+    the hook formula; its Schur view ``to_schur``, read off the character
+    table, is their test oracle.  At u = 1 this degenerates to the
+    regular representation.
     """
     if n < 1:
         raise ValueError("flag rank must be >= 1")
     return SymFunc(
         n,
         {
-            mu: Poly.from_ints(cofactor_ints(n, 2, mu), mu.centralizer_order())
+            mu: Poly.from_ints(pochhammer_ints(n, 2, mu), mu.centralizer_order())
             for mu in partitions_of(n)
         },
     )
@@ -501,10 +499,10 @@ def _rank_recurrence(
         E_(n,k) = prod_(j=n-k+1..n) (1 - x^j) / (1 - x^k).
 
     E_(n,k) N_(n-k) is R_(n-k) / (1 - x^k) for the running products
-    R_m = N_m prod_(j=m+1..n) (1 - x^j): at each n every R_m takes
-    one more factor by ``arith.mul_one_minus``, and each term is one
-    ``arith.div_one_minus``, so a pass makes O(N^2) vector passes and
-    no partition is enumerated.  Both divisions raise ValueError on a
+    R_m = N_m prod_(j=m+1..n) (1 - x^j): at each n every R_m takes one
+    more factor and each term is one division, ``arith.euler_factor``
+    at e = 1 and at e = -1, so a pass makes O(N^2) vector passes and no
+    partition is enumerated.  Both divisions raise ValueError on a
     remainder.  With ``top = M`` every vector is cut modulo u^(M+1), so the
     first division is a power-series quotient; the division by n is
     still checked.  Trailing zeros are stripped, so a zero polynomial is
@@ -518,13 +516,13 @@ def _rank_recurrence(
     runs = [[1]]  # runs[m] = R_m at the current n; empty when N_m = 0
     for n in range(1, N + 1):
         if n <= jmax:
-            runs = [mul_one_minus(v, step * n, top) if v else v for v in runs]
+            runs = [euler_factor(v, step * n, 1, top) if v else v for v in runs]
         acc: list[int] = []
         for k in range(1, n + 1):
             v = runs[n - k]
             if not v:
                 continue
-            v = div_one_minus(v, step * k, top)
+            v = euler_factor(v, step * k, -1, top)
             for d, c in weights[k - 1]:
                 end = d + len(v) if top is None else min(d + len(v), top + 1)
                 if end <= d:
@@ -601,7 +599,7 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
         if n < 1:
             raise ValueError("flag rank must be >= 1")
         # (u^2; u^2)_n / (1 - u^2)^n = prod_(i<=n) [i]_(u^2)
-        return RatFunc(Poly.from_ints(cofactor_ints(n, 2, (1,) * n)))
+        return RatFunc(Poly.from_ints(pochhammer_ints(n, 2, (1,) * n)))
     if kind == "bgln":
         if n < 1:
             raise ValueError("rank must be >= 1")

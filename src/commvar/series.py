@@ -24,10 +24,10 @@ in u (a constant for the groupoid series); ``SeriesReport`` holds the
 two sides of a product formula as two such tuples.
 
 The stabilization report compares the residue-route limit of the
-commuting-space Betti numbers, the same factors at t = 1 applied to
-one int vector in one binomial pass each, with two finite ranks, read
-from one pass of the rank recurrence ``charmodel.rank_numerators`` cut
-modulo u^(u_order+1):
+commuting-space Betti numbers, the same factors at t = 1, each one
+``arith.euler_factor`` pass over one int vector, with two finite
+ranks, read from one pass of the rank recurrence
+``charmodel.rank_numerators`` cut modulo u^(u_order+1):
 n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n is checked for a
 remainder at every rank.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .arith import Poly, RatFunc, div_one_minus, euler_rows, ratio
+from .arith import Poly, RatFunc, euler_factor, euler_rows, ratio
 from .charmodel import GradedSpace, point_counts, rank_numerators
 from .oracle import Frozen, gl_order, prime_power_base
 
@@ -99,9 +99,9 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     The left side holds the stack Poincare series N_n / (u^2; u^2)_n
     modulo u^(u_order+1) for every n <= t_order: all N_n come from one
     ``rank_numerators`` pass cut at ``top = u_order``, and each is
-    divided by 1 - u^(2j) for j = 1..n as a power series
-    (``arith.div_one_minus``).  The right side is the product of the
-    Betti zeta factors at t, u^2 t, u^4 t, ..., whose factors
+    divided by 1 - u^(2j) for j = 1..n as a power series by
+    ``arith.euler_factor`` at e = -1.  The right side is the product of
+    the Betti zeta factors at t, u^2 t, u^4 t, ..., whose factors
     (1 - u^(i+2j) t)^(-(-1)^i b_i) run on integer rows cut modulo
     u^(u_order+1) (``arith.euler_rows``); it stops once an omitted
     factor would be congruent to 1 modulo u^(u_order+1).  Both sides are
@@ -112,7 +112,7 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     lhs = []
     for n, v in enumerate(rank_numerators(space, t_order, top=u_order)):
         for j in range(1, n + 1):
-            v = div_one_minus(v, 2 * j, u_order)
+            v = euler_factor(v, 2 * j, -1, u_order)
         lhs.append(Poly.from_ints(v))
     betti = space.betti()
     factors = [f for j in range(u_order // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
@@ -252,13 +252,8 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     the sheaf-counting product at t = 1: the simple pole of the i = 0
     factor is cancelled by (1 - t), every remaining factor is evaluated
     at t = 1, and the whole product is multiplied by the infinite
-    Pochhammer at u^2.  A factor (1 - u^a)^e, cut at M = u_order, is one
-    pass over one int vector, as in ``arith.euler_rows``: its binomial
-    terms are c_j u^(a j), c_j = (-1)^j C(|e|, j) for 1 <= j <=
-    min(|e|, M // a).  Multiplying (e > 0) adds c_j v[k - a j] to v[k],
-    going from the top coefficient down; dividing (e < 0) subtracts it,
-    going from the bottom up, so v[k - a j] is already divided.  Entry k
-    takes min(|e|, k // a) updates, no more than |e| passes by 1 - u^a.
+    Pochhammer at u^2.  Each factor (1 - u^a)^e is one
+    ``arith.euler_factor`` pass over one int vector cut at M = u_order.
     """
     betti = space.betti()
     if betti.get(0, 0) != 1:
@@ -274,15 +269,9 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     factors += [f for j in range(1, M // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
     # infinite Pochhammer at u^2, truncated
     factors += [(2 * j, 1) for j in range(1, M // 2 + 1)]
-    v = [1] + [0] * M
+    v = [1]
     for a, e in factors:
-        sign = 1 if e > 0 else -1
-        coeffs = [sign * (-1) ** j * comb(abs(e), j) for j in range(1, min(abs(e), M // a) + 1)]
-        for k in range(M, a - 1, -1) if e > 0 else range(a, M + 1):
-            x = v[k]
-            for j, c in enumerate(coeffs[: k // a], 1):
-                x += c * v[k - a * j]
-            v[k] = x
+        v = euler_factor(v, a, e, M)
     return Poly.from_ints(v)
 
 

@@ -24,11 +24,10 @@ specialization is the only operation that leaves the polynomial ring:
 it is computed over the common denominator (x; x)_n, whose exact
 quotient by every ``prod (1 - x^lam_i)`` is a polynomial (Macdonald,
 Symmetric Functions and Hall Polynomials, I.3).  Those quotients, and
-the Pochhammer product itself, come from the integer kernel of
-``arith`` (``cofactor_ints``, ``pochhammer_ints``), cached per
-partition; the coefficients are brought to the lcm of their
-denominators, so the numerator is summed over ints with one division
-at the end.
+the Pochhammer product itself, come from ``arith.pochhammer_ints``,
+cached per partition, which applies each factor by ``euler_factor``;
+the coefficients are brought to the lcm of their denominators, so the
+numerator is summed over ints with one division at the end.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .arith import Poly, RatFunc, add_product, cofactor_ints, pochhammer_ints, to_poly
+from .arith import Poly, RatFunc, add_product, pochhammer_ints, to_poly
 from .partitions import Partition, partitions_of
 
 
@@ -258,7 +257,7 @@ class SymFunc:
         such quotient is exact because prod (1 - x^lam_i) divides
         (x; x)_n for each partition lam of n (Macdonald, Symmetric
         Functions and Hall Polynomials, I.3).  The quotients are the
-        integer polynomials ``arith.cofactor_ints(n, p, lam)``, built by
+        integer polynomials ``arith.pochhammer_ints(n, p, lam)``, built by
         remainder-checked divisions by 1 - x^k and cached.  The
         coefficients c_lam, each an int vector over one denominator, are
         brought to the lcm D of those denominators, the products are
@@ -268,7 +267,7 @@ class SymFunc:
         denom = lcm(*(coeff.den for coeff in self.terms.values()))
         acc: list[int] = []
         for lam, coeff in self.terms.items():
-            add_product(acc, coeff.num, denom // coeff.den, cofactor_ints(n, power, lam))
+            add_product(acc, coeff.num, denom // coeff.den, pochhammer_ints(n, power, lam))
         return Poly.from_ints(acc, denom)
 
     def principal_spec(self, power: int = 1) -> RatFunc:

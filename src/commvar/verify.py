@@ -12,7 +12,7 @@ import random
 from math import factorial
 from operator import mul
 
-from .arith import Poly, mul_one_minus, pochhammer_ints
+from .arith import Poly, euler_factor, pochhammer_ints
 from .charmodel import (
     GradedSpace,
     Stratum,
@@ -249,7 +249,7 @@ def check_character_substrate() -> CheckResult:
             spec = SymFunc.schur(lam).principal_spec_numerator()
             lhs = list(spec.num)
             for h in lam.hook_lengths():
-                lhs = mul_one_minus(lhs, h)
+                lhs = euler_factor(lhs, h, 1)
             rhs = [0] * lam.weighted_row_sum() + [spec.den * c for c in pochhammer_ints(n, 1)]
             if lhs != rhs:
                 return CheckResult("character-substrate", False, f"hook form {lam}")

@@ -3,13 +3,13 @@
 Each factor (1 - c t)^e is expanded as a ``TSeries`` of ``Poly``
 coefficients and the factors are multiplied by ``TSeries.__mul__``; at
 t = 1, (1 - u^a)^e is a ``Poly`` multiplied by ``Poly.__mul__`` and cut.
-The production routes run on int rows (``arith.euler_rows``,
-``arith.mul_one_minus``, ``arith.div_one_minus``) instead.
+The production routes run on int rows and vectors instead
+(``arith.euler_rows``, ``arith.euler_factor``).
 """
 
 from math import comb
 
-from commvar.arith import Poly, TSeries, div_one_minus, mul_one_minus, to_poly
+from commvar.arith import Poly, TSeries, euler_factor, to_poly
 
 
 def one_minus_x_coeffs(e, order):
@@ -60,9 +60,10 @@ def stable_betti(space, M):
 
 def stable_betti_by_repeated_passes(space, M):
     """The residue-route limit with each factor (1 - u^a)^e applied as
-    |e| passes of ``mul_one_minus`` or ``div_one_minus``."""
+    |e| passes of ``euler_factor`` at e = 1 or e = -1, none of which
+    takes the binomial loop."""
     v = [1]
     for a, e in stable_factors(space, M):
         for _ in range(abs(e)):
-            v = mul_one_minus(v, a, M) if e > 0 else div_one_minus(v, a, M)
+            v = euler_factor(v, a, 1 if e > 0 else -1, M)
     return Poly.from_ints(v)

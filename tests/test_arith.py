@@ -12,16 +12,14 @@ from commvar.arith import (
     Poly,
     RatFunc,
     TSeries,
-    cofactor_ints,
     cyclotomic_coeffs,
-    div_one_minus,
+    euler_factor,
     euler_rows,
-    mul_one_minus,
     pochhammer_ints,
     poly_gcd,
     pseudo_divmod,
 )
-from series_oracle import binomial_factor, one_minus_x_coeffs, scale_t
+from series_oracle import binomial_factor, one_minus_power, one_minus_x_coeffs, scale_t
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -298,8 +296,10 @@ class TestCyclotomic:
             cyclotomic_coeffs.__wrapped__(6)
 
 
-class TestOneMinusKernel:
-    """The int-vector kernel for factors 1 - x^k against Poly and RatFunc."""
+class TestEulerFactor:
+    """The int-vector kernel v * (1 - x^a)^e against ``Poly`` products with
+    ``one_minus_power`` (``one_minus_x_coeffs`` at x^a), and against
+    ``RatFunc`` series for quotients."""
 
     TOPS = [None] + list(range(13))
 
@@ -307,72 +307,121 @@ class TestOneMinusKernel:
     def random_vector(rng):
         return [rng.randint(-5, 5) for _ in range(rng.randint(0, 9))]
 
-    def test_mul_matches_poly_product(self):
-        rng = random.Random(4101)
-        for _ in range(60):
-            v, k = self.random_vector(rng), rng.randint(1, 7)
-            product = Poly(v) * (ONE - Poly.monomial(k))
-            for top in self.TOPS:
-                got = mul_one_minus(v, k, top)
-                assert all(type(c) is int for c in got)
-                if top is None:
-                    assert Poly(got) == product, (v, k)
-                else:
-                    assert len(got) == top + 1
-                    assert Poly(got) == product.truncate(top), (v, k, top)
-
-    def test_div_with_top_is_the_power_series_quotient(self):
-        rng = random.Random(4102)
-        for _ in range(60):
-            v, k = self.random_vector(rng), rng.randint(1, 7)
-            quotient = RatFunc(Poly(v), ONE - Poly.monomial(k))
-            for top in range(13):
-                got = div_one_minus(v, k, top)
-                assert all(type(c) is int for c in got)
-                assert got == quotient.series(top), (v, k, top)
-
-    def test_exact_division_small_cases(self):
-        assert div_one_minus([1, 0, -1], 2) == [1]
-        assert div_one_minus([1, -1, 0, 0, -1, 1], 4) == [1, -1]
-        assert div_one_minus([], 3) == []
-        assert Poly(mul_one_minus([], 3)) == Poly()
-        assert mul_one_minus([1], 2) == [1, 0, -1]
-
-    def test_exact_division_round_trips_products(self):
-        rng = random.Random(5)
+    @pytest.mark.parametrize("e", range(-4, 5))
+    def test_against_the_binomial_expansion(self, e):
+        rng = random.Random(4101 + e)
         for _ in range(40):
-            k = rng.randint(1, 6)
+            v, a = self.random_vector(rng), rng.randint(1, 5)
+            kept = list(v)
+            for top in self.TOPS:
+                if top is None and e < 0:
+                    quotient, rem = divmod(Poly(v), one_minus_power(a, -e, -a * e))
+                    if rem:
+                        with pytest.raises(ValueError, match="remainder"):
+                            euler_factor(v, a, e)
+                        continue
+                got = euler_factor(v, a, e, top)
+                assert v == kept
+                assert all(type(c) is int for c in got)
+                if top is not None:
+                    assert len(got) == top + 1
+                    expected = (Poly(v) * one_minus_power(a, e, top)).truncate(top)
+                    assert Poly(got) == expected, (v, a, e, top)
+                elif e >= 0:
+                    assert len(got) == len(v) + a * e
+                    assert Poly(got) == Poly(v) * one_minus_power(a, e, a * e), (v, a, e)
+                else:
+                    assert Poly(got) == quotient, (v, a, e)
+
+    @pytest.mark.parametrize("e", range(-4, 0))
+    def test_division_with_top_is_the_power_series_quotient(self, e):
+        rng = random.Random(4102 - e)
+        for _ in range(40):
+            v, a = self.random_vector(rng), rng.randint(1, 7)
+            quotient = RatFunc(Poly(v), one_minus_power(a, -e, -a * e))
+            for top in range(13):
+                assert euler_factor(v, a, e, top) == quotient.series(top), (v, a, e, top)
+
+    @pytest.mark.parametrize("top", range(13))
+    def test_exponents_on_both_sides_of_the_cut(self, top):
+        # the binomial pass takes min(|e|, k // a) terms at entry k
+        rng = random.Random(4103 + top)
+        for a in range(1, top + 2):
+            for e in range(-(top // a) - 3, top // a + 4):
+                v = self.random_vector(rng)
+                expected = (Poly(v) * one_minus_power(a, e, top)).truncate(top)
+                assert Poly(euler_factor(v, a, e, top)) == expected, (v, a, e, top)
+
+    @pytest.mark.parametrize("e", [math.comb(20, 10), -math.comb(20, 10)])
+    def test_large_exponents(self, e):
+        # the torus of dimension 20 has factors with |e| = C(20, 10)
+        for a in (1, 2, 3):
+            for top in (0, 3, 7, 12):
+                v = [1, -2, 0, 5]
+                expected = (Poly(v) * one_minus_power(a, e, top)).truncate(top)
+                assert Poly(euler_factor(v, a, e, top)) == expected, (a, top)
+        if e < 0:
+            # an exact quotient would have degree below 3 - a |e|
+            with pytest.raises(ValueError, match="remainder"):
+                euler_factor([1, -2, 0, 5], 1, e)
+            assert euler_factor([0, 0], 1, e) == []
+
+    def test_small_cases(self):
+        assert euler_factor([1, 0, -1], 2, -1) == [1]
+        assert euler_factor([1, -1, 0, 0, -1, 1], 4, -1) == [1, -1]
+        assert euler_factor([1, -2, 1], 1, -2) == [1]
+        assert euler_factor([], 3, -1) == []
+        assert Poly(euler_factor([], 3, 1)) == Poly()
+        assert euler_factor([1], 2, 1) == [1, 0, -1]
+        assert euler_factor([1], 1, 2) == [1, -2, 1]
+        assert euler_factor([1, 2], 1, 0) == [1, 2]
+        assert euler_factor([1, 2], 1, 0, 3) == [1, 2, 0, 0]
+        assert euler_factor([1], 1, -1, 3) == [1, 1, 1, 1]
+        assert euler_factor([1], 1, -2, 3) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4])
+    def test_exact_division_round_trips_products(self, e):
+        rng = random.Random(5 + e)
+        for _ in range(40):
+            a = rng.randint(1, 6)
             q = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))] + [1]
-            product = mul_one_minus(q, k)
-            assert Poly(product) == Poly(q) * (ONE - Poly.monomial(k))
-            assert div_one_minus(product, k) == q
+            product = euler_factor(q, a, e)
+            assert Poly(product) == Poly(q) * one_minus_power(a, e, a * e)
+            assert euler_factor(product, a, -e) == q
 
     @pytest.mark.parametrize(
-        "coeffs, k", [([1, 1], 2), ([1], 1), ([0, 0, 1], 1), ([1, 0, -1, 1], 2), ([2], 3)]
+        "coeffs, a, e",
+        [
+            ([1, 1], 2, -1),
+            ([1], 1, -1),
+            ([0, 0, 1], 1, -1),
+            ([1, 0, -1, 1], 2, -1),
+            ([2], 3, -1),
+            ([1, -1], 1, -2),
+            ([1, 0, -2, 0, 1, 1], 2, -2),
+            ([1, -3, 3], 1, -3),
+        ],
     )
-    def test_exact_division_rejects_remainder(self, coeffs, k):
+    def test_exact_division_rejects_remainder(self, coeffs, a, e):
         with pytest.raises(ValueError, match="remainder"):
-            div_one_minus(coeffs, k)
+            euler_factor(coeffs, a, e)
 
-    def test_exact_division_by_a_random_non_factor(self):
-        rng = random.Random(6)
-        for _ in range(40):
-            v, k = self.random_vector(rng), rng.randint(1, 6)
-            _, r = divmod(Poly(v), ONE - Poly.monomial(k))
-            if r:
-                with pytest.raises(ValueError, match="remainder"):
-                    div_one_minus(v, k)
-            else:
-                assert Poly(div_one_minus(v, k)) * (ONE - Poly.monomial(k)) == Poly(v)
+    def test_a_zero(self):
+        # 1 - x^0 = 0: a product with it is 0, a power 0 of it is 1
+        for e in (1, 2, 5):
+            assert euler_factor([1, 2], 0, e) == [0, 0]
+            assert euler_factor([1, 2], 0, e, 3) == [0, 0, 0, 0]
+        assert euler_factor([1, 2], 0, 0) == [1, 2]
+        for e in (-1, -3):
+            with pytest.raises(ZeroDivisionError):
+                euler_factor([1, 2], 0, e)
+            with pytest.raises(ZeroDivisionError):
+                euler_factor([1, 2], 0, e, 4)
 
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(ZeroDivisionError):
-            div_one_minus([1, 2], 0)
-        with pytest.raises(ZeroDivisionError):
-            div_one_minus([1, 2], 0, 4)
-        with pytest.raises(ValueError, match="k must be >= 0"):
-            mul_one_minus([1, 2], -1)
-        assert mul_one_minus([1, 2], 0) == [0, 0]
+    @pytest.mark.parametrize("e", [-2, -1, 0, 1, 2])
+    def test_rejects_negative_a(self, e):
+        with pytest.raises(ValueError, match=r"^a must be >= 0, got -1$"):
+            euler_factor([1, 2], -1, e)
 
     def test_pochhammer_and_cofactor(self):
         for power in (1, 2, 3):
@@ -385,9 +434,13 @@ class TestOneMinusKernel:
         assert Poly(pochhammer_ints(3, 0)) == Poly()
         # (x; x)_4 / ((1 - x^2)(1 - x)^2) = (1 + x + x^2)(1 - x^4)
         expected = Poly([1, 1, 1]) * (ONE - U**4)
-        assert Poly(cofactor_ints(4, 1, (2, 1, 1))) == expected
-        assert Poly(cofactor_ints(4, 2, (2, 1, 1))) == expected.subst_power(2)
-        assert type(cofactor_ints(4, 1, (2, 1, 1))) is tuple
+        assert Poly(pochhammer_ints(4, 1, (2, 1, 1))) == expected
+        assert Poly(pochhammer_ints(4, 2, (2, 1, 1))) == expected.subst_power(2)
+        assert type(pochhammer_ints(4, 1, (2, 1, 1))) is tuple
+        with pytest.raises(ValueError, match="remainder"):
+            pochhammer_ints(2, 1, (3,))
+        with pytest.raises(ZeroDivisionError):
+            pochhammer_ints(2, 0, (1,))
 
     @pytest.mark.parametrize(
         "n, power, name", [(-1, 1, "n"), (-3, 2, "n"), (2, -1, "power"), (0, -2, "power")]
@@ -396,7 +449,7 @@ class TestOneMinusKernel:
         with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -\d+$"):
             pochhammer_ints(n, power)
         with pytest.raises(ValueError, match=rf"^{name} must be >= 0"):
-            cofactor_ints(n, power, ())
+            pochhammer_ints(n, power, (1,))
 
 
 class FracPoly:

@@ -589,10 +589,14 @@ class TestRankNumerators:
         # product per (n, k) would make about N^3 / 6 passes
         expected = rank_numerators(PROJ, N, top)
         calls = []
-        kernel = charmodel.mul_one_minus
-        monkeypatch.setattr(
-            charmodel, "mul_one_minus", lambda *args: calls.append(args) or kernel(*args)
-        )
+        kernel = charmodel.euler_factor
+
+        def counted(v, a, e, *cut):
+            if e == 1:
+                calls.append(a)
+            return kernel(v, a, e, *cut)
+
+        monkeypatch.setattr(charmodel, "euler_factor", counted)
         weights = [[(0, 1), (2 * k, 1)] for k in range(1, N + 1)]
         assert charmodel._rank_recurrence(weights, N, top) == expected
         assert 0 < len(calls) <= N * (N + 1) // 2
@@ -649,6 +653,14 @@ class TestBosonFermion:
             expected = RatFunc(fermionic_side(space, n))
             assert poincare(space, n, "sn") == expected, (space, n)
             assert poincare(space, n, "cn") == expected, (space, n)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_flag_pairing_at_the_printed_sizes(self, n):
+        # the ranks that `poincare --space cn` prints at the largest sizes
+        p1 = builtin_space("p1")
+        expected = RatFunc(fermionic_side(p1, n))
+        assert poincare(p1, n, "cn") == expected
+        assert poincare(p1, n, "sn") == expected
 
 
 class TestLowestTerms:

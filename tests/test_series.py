@@ -1,5 +1,6 @@
 """Generating series: zeta expansions, product formulas, stabilization."""
 
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -7,9 +8,11 @@ from fractions import Fraction as F
 import pytest
 
 from commvar.arith import Poly, RatFunc, TSeries, poly_gcd
-from commvar.charmodel import GradedSpace, QPower, Stratum, poincare
+from commvar.charmodel import GradedSpace, QPower, Stratum, parse_descriptor, poincare
+from commvar.oracle import gl_order
 from commvar.series import (
     SeriesReport,
+    _zeta_exponents,
     betti_zeta,
     coh_series,
     groupoid_digits,
@@ -256,6 +259,33 @@ class TestGroupoidSeries:
             longest = max(len(m) for m in re.findall(r"\d+", text))
             assert longest <= groupoid_digits(space, q, order), (space, q, order, text)
 
+    def test_digit_bound_is_its_closed_form(self):
+        # the benchmark's pool descriptor d0: eigenvalues 1, 1/q and 1/q^2
+        space = parse_descriptor(
+            {
+                "strata": [
+                    {"deg": 0, "dim": 1, "eigenvalue": "1"},
+                    {"deg": 1, "dim": 2, "eigenvalue": "q^-1"},
+                    {"deg": 2, "dim": 1, "eigenvalue": "q^-1"},
+                    {"deg": 4, "dim": 1, "eigenvalue": "q^-2"},
+                ]
+            }
+        )
+        q, n = 5, 6
+        # the docstring's numerator bound binom(2E + n - 1, n) A^n |GL_n(F_q)|
+        # with V = A / D, and its denominator bound D^n |GL_n(F_q)|
+        exponents = _zeta_exponents(space, q)
+        D = math.lcm(*(d for _, d in exponents))
+        A = max(abs(F(v, d)) for v, d in exponents) * D
+        assert A.denominator == 1
+        E = sum(abs(e) for e in exponents.values())
+        num = n * int(A).bit_length() + math.comb(2 * E + n - 1, n).bit_length()
+        bits = max(num, n * D.bit_length()) + gl_order(n, q).bit_length()
+        assert groupoid_digits(space, q, n) == bits * 30103 // 100000 + 1 == 38
+        rows = groupoid_series(space, q, n).rows()
+        text = " ".join(side for _, lhs, rhs in rows for side in (lhs, rhs))
+        assert max(len(m) for m in re.findall(r"\d+", text)) == 15
+
 class TestStableBetti:
     def test_affine_line_is_one(self):
         assert stable_betti(AFFINE, 8) == Poly.constant(1)
@@ -287,6 +317,11 @@ class TestStableBetti:
             for b in range(1, M // a + 3):
                 space = GradedSpace([Stratum(0, 1), Stratum(a, b)])
                 assert stable_betti(space, M) == stable_betti_by_repeated_passes(space, M), (a, b)
+
+    @pytest.mark.parametrize("space", [PROJ, TORUS], ids=lambda s: s.name)
+    def test_at_the_printed_u_order(self, space):
+        # `series stable --u-order 14` at the largest size it is run at
+        assert stable_betti(space, 14) == stable_betti_by_polynomials(space, 14)
 
     def test_projective_line_two_routes(self):
         report = stable_betti_verified(PROJ, 6)
