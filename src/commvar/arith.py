@@ -3,18 +3,17 @@
 Dense polynomials with rational coefficients, stored as one vector of
 Python ints over one positive int denominator, and a rational scalar
 (an eigenvalue, a point count, 1/z_lam) as a constant one, so rationals
-run on ints everywhere and ``fractions`` is imported only by the
-Fraction accessors the tests read; rational functions as a
-plain pair num / den, built in lowest terms by the code that makes them
-and compared by cross-multiplication; and ``TSeries``, a truncated power
-series in a counting variable whose coefficients are polynomials in a
-second, grading variable.  A rational function appears only where a
-denominator is printed or compared; the series layer carries neither,
-only tuples of ``Poly``.  ``TSeries`` and ``Poly.truncate`` are the
-tests' product oracle; no production path calls them.  There is no
-floating point anywhere; every operation is exact, so equality of
-values is decidable: polynomials by their normal form, rational
-functions by a * d == c * b.
+run on ints everywhere and ``fractions`` is imported only by
+``Poly.coeffs``, the Fraction view the tests read; rational functions
+as a plain pair num / den, built in lowest terms by the code that makes
+them and compared by cross-multiplication; and ``TSeries``, a truncated
+power series in a counting variable whose coefficients are polynomials
+in a second, grading variable.  A rational function appears only where
+a denominator is printed or compared; the series layer carries neither,
+only tuples of ``Poly``.  ``TSeries`` is the tests' product oracle; no
+production path calls it.  There is no floating point anywhere; every
+operation is exact, so equality of values is decidable: polynomials by
+their normal form, rational functions by a * d == c * b.
 
 The integer-vector kernel of the layers above lives here too: an int
 list times one Euler factor (1 - x^a)^e for any int e
@@ -39,7 +38,7 @@ from math import comb, gcd as _igcd, lcm as _ilcm
 
 
 class PoleError(ZeroDivisionError):
-    """Evaluation of a rational function at a zero of its denominator."""
+    """A power series expansion where the denominator vanishes at 0."""
 
 
 def ratio(c) -> tuple[int, int]:
@@ -74,9 +73,9 @@ class Poly:
     on ints, printing included.  A rational scalar is a constant Poly:
     coefficients and operands may be ints, constant Polys or any value
     with int ``numerator`` and ``denominator`` (``ratio``), and ``/``
-    divides by a nonzero scalar.  ``coeffs``, ``coeff``,
-    ``constant_term`` and ``evaluate`` hand out ``fractions.Fraction``
-    values for the tests and import ``fractions`` only when called.
+    divides by a nonzero scalar.  ``coeffs`` hands out the coefficients
+    as ``fractions.Fraction`` values for the tests and imports
+    ``fractions`` only when called.
     """
 
     __slots__ = ("num", "den")
@@ -135,16 +134,6 @@ class Poly:
 
     def is_one(self) -> bool:
         return self.num == (1,) and self.den == 1
-
-    def constant_term(self):
-        """The coefficient of x^0 as a Fraction."""
-        return self.coeff(0)
-
-    def coeff(self, k: int):
-        """The coefficient of x^k as a Fraction."""
-        from fractions import Fraction
-
-        return Fraction(self.num[k] if 0 <= k < len(self.num) else 0, self.den)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -246,21 +235,7 @@ class Poly:
             _make(*_normal(rem, den)),
         )
 
-    # -- analysis ------------------------------------------------------
-
-    def evaluate(self, x):
-        """The value at the rational x, as a Fraction."""
-        from fractions import Fraction
-
-        p, s = ratio(x)
-        if not self.num:
-            return Fraction(0)
-        acc = 0
-        sk = 1
-        for c in reversed(self.num):
-            acc = acc * p + c * sk
-            sk *= s
-        return Fraction(acc, self.den * (sk // s))
+    # -- substitution --------------------------------------------------
 
     def subst_power(self, k: int) -> "Poly":
         """The polynomial p(x**k)."""
@@ -271,12 +246,6 @@ class Poly:
         out = [0] * ((len(self.num) - 1) * k + 1)
         out[::k] = self.num
         return _make(tuple(out), self.den)
-
-    def truncate(self, order: int) -> "Poly":
-        """Drop all terms of exponent > order."""
-        if order + 1 >= len(self.num):
-            return self
-        return _make(*_normal(list(self.num[: max(order + 1, 0)]), self.den))
 
     # -- rendering -----------------------------------------------------
 
@@ -475,9 +444,6 @@ class RatFunc:
             raise ValueError(f"not a polynomial: denominator {monic.render()} remains")
         return self.num if den.is_one() else self.num / den
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num * other.den == other.num * self.den
@@ -501,14 +467,7 @@ class RatFunc:
             other = RatFunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    # -- evaluation and expansion -----------------------------------------
-
-    def evaluate(self, x):
-        """The value at the rational x, as a Fraction."""
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise PoleError(f"pole at {x}")
-        return self.num.evaluate(x) / d
+    # -- expansion --------------------------------------------------------
 
     def series(self, order: int) -> list[Poly]:
         """Power series coefficients x^0 .. x^order, as constant Polys.
@@ -726,13 +685,6 @@ class TSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> Poly:
-        return self.coeffs[n]
 
     def __eq__(self, other):
         if isinstance(other, TSeries):

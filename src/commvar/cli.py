@@ -44,16 +44,15 @@ from .verify import POINT_COUNT_FIELDS, SUITES, run_suite
 
 
 def _parse_avoid(text: str) -> tuple[int, ...]:
+    """Comma-separated decimal ints, each with an optional '-' (used modulo p)."""
     if not text.strip():
         return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tok.removeprefix("-").isdecimal() for tok in tokens):
         import argparse
 
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return tuple(int(tok) for tok in tokens)
 
 
 def _check_q(args, q: int) -> None:

@@ -87,10 +87,9 @@ class Partition(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Accepts ``(3,2,1)``, ``3,2,1``, or exponential form ``1^1 2^1 3^1``."""
+        """Accepts ``(3,2,1)``, ``[3,2,1]`` or ``3,2,1`` (decimal parts, one
+        matching bracket pair or none), or exponential form ``1^1 2^1 3^1``."""
         text = text.strip()
-        if not text or text in ("()", "[]"):
-            return cls()
         if "^" in text:
             parts: list[int] = []
             for token in text.replace(",", " ").split():
@@ -100,10 +99,14 @@ class Partition(tuple):
                     raise ValueError(f"bad exponential-form token {token!r}")
                 parts.extend([int(part)] * int(count))
             return cls(sorted(parts, reverse=True))
-        body = text.strip("()[]")
-        if not body:
+        if text[:1] + text[-1:] in ("()", "[]"):
+            text = text[1:-1]
+        if not text:
             return cls()
-        return cls(tuple(int(tok) for tok in body.replace(" ", "").split(",")))
+        tokens = [tok.strip() for tok in text.split(",")]
+        if not all(tok.isdecimal() for tok in tokens):
+            raise ValueError(f"bad partition {text!r}")
+        return cls(tuple(int(tok) for tok in tokens))
 
 
 @lru_cache(maxsize=None)

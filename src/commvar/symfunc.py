@@ -165,12 +165,6 @@ class SymFunc:
 
     # -- basic algebra ----------------------------------------------------
 
-    def coeff(self, lam: Partition) -> Poly:
-        return self.terms.get(lam, Poly())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if isinstance(other, SymFunc):
             return self.degree == other.degree and self.terms == other.terms
@@ -178,14 +172,6 @@ class SymFunc:
 
     def __hash__(self):
         return hash((self.degree, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
-
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if self.degree != other.degree:
-            raise ValueError("cannot add symmetric functions of different degrees")
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            out[key] = out.get(key, Poly()) + value
-        return SymFunc(self.degree, out)
 
     def __mul__(self, other: "SymFunc") -> "SymFunc":
         """Product in the ring of symmetric functions; degrees add."""

@@ -2,7 +2,8 @@
 
 Each factor (1 - c t)^e is expanded as a ``TSeries`` of ``Poly``
 coefficients and the factors are multiplied by ``TSeries.__mul__``; at
-t = 1, (1 - u^a)^e is a ``Poly`` multiplied by ``Poly.__mul__`` and cut.
+t = 1, (1 - u^a)^e is a ``Poly`` multiplied by ``Poly.__mul__`` and
+cut modulo u^(M+1) (``cut``).
 The production routes run on int rows and vectors instead
 (``arith.euler_rows``, ``arith.euler_factor``).
 """
@@ -35,6 +36,11 @@ def scale_t(series, factor):
     return TSeries(c * factor**i for i, c in enumerate(series.coeffs))
 
 
+def cut(p, M):
+    """The polynomial p modulo x^(M+1)."""
+    return Poly.from_ints(p.num[: M + 1], p.den)
+
+
 def one_minus_power(a, e, order):
     """(1 - u^a)^e as a polynomial modulo u^(order+1); a >= 1."""
     return Poly.from_ints(one_minus_x_coeffs(e, order // a)).subst_power(a)
@@ -54,7 +60,7 @@ def stable_betti(space, M):
     """The residue-route limit as a product of ``one_minus_power`` factors."""
     acc = Poly.constant(1)
     for a, e in stable_factors(space, M):
-        acc = (acc * one_minus_power(a, e, M)).truncate(M)
+        acc = cut(acc * one_minus_power(a, e, M), M)
     return acc
 
 

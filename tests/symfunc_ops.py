@@ -1,7 +1,8 @@
-"""Power sums and scalings of symmetric functions that only the tests build.
+"""Power sums, scalings and sums of symmetric functions that only the tests build.
 
 The package builds its symmetric functions from terms directly; the
-oracles and the examples in the tests write them as p_lam and c * f.
+oracles and the examples in the tests write them as p_lam, c * f and
+f + g.
 """
 
 from commvar.arith import to_poly
@@ -20,3 +21,11 @@ def scale(f: SymFunc, c) -> SymFunc:
     if not c:
         return SymFunc(f.degree)
     return SymFunc(f.degree, {key: value * c for key, value in f.terms.items()})
+
+
+def add(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f + g for symmetric functions of one degree."""
+    terms = dict(f.terms)
+    for key, value in g.terms.items():
+        terms[key] = terms.get(key, 0) + value
+    return SymFunc(f.degree, terms)

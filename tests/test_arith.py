@@ -19,7 +19,7 @@ from commvar.arith import (
     poly_gcd,
     pseudo_divmod,
 )
-from series_oracle import binomial_factor, one_minus_power, one_minus_x_coeffs, scale_t
+from series_oracle import binomial_factor, cut, one_minus_power, one_minus_x_coeffs, scale_t
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -87,32 +87,6 @@ class TestAgainstNaiveForms:
             assert (p.num, p.den) == (a.num * b.num, a.den * b.den)
 
 
-class TestRatFuncEval:
-    def test_geometric_value(self):
-        assert RatFunc(1, ONE - U).evaluate(F(1, 2)) == 2
-
-    def test_pole_names_the_point(self):
-        with pytest.raises(PoleError, match="pole at 1"):
-            RatFunc(U, ONE - U).evaluate(1)
-
-    def test_unreduced_pair_keeps_its_removable_pole(self):
-        assert RatFunc(ONE + U).evaluate(1) == 2
-        with pytest.raises(PoleError, match="pole at 1"):
-            RatFunc(ONE - U**2, ONE - U).evaluate(1)
-
-    def test_eval_is_multiplicative(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            f, g = random_ratfunc(rng), random_ratfunc(rng)
-            x = F(rng.randint(-3, 3), rng.randint(1, 4))
-            try:
-                lhs = (f * g).evaluate(x)
-                rhs = f.evaluate(x) * g.evaluate(x)
-            except PoleError:
-                continue
-            assert lhs == rhs
-
-
 class TestPoly:
     def test_gcd(self):
         g = poly_gcd((ONE - U) ** 3 * (ONE + U), (ONE - U) * (ONE + U) ** 2)
@@ -153,7 +127,7 @@ class TestSeriesExpansion:
         rng = random.Random(5)
         for _ in range(20):
             f, g = random_ratfunc(rng), random_ratfunc(rng)
-            if f.den.constant_term() == 0 or g.den.constant_term() == 0:
+            if not f.den.num[0] or not g.den.num[0]:
                 continue
             fg = (f * g).series(6)
             a, b = f.series(6), g.series(6)
@@ -174,14 +148,12 @@ class TestTSeries:
     def test_convolution_with_grading(self):
         q = RatFunc(U)
         conv = binomial_factor(q, -1, 2) * binomial_factor(1, -1, 2)
-        assert conv.coeff(0) == RatFunc(1)
-        assert conv.coeff(1) == RatFunc(ONE + U)
-        assert conv.coeff(2) == RatFunc(ONE + U + U**2)
+        assert conv == TSeries([1, ONE + U, ONE + U + U**2])
 
     def test_truncation_to_min_order(self):
         a = TSeries([1, 2, 3, 4])
         b = TSeries([1, 1])
-        assert (a * b).order == 1
+        assert a * b == b * a == TSeries([1, 3])
 
     def test_scale_t(self):
         geo = TSeries([1, 1, 1])
@@ -217,7 +189,7 @@ class TestEulerRows:
                 assert all(type(c) is int for row in rows for c in row)
                 if top is not None:
                     assert all(len(row) <= top + 1 for row in rows)
-                    expected = [c.truncate(top) for c in full.coeffs]
+                    expected = [cut(c, top) for c in full.coeffs]
                 else:
                     expected = list(full.coeffs)
                 assert [Poly.from_ints(row) for row in rows] == expected, (factors, top)
@@ -244,8 +216,8 @@ class TestEulerRows:
                     rows = euler_rows([(a, e)], t_order, top)
                     assert all(len(r) <= top + 1 for r in rows)
                     # a factor with a > top is 1 modulo x^(top+1)
-                    cut = [c.truncate(top) for c in expected] if a <= top else [1] + [0] * t_order
-                    assert [Poly.from_ints(r) for r in rows] == cut, (a, e, top)
+                    cuts = [cut(c, top) for c in expected] if a <= top else [1] + [0] * t_order
+                    assert [Poly.from_ints(r) for r in rows] == cuts, (a, e, top)
 
     @pytest.mark.parametrize("e", [math.comb(20, 10), -math.comb(20, 10), 10**30, -(10**30)])
     def test_large_exponents(self, e):
@@ -269,7 +241,7 @@ class TestBinomialCoefficients:
             assert len(got) == order + 1
             assert all(type(c) is int for c in got)
             if e >= 0:
-                assert Poly(got) == (Poly([1, -1]) ** e).truncate(order)
+                assert Poly(got) == cut(Poly([1, -1]) ** e, order)
             else:
                 assert got == RatFunc(1, Poly([1, -1]) ** -e).series(order)
 
@@ -325,7 +297,7 @@ class TestEulerFactor:
                 assert all(type(c) is int for c in got)
                 if top is not None:
                     assert len(got) == top + 1
-                    expected = (Poly(v) * one_minus_power(a, e, top)).truncate(top)
+                    expected = cut(Poly(v) * one_minus_power(a, e, top), top)
                     assert Poly(got) == expected, (v, a, e, top)
                 elif e >= 0:
                     assert len(got) == len(v) + a * e
@@ -349,7 +321,7 @@ class TestEulerFactor:
         for a in range(1, top + 2):
             for e in range(-(top // a) - 3, top // a + 4):
                 v = self.random_vector(rng)
-                expected = (Poly(v) * one_minus_power(a, e, top)).truncate(top)
+                expected = cut(Poly(v) * one_minus_power(a, e, top), top)
                 assert Poly(euler_factor(v, a, e, top)) == expected, (v, a, e, top)
 
     @pytest.mark.parametrize("e", [math.comb(20, 10), -math.comb(20, 10)])
@@ -358,7 +330,7 @@ class TestEulerFactor:
         for a in (1, 2, 3):
             for top in (0, 3, 7, 12):
                 v = [1, -2, 0, 5]
-                expected = (Poly(v) * one_minus_power(a, e, top)).truncate(top)
+                expected = cut(Poly(v) * one_minus_power(a, e, top), top)
                 assert Poly(euler_factor(v, a, e, top)) == expected, (a, top)
         if e < 0:
             # an exact quotient would have degree below 3 - a |e|
@@ -507,20 +479,11 @@ class FracPoly:
                 rem.pop()
         return FracPoly(q), FracPoly(rem)
 
-    def evaluate(self, x):
-        acc = F(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def subst_power(self, k):
         out = [F(0)] * (max(len(self.coeffs) - 1, 0) * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return FracPoly(out)
-
-    def truncate(self, order):
-        return FracPoly(self.coeffs[: max(order + 1, 0)])
 
     def monic(self):
         if not self.coeffs:
@@ -614,15 +577,10 @@ class TestPolyAgainstFractionOracle:
             agree(a - b, fa - fb)
             agree(-a, -fa)
             agree(a * b, fa * fb)
-            for order in range(-1, 9):
-                agree(a.truncate(order), fa.truncate(order))
             for e in range(4):
                 agree(a**e, fa**e)
             for k in range(1, 4):
                 agree(a.subst_power(k), fa.subst_power(k))
-            x = F(rng.randint(-7, 7), rng.choice(DENOMINATORS))
-            assert a.evaluate(x) == fa.evaluate(x)
-            assert a.evaluate(3) == fa.evaluate(F(3))
 
     def test_scalars_mix_with_polynomials(self):
         rng = random.Random(8181)
@@ -759,7 +717,7 @@ class TestPolyNormalForm:
             Poly([half]) + Poly.monomial(1, half),
             (Poly([F(1, 3), F(1, 3)]) * F(3, 2)),
             Poly([F(1, 437), F(1, 437)]) * F(437, 2),
-            Poly([1, 2, F(1, 2)]).truncate(1) - U * F(3, 2) - half,
+            Poly([1, 2, F(1, 2)]) - U**2 * half - U * F(3, 2) - half,
             divmod(Poly([F(1, 2), 1, F(1, 2)]), ONE + U)[0],
         ]
         for p in routes:
@@ -775,9 +733,7 @@ class TestPolyNormalForm:
             Poly([F(0, 5)]),
             Poly.from_ints([0, 0], 7),
             U * F(1, 3) - U * F(1, 3),
-            Poly([F(1, 11)]).truncate(-1),
             Poly([F(1, 13)]) * Poly(),
-            (Poly([F(1, 13)]) * U).truncate(0),
             divmod(Poly([F(1, 2)]), U)[0],
             divmod(U * F(2, 3), U)[1],
         ]

@@ -32,7 +32,7 @@ from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, q_pochhammer
 from commvar.varieties import builtin_space
 from h_basis import from_h
-from symfunc_ops import power_sum, scale
+from symfunc_ops import add, power_sum, scale
 
 P = Partition
 U = Poly.monomial(1)
@@ -159,7 +159,7 @@ class TestEnhancedCharacter:
             for n in range(1, 5):
                 ch = enhanced_character(space, n)
                 lam = P((1,) * n)
-                got = ch.coeff(lam) * lam.centralizer_order()
+                got = ch.terms[lam] * lam.centralizer_order()
                 assert got == space.poincare_poly() ** n
 
     def test_digit_bound_covers_every_printed_int(self):
@@ -202,10 +202,8 @@ class TestEnhancedCharacterPowers:
     def check(space, n):
         ch = enhanced_character(space, n)
         for lam in partitions_of(n):
-            assert ch.coeff(lam) * lam.centralizer_order() == graded_trace_product(space, lam), (
-                space,
-                lam,
-            )
+            got = ch.terms.get(lam, Poly()) * lam.centralizer_order()
+            assert got == graded_trace_product(space, lam), (space, lam)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_builtins(self, q):
@@ -222,7 +220,7 @@ class TestEnhancedCharacterPowers:
 
     def test_empty_space(self):
         for n in range(1, 5):
-            assert enhanced_character(GradedSpace([]), n).is_zero()
+            assert not enhanced_character(GradedSpace([]), n).terms
 
 
 class TestSignedTensorOracle:
@@ -263,13 +261,9 @@ class TestSignedTensorOracle:
                 trace = trace + RatFunc(mono)
             lam = TestSignedTensorOracle.cycle_type(sigma)
             terms[lam] = terms.get(lam, RatFunc(0)) + trace
-        out = {}
-        for lam, tr in terms.items():
-            # each cycle type was hit n!/z times; dividing by n! leaves 1/z
-            coeff = tr * F(1, factorial(n))
-            if coeff:
-                out[lam] = coeff
-        return SymFunc(n, out)
+        # each cycle type was hit n!/z times; dividing by n! leaves 1/z.
+        # SymFunc drops the zero coefficients.
+        return SymFunc(n, {lam: tr * F(1, factorial(n)) for lam, tr in terms.items()})
 
     @staticmethod
     def cycle_type(sigma):
@@ -320,7 +314,7 @@ class TestSeriesRoute:
     def test_empty_space(self):
         series = enhanced_character_series(GradedSpace([]), 3)
         assert series[0] == SymFunc.unit()
-        assert all(series[n].is_zero() for n in range(1, 4))
+        assert not any(series[n].terms for n in range(1, 4))
 
     def test_torus_matches_direct_route(self):
         series = enhanced_character_series(TORUS, 3)
@@ -348,7 +342,7 @@ def enhanced_character_series_by_symfunc(space, order):
             if not w:
                 continue
             bump = power_sum(Partition((i,))) * coeffs[n - i]
-            acc = acc + scale(bump, w)
+            acc = add(acc, scale(bump, w))
         coeffs.append(scale(acc, Poly.from_ints((1,), n)))
     return coeffs
 
@@ -392,8 +386,7 @@ class TestSeriesKernel:
             m.setattr(arith, "_convolve", forbidden)
             for name in ("enhanced_character", "graded_trace_product"):
                 m.setattr(charmodel, name, forbidden)
-            for name in ("__mul__", "__add__"):
-                m.setattr(SymFunc, name, forbidden)
+            m.setattr(SymFunc, "__mul__", forbidden)  # SymFunc has no __add__
             series = enhanced_character_series(space, 6)
         assert series == expected
 
@@ -409,7 +402,7 @@ def flag_character_by_schur_sum(n: int) -> SymFunc:
     acc = SymFunc(n)
     for lam in partitions_of(n):
         coeff = flag_schur_coefficient(n, lam).subst_power(2)
-        acc = acc + scale(SymFunc.schur(lam), coeff)
+        acc = add(acc, scale(SymFunc.schur(lam), coeff))
     return acc
 
 
@@ -425,7 +418,7 @@ class TestFlagCharacter:
             qfact = ONE
             for i in range(1, n + 1):
                 qfact = qfact * Poly([1] * i).subst_power(2)
-            assert flag_character(n).coeff(lam) * lam.centralizer_order() == qfact
+            assert flag_character(n).terms[lam] * lam.centralizer_order() == qfact
 
     def test_rank_two(self):
         assert flag_character(2).render_schur() == "s[2] + u^2*s[1,1]"
@@ -433,7 +426,7 @@ class TestFlagCharacter:
     def test_regular_representation_at_one(self):
         for n in range(1, 6):
             for lam, coeff in flag_character(n).to_schur().items():
-                assert coeff.evaluate(1) == lam.dimension()
+                assert sum(coeff.num) == lam.dimension() * coeff.den
 
     def test_sign_column(self):
         for n in range(1, 7):
@@ -563,7 +556,7 @@ class TestRankNumerators:
         full = rank_numerators(space, 9)
         for top in range(15):
             cut = rank_numerators(space, 9, top=top)
-            assert [Poly(r) for r in cut] == [Poly(r).truncate(top) for r in full], (space, top)
+            assert [Poly(r) for r in cut] == [Poly(r[: top + 1]) for r in full], (space, top)
 
     def test_coefficients_are_plain_ints(self):
         ranks = rank_numerators(builtin_space("torus", dim=2), 6)
@@ -695,8 +688,12 @@ def point_count_by_character_sum(space, n, q):
     """q^(n^2) times the principal specialization numerator at 1/q of the
     character at u = 1, summed over the partitions of n; oracle only."""
     character = enhanced_character(space.resolve(q), n)
-    at_one = SymFunc(n, {lam: c.evaluate(1) for lam, c in character.terms.items()})
-    return q ** (n * n) * at_one.principal_spec_numerator().evaluate(F(1, q))
+    at_one = SymFunc(n, {lam: F(sum(c.num), c.den) for lam, c in character.terms.items()})
+    numerator = at_one.principal_spec_numerator()
+    acc = 0
+    for c in numerator.num:  # Horner at 1/q, times q^(len - 1)
+        acc = acc * q + c
+    return F(acc, numerator.den) * F(q) ** (n * n + 1 - len(numerator.num))
 
 
 POINT_EIGS = (F(1), F(1, 2), F(1, 3), F(2), QPower(-1), QPower(1), QPower(-2))

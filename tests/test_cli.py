@@ -135,10 +135,13 @@ class TestChar:
         assert code == 2
         assert "not a partition of 2" in err
 
-    @pytest.mark.parametrize("cycle", ["(a,1)", "2^", "(0,2)"])
+    # the last four were once read as (2,1), a partition of 3
+    @pytest.mark.parametrize(
+        "cycle", ["(a,1)", "2^", "(0,2)", "((2,1]", ")2,1(", "[2,1)", "(+2,1)"]
+    )
     def test_bad_cycle_type_names_the_option(self, capsys, cycle):
         code, out, err = run(
-            capsys, "char", "--variety", "torus", "-n", "2", "--cycle-type", cycle
+            capsys, "char", "--variety", "torus", "-n", "3", "--cycle-type", cycle
         )
         assert code == 2
         assert out == ""
@@ -893,7 +896,9 @@ class TestVarietyOptions:
             ["count", "--family", "punctured", "--n", "2", "--q", "2"],
         ],
     )
-    @pytest.mark.parametrize("avoid", ["0,,1", "0,x", "1.5", ","])
+    @pytest.mark.parametrize(
+        "avoid", ["0,,1", "0,x", "1.5", ",", "1_0", "+1,2", "0,+1", "0,1 2", "0,--1", "0,-"]
+    )
     def test_malformed_avoid_names_the_format(self, capsys, argv, avoid):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--avoid", avoid])
@@ -905,6 +910,11 @@ class TestVarietyOptions:
             f"error: argument --avoid: expected comma-separated integers, got {avoid!r}"
         )
         assert "_parse_avoid" not in captured.err
+
+    def test_negative_avoided_values_are_read_modulo_p(self, capsys):
+        argv = ["count", "--family", "punctured", "--n", "2", "--q", "5", "--avoid"]
+        assert run(capsys, *argv, "0,-1") == run(capsys, *argv, "0,4")
+        assert run(capsys, *argv, "0,-1")[0] == 0
 
     def test_explicit_defaults_change_nothing(self, capsys):
         _, plain, _ = run(capsys, "poincare", "--variety", "punctured", "-n", "3")

@@ -74,6 +74,44 @@ def test_oracle_is_a_leaf():
     assert commvar_imports((SRC / "oracle.py").read_text(encoding="utf-8")) == []
 
 
+def fraction_importers(source: str, module: str) -> list[str]:
+    """``module.Class.function`` for every import of ``fractions`` in
+    source, named by the function (or class, or module) that holds it."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+            elif isinstance(child, ast.Import):
+                if any(alias.name.partition(".")[0] == "fractions" for alias in child.names):
+                    found.append(name)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                if child.module.partition(".")[0] == "fractions":
+                    found.append(name)
+            else:
+                visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_detects_fraction_imports():
+    source = "import fractions\nclass A:\n  def f(self):\n    if 1:\n      from fractions import F\n"
+    assert fraction_importers(source, "m") == ["m", "m.A.f"]
+    assert fraction_importers("from .fractions import x\nimport os\n", "m") == []
+
+
+def test_only_poly_coeffs_imports_fractions():
+    # Poly.coeffs, the Fraction view of a Poly, stays in src/ because the
+    # benchmark's layer tracer counts coefficient pairs by reading it
+    # (perfbench/tracer.py, _count_poly_mul).
+    importers = []
+    for path in MODULES:
+        importers += fraction_importers(path.read_text(encoding="utf-8"), path.stem)
+    assert importers == ["arith.Poly.coeffs"]
+
+
 def fresh_modules(module: str, *flags: str, then: str = "pass") -> set[str]:
     """The modules a fresh interpreter, started with ``flags``, holds after
     importing ``module`` and running the statement ``then``."""
@@ -119,7 +157,8 @@ def test_a_command_argparse_need_not_parse_loads_no_argparse():
 
 def test_no_command_loads_fraction_modules(tmp_path):
     # Rationals are constant Polys over ints; fractions (with decimal and
-    # numbers) is imported only by the Fraction accessors the tests use.
+    # numbers) is imported only by Poly.coeffs, the Fraction view the tests
+    # read and no command calls (test_only_poly_coeffs_imports_fractions).
     from commvar.verify import SUITES
 
     path = tmp_path / "descriptor.json"

@@ -109,12 +109,17 @@ class TestConstruction:
         assert Partition.parse("1^1 2^1 3^1") == lam
         assert Partition.parse("2^3") == Partition((2, 2, 2))
         assert Partition.parse("()") == Partition(())
+        assert Partition.parse("[3,2,1]") == lam
+        assert Partition.parse(" ( 3 , 2, 1 ) ") == lam
 
-    def test_parse_rejects_garbage(self):
+    # one matching pair of brackets or none, and decimal parts only
+    @pytest.mark.parametrize(
+        "text",
+        ["2^", "a,b", "((2,1]", ")2,1(", "[2,1)", "(2,1", "((2,1))", "(+2,1)", "(2,1_0)", "(2 1)"],
+    )
+    def test_parse_rejects_garbage(self, text):
         with pytest.raises(ValueError):
-            Partition.parse("2^")
-        with pytest.raises(ValueError):
-            Partition.parse("a,b")
+            Partition.parse(text)
 
     def test_exponential_form_against_the_pattern(self):
         # oracle: the pattern the exponential form was once read with
