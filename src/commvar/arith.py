@@ -418,7 +418,9 @@ class RatFunc:
     Every producer builds its value in lowest terms (see ``poincare``
     and ``weil_zeta_from_eigendata``), so no gcd runs here.  ``==``
     cross-multiplies, which is exact for any representatives; ``+`` and
-    ``*`` return the cross-multiplied pair as it stands.
+    ``*`` return the cross-multiplied pair as it stands.  A RatFunc has
+    no truth value of its own (every one is true): test zero with
+    ``num.is_zero()``.
     """
 
     __slots__ = ("num", "den")

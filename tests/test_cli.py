@@ -135,9 +135,10 @@ class TestChar:
         assert code == 2
         assert "not a partition of 2" in err
 
-    # the last four were once read as (2,1), a partition of 3
+    # (3,0) without its zero part, and the last four, were once read as
+    # partitions of 3
     @pytest.mark.parametrize(
-        "cycle", ["(a,1)", "2^", "(0,2)", "((2,1]", ")2,1(", "[2,1)", "(+2,1)"]
+        "cycle", ["(a,1)", "2^", "(3,0)", "((2,1]", ")2,1(", "[2,1)", "(+2,1)"]
     )
     def test_bad_cycle_type_names_the_option(self, capsys, cycle):
         code, out, err = run(

@@ -32,16 +32,21 @@ GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["co
 COMMANDS = sorted(c for c in GOLDEN if c.split()[0] in ("char", "count", "poincare", "series", "verify"))
 
 
-@pytest.fixture(scope="module")
-def descriptors(tmp_path_factory):
-    """``@<name>`` -> path of the pool descriptor written as JSON."""
-    root = tmp_path_factory.mktemp("descriptors")
+def write_descriptors(root: Path) -> dict[str, str]:
+    """Write the benchmark's descriptor pool to ``root`` as JSON;
+    ``@<name>`` -> path of each descriptor."""
     paths = {}
     for name, body in _load_workloads().descriptor_pool().items():
         path = root / f"{name}.json"
         path.write_text(json.dumps(body), encoding="utf-8")
         paths[f"@{name}"] = str(path)
     return paths
+
+
+@pytest.fixture(scope="module")
+def descriptors(tmp_path_factory):
+    """``@<name>`` -> path of the pool descriptor written as JSON."""
+    return write_descriptors(tmp_path_factory.mktemp("descriptors"))
 
 
 def test_golden_has_the_series_and_verify_commands():

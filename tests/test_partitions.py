@@ -112,10 +112,10 @@ class TestConstruction:
         assert Partition.parse("[3,2,1]") == lam
         assert Partition.parse(" ( 3 , 2, 1 ) ") == lam
 
-    # one matching pair of brackets or none, and decimal parts only
+    # one matching pair of brackets or none, decimal parts only, none zero
     @pytest.mark.parametrize(
         "text",
-        ["2^", "a,b", "((2,1]", ")2,1(", "[2,1)", "(2,1", "((2,1))", "(+2,1)", "(2,1_0)", "(2 1)"],
+        ["2^", "a,b", "(3,0)", "2,1,0", "((2,1]", ")2,1(", "[2,1)", "(2,1", "((2,1))", "(+2,1)", "(2,1_0)", "(2 1)"],
     )
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ValueError):

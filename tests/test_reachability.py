@@ -2,7 +2,8 @@
 
 A fresh interpreter replays through ``cli.main`` every benchmark command
 (``perfbench/golden.json``, with the benchmark's descriptor pool), every
-README example and ``commvar verify``, under ``sys.setprofile``.  It
+README example and ``commvar verify``, under ``sys.setprofile``; the
+commands are read as ``test_golden`` and ``test_readme`` read them.  It
 reports each function defined in ``src/commvar`` that no call entered.
 The interpreter is fresh because an ``lru_cache`` warmed by an earlier
 test would hide the calls behind it.  ``perfbench/`` is only read.
@@ -18,7 +19,6 @@ Run as a script, this file prints the replay's JSON record.
 
 import ast
 import contextlib
-import importlib.util
 import io
 import json
 import shlex
@@ -98,19 +98,12 @@ def defined_functions() -> dict[tuple[str, str, int], str]:
 
 def commands(descriptor_dir: Path) -> list[list[str]]:
     """The argv of every golden command, README example and ``verify``."""
-    perfbench = ROOT / "perfbench"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    paths = {}
-    for name, body in workloads.descriptor_pool().items():
-        path = descriptor_dir / f"{name}.json"
-        path.write_text(json.dumps(body), encoding="utf-8")
-        paths[f"@{name}"] = str(path)
-    golden = json.loads((perfbench / "golden.json").read_text(encoding="utf-8"))["commands"]
-    argvs = [[paths.get(tok, tok) for tok in shlex.split(command)] for command in sorted(golden)]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    argvs += [shlex.split(line)[2:] for line in readme if line.startswith("$ commvar ")]
+    from test_golden import GOLDEN, write_descriptors
+    from test_readme import readme_examples
+
+    paths = write_descriptors(descriptor_dir)
+    argvs = [[paths.get(tok, tok) for tok in shlex.split(command)] for command in sorted(GOLDEN)]
+    argvs += [shlex.split(command)[1:] for command, _, _ in readme_examples()]
     return argvs + [["verify"]]
 
 
@@ -125,9 +118,11 @@ def replay() -> dict:
 
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        argvs = commands(Path(tmp))
+        # on before the first import of commvar, so that calls made while
+        # a module loads count as entered
         sys.setprofile(profile)
         try:
+            argvs = commands(Path(tmp))
             from commvar import cli
 
             for argv in argvs:
