@@ -43,6 +43,15 @@ from .varieties import BUILTIN_NAMES, family_for, is_curve_name, resolve_variety
 from .verify import POINT_COUNT_FIELDS, SUITES, run_suite
 
 
+def _int(text: str) -> int:
+    """A decimal int with an optional '-'; unlike int(), no '_', '+' or blanks."""
+    if not text.removeprefix("-").isdecimal():
+        import argparse
+
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_avoid(text: str) -> tuple[int, ...]:
     """Comma-separated decimal ints, each with an optional '-' (used modulo p)."""
     if not text.strip():
@@ -61,21 +70,6 @@ def _check_q(args, q: int) -> None:
     p, _ = prime_power_base(q)
     if args.variety == "punctured":
         PuncturedLine(_avoided(args)).shifts(p)
-
-
-def _add_variety_args(sub, required: bool = True):
-    sub.add_argument(
-        "--variety",
-        required=required,
-        help=f"builtin name {BUILTIN_NAMES} or path to a JSON descriptor file",
-    )
-    sub.add_argument("--dim", type=int, default=None, help="affine/torus builtins only (default 1)")
-    sub.add_argument(
-        "--avoid",
-        type=_parse_avoid,
-        default=None,
-        help="comma-separated values avoided by the punctured builtin only (default 0,1)",
-    )
 
 
 def _dim(args) -> int:
@@ -107,61 +101,6 @@ def _resolve_space(args):
     return resolve_variety(args.variety, dim=_dim(args), avoided=_avoided(args))
 
 
-def _poincare_args(p) -> None:
-    p.add_argument("--space", choices=SPACES, default="cn")
-    _add_variety_args(p, required=False)
-    p.add_argument("-n", type=int, required=True, help="rank (matrix size)")
-    p.add_argument(
-        "--absolute",
-        action="store_true",
-        help="display-only: print absolute values of the coefficients",
-    )
-
-
-def _char_args(c) -> None:
-    c.add_argument("--flag", type=int, help="rank of the complete flag variety")
-    _add_variety_args(c, required=False)
-    c.add_argument("-n", type=int, help="tensor power for a variety character")
-    c.add_argument("-q", type=int, help="resolve q^k eigenvalue tokens at this prime power")
-    c.add_argument(
-        "--cycle-type",
-        help="also print the graded trace at this cycle type, e.g. '(2,1)' or '1^1 2^1'",
-    )
-
-
-def _series_args(s) -> None:
-    s.add_argument(
-        "kind",
-        choices=("betti", "coh", "groupoid", "zeta", "stable"),
-        help="which series or report to compute",
-    )
-    _add_variety_args(s)
-    s.add_argument("--t-order", type=int, default=None)
-    s.add_argument("--u-order", type=int, default=None)
-    s.add_argument("-q", type=int, help="prime power for groupoid/zeta")
-
-
-def _count_args(k) -> None:
-    k.add_argument("--family", choices=("affine", "torus", "punctured"), required=True)
-    k.add_argument("--dim", type=int, default=None, help="affine/torus only (default 1)")
-    k.add_argument("--n", "-n", type=int, required=True, dest="n")
-    k.add_argument("--q", "-q", type=int, required=True, dest="q")
-    k.add_argument(
-        "--avoid", type=_parse_avoid, default=None, help="punctured only (default 0,1)"
-    )
-    k.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"candidate limit (default {DEFAULT_BUDGET}, env COMMVAR_BUDGET)",
-    )
-
-
-def _verify_args(v) -> None:
-    v.add_argument("--suite", default="all", help=f"one of 'all' or {sorted(SUITES)}")
-    v.add_argument("-q", type=int, help="restrict point-count checks to this field size")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser, which ``main`` uses only where ``_fast_parse``
     declines: help, usage and error text come only from it."""
@@ -172,67 +111,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of commuting-matrix moduli spaces from graded Betti/Frobenius data.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in COMMANDS.items():
-        add_arguments(subs.add_parser(name, help=help_text))
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for names, keywords in arguments:
+            sub.add_argument(*names, **keywords)
     return parser
-
-
-class _Options:
-    """The ``add_argument`` calls of one command's argument builder, as
-    ``_fast_parse`` reads them.  An argument is (dest, type, choices),
-    with type None for a ``store_true`` flag; a keyword or action that
-    ``_fast_parse`` does not reproduce raises."""
-
-    def __init__(self):
-        self.by_flag = {}  # option string -> argument
-        self.positional = None
-        self.defaults = {}
-        self.required = set()
-
-    def add_argument(
-        self, *names, dest=None, type=None, choices=None, default=None,
-        required=False, action=None, help=None,
-    ):
-        if action not in (None, "store_true") or (isinstance(default, str) and type):
-            raise TypeError(f"_fast_parse does not model the argument {names}")
-        if names[0].startswith("-"):
-            long = [n for n in names if n.startswith("--")]
-            dest = dest or (long or names)[0].lstrip("-").replace("-", "_")
-            argument = (dest, None, None) if action else (dest, type or str, choices)
-            self.by_flag.update(dict.fromkeys(names, argument))
-        else:
-            dest, required = names[0], True
-            self.positional = (dest, type or str, choices)
-        self.defaults[dest] = False if action else default
-        if required:
-            self.required.add(dest)
 
 
 def _fast_parse(argv):
     """``argv`` parsed as argparse parses it, without argparse, or None.
 
-    Only a command followed by exact option strings, each with one value
-    that does not start with ``-``, ``store_true`` flags and the one
-    positional is accepted, each destination at most once, with values
-    that pass ``type`` and ``choices`` and every required destination
-    given.  Anything else (help, ``--``, abbreviations, ``--opt=value``,
-    ``-n3``, repeats, values starting with ``-``, bad values, missing
-    options) returns None: help, usage and error text come only from
-    argparse.
+    The command's entries in ``COMMANDS`` are read as argparse reads
+    them: the destination is the ``dest`` keyword or the first long
+    option string, an entry with ``action="store_true"`` is a flag, and
+    any other takes one value through its ``type`` (``str`` if none),
+    its ``choices``, ``default`` and ``required``.  Only a command
+    followed by exact option strings, each with one value that does not
+    start with ``-``, flags and the one positional is accepted, each
+    destination at most once, with values that pass ``type`` and
+    ``choices`` and every required destination given.  Anything else
+    (help, ``--``, abbreviations, ``--opt=value``, ``-n3``, repeats,
+    values starting with ``-``, bad values, missing options) returns
+    None: help, usage and error text come only from argparse.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    options = _Options()
-    COMMANDS[argv[0]][1](options)
-    values = dict(options.defaults)
+    values, by_flag, positional, required = {}, {}, None, set()
+    for names, keywords in COMMANDS[argv[0]][1]:
+        flag = keywords.get("action") == "store_true"
+        long = [n for n in names if n.startswith("--")]
+        dest = keywords.get("dest") or (long or names)[0].lstrip("-").replace("-", "_")
+        argument = (dest, None if flag else keywords.get("type", str), keywords.get("choices"))
+        if names[0].startswith("-"):
+            by_flag.update(dict.fromkeys(names, argument))
+        else:
+            positional = argument
+            required.add(dest)
+        if keywords.get("required"):
+            required.add(dest)
+        values[dest] = False if flag else keywords.get("default")
     seen = set()
-    positional = options.positional
     tokens = iter(argv[1:])
     for token in tokens:
         if token.startswith("-"):
-            if token not in options.by_flag:
+            if token not in by_flag:
                 return None
-            dest, convert, choices = options.by_flag[token]
+            dest, convert, choices = by_flag[token]
             value = True if convert is None else next(tokens, "-")
         elif positional is not None:
             (dest, convert, choices), positional = positional, None
@@ -252,7 +176,7 @@ def _fast_parse(argv):
             if choices is not None and value not in choices:
                 return None
         values[dest] = value
-    if not options.required <= seen:
+    if not required <= seen:
         return None
     return SimpleNamespace(command=argv[0], **values)
 
@@ -427,13 +351,59 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-# name -> (help line, argument builder, handler), in help order
+def _variety(required: bool = False) -> tuple:
+    """The --variety, --dim and --avoid entries of poincare, char and series."""
+    variety = f"builtin name {BUILTIN_NAMES} or path to a JSON descriptor file"
+    avoid = "comma-separated values avoided by the punctured builtin only (default 0,1)"
+    return (
+        (("--variety",), dict(required=required, help=variety)),
+        (("--dim",), dict(type=_int, default=None, help="affine/torus builtins only (default 1)")),
+        (("--avoid",), dict(type=_parse_avoid, default=None, help=avoid)),
+    )
+
+
+# name -> (help line, arguments, handler), in help order.  An argument is
+# (option strings or positional name, ``add_argument`` keywords): both
+# ``build_parser`` and ``_fast_parse`` read it.
 COMMANDS = {
-    "poincare": ("signed Poincare polynomial of a moduli space", _poincare_args, _cmd_poincare),
-    "char": ("graded character in Schur and power-sum expansions", _char_args, _cmd_char),
-    "series": ("zeta-type generating series and product formulas", _series_args, _cmd_series),
-    "count": ("brute-force point count over a prime field", _count_args, _cmd_count),
-    "verify": ("run the exact cross-check suites", _verify_args, _cmd_verify),
+    "poincare": ("signed Poincare polynomial of a moduli space", (
+        (("--space",), dict(choices=SPACES, default="cn")),
+        *_variety(),
+        (("-n",), dict(type=_int, required=True, help="rank (matrix size)")),
+        (("--absolute",), dict(
+            action="store_true", help="display-only: print absolute values of the coefficients")),
+    ), _cmd_poincare),
+    "char": ("graded character in Schur and power-sum expansions", (
+        (("--flag",), dict(type=_int, help="rank of the complete flag variety")),
+        *_variety(),
+        (("-n",), dict(type=_int, help="tensor power for a variety character")),
+        (("-q",), dict(type=_int, help="resolve q^k eigenvalue tokens at this prime power")),
+        (("--cycle-type",), dict(
+            help="also print the graded trace at this cycle type, e.g. '(2,1)' or '1^1 2^1'")),
+    ), _cmd_char),
+    "series": ("zeta-type generating series and product formulas", (
+        (("kind",), dict(
+            choices=("betti", "coh", "groupoid", "zeta", "stable"),
+            help="which series or report to compute")),
+        *_variety(required=True),
+        (("--t-order",), dict(type=_int, default=None)),
+        (("--u-order",), dict(type=_int, default=None)),
+        (("-q",), dict(type=_int, help="prime power for groupoid/zeta")),
+    ), _cmd_series),
+    "count": ("brute-force point count over a prime field", (
+        (("--family",), dict(choices=("affine", "torus", "punctured"), required=True)),
+        (("--dim",), dict(type=_int, default=None, help="affine/torus only (default 1)")),
+        (("--n", "-n"), dict(type=_int, required=True, dest="n")),
+        (("--q", "-q"), dict(type=_int, required=True, dest="q")),
+        (("--avoid",), dict(type=_parse_avoid, default=None, help="punctured only (default 0,1)")),
+        (("--budget",), dict(
+            type=_int, default=None,
+            help=f"candidate limit (default {DEFAULT_BUDGET}, env COMMVAR_BUDGET)")),
+    ), _cmd_count),
+    "verify": ("run the exact cross-check suites", (
+        (("--suite",), dict(default="all", help=f"one of 'all' or {sorted(SUITES)}")),
+        (("-q",), dict(type=_int, help="restrict point-count checks to this field size")),
+    ), _cmd_verify),
 }
 
 

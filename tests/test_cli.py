@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from commvar import arith, charmodel, partitions, symfunc
-from commvar.cli import COMMANDS, _fast_parse, _Options, build_parser, main
+from commvar.cli import COMMANDS, _fast_parse, _int, build_parser, main
 from commvar.symfunc import SymFunc
+from test_golden import GOLDEN
 from test_readme import EXAMPLES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -439,45 +440,6 @@ class TestVerify:
         assert out == "point-counts: PASS (7 cross-checks)\n"
 
 
-# verify, poincare for every space, and the series kinds.
-NO_GCD_COMMANDS = [
-    ["verify"],
-    *(
-        ["poincare", "--space", space, "--variety", variety, "-n", "5"]
-        for space in ("cn", "sn", "coh")
-        for variety in ("point", "torus", "p1", "punctured")
-    ),
-    ["poincare", "--space", "flag", "-n", "5"],
-    ["poincare", "--space", "bgln", "-n", "5"],
-    ["series", "zeta", "--variety", "punctured", "-q", "4"],
-    ["series", "groupoid", "--variety", "torus", "-q", "3", "--t-order", "3"],
-    ["series", "coh", "--variety", "p1", "--t-order", "3", "--u-order", "8"],
-    ["series", "stable", "--variety", "torus", "--u-order", "8"],
-]
-
-
-class TestNoGcdOnProductionPaths:
-    """Values are built in lowest terms, so no command runs a gcd: with
-    ``poly_gcd`` and ``Poly.__divmod__`` made to raise, each command
-    prints what it prints unpatched."""
-
-    @pytest.mark.parametrize("argv", NO_GCD_COMMANDS, ids=" ".join)
-    def test_same_output_without_gcd(self, capsys, monkeypatch, argv):
-        def forbidden(*args):
-            raise AssertionError("gcd or polynomial division on a production path")
-
-        with monkeypatch.context() as m:
-            for name, module in list(sys.modules.items()):
-                if name == "commvar" or name.startswith("commvar."):
-                    for key, value in list(vars(module).items()):
-                        if value is arith.poly_gcd:
-                            m.setattr(module, key, forbidden)
-            m.setattr(arith.Poly, "__divmod__", forbidden)
-            patched = run(capsys, *argv)
-        assert patched == run(capsys, *argv)
-        assert patched[0] == 0
-
-
 # the series products and the suites that check them
 NO_PRODUCT_COMMANDS = [
     ["series", "betti", "--variety", "p1", "--t-order", "6"],
@@ -510,7 +472,6 @@ class TestNoPolynomialProductOnSeriesPaths:
 
 
 # every golden ``series groupoid`` command and the point-count suite
-GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["commands"]
 POINT_COUNT_COMMANDS = [c.split() for c in sorted(GOLDEN) if c.startswith("series groupoid ")]
 POINT_COUNT_COMMANDS.append(["verify", "--suite", "pointcounts"])
 
@@ -566,33 +527,6 @@ class TestNoCharacterTableOnFlagPath:
             patched = run(capsys, *argv)
         assert patched == run(capsys, *argv)
         assert patched[0] == 0
-
-
-# every golden series command whose output a series product or report
-# builds, and the suites that read one
-SERIES_KINDS = ("series betti ", "series coh ", "series groupoid ")
-SERIES_COMMANDS = [c.split() for c in sorted(GOLDEN) if c.startswith(SERIES_KINDS)]
-SERIES_COMMANDS += [["verify", "--suite", s] for s in ("coh", "macdonald", "pointcounts")]
-
-
-class TestNoTSeriesOnProductionPaths:
-    """Series travel as tuples of ``Poly``: with ``TSeries`` construction
-    made to raise, each command prints its golden bytes."""
-
-    def test_golden_has_the_series_commands(self):
-        assert len(SERIES_COMMANDS) == 4 + 3 + 2 + 3
-
-    @pytest.mark.parametrize("argv", SERIES_COMMANDS, ids=" ".join)
-    def test_golden_output_without_tseries(self, capsys, monkeypatch, argv):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("TSeries on a production path")
-
-        with monkeypatch.context() as m:
-            m.setattr(arith.TSeries, "__init__", forbidden)
-            code, out, _ = run(capsys, *argv)
-        golden = GOLDEN[" ".join(argv)]
-        assert code == golden["exit"] == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]
 
 
 class TestFailureExitCodes:
@@ -928,6 +862,46 @@ class TestVarietyOptions:
         assert plain == explicit
 
 
+# every int option: command, option string, the name argparse gives it
+INT_OPTIONS = [
+    ("poincare", "-n", "-n"),
+    ("poincare", "--dim", "--dim"),
+    ("char", "--flag", "--flag"),
+    ("char", "--dim", "--dim"),
+    ("char", "-n", "-n"),
+    ("char", "-q", "-q"),
+    ("series", "--dim", "--dim"),
+    ("series", "--t-order", "--t-order"),
+    ("series", "--u-order", "--u-order"),
+    ("series", "-q", "-q"),
+    ("count", "--dim", "--dim"),
+    ("count", "--n", "--n/-n"),
+    ("count", "-n", "--n/-n"),
+    ("count", "--q", "--q/-q"),
+    ("count", "-q", "--q/-q"),
+    ("count", "--budget", "--budget"),
+    ("verify", "-q", "-q"),
+]
+
+
+class TestIntOptions:
+    """An int option takes decimal digits with an optional '-' only:
+    int() would also read '_' separators, a '+' and blanks."""
+
+    @pytest.mark.parametrize(
+        "command, option, name", INT_OPTIONS, ids=[f"{c} {o}" for c, o, _ in INT_OPTIONS]
+    )
+    def test_a_malformed_int_names_the_option(self, capsys, command, option, name):
+        for value in ("1_0", "+2", " 2", "2 ", "1_000", "x", ""):
+            with pytest.raises(SystemExit) as exc:
+                main([command, option, value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            last = captured.err.splitlines()[-1]
+            assert last == f"commvar {command}: error: argument {name}: invalid int value: {value!r}"
+
+
 class TestCharFlagOptions:
     """char --flag N prints the flag character and takes no variety options."""
 
@@ -1140,14 +1114,15 @@ PARSER_PATHS = {
     ),
 }
 
-# tokens of every subparser's options and values, valid and not; int()
-# reads " 4" as 4 and "\u0663", an Arabic-Indic digit, as 3
+# tokens of every subparser's options and values, valid and not; an int
+# option reads "\u0663", an Arabic-Indic digit, as 3 and rejects " 4",
+# "+2" and "1_0", which int() reads
 ARGV_TOKENS = (
     *COMMANDS, "-h", "--help", "--", "bogus", "extra", "--space", "flag", "cn", "coh",
     "-n", "--n", "3", "-n3", "--variety", "--variety=p1", "p1", "torus", "--dim", "2",
     "--avoid", "0,1", "0,x", "--absolute", "--flag", "-q", "--q", "5", "--cycle-type",
     "(2,1)", "betti", "zeta", "--t-order", "--u-order", "--family", "affine", "punctured",
-    "--budget", "--suite", "all", "-x", "--sp", "--fl", "-3", "", " 4", "\u0663",
+    "--budget", "--suite", "all", "-x", "--sp", "--fl", "-3", "", " 4", "+2", "1_0", "\u0663",
 )
 
 
@@ -1184,12 +1159,7 @@ class TestParserPaths:
         assert built == parsers
 
 
-GOLDEN_ARGV = [
-    shlex.split(command)
-    for command in json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))[
-        "commands"
-    ]
-]
+GOLDEN_ARGV = [shlex.split(command) for command in GOLDEN]
 README_ARGV = [shlex.split(command)[1:] for command, _, _ in EXAMPLES]
 
 
@@ -1198,27 +1168,22 @@ def declared_argv(rng, command):
     positional, in random order, each value most often of its option's
     type and choices and otherwise any of ``ARGV_TOKENS``."""
 
-    def value(convert, choices):
+    def value(keywords):
         if rng.random() < 0.2:
             return rng.choice(ARGV_TOKENS)
-        if choices:
-            return rng.choice(choices)
-        if convert is int:
-            return rng.choice(("2", "3", " 4", "\u0663"))
+        if "choices" in keywords:
+            return rng.choice(keywords["choices"])
+        if keywords.get("type") is _int:
+            return rng.choice(("2", "3", "4", "\u0663"))
         return rng.choice(("p1", "torus", "0,1", "(2,1)", "all"))
 
-    options = _Options()
-    COMMANDS[command][1](options)
-    strings = {}
-    for string, argument in options.by_flag.items():
-        strings.setdefault(argument, []).append(string)
-    groups = [
-        [rng.choice(names)] + ([] if convert is None else [value(convert, choices)])
-        for (dest, convert, choices), names in strings.items()
-        if dest in options.required or rng.random() < 0.3
-    ]
-    if options.positional:
-        groups.append([value(*options.positional[1:])])
+    groups = []
+    for names, keywords in COMMANDS[command][1]:
+        if not names[0].startswith("-"):
+            groups.append([value(keywords)])
+        elif keywords.get("required") or rng.random() < 0.3:
+            flag = keywords.get("action") == "store_true"
+            groups.append([rng.choice(names)] + ([] if flag else [value(keywords)]))
     rng.shuffle(groups)
     return [command] + [token for group in groups for token in group]
 
@@ -1280,9 +1245,13 @@ class TestFastParse:
     def test_declines_what_argparse_must_answer(self, argv):
         assert _fast_parse(argv) is None
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"nargs": 2}, {"metavar": "N"}, {"action": "count"}, {"type": int, "default": "1"}]
-    )
-    def test_an_unmodelled_argument_raises(self, kwargs):
-        with pytest.raises(TypeError):
-            _Options().add_argument("--x", **kwargs)
+    def test_the_table_uses_only_what_fast_parse_models(self):
+        # a keyword or action outside these, or a str default that argparse
+        # would convert through ``type``, would make the two parsers differ
+        modelled = {"type", "choices", "default", "required", "help", "dest", "action"}
+        for command, (_, arguments, _) in COMMANDS.items():
+            for names, keywords in arguments:
+                assert set(keywords) <= modelled, (command, names)
+                assert keywords.get("action", "store_true") == "store_true", (command, names)
+                str_default = isinstance(keywords.get("default"), str)
+                assert not ("type" in keywords and str_default), (command, names)

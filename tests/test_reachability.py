@@ -2,9 +2,10 @@
 
 A fresh interpreter replays through ``cli.main`` every benchmark command
 (``perfbench/golden.json``, with the benchmark's descriptor pool), every
-README example and ``commvar verify``, under ``sys.setprofile``; the
-commands are read as ``test_golden`` and ``test_readme`` read them.  It
-reports each function defined in ``src/commvar`` that no call entered.
+README example, ``MORE_COMMANDS`` and ``commvar verify``, under
+``sys.setprofile``, and each must exit 0; the commands are read as
+``test_golden`` and ``test_readme`` read them.  It reports each function
+defined in ``src/commvar`` that no call entered.
 The interpreter is fresh because an ``lru_cache`` warmed by an earlier
 test would hide the calls behind it.  ``perfbench/`` is only read.
 
@@ -96,15 +97,32 @@ def defined_functions() -> dict[tuple[str, str, int], str]:
     return names
 
 
+# poincare of every space at n = 5 and two series, which neither the
+# goldens nor the README run; with them, no gcd (``poly_gcd``,
+# ``Poly.__divmod__``) runs on any space's rank recurrence either
+MORE_COMMANDS = [
+    *(
+        ["poincare", "--space", space, "--variety", variety, "-n", "5"]
+        for space in ("cn", "sn", "coh")
+        for variety in ("point", "torus", "p1", "punctured")
+    ),
+    ["poincare", "--space", "flag", "-n", "5"],
+    ["poincare", "--space", "bgln", "-n", "5"],
+    ["series", "zeta", "--variety", "punctured", "-q", "4"],
+    ["series", "groupoid", "--variety", "torus", "-q", "3", "--t-order", "3"],
+]
+
+
 def commands(descriptor_dir: Path) -> list[list[str]]:
-    """The argv of every golden command, README example and ``verify``."""
+    """The argv of every golden command, README example, ``MORE_COMMANDS``
+    and ``verify``."""
     from test_golden import GOLDEN, write_descriptors
     from test_readme import readme_examples
 
     paths = write_descriptors(descriptor_dir)
     argvs = [[paths.get(tok, tok) for tok in shlex.split(command)] for command in sorted(GOLDEN)]
     argvs += [shlex.split(command)[1:] for command, _, _ in readme_examples()]
-    return argvs + [["verify"]]
+    return argvs + MORE_COMMANDS + [["verify"]]
 
 
 def replay() -> dict:
@@ -151,7 +169,7 @@ def test_every_function_is_entered_by_a_command_or_listed():
     assert result.returncode == 0, result.stderr
     record = json.loads(result.stdout)
     assert record["failed"] == []
-    assert record["commands"] >= 275 + 10 + 1
+    assert record["commands"] >= 275 + 10 + len(MORE_COMMANDS) + 1
     assert set(record["unreached"]) == set(UNREACHED)
 
 
