@@ -10,15 +10,19 @@ import shlex
 import signal
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from commvar import arith, charmodel, partitions, symfunc
+from commvar import arith, charmodel, oracle, partitions, symfunc, varieties
+from commvar.arith import Poly, RatFunc
 from commvar.cli import COMMANDS, _fast_parse, _int, build_parser, main
-from commvar.symfunc import SymFunc
+from commvar.symfunc import SymFunc, q_pochhammer
+from test_charmodel import fermionic_side
 from test_golden import GOLDEN
 from test_readme import EXAMPLES
+from test_reachability import MORE_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -438,6 +442,50 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "pointcounts", "-q", "3")
         assert code == 0
         assert out == "point-counts: PASS (7 cross-checks)\n"
+
+
+def independent_output(argv):
+    """What ``argv``, one of ``MORE_COMMANDS``, prints, by routes that do not
+    run the rank recurrence or the series code; oracle only."""
+    if argv[0] == "series" and argv[1] == "zeta":
+        # #X(F_(4^m)) = 4^m - 2 on the line without 0 and 1
+        return RatFunc(Poly([1, -1]) ** 2, Poly([1, -4])).render("t") + "\n"
+    if argv[0] == "series":
+        # C_k(torus)(F_3) / GL_k(F_3), and 1 at k = 0, on both sides of
+        # the groupoid report
+        family = varieties.family_for("torus")
+        counts = [oracle.count_points(family, k, 3) for k in (1, 2, 3)]
+        values = [1] + [F(c, oracle.gl_order(k, 3)) for k, c in enumerate(counts, 1)]
+        return "".join(f"t^{k}: {v} | {v}\n" for k, v in enumerate(values)) + "verdict: equal\n"
+    space, n = argv[argv.index("--space") + 1], int(argv[-1])
+    qpoch = q_pochhammer(n, power=2)
+    if space == "flag":  # the q-factorial [n]! at q = u^2
+        qfact = Poly([1])
+        for i in range(1, n + 1):
+            qfact = qfact * Poly([1] * i).subst_power(2)
+        return RatFunc(qfact).render() + "\n"
+    if space == "bgln":
+        return RatFunc(1, qpoch).render() + "\n"
+    fermionic = fermionic_side(varieties.builtin_space(argv[argv.index("--variety") + 1]), n)
+    if space in ("cn", "sn"):
+        return RatFunc(fermionic).render() + "\n"
+    # coh: the cn polynomial over (u^2; u^2)_n in lowest terms
+    gcd = arith.poly_gcd(fermionic, qpoch)
+    (num, rem), (den, rem2) = divmod(fermionic, gcd), divmod(qpoch, gcd)
+    assert not rem and not rem2
+    return RatFunc(num / den.coeffs[0], den / den.coeffs[0]).render() + "\n"
+
+
+class TestMoreCommands:
+    """The commands that ``test_reachability`` replays beside the goldens
+    and the README, and whose bytes no digest pins, print the values of
+    independent routes: the flag pairing for cn and sn, its quotient by
+    (u^2; u^2)_n for coh, the q-factorial, the closed zeta function and
+    brute-force point counts."""
+
+    @pytest.mark.parametrize("argv", MORE_COMMANDS, ids=" ".join)
+    def test_prints_the_independent_value(self, capsys, argv):
+        assert run(capsys, *argv) == (0, independent_output(argv), "")
 
 
 # the series products and the suites that check them
@@ -1245,13 +1293,13 @@ class TestFastParse:
     def test_declines_what_argparse_must_answer(self, argv):
         assert _fast_parse(argv) is None
 
-    def test_the_table_uses_only_what_fast_parse_models(self):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_table_uses_only_what_fast_parse_models(self, command):
         # a keyword or action outside these, or a str default that argparse
         # would convert through ``type``, would make the two parsers differ
         modelled = {"type", "choices", "default", "required", "help", "dest", "action"}
-        for command, (_, arguments, _) in COMMANDS.items():
-            for names, keywords in arguments:
-                assert set(keywords) <= modelled, (command, names)
-                assert keywords.get("action", "store_true") == "store_true", (command, names)
-                str_default = isinstance(keywords.get("default"), str)
-                assert not ("type" in keywords and str_default), (command, names)
+        for names, keywords in COMMANDS[command][1]:
+            assert set(keywords) <= modelled, names
+            assert keywords.get("action", "store_true") == "store_true", names
+            str_default = isinstance(keywords.get("default"), str)
+            assert not ("type" in keywords and str_default), names
