@@ -19,13 +19,14 @@ subtree is counted once per distinct common centralizer.
 Within one count, the two pure kernels that most inputs revisit are
 memoised: ``_grow`` on (basis, row), where a one-matrix family has two
 or more shifts and throughout a tuple of several matrices, and
-``family.matrix_ok`` on the matrix, in a tuple of several.  Each memo
-is a dict local to the count, at most one entry per distinct input it
-sees, and is freed when the count returns; no cache outlives a count.
-The recursive closures that hold the memos refer to themselves through
-their closure cells, so each is deleted on return: that breaks the
-cycle, and reference counting frees the memos at once rather than at
-the next garbage collection.
+``family.matrix_ok`` on the matrix, in a tuple of several.  These
+memos and the subtree counts are each a ``functools.lru_cache`` with
+no size bound, made inside the count: each holds one entry per
+distinct input it sees and is freed when the count returns, so no
+cache outlives a count.  The two recursive walks, ``walk`` and ``finish``,
+refer to themselves through their closure cells, so each is deleted
+on return: that breaks the cycle, and reference counting frees the
+memos at once rather than at the next garbage collection.
 Nothing here knows about symmetric functions, and no other commvar
 module is imported; ``verify.cross_check`` compares the counts with the
 formula routes.
@@ -34,6 +35,7 @@ formula routes.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from itertools import product
 from collections.abc import Callable, Iterator, Sequence
 
@@ -46,13 +48,15 @@ class BudgetExceededError(RuntimeError):
 
 
 def default_budget() -> int:
+    """The budget from the environment: decimal digits with an optional
+    '-', as the CLI's int options read them; unlike int(), no '_', '+'
+    or blanks."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if not raw.removeprefix("-").isdecimal():
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+    value = int(raw)
     if value <= 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
     return value
@@ -394,54 +398,31 @@ def _commutator_equations(a, p: int) -> Iterator[tuple]:
             yield tuple(e % p for e in eq)
 
 
-_UNSEEN = object()
-
-
-def _memo_grow() -> Callable[[tuple, tuple, int], tuple | None]:
-    """A drop-in for ``_grow`` that keeps every result in a dict of its
-    own, keyed on (basis, vec), so a repeated input is looked up rather
-    than reduced again.  The dict holds one entry per distinct input and
-    lives as long as the returned function."""
-    seen: dict[tuple, tuple | None] = {}
-
-    def grow(basis: tuple, vec: tuple, p: int) -> tuple | None:
-        key = (basis, vec)
-        out = seen.get(key, _UNSEEN)
-        if out is _UNSEEN:
-            seen[key] = out = _grow(basis, vec, p)
-        return out
-
-    return grow
-
-
 def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int, grow: Callable) -> int:
     """How many x in F_p^n have f . x != a * f[n-1] for every (f, a) in ``planes``.
 
-    Inclusion-exclusion over the subsets of ``planes``, in recursive
-    form: the points of a flat that lie on none of planes[k:] are those
-    on none of planes[k+1:], minus those of its meet with plane k.  A
-    flat is the reduced basis of its planes' augmented rows
-    (f | -a * f[n-1]).  A pivot in that last column means the planes do
-    not meet; a plane whose row is already in the span holds the whole
-    flat; otherwise the flat has p^(n - rank) points.  ``grow`` is
-    ``_grow`` or a memoised one, so that a caller can share its memo.
+    Inclusion-exclusion over the subsets of ``planes``, one plane at a
+    time: each term is the flat where a subset meets, signed (-1)^size.
+    A flat is the reduced basis of its planes' augmented rows
+    (f | -a * f[n-1]).  A plane that holds a flat cancels that term, so
+    it is dropped; a grown flat with a pivot in the last column is empty
+    (the plane misses the flat), so it is not added.  The answer is the
+    sum of sign * p^(n - rank).  ``grow`` is ``_grow`` or a memoised
+    one, so that a caller can share its memo.
     """
-    rows = [f + (-a * f[-1] % p,) for f, a in planes]
-
-    def off(k: int, flat: tuple) -> int:
-        if flat and flat[-1][0] == n:
-            return 0
-        if k == len(rows):
-            return p ** (n - len(flat))
-        grown = grow(flat, rows[k], p)
-        if grown is None:
-            return 0
-        return off(k + 1, flat) - off(k + 1, grown)
-
-    try:
-        return off(0, ())
-    finally:
-        del off  # breaks its self-reference; see the module docstring
+    terms = [((), 1)]
+    for f, a in planes:
+        row = f + (-a * f[-1] % p,)
+        kept = []
+        for flat, sign in terms:
+            grown = grow(flat, row, p)
+            if grown is None:
+                continue
+            kept.append((flat, sign))
+            if grown[-1][0] != n:
+                kept.append((grown, -sign))
+        terms = kept
+    return sum(sign * p ** (n - len(flat)) for flat, sign in terms)
 
 
 def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
@@ -449,41 +430,35 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
 
     M is built row by row.  After i rows, W_a is the reduced basis of
     the rows of M - a*I so far, and the number of ways to finish depends
-    only on (i, (W_a)_a), so it is computed once per such state.  Row i
-    is allowed when each W_a grows by row - a*e_i.  At the last row each
-    W_a is a hyperplane with normal f_a, and the allowed rows are those
-    off every plane f_a . x = a * f_a[n-1].
+    only on (i, (W_a)_a), so ``walk`` is an ``lru_cache`` on that state.
+    Row i is allowed when each W_a grows by row - a*e_i.  At the last
+    row each W_a is a hyperplane with normal f_a, and the allowed rows
+    are those off every plane f_a . x = a * f_a[n-1].
 
     With two or more shifts, one W_a recurs beside different others, so
-    ``_grow`` is memoised on (basis, row) for the count, shared with the
-    last-row inclusion-exclusion: at most one entry per distinct pair
-    reduced, freed on return.  With one shift no pair recurs: the
-    dimension of W fixes i, each state is walked once, and distinct last
-    spaces give distinct planes; ``_grow`` is called directly.
+    ``_grow`` is an ``lru_cache`` on (basis, row) for the count, shared
+    with the last-row inclusion-exclusion.  With one shift no pair
+    recurs: the dimension of W fixes i, each state is walked once, and
+    distinct last spaces give distinct planes; ``_grow`` is called
+    directly.
     """
-    grow = _memo_grow() if len(shifts) > 1 else _grow
-    finish: dict[tuple, int] = {}
+    grow = lru_cache(maxsize=None)(_grow) if len(shifts) > 1 else _grow
 
+    @lru_cache(maxsize=None)
     def walk(i: int, spaces: tuple) -> int:
-        key = (i, spaces)
-        total = finish.get(key)
-        if total is not None:
-            return total
         if i == n - 1:
             planes = [(_nullspace(w, n, p)[0], a) for w, a in zip(spaces, shifts)]
-            total = _rows_off_planes(planes, n, p, grow)
-        else:
-            total = 0
-            for row in product(range(p), repeat=n):
-                grown = []
-                for w, a in zip(spaces, shifts):
-                    g = grow(w, row[:i] + ((row[i] - a) % p,) + row[i + 1 :], p)
-                    if g is None:
-                        break
-                    grown.append(g)
-                else:
-                    total += walk(i + 1, tuple(grown))
-        finish[key] = total
+            return _rows_off_planes(planes, n, p, grow)
+        total = 0
+        for row in product(range(p), repeat=n):
+            grown = []
+            for w, a in zip(spaces, shifts):
+                g = grow(w, row[:i] + ((row[i] - a) % p,) + row[i + 1 :], p)
+                if g is None:
+                    break
+                grown.append(g)
+            else:
+                total += walk(i + 1, tuple(grown))
         return total
 
     try:
@@ -508,9 +483,9 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     solved from [A, X] = 0 by Gaussian elimination mod p (all of
     M_n(F_p) for the first), and is kept if it passes
     ``family.matrix_ok``.  The number of ways to finish a tuple depends
-    only on that centralizer and the depth reached, so it is computed
-    once per distinct (reduced basis of the commutator equations, depth)
-    and then looked up; the last matrix is counted without solving its
+    only on that centralizer and the depth reached, so ``finish`` is an
+    ``lru_cache`` on (reduced basis of the commutator equations, depth);
+    the last matrix is counted without solving its
     own equations, and without visiting the centralizer when the family
     has no unit constraint (no ``shifts``): it has p^(n^2 - rank)
     elements.  The only candidates built and rejected are centralizer
@@ -518,8 +493,8 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
 
     A matrix recurs in many centralizers and a partial basis of the
     commutator equations in many growths, so ``family.matrix_ok`` is
-    memoised on the matrix and ``_grow`` on (basis, equation) for the
-    count: one entry per distinct matrix or pair seen, freed on return.
+    an ``lru_cache`` on the matrix and ``_grow`` one on (basis,
+    equation), each made for the count and freed on return.
 
     The budget bounds the nominal search p^(dim*n^2), not the work
     done, and is checked before any work.
@@ -539,29 +514,25 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
         )
     if family.tuple_len == 1:
         return _count_one_matrix(n, p, shifts)
-    subtree: dict[tuple, int] = {}
-    accepted: dict[tuple, bool] = {}
-    grow = _memo_grow()
+    grow = lru_cache(maxsize=None)(_grow)
 
+    @lru_cache(maxsize=None)
+    def accepted(x: tuple) -> bool:
+        # family.matrix_ok is looked up on each call, as a tracer may wrap it
+        return family.matrix_ok(_as_matrix(x, n), p)
+
+    @lru_cache(maxsize=None)
     def finish(equations: tuple, depth: int) -> int:
         # The ways to choose the matrices from index ``depth`` on, each in
         # the common centralizer of the earlier ones, whose commutator
         # equations have the reduced basis ``equations``.
-        key = (equations, depth)
-        total = subtree.get(key)
-        if total is not None:
-            return total
         last = depth + 1 == family.tuple_len
         if last and not shifts:
             # no unit constraint: every centralizer element counts
-            subtree[key] = total = p ** (n * n - len(equations))
-            return total
+            return p ** (n * n - len(equations))
         total = 0
         for x in _solutions(equations, n * n, p):
-            ok = accepted.get(x)
-            if ok is None:
-                accepted[x] = ok = family.matrix_ok(_as_matrix(x, n), p)
-            if not ok:
+            if not accepted(x):
                 continue
             if last:
                 total += 1
@@ -570,7 +541,6 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             for eq in _commutator_equations(_as_matrix(x, n), p):
                 grown = grow(grown, eq, p) or grown
             total += finish(grown, depth + 1)
-        subtree[key] = total
         return total
 
     try:

@@ -389,11 +389,14 @@ class TestCount:
         assert out == ""
         assert err == f"error: --budget must be a positive integer, got {budget}\n"
 
-    def test_bad_budget_env_is_an_error_for_count_only(self, capsys, monkeypatch):
-        monkeypatch.setenv("COMMVAR_BUDGET", "abc")
-        code, _, err = run(capsys, "count", "--family", "torus", "--n", "1", "--q", "2")
+    # int() reads all but "abc"; COMMVAR_BUDGET takes decimal digits only, as --budget
+    @pytest.mark.parametrize("raw", ["abc", "1_000", "+100", " 100"])
+    def test_bad_budget_env_is_an_error_for_count_only(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("COMMVAR_BUDGET", raw)
+        code, out, err = run(capsys, "count", "--family", "torus", "--n", "2", "--q", "2")
         assert code == 2
-        assert err.startswith("error: COMMVAR_BUDGET")
+        assert out == ""
+        assert err == f"error: COMMVAR_BUDGET must be an integer, got {raw!r}\n"
         code, out, _ = run(capsys, "poincare", "--variety", "torus", "-n", "2")
         assert code == 0
         assert out == "1 - u - u^3 + u^4\n"

@@ -1,5 +1,6 @@
 """Brute-force enumerator: exact counts, budget handling, cross-checks."""
 
+import functools
 import gc
 import os
 import random
@@ -409,9 +410,16 @@ class TestCountPoints:
         monkeypatch.setenv("COMMVAR_BUDGET", "10")
         with pytest.raises(BudgetExceededError):
             count_points(AffineSpace(1), 2, 2)
-        monkeypatch.setenv("COMMVAR_BUDGET", "zebra")
-        with pytest.raises(ValueError):
-            count_points(AffineSpace(1), 1, 2)
+        # decimal digits with an optional '-', as the CLI's int options:
+        # int() would read each of these
+        for raw in ("zebra", "1_000", "+100", " 100"):
+            monkeypatch.setenv("COMMVAR_BUDGET", raw)
+            with pytest.raises(ValueError, match="must be an integer"):
+                count_points(AffineSpace(1), 1, 2)
+        for raw in ("0", "-5"):
+            monkeypatch.setenv("COMMVAR_BUDGET", raw)
+            with pytest.raises(ValueError, match="must be positive"):
+                count_points(AffineSpace(1), 1, 2)
 
 
 class TestAgainstExhaustion:
@@ -474,30 +482,54 @@ class TestKernelMemo:
         assert len(grown) == len(set(grown))
 
     def test_one_shift_calls_grow_directly(self, monkeypatch):
-        # no (basis, row) pair recurs with one shift, so no memo is built
-        def refuse():
-            raise AssertionError("a one-shift count built a memo")
+        # no (basis, row) pair recurs with one shift, so only the walk
+        # over states is cached and ``_grow`` is not
+        wrapped = []
 
-        monkeypatch.setattr(oracle, "_memo_grow", refuse)
+        def guarded(maxsize):
+            def wrap(fn):
+                assert fn is not oracle._grow, "a one-shift count memoised _grow"
+                wrapped.append(fn.__name__)
+                return functools.lru_cache(maxsize=maxsize)(fn)
+
+            return wrap
+
+        monkeypatch.setattr(oracle, "lru_cache", guarded)
         count, calls = self.count_grow_calls(monkeypatch, Torus(1), 3, 3)
         assert count == gl_order(3, 3)
         assert len(calls) == 391
+        assert wrapped == ["walk"]
 
     @pytest.mark.parametrize(
         "family, n, p",
-        [(PuncturedLine((0, 1, 2)), 3, 3), (Torus(2), 3, 2), (Torus(1), 3, 3), (AffineSpace(2), 2, 3)],
+        [
+            (PuncturedLine((0, 1, 2)), 3, 3),
+            (Torus(2), 3, 2),
+            (Torus(1), 3, 3),
+            (AffineSpace(2), 2, 3),
+            (AffineSpace(1), 2, 3),
+        ],
         ids=repr,
     )
     def test_memos_are_freed_on_return(self, family, n, p):
         # every memo is reachable only from the count's own frame and
         # closures, so reference counting frees it when the count returns:
-        # no cycle is left for the collector, and nothing stays behind
+        # no cycle is left for the collector, and nothing stays behind.
+        # The collection also empties the free lists, which hold a few
+        # hundred KB after a count, before the traced memory is compared.
         enabled = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
-            count_points(family, n, p)
-            assert gc.collect() == 0
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                count_points(family, n, p)
+                assert gc.collect() == 0
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert after - before <= 1024
         finally:
             if enabled:
                 gc.enable()
