@@ -28,6 +28,10 @@ and the one integer long division, ``pseudo_divmod``, which
 ``Poly.__divmod__``, ``poly_gcd``, the cyclotomic polynomials and the
 coh cancellation in ``charmodel`` share.  No production path calls
 ``poly_gcd`` or ``Poly.__divmod__``; the tests use them as oracles.
+This bottom layer imports no other commvar module, and it holds what
+the formula side and the enumerator (``oracle``) share: ``Frozen``, the
+base of every immutable value, and ``is_prime``, ``prime_power_base``
+and ``gl_order``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,41 @@ from math import comb, gcd as _igcd, lcm as _ilcm
 
 class PoleError(ZeroDivisionError):
     """A power series expansion where the denominator vanishes at 0."""
+
+
+class Frozen:
+    """Base of a small immutable value with its fields in ``__slots__``.
+
+    ``==``, ``hash`` and ``repr`` run over the fields in slot order, and
+    an instance equals only an instance of its own class; a subclass may
+    define its own.  ``__init__`` takes the fields in slot order and a
+    subclass's own passes them on (``Poly``'s hot path sets its slots
+    directly).  Assigning to a field raises "<Class> is immutable".
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def ratio(c) -> tuple[int, int]:
@@ -61,7 +100,7 @@ def ratio(c) -> tuple[int, int]:
     return n, d
 
 
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial with rational coefficients.
 
     The coefficient of x^k is ``num[k] / den``: ``num`` is a tuple of
@@ -87,9 +126,6 @@ class Poly:
         num, den = _normal(num, den)
         _set_num(self, num)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -411,7 +447,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly.from_ints(A, A[-1])
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Rational function in one variable: a pair ``num / den`` of Polys.
 
     The only invariant is a nonzero ``den``; the pair is not reduced.
@@ -430,11 +466,7 @@ class RatFunc:
         den = to_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
+        super().__init__(num, den)
 
     # -- queries --------------------------------------------------------
 
@@ -670,7 +702,7 @@ def cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-class TSeries:
+class TSeries(Frozen):
     """Power series in the counting variable t, truncated at a fixed order.
 
     Coefficients are polynomials in the grading variable, coerced by
@@ -683,10 +715,7 @@ class TSeries:
         cs = tuple(to_poly(c) for c in coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least the t^0 term")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TSeries is immutable")
+        super().__init__(cs)
 
     def __eq__(self, other):
         if isinstance(other, TSeries):
@@ -697,3 +726,82 @@ class TSeries:
         a, b = self.coeffs, other.coeffs
         n = min(len(a), len(b))
         return TSeries(sum((a[i] * b[k - i] for i in range(k + 1)), Poly()) for k in range(n))
+
+
+# -- prime fields ----------------------------------------------------------
+
+# Miller-Rabin on the prime bases up to 41 decides primality exactly
+# below this bound, the least strong pseudoprime to all of those bases
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises for a probable prime at or above
+    ``PRIMALITY_BOUND``, where the test no longer decides."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: Miller-Rabin on the prime "
+            f"bases up to 41 is exact only below {PRIMALITY_BOUND}"
+        )
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power_base(q: int) -> tuple[int, int]:
+    """Decompose q = p**k with p prime; raises for non prime powers.
+
+    k is the largest exponent, at most log2(q), for which q is a perfect
+    k-th power; q is a prime power exactly when that root is prime.
+    """
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    for k in range(q.bit_length() - 1, 0, -1):
+        root = _iroot(q, k)
+        if root**k == q:
+            break
+    if not is_prime(root):
+        raise ValueError(f"{q} is not a prime power")
+    return root, k
+
+
+def gl_order(n: int, q: int) -> int:
+    """Order of the general linear group of rank n over a field with q elements."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    prime_power_base(q)
+    qn = q**n
+    out = 1
+    for i in range(n):
+        out *= qn - q**i
+    return out

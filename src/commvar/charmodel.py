@@ -28,16 +28,17 @@ from __future__ import annotations
 from math import factorial, lcm
 
 from .arith import (
+    Frozen,
     Poly,
     RatFunc,
     add_product,
     cyclotomic_coeffs,
     euler_factor,
     pochhammer_ints,
+    prime_power_base,
     pseudo_divmod,
     ratio,
 )
-from .oracle import Frozen, prime_power_base
 from .partitions import Partition, partitions_of
 from .symfunc import SymFunc, q_pochhammer
 
@@ -150,9 +151,7 @@ class Stratum(Frozen):
         # an int or a Fraction-like eigenvalue becomes a constant Poly
         if not isinstance(eig, (Poly, QPower)):
             eig = Poly.constant(eig)
-        object.__setattr__(self, "deg", deg)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "eig", eig)
+        super().__init__(deg, dim, eig)
 
 
 def _eig_sort_key(eig: Poly | QPower):
@@ -290,14 +289,34 @@ def parse_descriptor(obj, source: str = "<descriptor>") -> GradedSpace:
 
 
 def load_descriptor(path: str) -> GradedSpace:
+    """The descriptor in the JSON file ``path``; every failure to read it,
+    a repeated key included, is a ``DescriptorError`` that names the file."""
     import json  # only a descriptor file needs it, not a builtin variety
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    def unique_keys(pairs: list) -> dict:
+        # json.loads would keep the last of two equal keys
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DescriptorError(f"{path}: repeated field {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.loads(fh.read(), object_pairs_hook=unique_keys)
+    except DescriptorError:
+        raise
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise DescriptorError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:
+        # an int past sys.get_int_max_str_digits(); the advice after ';'
+        # names an interpreter setting, not the file
+        raise DescriptorError(f"{path}: {str(exc).partition(';')[0]}") from None
     return parse_descriptor(obj, source=path)
 
 

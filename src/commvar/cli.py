@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .arith import Poly, RatFunc
+from .arith import Poly, RatFunc, prime_power_base
 from .charmodel import (
     SPACES,
     character_digits,
@@ -26,7 +26,7 @@ from .oracle import (
     BudgetExceededError,
     PuncturedLine,
     count_points,
-    prime_power_base,
+    family_for,
 )
 from .partitions import Partition, partitions_of
 from .series import (
@@ -39,7 +39,7 @@ from .series import (
     weil_zeta_from_eigendata,
 )
 from .symfunc import render_basis
-from .varieties import BUILTIN_NAMES, family_for, is_curve_name, resolve_variety
+from .varieties import BUILTIN_NAMES, is_curve_name, resolve_variety
 from .verify import POINT_COUNT_FIELDS, SUITES, run_suite
 
 
@@ -284,9 +284,11 @@ def _cmd_series(args) -> int:
     _check_variety_options(args)
     space = _resolve_space(args)
     t_order = 5 if args.t_order is None else args.t_order
+    # every row is rendered before any is printed, so a row that cannot
+    # be printed leaves stdout empty
     if args.kind == "betti":
-        for n, coeff in enumerate(betti_zeta(space, t_order)):
-            print(f"t^{n}: {coeff.render()}")
+        rows = [f"t^{n}: {coeff.render()}" for n, coeff in enumerate(betti_zeta(space, t_order))]
+        print("\n".join(rows))
         return 0
     if args.kind == "coh":
         u_order = 20 if args.u_order is None else args.u_order
@@ -294,10 +296,12 @@ def _cmd_series(args) -> int:
     if args.kind == "stable":
         u_order = 10 if args.u_order is None else args.u_order
         report = stable_betti_verified(space, u_order)
-        print(f"stable: {report.stable.render()}")
-        print(f"rank {report.n}: {report.at_n.render()}")
-        print(f"rank {report.n + 1}: {report.at_next.render()}")
-        print(f"verdict: {'equal' if report.ok else 'mismatch'}")
+        print(
+            f"stable: {report.stable.render()}\n"
+            f"rank {report.n}: {report.at_n.render()}\n"
+            f"rank {report.n + 1}: {report.at_next.render()}\n"
+            f"verdict: {'equal' if report.ok else 'mismatch'}"
+        )
         return 0 if report.ok else 1
     if args.q is None:
         raise ValueError(f"series {args.kind}: -q is required")

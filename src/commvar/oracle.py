@@ -27,9 +27,9 @@ cache outlives a count.  The two recursive walks, ``walk`` and ``finish``,
 refer to themselves through their closure cells, so each is deleted
 on return: that breaks the cycle, and reference counting frees the
 memos at once rather than at the next garbage collection.
-Nothing here knows about symmetric functions, and no other commvar
-module is imported; ``verify.cross_check`` compares the counts with the
-formula routes.
+Nothing here knows about symmetric functions; from commvar it imports
+only ``Frozen`` and ``is_prime`` (``arith``), and ``verify.cross_check``
+compares the counts with the formula routes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import os
 from functools import lru_cache
 from itertools import product
 from collections.abc import Callable, Iterator, Sequence
+
+from .arith import Frozen, is_prime
 
 DEFAULT_BUDGET = 2**28
 BUDGET_ENV_VAR = "COMMVAR_BUDGET"
@@ -62,118 +64,7 @@ def default_budget() -> int:
     return value
 
 
-# Miller-Rabin on the prime bases up to 41 decides primality exactly
-# below this bound, the least strong pseudoprime to all of those bases
-# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86 (2017)).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises for a probable prime at or above
-    ``PRIMALITY_BOUND``, where the test no longer decides."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= PRIMALITY_BOUND:
-        raise ValueError(
-            f"cannot decide whether {n} is prime: Miller-Rabin on the prime "
-            f"bases up to 41 is exact only below {PRIMALITY_BOUND}"
-        )
-    return True
-
-
-def _iroot(q: int, k: int) -> int:
-    """floor(q ** (1/k)) for q >= 1, by Newton's method from above."""
-    x = 1 << -(-q.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + q // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def prime_power_base(q: int) -> tuple[int, int]:
-    """Decompose q = p**k with p prime; raises for non prime powers.
-
-    k is the largest exponent, at most log2(q), for which q is a perfect
-    k-th power; q is a prime power exactly when that root is prime.
-    """
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for k in range(q.bit_length() - 1, 0, -1):
-        root = _iroot(q, k)
-        if root**k == q:
-            break
-    if not is_prime(root):
-        raise ValueError(f"{q} is not a prime power")
-    return root, k
-
-
-def gl_order(n: int, q: int) -> int:
-    """Order of the general linear group of rank n over a field with q elements."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    prime_power_base(q)
-    qn = q**n
-    out = 1
-    for i in range(n):
-        out *= qn - q**i
-    return out
-
-
 # -- variety families ---------------------------------------------------
-
-
-class Frozen:
-    """Base of a small immutable value with its fields in ``__slots__``.
-
-    ``==``, ``hash`` and ``repr`` run over the fields in slot order, and
-    an instance equals only an instance of its own class.  The default
-    ``__init__`` takes the fields in slot order; a subclass's own sets
-    them with ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class VarietyFamily(Frozen):
@@ -230,7 +121,7 @@ class AffineSpace(VarietyFamily):
     def __init__(self, dim: int = 1):
         if dim < 1:
             raise ValueError("affine dimension must be >= 1")
-        object.__setattr__(self, "dim", dim)
+        super().__init__(dim)
 
     def describe(self) -> str:
         return f"affine space of dimension {self.dim}"
@@ -247,7 +138,7 @@ class Torus(VarietyFamily):
     def __init__(self, dim: int = 1):
         if dim < 1:
             raise ValueError("torus dimension must be >= 1")
-        object.__setattr__(self, "dim", dim)
+        super().__init__(dim)
 
     def describe(self) -> str:
         return f"torus of dimension {self.dim}"
@@ -264,10 +155,20 @@ class PuncturedLine(VarietyFamily):
     def __init__(self, avoided: tuple[int, ...] = (0, 1)):
         if len(set(avoided)) != len(avoided):
             raise ValueError("avoided values must be distinct")
-        object.__setattr__(self, "avoided", avoided)
+        super().__init__(avoided)
 
     def describe(self) -> str:
         return "affine line avoiding " + ",".join(str(a) for a in self.avoided)
+
+
+def family_for(name: str, dim: int = 1, avoided: tuple[int, ...] = (0, 1)) -> VarietyFamily:
+    if name == "affine":
+        return AffineSpace(dim)
+    if name == "torus":
+        return Torus(dim)
+    if name == "punctured":
+        return PuncturedLine(tuple(avoided))
+    raise ValueError(f"no enumerable family for {name!r}")
 
 
 # -- matrix arithmetic mod p ----------------------------------------------

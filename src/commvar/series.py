@@ -36,9 +36,8 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .arith import Poly, RatFunc, euler_factor, euler_rows, ratio
+from .arith import Frozen, Poly, RatFunc, euler_factor, euler_rows, gl_order, prime_power_base, ratio
 from .charmodel import GradedSpace, point_counts, rank_numerators
-from .oracle import Frozen, gl_order, prime_power_base
 
 
 class SeriesReport(Frozen):

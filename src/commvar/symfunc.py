@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .arith import Poly, RatFunc, add_product, pochhammer_ints, to_poly
+from .arith import Frozen, Poly, RatFunc, add_product, pochhammer_ints, to_poly
 from .partitions import Partition, partitions_of
 
 
@@ -126,7 +126,7 @@ def _concat(a: Partition, b: Partition) -> Partition:
     return Partition(sorted(a + b, reverse=True))
 
 
-class SymFunc:
+class SymFunc(Frozen):
     """Homogeneous symmetric function of a fixed degree, in the p-basis.
 
     ``terms`` maps partitions of ``degree`` to polynomial (Poly)
@@ -147,11 +147,7 @@ class SymFunc:
             value = to_poly(value)
             if value:
                 clean[key] = value
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFunc is immutable")
+        super().__init__(degree, clean)
 
     # -- constructors ----------------------------------------------------
 

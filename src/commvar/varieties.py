@@ -14,7 +14,7 @@ import os
 from math import comb
 
 from .charmodel import MAX_DEG, GradedSpace, QPower, Stratum, load_descriptor
-from .oracle import AffineSpace, PuncturedLine, Torus, VarietyFamily
+from .oracle import VarietyFamily, family_for
 
 BUILTIN_NAMES = ("point", "affine", "torus", "punctured", "p1")
 
@@ -41,16 +41,6 @@ def resolve_variety(name_or_path: str, dim: int = 1, avoided: tuple[int, ...] = 
     raise ValueError(
         f"{name_or_path!r} is neither a builtin variety {BUILTIN_NAMES} nor a descriptor file"
     )
-
-
-def family_for(name: str, dim: int = 1, avoided: tuple[int, ...] = (0, 1)) -> VarietyFamily:
-    if name == "affine":
-        return AffineSpace(dim)
-    if name == "torus":
-        return Torus(dim)
-    if name == "punctured":
-        return PuncturedLine(tuple(avoided))
-    raise ValueError(f"no enumerable family for {name!r}")
 
 
 def eigendata_for_family(family: VarietyFamily) -> GradedSpace:

@@ -12,7 +12,7 @@ import random
 from math import factorial
 from operator import mul
 
-from .arith import Poly, euler_factor, pochhammer_ints
+from .arith import Frozen, Poly, euler_factor, gl_order, pochhammer_ints
 from .charmodel import (
     GradedSpace,
     Stratum,
@@ -22,7 +22,7 @@ from .charmodel import (
     flag_schur_coefficient,
     poincare,
 )
-from .oracle import AffineSpace, Frozen, PuncturedLine, Torus, VarietyFamily, count_points, gl_order
+from .oracle import AffineSpace, PuncturedLine, Torus, VarietyFamily, count_points
 from .partitions import partitions_of
 from .series import betti_zeta, coh_series, groupoid_series, stable_betti_verified
 from .symfunc import SymFunc, character_table

@@ -19,6 +19,7 @@ from commvar.arith import (
     poly_gcd,
     pseudo_divmod,
 )
+from commvar.symfunc import SymFunc
 from series_oracle import binomial_factor, cut, one_minus_power, one_minus_x_coeffs, scale_t
 
 U = Poly.monomial(1)
@@ -769,3 +770,23 @@ class TestPolyNormalForm:
                 U + other
         assert U * F(1, 2) == Poly.from_ints([0, 1], 2) == RatFunc(U) * F(1, 2)
         assert RatFunc(Poly([F(1, 2)])) == F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (Poly([1, 2]), "num"),
+        (RatFunc(1, Poly([1, 1])), "den"),
+        (TSeries([1, 2]), "coeffs"),
+        (SymFunc(1, {(1,): 1}), "terms"),
+    ],
+    ids=["Poly", "RatFunc", "TSeries", "SymFunc"],
+)
+def test_values_are_frozen(value, field):
+    # Frozen's __setattr__ is the one refusal; no value class writes its own
+    cls = type(value)
+    assert issubclass(cls, arith.Frozen) and "__setattr__" not in vars(cls)
+    before = getattr(value, field)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(value, field, before)
+    assert getattr(value, field) is before

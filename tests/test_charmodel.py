@@ -959,6 +959,12 @@ class TestDescriptors:
             with pytest.raises(ValueError, match=rf"^cannot parse eigenvalue {re.escape(repr(text))}$"):
                 parse_eigenvalue(text)
 
+    def test_a_repeated_key_is_rejected(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"strata": [{"deg": 0, "dim": 2, "dim": 3}]}')
+        with pytest.raises(DescriptorError, match=f"^{re.escape(str(path))}: repeated field 'dim'$"):
+            load_descriptor(str(path))
+
     @pytest.mark.parametrize("value", [True, False])
     def test_booleans_are_not_eigenvalues(self, value):
         # bool is a subclass of int; deg and dim reject it too

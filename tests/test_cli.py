@@ -456,9 +456,9 @@ def independent_output(argv):
     if argv[0] == "series":
         # C_k(torus)(F_3) / GL_k(F_3), and 1 at k = 0, on both sides of
         # the groupoid report
-        family = varieties.family_for("torus")
+        family = oracle.family_for("torus")
         counts = [oracle.count_points(family, k, 3) for k in (1, 2, 3)]
-        values = [1] + [F(c, oracle.gl_order(k, 3)) for k, c in enumerate(counts, 1)]
+        values = [1] + [F(c, arith.gl_order(k, 3)) for k, c in enumerate(counts, 1)]
         return "".join(f"t^{k}: {v} | {v}\n" for k, v in enumerate(values)) + "verdict: equal\n"
     space, n = argv[argv.index("--space") + 1], int(argv[-1])
     qpoch = q_pochhammer(n, power=2)
@@ -638,6 +638,49 @@ class TestErrorsAndDeterminism:
         code, out, err = run(capsys, "series", "zeta", "--variety", str(path), "-q", "3")
         assert (code, out, err) == (2, "", f"error: {path}: strata[0]: {message}\n")
 
+    def test_a_directory_is_not_a_descriptor(self, capsys, tmp_path):
+        code, out, err = run(capsys, "poincare", "--variety", str(tmp_path), "-n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {tmp_path}: cannot read: ") and err.count("\n") == 1
+
+    def test_a_descriptor_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"strata": [{"deg": 0}], "name": "\xff"}')
+        code, out, err = run(capsys, "poincare", "--variety", str(path), "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 34\n"
+
+    @pytest.mark.parametrize("field", ["deg", "dim", "eigenvalue"])
+    def test_an_integer_past_the_digit_limit_names_the_file(self, capsys, tmp_path, field):
+        # json.loads stops at int()'s digit limit, before any field is read
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("needs an int-to-str digit limit")
+        stratum = {"deg": 0, field: "BIG"}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"strata": [stratum]}).replace('"BIG"', "1" + "0" * limit))
+        code, out, err = run(capsys, "poincare", "--variety", str(path), "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: Exceeds the limit ({limit} digits) for integer string "
+            f"conversion: value has {limit + 1} digits\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"strata": [{"deg": 0, "deg": 1}]}', "deg"),
+            ('{"strata": [{"deg": 0}], "strata": [{"deg": 1}]}', "strata"),
+        ],
+        ids=["stratum", "top-level"],
+    )
+    def test_a_repeated_key_is_rejected(self, capsys, tmp_path, text, key):
+        # json.loads would keep the last value: deg 1, and poincare printed u^4
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "poincare", "--variety", str(path), "-n", "2")
+        assert (code, out, err) == (2, "", f"error: {path}: repeated field {key!r}\n")
+
     def test_byte_identical_reruns(self, capsys):
         outputs = []
         for _ in range(2):
@@ -765,6 +808,27 @@ class TestDescriptorBounds:
         code, out, err = run(capsys, "char", "--variety", str(path), "-n", "5")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: char: -n 5 and --variety {path} give numbers of up to ")
+
+    @pytest.mark.parametrize(
+        "argv, strata",
+        [
+            (["series", "betti", "--t-order", "2"], [{"deg": 0, "dim": 10**3000}]),
+            (["series", "stable", "--u-order", "3"], [{"deg": 0}, {"deg": 1, "dim": 10**1450}]),
+        ],
+        ids=["betti", "stable"],
+    )
+    def test_a_row_past_the_digit_limit_prints_no_row(self, capsys, tmp_path, argv, strata):
+        # betti: the t^2 row holds (10^3000)^2, 6001 digits, and the t^0
+        # and t^1 rows used to be written before the error.  stable: each
+        # of its three polynomials reaches about 4350 digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or limit >= 4350:
+            pytest.skip("needs an int-to-str digit limit below 4350")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"strata": strata}))
+        code, out, err = run(capsys, *argv, "--variety", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
 
     def test_torus_zeta_below_the_digit_limit_prints(self, capsys):
         # Numerator and denominator each reach about q^512 at q = 1000003,

@@ -70,8 +70,57 @@ def test_detects_commvar_imports():
     assert commvar_imports("from functools import lru_cache\n") == []
 
 
-def test_oracle_is_a_leaf():
-    assert commvar_imports((SRC / "oracle.py").read_text(encoding="utf-8")) == []
+# The commvar modules each module imports.  The formula side (charmodel,
+# series) reaches neither the enumerator (oracle) nor the resolver that
+# builds its families (varieties), and the enumerator reaches only the
+# bottom layer, so each route checks the other from its own code.
+IMPORTS = {
+    "__init__": set(),
+    "arith": set(),
+    "partitions": set(),
+    "symfunc": {"arith", "partitions"},
+    "charmodel": {"arith", "partitions", "symfunc"},
+    "series": {"arith", "charmodel"},
+    "oracle": {"arith"},
+    "varieties": {"charmodel", "oracle"},
+    "verify": {"arith", "charmodel", "oracle", "partitions", "series", "symfunc", "varieties"},
+    "cli": {"arith", "charmodel", "oracle", "partitions", "series", "symfunc", "varieties", "verify"},
+}
+
+
+def imported_modules(path: Path) -> set[str]:
+    return {name.lstrip(".").removeprefix("commvar.") for name in commvar_imports(path.read_text(encoding="utf-8"))}
+
+
+def closure(module: str) -> set[str]:
+    """``module`` and every commvar module it reaches through ``IMPORTS``."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += IMPORTS[name]
+    return seen
+
+
+def test_import_table_lists_every_module():
+    assert set(IMPORTS) == {path.stem for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_match_the_table(path):
+    assert imported_modules(path) == IMPORTS[path.stem]
+
+
+def test_oracle_takes_only_frozen_and_is_prime_from_arith():
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "commvar")
+        for alias in node.names
+    ]
+    assert names == ["Frozen", "is_prime"]
 
 
 def fraction_importers(source: str, module: str) -> list[str]:
@@ -137,8 +186,12 @@ def test_package_root_loads_no_submodule():
     assert loaded_submodules("commvar") == []
 
 
-def test_oracle_loads_no_other_submodule():
-    assert loaded_submodules("commvar.oracle") == ["commvar.oracle"]
+@pytest.mark.parametrize("module", ["oracle", "charmodel", "series"])
+def test_a_fresh_import_loads_what_the_table_reaches(module):
+    loaded = loaded_submodules(f"commvar.{module}")
+    assert loaded == sorted(f"commvar.{name}" for name in closure(module))
+    if module != "oracle":
+        assert not {"commvar.oracle", "commvar.varieties"} & set(loaded)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():

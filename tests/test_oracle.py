@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from commvar import oracle
+from commvar.arith import gl_order, is_prime, prime_power_base
 from commvar.charmodel import point_counts
 from commvar.oracle import (
     DEFAULT_BUDGET,
@@ -30,9 +31,6 @@ from commvar.oracle import (
     commute,
     count_points,
     det_mod,
-    gl_order,
-    is_prime,
-    prime_power_base,
     search_space_size,
 )
 from commvar.varieties import eigendata_for_family
@@ -318,7 +316,7 @@ class TestNumberTheory:
         # 3317044064679887385961981 to every prime base up to 41
         script = "\n".join(
             [
-                "from commvar.oracle import is_prime, prime_power_base",
+                "from commvar.arith import is_prime, prime_power_base",
                 "print(prime_power_base((10**9 + 7) ** 2))",
                 "print(prime_power_base(10**18 + 3))",
                 "print(is_prime((10**9 + 7) * (10**9 + 9)))",

@@ -9,7 +9,7 @@ import pytest
 
 from commvar.arith import Poly, RatFunc, TSeries, poly_gcd
 from commvar.charmodel import GradedSpace, QPower, Stratum, parse_descriptor, poincare
-from commvar.oracle import gl_order
+from commvar.arith import gl_order
 from commvar.series import (
     SeriesReport,
     _zeta_exponents,
