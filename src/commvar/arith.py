@@ -18,16 +18,16 @@ their normal form, rational functions by a * d == c * b.
 The integer-vector kernel of the layers above lives here too: an int
 list times one Euler factor (1 - x^a)^e for any int e
 (``euler_factor``), exact with a remainder check or cut modulo
-x^(M+1); a scaled product of two int lists added in place
-(``add_product``); the rows in x of a product of factors
-(1 - x^a t)^e, one row per power of t, each factor in one pass of its
-binomial terms (``euler_rows``), on which the Betti zeta and the coh
-product run; the cached Pochhammer (x^p; x^p)_n and its exact
-cofactors (``pochhammer_ints``); the cyclotomic polynomials;
-and the one integer long division, ``pseudo_divmod``, which
-``Poly.__divmod__``, ``poly_gcd``, the cyclotomic polynomials and the
-coh cancellation in ``charmodel`` share.  No production path calls
-``poly_gcd`` or ``Poly.__divmod__``; the tests use them as oracles.
+x^(M+1); the one accumulate step acc += scale * sum c x^d v, cut at
+x^M (``add_product``), of the rank recurrence, the character sums and
+``euler_rows``: the rows in x of a product of factors (1 - x^a t)^e,
+one per power of t, each factor one pass of its binomial terms, on
+which the Betti zeta and the coh product run; the cached Pochhammer
+(x^p; x^p)_n and its exact cofactors (``pochhammer_ints``); the
+cyclotomic polynomials; and the one integer long division,
+``pseudo_divmod``, of ``Poly.__divmod__``, ``poly_gcd``, the cyclotomic
+polynomials and the coh cancellation in ``charmodel``.  No production
+path calls ``poly_gcd`` or ``Poly.__divmod__``: they are test oracles.
 This bottom layer imports no other commvar module, and it holds what
 the formula side and the enumerator (``oracle``) share: ``Frozen``, the
 base of every immutable value, and ``is_prime``, ``prime_power_base``
@@ -639,16 +639,20 @@ def pochhammer_ints(n: int, power: int, parts: tuple[int, ...] = ()) -> tuple[in
     return tuple(v)
 
 
-def add_product(acc: list[int], a, scale: int, b) -> None:
-    """acc += scale * a * b for int vectors a and b, lengthening acc as needed."""
-    width = len(b)
-    need = len(a) + width - 1
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for i, c in enumerate(a):
-        if c:
+def add_product(acc: list[int], terms, v, scale: int = 1, top: int | None = None) -> None:
+    """acc += scale * sum c x^d v over the int terms (d, c), in any order.
+
+    A dense vector a is ``enumerate(a)``; c == 0 is skipped, acc is
+    lengthened as needed, and with top = M entries past x^M are dropped.
+    """
+    width = len(v)
+    for d, c in terms:
+        end = d + width if top is None else min(d + width, top + 1)
+        if c and end > d:
+            if len(acc) < end:
+                acc.extend([0] * (end - len(acc)))
             f = c * scale
-            acc[i : i + width] = [s + f * y for s, y in zip(acc[i : i + width], b)]
+            acc[d:end] = [s + f * y for s, y in zip(acc[d:end], v)]
 
 
 def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]:
@@ -658,9 +662,9 @@ def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]
     of t^k.  Each factor is the binomial pass of ``euler_factor`` with
     rows for entries: its term c_j x^(a j) t^j adds (e > 0, top row
     down) or subtracts (e < 0, bottom row up) c_j times row k - j,
-    shifted by a j, to row k, so row k takes min(k, |e|) updates.  With
-    top = M every row is cut modulo x^(M+1), so a factor with a > M is 1
-    and is skipped.
+    shifted by a j, to row k, one ``add_product`` term, so row k takes
+    min(k, |e|) of them.  With top = M every row is cut modulo x^(M+1),
+    so a factor with a > M is 1 and is skipped.
     """
     if t_order < 0:
         raise ValueError(f"t order must be >= 0, got {t_order}")
@@ -673,15 +677,8 @@ def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]
         sign = 1 if e > 0 else -1
         coeffs = [sign * (-1) ** j * comb(abs(e), j) for j in range(1, min(abs(e), t_order) + 1)]
         for k in range(t_order, 0, -1) if e > 0 else range(1, t_order + 1):
-            row = rows[k]
             for j, c in enumerate(coeffs[:k], 1):
-                prev, shift = rows[k - j], a * j
-                end = shift + len(prev) if top is None else min(shift + len(prev), top + 1)
-                if end <= shift:
-                    continue
-                if len(row) < end:
-                    row.extend([0] * (end - len(row)))
-                row[shift:end] = [s + c * b for s, b in zip(row[shift:end], prev)]
+                add_product(rows[k], ((a * j, c),), rows[k - j], 1, top)
     return rows
 
 

@@ -441,7 +441,7 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
             scale = factorial(n - 1) // factorial(n - i)
             for mu, v in levels[n - i].items():
                 key = parts[tuple(sorted((*mu, i), reverse=True))]
-                add_product(acc.setdefault(key, []), a, scale, v)
+                add_product(acc.setdefault(key, []), enumerate(a), v, scale)
         levels.append(acc)
         den = factorial(n) * L**n
         series.append(SymFunc(n, {mu: Poly.from_ints(v, den) for mu, v in acc.items()}))
@@ -520,8 +520,8 @@ def _rank_recurrence(
     E_(n,k) N_(n-k) is R_(n-k) / (1 - x^k) for the running products
     R_m = N_m prod_(j=m+1..n) (1 - x^j): at each n every R_m takes one
     more factor and each term is one division, ``arith.euler_factor``
-    at e = 1 and at e = -1, so a pass makes O(N^2) vector passes and no
-    partition is enumerated.  Both divisions raise ValueError on a
+    at e = 1 and at e = -1, and one ``arith.add_product`` of w_k's terms,
+    so a pass makes O(N^2) vector passes and no partition is enumerated.  Both divisions raise ValueError on a
     remainder.  With ``top = M`` every vector is cut modulo u^(M+1), so the
     first division is a power-series quotient; the division by n is
     still checked.  Trailing zeros are stripped, so a zero polynomial is
@@ -539,16 +539,8 @@ def _rank_recurrence(
         acc: list[int] = []
         for k in range(1, n + 1):
             v = runs[n - k]
-            if not v:
-                continue
-            v = euler_factor(v, step * k, -1, top)
-            for d, c in weights[k - 1]:
-                end = d + len(v) if top is None else min(d + len(v), top + 1)
-                if end <= d:
-                    break
-                if len(acc) < end:
-                    acc.extend([0] * (end - len(acc)))
-                acc[d:end] = [s + c * b for s, b in zip(acc[d:end], v)]
+            if v:
+                add_product(acc, weights[k - 1], euler_factor(v, step * k, -1, top), 1, top)
         if any(a % n for a in acc):
             raise ValueError(f"rank {n}: division by {n} left a remainder")
         acc = [a // n for a in acc]

@@ -197,7 +197,7 @@ class SymFunc(Frozen):
         acc: list[int] = []
         for lam, a, b in pairs:
             scale = lam.centralizer_order() * (denom // (a.den * b.den))
-            add_product(acc, a.num, scale, b.num)
+            add_product(acc, enumerate(a.num), b.num, scale)
         return Poly.from_ints(acc, denom)
 
     def to_schur(self) -> dict[Partition, Poly]:
@@ -249,7 +249,7 @@ class SymFunc(Frozen):
         denom = lcm(*(coeff.den for coeff in self.terms.values()))
         acc: list[int] = []
         for lam, coeff in self.terms.items():
-            add_product(acc, coeff.num, denom // coeff.den, pochhammer_ints(n, power, lam))
+            add_product(acc, enumerate(coeff.num), pochhammer_ints(n, power, lam), denom // coeff.den)
         return Poly.from_ints(acc, denom)
 
     def principal_spec(self, power: int = 1) -> RatFunc:
