@@ -246,7 +246,26 @@ _DESCRIPTOR_FIELDS = frozenset(("name", "strata"))
 _STRATUM_FIELDS = frozenset(("deg", "dim", "eigenvalue"))
 
 
+class _JSONObject(dict):
+    """A JSON object read by ``load_descriptor``, which marks its first
+    repeated key: json.loads would keep the last of two equal keys."""
+
+    repeated = None
+
+
+def _json_object(pairs: list) -> _JSONObject:
+    obj = _JSONObject()
+    for key, value in pairs:
+        if key in obj and obj.repeated is None:
+            obj.repeated = key
+        obj[key] = value
+    return obj
+
+
 def _check_fields(obj: dict, fields: frozenset, where: str) -> None:
+    repeated = getattr(obj, "repeated", None)
+    if repeated is not None:
+        raise DescriptorError(f"{where}: repeated field {repeated!r}")
     # a misspelt key would otherwise leave its field at the default
     if not obj.keys() <= fields:
         key = next(k for k in obj if k not in fields)
@@ -293,20 +312,9 @@ def load_descriptor(path: str) -> GradedSpace:
     a repeated key included, is a ``DescriptorError`` that names the file."""
     import json  # only a descriptor file needs it, not a builtin variety
 
-    def unique_keys(pairs: list) -> dict:
-        # json.loads would keep the last of two equal keys
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise DescriptorError(f"{path}: repeated field {key!r}")
-            obj[key] = value
-        return obj
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.loads(fh.read(), object_pairs_hook=unique_keys)
-    except DescriptorError:
-        raise
+            obj = json.loads(fh.read(), object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
@@ -520,12 +528,13 @@ def _rank_recurrence(
     E_(n,k) N_(n-k) is R_(n-k) / (1 - x^k) for the running products
     R_m = N_m prod_(j=m+1..n) (1 - x^j): at each n every R_m takes one
     more factor and each term is one division, ``arith.euler_factor``
-    at e = 1 and at e = -1, and one ``arith.add_product`` of w_k's terms,
-    so a pass makes O(N^2) vector passes and no partition is enumerated.  Both divisions raise ValueError on a
-    remainder.  With ``top = M`` every vector is cut modulo u^(M+1), so the
-    first division is a power-series quotient; the division by n is
-    still checked.  Trailing zeros are stripped, so a zero polynomial is
-    the empty list.  ``rank_numerators`` runs at step 2 (x = u^2);
+    at e = 1 and at e = -1, then one ``arith.add_product`` of w_k's
+    terms, so a pass makes O(N^2) vector passes and enumerates no
+    partition.  Both divisions raise ValueError on a remainder.  With
+    ``top = M`` every vector is cut modulo u^(M+1), so the first
+    division is a power-series quotient; the division by n is still
+    checked.  Trailing zeros are stripped, so a zero polynomial is the
+    empty list.  ``rank_numerators`` runs at step 2 (x = u^2);
     ``point_counts``, whose weights are constants, at step 1 (x = u), so
     its vectors carry no zero at the odd degrees.
     """

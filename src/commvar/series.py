@@ -255,10 +255,13 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     ``arith.euler_factor`` pass over one int vector cut at M = u_order.
     """
     betti = space.betti()
-    if betti.get(0, 0) != 1:
-        raise ValueError(
-            f"stabilization needs connected input (b_0 = 1), got b_0 = {betti.get(0, 0)}"
-        )
+    b0 = betti.get(0, 0)
+    if b0 != 1:
+        # a long b_0 is sized from its bits: printing it whole would make a
+        # line of any length, or fail past the int-to-str digit limit
+        digits = b0.bit_length() * 30103 // 100000 + 1
+        got = f"= {b0}" if b0 < 10**20 else f"of about {digits} digits"
+        raise ValueError(f"stabilization needs connected input (b_0 = 1), got b_0 {got}")
     if u_order < 0:
         raise ValueError("u order must be >= 0")
     M = u_order

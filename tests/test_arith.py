@@ -6,12 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from commvar import arith
+from commvar import arith, charmodel
 from commvar.arith import (
     PoleError,
     Poly,
     RatFunc,
     TSeries,
+    add_product,
     cyclotomic_coeffs,
     euler_factor,
     euler_rows,
@@ -20,6 +21,7 @@ from commvar.arith import (
     pseudo_divmod,
 )
 from commvar.symfunc import SymFunc
+from commvar.varieties import builtin_space
 from series_oracle import binomial_factor, cut, one_minus_power, one_minus_x_coeffs, scale_t
 
 U = Poly.monomial(1)
@@ -170,6 +172,66 @@ class TestTSeries:
         assert all(isinstance(c, Poly) for c in s.coeffs)
         with pytest.raises(ValueError, match="not a polynomial"):
             TSeries([RatFunc(1, ONE - U)])
+
+
+class TestAddProduct:
+    """The one int accumulate kernel against ``Poly`` sums of products, and
+    the counts of its calls from the rank recurrence and the Euler rows."""
+
+    def test_against_poly_products(self):
+        rng = random.Random(3232)
+        for _ in range(400):
+            acc = [rng.randint(-4, 4) for _ in range(rng.randint(0, 9))]
+            v = [rng.randint(-4, 4) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.5:  # dense, with zeros
+                terms = list(enumerate(rng.randint(-2, 2) for _ in range(rng.randint(0, 5))))
+            else:  # sparse: unordered, with repeated d and c == 0
+                terms = [(rng.randint(0, 8), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+            scale = rng.choice([1, -1, 6])
+            top = rng.choice([None, 0, 3, 7, 30])
+            product = sum((Poly.monomial(d, c) for d, c in terms), Poly()) * Poly.from_ints(v)
+            if top is not None:
+                product = cut(product, top)
+            out = list(acc)
+            add_product(out, iter(terms), v, scale, top)
+            assert all(type(c) is int for c in out)
+            # lengthened no further than a term with c != 0 reaches, nor past x^top
+            reach = max([0] + [d + len(v) for d, c in terms if c and v])
+            if top is not None:
+                reach = min(reach, top + 1)
+            assert len(acc) <= len(out) <= max(len(acc), reach)
+            assert Poly.from_ints(out) == Poly.from_ints(acc) + scale * product, (acc, terms, v, top)
+
+    def test_defaults_and_no_terms(self):
+        acc = [1, 2]
+        add_product(acc, [(1, 3)], [1, 1])
+        assert acc == [1, 5, 3]
+        add_product(acc, [], [9])
+        add_product(acc, [(0, 0), (1, 5)], [])
+        assert acc == [1, 5, 3]
+
+    def counted(self, monkeypatch, module):
+        calls = []
+        real = arith.add_product
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "add_product", counting)
+        return calls
+
+    def test_the_rank_recurrence_calls_it_once_per_term(self, monkeypatch):
+        # N_0 .. N_3 of p1 are nonzero, so rank n makes n calls: 1 + 2 + 3 + 4
+        calls = self.counted(monkeypatch, charmodel)
+        charmodel.rank_numerators(builtin_space("p1"), 4)
+        assert len(calls) == 10
+
+    def test_the_euler_rows_call_it_once_per_binomial_term(self, monkeypatch):
+        # (1 - x t)^2 to t^3: rows 3 and 2 take two terms, row 1 one
+        calls = self.counted(monkeypatch, arith)
+        assert euler_rows([(1, 2)], 3) == [[1], [0, -2], [0, 0, 1], []]
+        assert len(calls) == 5
 
 
 class TestEulerRows:

@@ -962,7 +962,8 @@ class TestDescriptors:
     def test_a_repeated_key_is_rejected(self, tmp_path):
         path = tmp_path / "twice.json"
         path.write_text('{"strata": [{"deg": 0, "dim": 2, "dim": 3}]}')
-        with pytest.raises(DescriptorError, match=f"^{re.escape(str(path))}: repeated field 'dim'$"):
+        message = rf"^{re.escape(str(path))}: strata\[0\]: repeated field 'dim'$"
+        with pytest.raises(DescriptorError, match=message):
             load_descriptor(str(path))
 
     @pytest.mark.parametrize("value", [True, False])

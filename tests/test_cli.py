@@ -667,19 +667,19 @@ class TestErrorsAndDeterminism:
         )
 
     @pytest.mark.parametrize(
-        "text, key",
+        "text, message",
         [
-            ('{"strata": [{"deg": 0, "deg": 1}]}', "deg"),
-            ('{"strata": [{"deg": 0}], "strata": [{"deg": 1}]}', "strata"),
+            ('{"strata": [{"deg": 0}, {"deg": 1, "deg": 2}]}', "strata[1]: repeated field 'deg'"),
+            ('{"strata": [{"deg": 0}], "strata": [{"deg": 1}]}', "repeated field 'strata'"),
         ],
         ids=["stratum", "top-level"],
     )
-    def test_a_repeated_key_is_rejected(self, capsys, tmp_path, text, key):
-        # json.loads would keep the last value: deg 1, and poincare printed u^4
+    def test_a_repeated_key_is_rejected(self, capsys, tmp_path, text, message):
+        # json.loads would keep the last value, and poincare would print it
         path = tmp_path / "twice.json"
         path.write_text(text)
         code, out, err = run(capsys, "poincare", "--variety", str(path), "-n", "2")
-        assert (code, out, err) == (2, "", f"error: {path}: repeated field {key!r}\n")
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
     def test_byte_identical_reruns(self, capsys):
         outputs = []
@@ -829,6 +829,29 @@ class TestDescriptorBounds:
         code, out, err = run(capsys, *argv, "--variety", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "dims, got",
+        [
+            (["2"], "b_0 = 2"),
+            (["1" + "0" * 3000], "b_0 of about 3001 digits"),
+            (["9" * 4300] * 2, "b_0 of about 4301 digits"),
+        ],
+        ids=["two", "3001-digits", "4301-digits"],
+    )
+    def test_a_disconnected_stable_error_is_one_short_line(self, capsys, tmp_path, dims, got):
+        # b_0 used to be printed whole: 3066 bytes, and past the digit
+        # limit Python's own message, naming neither b_0 nor the variety
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < 4300:
+            pytest.skip("needs an int-to-str digit limit of at least 4300")
+        path = tmp_path / "apart.json"
+        strata = ", ".join(f'{{"deg": 0, "dim": {d}, "eigenvalue": {i}}}' for i, d in enumerate(dims, 1))
+        path.write_text(f'{{"strata": [{strata}]}}')
+        code, out, err = run(capsys, "series", "stable", "--variety", str(path), "--u-order", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: stabilization needs connected input (b_0 = 1), got {got}\n"
+        assert len(err.encode()) < 200
 
     def test_torus_zeta_below_the_digit_limit_prints(self, capsys):
         # Numerator and denominator each reach about q^512 at q = 1000003,
