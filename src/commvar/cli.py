@@ -184,7 +184,10 @@ def _fast_parse(argv):
 def _render_value(value: RatFunc, absolute: bool) -> str:
     if not absolute:
         return value.render()
-    poly = value.as_poly()
+    try:
+        poly = value.as_poly()
+    except ValueError as exc:
+        raise ValueError(f"--absolute: {exc}") from None
     print(
         "warning: --absolute drops the signs of the graded convention",
         file=sys.stderr,
@@ -228,7 +231,7 @@ def _cmd_char(args) -> int:
         if args.q is not None:
             options.insert(0, f"-q {args.q}")
         _check_digits("char", character_digits(space, args.n), options)
-        if args.cycle_type:
+        if args.cycle_type is not None:
             try:
                 lam = Partition.parse(args.cycle_type)
             except ValueError:

@@ -1,10 +1,9 @@
 """Symmetric functions with polynomial coefficients.
 
-Everything is stored in the power-sum basis, where the two pairings we
-need are diagonal: the Hall inner product satisfies
-``<p_lam, p_mu> = delta * z_lam`` and the principal specialization acts
-by ``p_k -> 1/(1 - x^k)``.  The Schur basis exists as a conversion
-view.  The change of basis to Schur functions goes through one integer
+Everything is stored in the power-sum basis, where the principal
+specialization is diagonal: it acts by ``p_k -> 1/(1 - x^k)``.  The
+Schur basis exists as a conversion view.  The change of basis to Schur
+functions goes through one integer
 character table per degree n, built once, one column per cycle type mu
 in ``partitions_of(n)`` order.  The column chi^.(mu) comes from the
 column of mu[1:], a cycle type of n - mu_1, by the Murnaghan-Nakayama
@@ -179,26 +178,7 @@ class SymFunc(Frozen):
                 out[key] = out.get(key, Poly()) + prod
         return SymFunc(self.degree + other.degree, out)
 
-    # -- pairings and specializations --------------------------------------
-
-    def hall(self, other: "SymFunc") -> Poly:
-        """Hall inner product, bilinear over the coefficient field.
-
-        Components of different degrees pair to zero by convention, so
-        graded characters can be paired degreewise.  The sum of
-        z_lam * a_lam * b_lam runs over ints: each product of int vectors
-        is brought to the lcm D of the products' denominators, and D is
-        divided out once.
-        """
-        if self.degree != other.degree:
-            return Poly()
-        pairs = [(lam, a, other.terms[lam]) for lam, a in self.terms.items() if lam in other.terms]
-        denom = lcm(*(a.den * b.den for _, a, b in pairs))
-        acc: list[int] = []
-        for lam, a, b in pairs:
-            scale = lam.centralizer_order() * (denom // (a.den * b.den))
-            add_product(acc, enumerate(a.num), b.num, scale)
-        return Poly.from_ints(acc, denom)
+    # -- Schur conversion and specialization -------------------------------
 
     def to_schur(self) -> dict[Partition, Poly]:
         """Schur expansion coefficients c_lam with f = sum c_lam s_lam.

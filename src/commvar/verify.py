@@ -26,7 +26,7 @@ from .oracle import AffineSpace, PuncturedLine, Torus, VarietyFamily, count_poin
 from .partitions import partitions_of
 from .series import betti_zeta, coh_series, groupoid_series, stable_betti_verified
 from .symfunc import SymFunc, character_table
-from .varieties import eigendata_for_family
+from .varieties import builtin_space, eigendata_for_family
 
 RANDOM_SEED = 20260810
 _EIG_CHOICES = tuple(Poly.from_ints((n,), d) for n, d in ((1, 1), (1, 2), (1, 3), (2, 1)))
@@ -121,7 +121,7 @@ def check_flag_character() -> CheckResult:
 
 def check_degenerate_cases() -> CheckResult:
     """Affine-line inputs give 1; rank one returns the input polynomial."""
-    affine = GradedSpace([Stratum(0, 1)])
+    affine = builtin_space("affine")
     for n in range(1, 9):
         if poincare(affine, n, "cn") != 1:
             return CheckResult("degenerate-cases", False, f"affine line at n={n}")
@@ -135,7 +135,7 @@ def check_degenerate_cases() -> CheckResult:
 
 def check_gl_consistency() -> CheckResult:
     """Torus input reproduces the classical general-linear cohomology."""
-    torus = GradedSpace([Stratum(0, 1), Stratum(1, 1)])
+    torus = builtin_space("torus")
     expected = Poly.constant(1)
     for n in range(1, 7):
         expected = expected * (Poly.constant(1) - Poly.monomial(2 * n - 1))
@@ -146,14 +146,8 @@ def check_gl_consistency() -> CheckResult:
 
 def check_coh_product() -> CheckResult:
     """Sheaf-counting product formula at t-order 5, u-order 20."""
-    cases = [
-        ("point", GradedSpace([Stratum(0, 1)])),
-        ("torus", GradedSpace([Stratum(0, 1), Stratum(1, 1)])),
-        ("p1", GradedSpace([Stratum(0, 1), Stratum(2, 1)])),
-        ("punctured", GradedSpace([Stratum(0, 1), Stratum(1, 2)])),
-    ]
-    for name, space in cases:
-        report = coh_series(space, 5, 20)
+    for name in ("point", "torus", "p1", "punctured"):
+        report = coh_series(builtin_space(name), 5, 20)
         if not report.equal:
             return CheckResult(
                 "coh-product", False, f"{name}: {report.verdict()}"
@@ -163,8 +157,7 @@ def check_coh_product() -> CheckResult:
 
 def check_macdonald() -> CheckResult:
     """Symmetric powers of the projective line are projective spaces."""
-    p1 = GradedSpace([Stratum(0, 1), Stratum(2, 1)])
-    series = betti_zeta(p1, 6)
+    series = betti_zeta(builtin_space("p1"), 6)
     for n in range(7):
         expected = Poly([1] * (n + 1)).subst_power(2)
         if series[n] != expected:
@@ -218,17 +211,18 @@ def check_series_agreement() -> CheckResult:
 
 
 def check_character_substrate() -> CheckResult:
-    """Schur orthonormality, character orthogonality, and the hook form
-    of the principal specialization, s_lam(1, x, x^2, ...) =
-    x^n(lam) / prod_h (1 - x^h) (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.3 Ex. 2), for the Schur function built from the
-    character table.  The orthogonality sums are int dot products of
-    rows of ``character_table`` with the class sizes; the hook form is
-    compared over ints, N * prod_h (1 - x^h) == D * x^n(lam) * (x; x)_n
-    for N / D the ``principal_spec_numerator`` of s_lam."""
+    """Character orthogonality, and the hook form of the principal
+    specialization, s_lam(1, x, x^2, ...) = x^n(lam) / prod_h (1 - x^h)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 2), for
+    the Schur function built from the character table.  Orthogonality,
+    sum_mu chi^a(mu) chi^b(mu) / z_mu = delta_ab (I.7), is Schur
+    orthonormality <s_a, s_b> = delta_ab on the same table, so it is
+    checked once: as int dot products of rows of ``character_table``
+    with the class sizes.  The hook form is compared over ints,
+    N * prod_h (1 - x^h) == D * x^n(lam) * (x; x)_n for N / D the
+    ``principal_spec_numerator`` of s_lam."""
     for n in range(8):
         parts = partitions_of(n)
-        schurs = {lam: SymFunc.schur(lam) for lam in parts}
         # class sizes n!/z_mu: sum_mu chi^a(mu) chi^b(mu) n!/z_mu = n! delta_ab
         order = factorial(n)
         class_sizes = [order // mu.centralizer_order() for mu in parts]
@@ -236,10 +230,6 @@ def check_character_substrate() -> CheckResult:
         for a, row_a in zip(parts, table):
             weighted = [chi * size for chi, size in zip(row_a, class_sizes)]
             for b, row_b in zip(parts, table):
-                if schurs[a].hall(schurs[b]) != (1 if a == b else 0):
-                    return CheckResult(
-                        "character-substrate", False, f"<s{a}, s{b}> wrong"
-                    )
                 if sum(map(mul, weighted, row_b)) != (order if a == b else 0):
                     return CheckResult(
                         "character-substrate", False, f"chi^{a} . chi^{b} wrong"
@@ -258,12 +248,8 @@ def check_character_substrate() -> CheckResult:
 
 def check_stabilization() -> CheckResult:
     """Betti numbers of the commuting spaces stabilize in rank."""
-    cases = [
-        ("torus", GradedSpace([Stratum(0, 1), Stratum(1, 1)])),
-        ("p1", GradedSpace([Stratum(0, 1), Stratum(2, 1)])),
-    ]
-    for name, space in cases:
-        report = stable_betti_verified(space, 10)
+    for name in ("torus", "p1"):
+        report = stable_betti_verified(builtin_space(name), 10)
         if not report.ok:
             return CheckResult("stabilization", False, name)
     return CheckResult("stabilization", True, "torus and p1, u-order 10")

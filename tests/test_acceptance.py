@@ -8,7 +8,7 @@ verify`` subcommand.
 
 import pytest
 
-from commvar import verify
+from commvar import symfunc, verify
 from commvar.arith import Poly
 from commvar.oracle import Torus
 from commvar.series import SeriesReport, StabilizationReport
@@ -123,3 +123,21 @@ class TestOneCorruptedRouteFails:
         monkeypatch.setattr(SymFunc, "principal_spec_numerator", perturbed)
         result = check_character_substrate()
         assert (result.passed, result.detail) == (False, "hook form (3)")
+
+    @pytest.mark.parametrize(
+        "corrupt, detail",
+        [
+            pytest.param(lambda c: Poly.from_ints(c.num, 2 * c.den), "hook form (1)", id="halved"),
+            pytest.param(lambda c: Poly.from_ints(map(abs, c.num), c.den), "hook form (1,1)", id="abs"),
+        ],
+    )
+    def test_substrate_schur_in_p(self, monkeypatch, corrupt, detail):
+        # s_lam halved, or every chi^lam(mu) replaced by its absolute value
+        real = symfunc._schur_in_p
+
+        def corrupted(lam):
+            return tuple((mu, corrupt(c)) for mu, c in real(lam))
+
+        monkeypatch.setattr(symfunc, "_schur_in_p", corrupted)
+        result = check_character_substrate()
+        assert (result.passed, result.detail) == (False, detail)

@@ -98,10 +98,10 @@ class TestPoincare:
         ],
     )
     def test_absolute_needs_a_polynomial(self, capsys, argv, den):
-        # the message names the denominator made monic
+        # the message names the option and the denominator made monic
         code, out, err = run(capsys, "poincare", *argv, "-n", "3", "--absolute")
         assert (code, out) == (2, "")
-        assert err == f"error: not a polynomial: denominator {den} remains\n"
+        assert err == f"error: --absolute: not a polynomial: denominator {den} remains\n"
 
     def test_missing_variety(self, capsys):
         code, _, err = run(capsys, "poincare", "-n", "2")
@@ -139,6 +139,16 @@ class TestChar:
         )
         assert code == 2
         assert "not a partition of 2" in err
+
+    # an empty --cycle-type was once ignored (no trace line, exit 0); a blank
+    # one was already read as the empty partition
+    @pytest.mark.parametrize("cycle", ["", "  "])
+    def test_empty_cycle_type_is_the_empty_partition(self, capsys, cycle):
+        code, out, err = run(
+            capsys, "char", "--variety", "p1", "-n", "3", "--cycle-type", cycle
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --cycle-type () is not a partition of 3\n"
 
     # (3,0) without its zero part, and the last four, were once read as
     # partitions of 3

@@ -109,17 +109,6 @@ def to_schur_by_products(f: SymFunc) -> dict[Partition, Poly]:
     return out
 
 
-def hall_by_poly_products(f: SymFunc, g: SymFunc) -> Poly:
-    """Independent route for ``SymFunc.hall``: one Poly product per term."""
-    acc = Poly()
-    for lam in partitions_of(f.degree):
-        a = f.terms.get(lam)
-        b = g.terms.get(lam)
-        if a is not None and b is not None:
-            acc = acc + a * b * lam.centralizer_order()
-    return acc
-
-
 def random_symfunc(rng: random.Random, n: int) -> SymFunc:
     """Fraction-coefficient polynomials, denominators up to 9, on about 60% of partitions."""
     return SymFunc(
@@ -182,7 +171,6 @@ class TestCoefficients:
     def test_products_and_pairings_stay_polynomial(self):
         f = scale(SymFunc.schur(P((2, 1))), ONE + U)
         g = from_h(P((1,))) * scale(power_sum(P((1, 1))), U)
-        assert type(f.hall(f)) is Poly
         assert all(type(c) is Poly for c in (f * g).terms.values())
         assert all(type(c) is Poly for c in g.to_schur().values())
 
@@ -405,45 +393,6 @@ class TestSchurView:
             for lam, c in f.to_schur().items():
                 rebuilt = add(rebuilt, scale(SymFunc.schur(lam), c))
             assert rebuilt == f
-
-
-class TestHallInner:
-    def test_power_sum_norms(self):
-        p2 = power_sum(P((2,)))
-        assert p2.hall(p2) == RatFunc(2)
-        p11 = power_sum(P((1, 1)))
-        assert p11.hall(p11) == RatFunc(2)
-        assert p2.hall(p11) == RatFunc(0)
-
-    def test_h2_norm(self):
-        h2 = from_h(P((2,)))
-        assert h2.hall(h2) == RatFunc(1)
-
-    @pytest.mark.parametrize("n", range(6))
-    def test_schur_orthonormality(self, n):
-        for a in partitions_of(n):
-            for b in partitions_of(n):
-                expected = RatFunc(1 if a == b else 0)
-                assert SymFunc.schur(a).hall(SymFunc.schur(b)) == expected
-
-    def test_degree_mismatch_pairs_to_zero(self):
-        f = from_h(P((2,)))
-        g = from_h(P((3,)))
-        assert f.hall(g) == RatFunc(0)
-
-    def test_bilinear_over_scalars(self):
-        f = scale(SymFunc.schur(P((2,))), U)
-        g = scale(SymFunc.schur(P((2,))), ONE - U)
-        assert f.hall(g) == RatFunc(U * (ONE - U))
-
-    @pytest.mark.parametrize("n", range(7))
-    def test_matches_poly_products_on_random_input(self, n):
-        rng = random.Random(6100 + n)
-        for _ in range(4):
-            f = random_symfunc(rng, n)
-            g = random_symfunc(rng, n)
-            assert f.hall(g) == hall_by_poly_products(f, g)
-            assert f.hall(f) == hall_by_poly_products(f, f)
 
 
 class TestPrincipalSpec:
