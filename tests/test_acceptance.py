@@ -11,8 +11,9 @@ import pytest
 from commvar import symfunc, verify
 from commvar.arith import Poly
 from commvar.oracle import Torus
+from commvar.partitions import partitions_of
 from commvar.series import SeriesReport, StabilizationReport
-from commvar.symfunc import SymFunc
+from commvar.symfunc import SymFunc, mn_character
 from commvar.verify import (
     CheckResult,
     CrossCheck,
@@ -73,6 +74,25 @@ def flip_last(f: SymFunc) -> SymFunc:
     return SymFunc(f.degree, terms)
 
 
+def next_partition(lam):
+    """The partition after lam in ``partitions_of(|lam|)``, cyclically."""
+    parts = partitions_of(lam.n)
+    return parts[(parts.index(lam) + 1) % len(parts)]
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empties the caches that hold character values before and after the
+    test, so a corrupted table is read in place of the cached real one
+    and does not outlive the test."""
+    caches = (symfunc._mn, symfunc.character_table, symfunc._schur_in_p)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 class TestOneCorruptedRouteFails:
     """Each check compares two routes; corrupting exactly one of them, in
     the namespace of ``verify`` only, turns its PASS into a FAIL."""
@@ -127,17 +147,87 @@ class TestOneCorruptedRouteFails:
     @pytest.mark.parametrize(
         "corrupt, detail",
         [
-            pytest.param(lambda c: Poly.from_ints(c.num, 2 * c.den), "hook form (1)", id="halved"),
-            pytest.param(lambda c: Poly.from_ints(map(abs, c.num), c.den), "hook form (1,1)", id="abs"),
+            pytest.param(
+                lambda real, lam: tuple((mu, Poly.from_ints(c.num, 2 * c.den)) for mu, c in real(lam)),
+                "hook form (1)",
+                id="halved",
+            ),
+            pytest.param(
+                lambda real, lam: tuple((mu, Poly.from_ints(map(abs, c.num), c.den)) for mu, c in real(lam)),
+                "hook form (1,1)",
+                id="abs",
+            ),
+            pytest.param(
+                lambda real, lam: tuple(
+                    (mu, Poly.from_ints((mn_character(lam, mu),), mu.centralizer_order() + 1))
+                    if mu == (lam.n,) else (mu, c)
+                    for mu, c in real(lam)
+                ),
+                "hook form (1)",
+                id="z-plus-one-at-n",
+            ),
+            pytest.param(lambda real, lam: real(lam)[:-1], "hook form (1)", id="last-mu-skipped"),
+            pytest.param(lambda real, lam: real(next_partition(lam)), "hook form (2)", id="next-row"),
         ],
     )
     def test_substrate_schur_in_p(self, monkeypatch, corrupt, detail):
-        # s_lam halved, or every chi^lam(mu) replaced by its absolute value
+        # s_lam halved; every chi^lam(mu) replaced by its absolute value;
+        # z_(n) + 1 in place of z_(n); the term of mu = (1^n) dropped; or
+        # s_lam read from the row of the next partition
         real = symfunc._schur_in_p
+        monkeypatch.setattr(symfunc, "_schur_in_p", lambda lam: corrupt(real, lam))
+        result = check_character_substrate()
+        assert (result.passed, result.detail) == (False, detail)
 
-        def corrupted(lam):
-            return tuple((mu, corrupt(c)) for mu, c in real(lam))
+    @pytest.mark.parametrize(
+        "corrupt, detail",
+        [
+            pytest.param(lambda table: tuple(zip(*table)), "chi^(3) . chi^(2,1) wrong", id="transposed"),
+            pytest.param(
+                lambda table: tuple((-row[0], *row[1:]) for row in table),
+                "hook form (1)",
+                id="column-n-negated",
+            ),
+            pytest.param(
+                lambda table: (table[1], table[0], *table[2:]) if len(table) > 1 else table,
+                "hook form (2)",
+                id="two-rows-swapped",
+            ),
+        ],
+    )
+    def test_substrate_character_table(self, monkeypatch, fresh_tables, corrupt, detail):
+        # the one table both halves read: verify's and the one behind s_lam;
+        # a negated column or two swapped rows keep the table orthogonal,
+        # so only the hook form sees them
+        real = symfunc.character_table
 
-        monkeypatch.setattr(symfunc, "_schur_in_p", corrupted)
+        def corrupted(n):
+            return corrupt(real(n))
+
+        monkeypatch.setattr(verify, "character_table", corrupted)
+        monkeypatch.setattr(symfunc, "character_table", corrupted)
+        result = check_character_substrate()
+        assert (result.passed, result.detail) == (False, detail)
+
+    @pytest.mark.parametrize(
+        "corrupt, detail",
+        [
+            pytest.param(
+                lambda strips, m, r: (strips[0][:-1], *strips[1:]) if (m, r) == (1, 1) else strips,
+                "chi^(2) . chi^(1,1) wrong",
+                id="strip-dropped",
+            ),
+            pytest.param(
+                lambda strips, m, r: tuple(tuple((i, -sign) for i, sign in adds) for adds in strips),
+                "hook form (1)",
+                id="sign-parity",
+            ),
+        ],
+    )
+    def test_substrate_strips(self, monkeypatch, fresh_tables, corrupt, detail):
+        # a border strip of length 1 dropped from nu = (1), or the sign of
+        # every strip's height parity flipped
+        real = symfunc._strips
+        monkeypatch.setattr(symfunc, "_strips", lambda m, r: corrupt(real(m, r), m, r))
         result = check_character_substrate()
         assert (result.passed, result.detail) == (False, detail)

@@ -150,6 +150,14 @@ class TestChar:
         assert (code, out) == (2, "")
         assert err == "error: --cycle-type () is not a partition of 3\n"
 
+    # the empty partition is the one partition of 0, so there it is traced
+    @pytest.mark.parametrize("cycle", ["", "  ", "()"])
+    def test_empty_cycle_type_is_traced_at_n_zero(self, capsys, cycle):
+        code, out, err = run(
+            capsys, "char", "--variety", "p1", "-n", "0", "--cycle-type", cycle
+        )
+        assert (code, out, err) == (0, "trace (): 1\nschur: s[]\np: p[]\n", "")
+
     # (3,0) without its zero part, and the last four, were once read as
     # partitions of 3
     @pytest.mark.parametrize(

@@ -112,6 +112,11 @@ class TestConstruction:
         assert Partition.parse("[3,2,1]") == lam
         assert Partition.parse(" ( 3 , 2, 1 ) ") == lam
 
+    # the text of no parts, bare or in one bracket pair, is the empty partition
+    @pytest.mark.parametrize("text", ["", "  ", "[]", " () "])
+    def test_parse_reads_the_empty_partition(self, text):
+        assert Partition.parse(text) == Partition(())
+
     # one matching pair of brackets or none, decimal parts only, none zero
     @pytest.mark.parametrize(
         "text",
