@@ -331,22 +331,31 @@ def load_descriptor(path: str) -> GradedSpace:
 # -- trace products and enhanced characters ------------------------------
 
 
+def _int_strata(space: GradedSpace) -> tuple[int, list[tuple[int, int, int]]]:
+    """D, the lcm of the eigenvalue denominators, and every stratum as the
+    ints (deg, (-1)^deg * dim, eig * D)."""
+    space.require_exact()
+    D = lcm(*[s.eig.den for s in space])
+    ints = [(s.deg, -s.dim if s.deg % 2 else s.dim, *ratio(s.eig)) for s in space]
+    return D, [(deg, c, a * (D // d)) for deg, c, a, d in ints]
+
+
+def _int_weight(strata: list[tuple[int, int, int]], i: int) -> list[int]:
+    """D^i w_i: the ints sum c * a^i * u^(i*deg) over ``_int_strata`` (deg, c, a)."""
+    out = [0] * (max((deg for deg, _, _ in strata), default=0) * i + 1)
+    for deg, c, a in strata:
+        out[deg * i] += c * a**i
+    return out
+
+
 def eigen_power_sum(space: GradedSpace, i: int) -> Poly:
     """sum over strata of dim * (-1)^deg * u^(i*deg) * eig^i.
 
     The cycle-length-i weight of the space; the full trace of a twisted
     permutation is the product of these over the cycles.
     """
-    space.require_exact()
-    if not space:
-        return Poly()
-    den = lcm(*[s.eig.den for s in space]) ** i
-    out = [0] * (max(s.deg for s in space) * i + 1)
-    for s in space:
-        n, d = ratio(s.eig)
-        term = s.dim * n**i * (den // d**i)
-        out[s.deg * i] += -term if s.deg % 2 else term
-    return Poly.from_ints(out, den)
+    D, strata = _int_strata(space)
+    return Poly.from_ints(_int_weight(strata, i), D**i)
 
 
 def graded_trace_product(space: GradedSpace, lam: Partition) -> Poly:
@@ -404,14 +413,10 @@ def character_digits(space: GradedSpace, n: int) -> int:
     numerator at most S^n n!: sum_mu |chi^lam(mu)| n! / z_mu <= n! by
     Cauchy-Schwarz and the orthogonality of the characters.
     """
-    space.require_exact()
+    D, strata = _int_strata(space)
     if n < 1:
         return 1
-    D = lcm(*[s.eig.den for s in space])
-    S = 0
-    for s in space:
-        a, d = ratio(s.eig)
-        S += s.dim * abs(a) * (D // d)
+    S = sum(abs(c * a) for _, c, a in strata)
     bits = n * max(S, D).bit_length() + factorial(n).bit_length()
     return bits * 30103 // 100000 + 1
 
@@ -421,8 +426,8 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
 
     Expands exp(sum_i p_i/i * w_i * t^i) by the derivative recurrence
     n*C_n = sum_i w_i * p_i * C_(n-i), over ints.  For L the lcm of the
-    eigenvalue denominators, a_i = L^i w_i is an int vector, and so is
-    every p-coefficient of N_n = n! L^n C_n:
+    eigenvalue denominators, a_i = L^i w_i is the int vector
+    ``_int_weight``, and so is every p-coefficient of N_n = n! L^n C_n:
 
         N_n[mu + (i)] += (n-1)!/(n-i)! * a_i * N_(n-i)[mu],
 
@@ -433,9 +438,9 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
-    weights = [eigen_power_sum(space, i) for i in range(1, order + 1)]
-    L = lcm(*[s.eig.den for s in space]) if weights else 1
-    scaled = [[c * (L**i // w.den) for c in w.num] for i, w in enumerate(weights, 1)]
+    # order 0 reads no eigenvalue, so a space with q^k tokens gives [1]
+    L, strata = _int_strata(space) if order else (1, [])
+    scaled = [_int_weight(strata, i) for i in range(1, order + 1)]
     # levels[n] maps the partitions mu of n to N_n[mu]
     levels: list[dict[Partition, list[int]]] = [{Partition(): [1]}]
     series = [SymFunc.unit()]
@@ -444,7 +449,7 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
         acc: dict[Partition, list[int]] = {}
         for i in range(1, n + 1):
             a = scaled[i - 1]
-            if not a:
+            if not any(a):
                 continue
             scale = factorial(n - 1) // factorial(n - i)
             for mu, v in levels[n - i].items():
@@ -512,13 +517,11 @@ def flag_character(n: int) -> SymFunc:
 SPACES = ("cn", "sn", "coh", "flag", "bgln")
 
 
-def _rank_recurrence(
-    weights: list, N: int, top: int | None = None, step: int = 2
-) -> list[list[int]]:
+def _rank_recurrence(weights: list, N: int, top: int | None = None) -> list[list[int]]:
     """Integer coefficients in u of N_0 .. N_N for int weights w_1 .. w_N.
 
-    ``weights[k - 1]`` lists the nonzero terms (d, c) of w_k = sum c u^d.
-    With x = u^step, the numerators of sum_n N_n / (x; x)_n t^n =
+    ``weights[k - 1]`` lists the int terms (d, c) of w_k = sum c u^d.
+    With x = u^2, the numerators of sum_n N_n / (x; x)_n t^n =
     exp sum_k w_k t^k / (k (1 - x^k)) (Macdonald, Symmetric Functions
     and Hall Polynomials, I.2-3) satisfy the log-derivative recurrence
 
@@ -534,22 +537,21 @@ def _rank_recurrence(
     ``top = M`` every vector is cut modulo u^(M+1), so the first
     division is a power-series quotient; the division by n is still
     checked.  Trailing zeros are stripped, so a zero polynomial is the
-    empty list.  ``rank_numerators`` runs at step 2 (x = u^2);
-    ``point_counts``, whose weights are constants, at step 1 (x = u), so
-    its vectors carry no zero at the odd degrees.
+    empty list.  With every weight at degree 0, as in ``point_counts``,
+    every N_n is a polynomial in u^2: its odd coefficients are 0.
     """
-    # factors 1 - u^(step j) with step j > top are 1 modulo u^(top+1)
-    jmax = N if top is None else top // step
+    # factors 1 - u^(2j) with 2j > top are 1 modulo u^(top+1)
+    jmax = N if top is None else top // 2
     ranks = [[1]]
     runs = [[1]]  # runs[m] = R_m at the current n; empty when N_m = 0
     for n in range(1, N + 1):
         if n <= jmax:
-            runs = [euler_factor(v, step * n, 1, top) if v else v for v in runs]
+            runs = [euler_factor(v, 2 * n, 1, top) if v else v for v in runs]
         acc: list[int] = []
         for k in range(1, n + 1):
             v = runs[n - k]
             if v:
-                add_product(acc, weights[k - 1], euler_factor(v, step * k, -1, top), 1, top)
+                add_product(acc, weights[k - 1], euler_factor(v, 2 * k, -1, top), 1, top)
         if any(a % n for a in acc):
             raise ValueError(f"rank {n}: division by {n} left a remainder")
         acc = [a // n for a in acc]
@@ -640,12 +642,12 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
 def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Poly]:
     """Formula values for the numbers of F_q points of the ranks 0 .. N.
 
-    One pass of the rank recurrence with w_k = ``eigen_power_sum`` of
-    the resolved data at u = 1.  For D the lcm of the eigenvalue
-    denominators, D^k w_k is checked to be an integer and put at degree
-    0; the pass at step 1 (x = u) then gives D^n N_n(x), and the count,
-    a constant Poly, is q^(n^2) N_n(1/q), read off the int coefficients
-    of N_n by Horner's rule, as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
+    The rank recurrence, as ``rank_numerators`` runs it, with w_k =
+    ``eigen_power_sum`` of the resolved data at u = 1: for D the lcm of
+    the eigenvalue denominators, the int D^k w_k(1) at degree 0.  The
+    pass gives D^n N_n(x) at x = u^2, and the count, a constant Poly, is
+    q^(n^2) N_n(1/q), read off the even coefficients of D^n N_n by
+    Horner's rule, as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
     log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
     Weil zeta Z.  The enumerator ``oracle.count_points`` is the
     independent check.  This is an honest point count for smooth-curve
@@ -654,18 +656,11 @@ def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Poly]:
     prime_power_base(q)
     if N < 0:
         raise ValueError("n must be >= 0")
-    resolved = space_data.resolve(q)
-    D = lcm(*[s.eig.den for s in resolved])
-    weights = []
-    for k in range(1, N + 1):
-        w = eigen_power_sum(resolved, k)
-        scaled, rem = divmod(sum(w.num) * D**k, w.den)
-        if rem:
-            value = Poly.from_ints((sum(w.num) * D**k,), w.den)
-            raise ValueError(f"power sum w_{k} times D^{k} = {D**k} is not an integer: {value}")
-        weights.append([(0, scaled)] if scaled else [])
+    D, strata = _int_strata(space_data.resolve(q))
+    weights = [[(0, sum(_int_weight(strata, k)))] for k in range(1, N + 1)]
     counts = []
-    for n, v in enumerate(_rank_recurrence(weights, N, step=1)):
+    for n, v in enumerate(_rank_recurrence(weights, N)):
+        v = v[::2]  # the coefficients in x = u^2
         # q^(n^2) sum_j v_j q^-j = q^e sum_j v_j q^(len(v)-1-j), e = n^2 - len(v) + 1
         acc = 0
         for c in v:
