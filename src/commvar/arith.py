@@ -644,6 +644,9 @@ def add_product(acc: list[int], terms, v, scale: int = 1, top: int | None = None
 
     A dense vector a is ``enumerate(a)``; c == 0 is skipped, acc is
     lengthened as needed, and with top = M entries past x^M are dropped.
+    ``Poly.__mul__``, ``_add``, the e = 1 product of ``euler_factor`` and
+    the subtraction of ``pseudo_divmod`` keep their own loops: each of them
+    measured slower when routed through this one.
     """
     width = len(v)
     for d, c in terms:

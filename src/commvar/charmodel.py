@@ -220,11 +220,8 @@ class GradedSpace(tuple):
             name=self.name,
         )
 
-    def has_symbolic_eigenvalues(self) -> bool:
-        return any(isinstance(s.eig, QPower) for s in self)
-
     def require_exact(self) -> None:
-        if self.has_symbolic_eigenvalues():
+        if any(isinstance(s.eig, QPower) for s in self):
             raise ValueError(
                 "eigenvalues contain unresolved q^k tokens; supply -q to resolve them"
             )

@@ -224,9 +224,8 @@ def _cmd_char(args) -> int:
         space = _resolve_space(args)
         if args.q is not None:
             _check_q(args, args.q)
-            space = space.resolve(args.q)
-        elif space.has_symbolic_eigenvalues():
-            space = space.with_unit_eigenvalues()
+        # without -q a q^k token reads as 1 and a rational eigenvalue is kept
+        space = space.resolve(1 if args.q is None else args.q)
         options = [f"-n {args.n}", _variety_option(args)]
         if args.q is not None:
             options.insert(0, f"-q {args.q}")

@@ -100,7 +100,7 @@ class Partition(tuple):
                 parts.extend([int(part)] * int(count))
             return cls(sorted(parts, reverse=True))
         if text[:1] + text[-1:] in ("()", "[]"):
-            text = text[1:-1]
+            text = text[1:-1].strip()
         if not text:
             return cls()
         tokens = [tok.strip() for tok in text.split(",")]

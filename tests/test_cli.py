@@ -141,8 +141,8 @@ class TestChar:
         assert "not a partition of 2" in err
 
     # an empty --cycle-type was once ignored (no trace line, exit 0); a blank
-    # one was already read as the empty partition
-    @pytest.mark.parametrize("cycle", ["", "  "])
+    # one was already read as the empty partition, and "( )" was rejected
+    @pytest.mark.parametrize("cycle", ["", "  ", "( )"])
     def test_empty_cycle_type_is_the_empty_partition(self, capsys, cycle):
         code, out, err = run(
             capsys, "char", "--variety", "p1", "-n", "3", "--cycle-type", cycle
@@ -151,12 +151,29 @@ class TestChar:
         assert err == "error: --cycle-type () is not a partition of 3\n"
 
     # the empty partition is the one partition of 0, so there it is traced
-    @pytest.mark.parametrize("cycle", ["", "  ", "()"])
+    @pytest.mark.parametrize("cycle", ["", "  ", "()", "( )"])
     def test_empty_cycle_type_is_traced_at_n_zero(self, capsys, cycle):
         code, out, err = run(
             capsys, "char", "--variety", "p1", "-n", "0", "--cycle-type", cycle
         )
         assert (code, out, err) == (0, "trace (): 1\nschur: s[]\np: p[]\n", "")
+
+    # without -q a q^k token reads as 1 and a rational eigenvalue is kept;
+    # one token once set every eigenvalue to 1, the 1/2 included
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_token_without_q_keeps_rational_eigenvalues(self, capsys, tmp_path, n):
+        texts = {}
+        for name, eig in (("mixed", "q^-1"), ("plain", "1")):
+            path = tmp_path / f"{name}.json"
+            strata = [{"deg": 0, "eigenvalue": "1/2"}, {"deg": 1, "eigenvalue": eig}]
+            path.write_text(json.dumps({"strata": strata}))
+            code, texts[name], err = run(capsys, "char", "--variety", str(path), "-n", str(n))
+            assert (code, err) == (0, "")
+        assert texts["mixed"] == texts["plain"]
+        if n == 1:
+            assert texts["mixed"] == "schur: (1/2 - u)*s[1]\np: (1/2 - u)*p[1]\n"
+        else:
+            assert "p: (1/8 - 1/2*u^2)*p[2] + (1/8 - 1/2*u + 1/2*u^2)*p[1,1]\n" in texts["mixed"]
 
     # (3,0) without its zero part, and the last four, were once read as
     # partitions of 3

@@ -113,7 +113,7 @@ class TestConstruction:
         assert Partition.parse(" ( 3 , 2, 1 ) ") == lam
 
     # the text of no parts, bare or in one bracket pair, is the empty partition
-    @pytest.mark.parametrize("text", ["", "  ", "[]", " () "])
+    @pytest.mark.parametrize("text", ["", "  ", "[]", " () ", "( )", "[ ]", " ( ) "])
     def test_parse_reads_the_empty_partition(self, text):
         assert Partition.parse(text) == Partition(())
 
