@@ -200,9 +200,7 @@ def fraction_digit_bound(space, n):
     if n < 1:
         return 1
     eigs = [(s.dim, F(*arith.ratio(s.eig))) for s in space]
-    D = 1
-    for _, e in eigs:
-        D = D * e.denominator // math.gcd(D, e.denominator)
+    D = math.lcm(*(e.denominator for _, e in eigs))
     S = sum(dim * abs(e) * D for dim, e in eigs)
     assert S.denominator == 1
     bits = n * max(int(S), D).bit_length() + math.factorial(n).bit_length()
@@ -664,7 +662,7 @@ class TestRankNumerators:
             assert len(ranks) == N + 1
             assert all(not any(v[1::2]) for v in ranks), (roots, top, ranks)
             longest = max(longest, *map(len, ranks))
-        # the check is not vacuous: some N_n reaches past u^2 unless cut
+        # the check is not vacuous: some N_n reaches u^2 unless cut at u^0
         assert longest == 1 if top == 0 else longest >= 3
 
     def test_rejects_negative_orders(self):
