@@ -20,18 +20,18 @@ list times one Euler factor (1 - x^a)^e for any int e
 (``euler_factor``), exact with a remainder check or cut modulo
 x^(M+1); the one accumulate step acc += scale * sum c x^d v, cut at
 x^M (``add_product``), of the rank recurrence, the character sums and
-``euler_rows``: the rows in x of a product of factors (1 - x^a t)^e,
+``euler_rows``: the rows in x of a product of factors (1 - v x^a t)^e,
 one per power of t, each factor one pass of its binomial terms, on
-which the Betti zeta and the coh product run; the cached Pochhammer
-(x^p; x^p)_n and its exact cofactors (``pochhammer_ints``); the
-cyclotomic polynomials; and the one integer long division,
-``pseudo_divmod``, of ``Poly.__divmod__``, ``poly_gcd``, the cyclotomic
-polynomials and the coh cancellation in ``charmodel``.  No production
-path calls ``poly_gcd`` or ``Poly.__divmod__``: they are test oracles.
-This bottom layer imports no other commvar module, and it holds what
-the formula side and the enumerator (``oracle``) share: ``Frozen``, the
-base of every immutable value, and ``is_prime``, ``prime_power_base``
-and ``gl_order``.
+which the Betti zeta, the coh product and the rank recurrence run; the
+cached Pochhammer (x^p; x^p)_n and its exact cofactors
+(``pochhammer_ints``); the cyclotomic polynomials; and the one integer
+long division, ``pseudo_divmod``, of ``Poly.__divmod__``, ``poly_gcd``,
+the cyclotomic polynomials and the coh cancellation in ``charmodel``.
+No production path calls ``poly_gcd`` or ``Poly.__divmod__``: they are
+test oracles.  This bottom layer imports no other commvar module, and it
+holds what the formula side and the enumerator (``oracle``) share:
+``Frozen``, the base of every immutable value, and ``is_prime``,
+``prime_power_base`` and ``gl_order``.
 """
 
 from __future__ import annotations
@@ -659,12 +659,13 @@ def add_product(acc: list[int], terms, v, scale: int = 1, top: int | None = None
 
 
 def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]:
-    """The product of (1 - x^a t)^e over the pairs (a, e) in ``factors``.
+    """The product of (1 - v x^a t)^e over the int triples (a, v, e) in
+    ``factors``.
 
     Returns the rows 0..t_order: row k holds the int coefficients in x
     of t^k.  Each factor is the binomial pass of ``euler_factor`` with
-    rows for entries: its term c_j x^(a j) t^j adds (e > 0, top row
-    down) or subtracts (e < 0, bottom row up) c_j times row k - j,
+    rows for entries: its term c_j v^j x^(a j) t^j adds (e > 0, top row
+    down) or subtracts (e < 0, bottom row up) c_j v^j times row k - j,
     shifted by a j, to row k, one ``add_product`` term, so row k takes
     min(k, |e|) of them.  With top = M every row is cut modulo x^(M+1),
     so a factor with a > M is 1 and is skipped.
@@ -672,13 +673,13 @@ def euler_rows(factors, t_order: int, top: int | None = None) -> list[list[int]]
     if t_order < 0:
         raise ValueError(f"t order must be >= 0, got {t_order}")
     rows: list[list[int]] = [[1]] + [[] for _ in range(t_order)]
-    for a, e in factors:
+    for a, v, e in factors:
         if a < 0:
             raise ValueError(f"a must be >= 0, got {a}")
         if top is not None and a > top:
             continue
         sign = 1 if e > 0 else -1
-        coeffs = [sign * (-1) ** j * comb(abs(e), j) for j in range(1, min(abs(e), t_order) + 1)]
+        coeffs = [sign * (-v) ** j * comb(abs(e), j) for j in range(1, min(abs(e), t_order) + 1)]
         for k in range(t_order, 0, -1) if e > 0 else range(1, t_order + 1):
             for j, c in enumerate(coeffs[:k], 1):
                 add_product(rows[k], ((a * j, c),), rows[k - j], 1, top)

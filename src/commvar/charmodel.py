@@ -8,13 +8,13 @@ of the commuting-matrix spaces, and exact point-count values over a
 chosen prime power.
 
 The Poincare polynomials and the point counts need no partition sums:
-for weights w_k, the numerators N_n of sum_n N_n / (u^2; u^2)_n t^n =
-exp sum_k w_k t^k / (k (1 - u^(2k))) satisfy the integer recurrence
-n N_n = sum_k w_k E_(n,k) N_(n-k), where E_(n,k) is k consecutive
-factors 1 - u^(2j) over 1 - u^(2k).  Its two divisions, by 1 - u^(2k)
-and by n, are exact and are checked for a remainder.  ``rank_numerators``
-runs it on the signed Betti power sums, ``point_counts`` on the
-eigenvalue power sums at u = 1.  The character-sum route, (u^2; u^2)_n
+for weights w_k = sum c (v u^d)^k over letters (d, v, c), the series
+F(t) = sum_n N_n / (u^2; u^2)_n t^n = exp sum_k w_k t^k / (k (1 - u^(2k)))
+is a product of q-exponentials, so F(t) E(t) = F(u^2 t) O(t) for two
+polynomials E and O in t, and the N_n satisfy a division-free integer
+recurrence of at most max(deg E, deg O) <= sum |c| terms per rank.
+``rank_numerators`` runs it on the Betti letters, ``point_counts`` on
+the eigenvalue letters at u = 1.  The character-sum route, (u^2; u^2)_n
 times the principal specialization of ``enhanced_character``, is the
 test oracle of both; the enumerator is the independent check of a
 point count.
@@ -34,6 +34,7 @@ from .arith import (
     add_product,
     cyclotomic_coeffs,
     euler_factor,
+    euler_rows,
     pochhammer_ints,
     prime_power_base,
     pseudo_divmod,
@@ -514,65 +515,80 @@ def flag_character(n: int) -> SymFunc:
 SPACES = ("cn", "sn", "coh", "flag", "bgln")
 
 
-def _rank_recurrence(weights: list, N: int, top: int | None = None) -> list[list[int]]:
-    """Integer coefficients in u of N_0 .. N_N for int weights w_1 .. w_N.
+def _rank_recurrence(letters, N: int, top: int | None = None) -> list[list[int]]:
+    """Integer coefficients in u of N_0 .. N_N for the int letters (d, v, c).
 
-    ``weights[k - 1]`` lists the int terms (d, c) of w_k = sum c u^d.
-    With x = u^2, the numerators of sum_n N_n / (x; x)_n t^n =
-    exp sum_k w_k t^k / (k (1 - x^k)) (Macdonald, Symmetric Functions
-    and Hall Polynomials, I.2-3) satisfy the log-derivative recurrence
+    A letter contributes c (v u^d)^k to the weight w_k.  With x = u^2,
+    the generating function F(t) = sum_n N_n / (x; x)_n t^n =
+    exp sum_k w_k t^k / (k (1 - x^k)) is the product over the letters of
+    prod_(j>=0) (1 - v u^d x^j t)^(-c) (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.2-3; Andrews, The Theory of Partitions,
+    Thm 2.1), so F(t) E(t) = F(x t) O(t) for the polynomials in t
 
-        n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),  N_0 = 1,
-        E_(n,k) = prod_(j=n-k+1..n) (1 - x^j) / (1 - x^k).
+        E(t) = prod_(c>0) (1 - v u^d t)^c,  O(t) = prod_(c<0) (1 - v u^d t)^(-c)
 
-    E_(n,k) N_(n-k) is R_(n-k) / (1 - x^k) for the running products
-    R_m = N_m prod_(j=m+1..n) (1 - x^j): at each n every R_m takes one
-    more factor and each term is one division, ``arith.euler_factor``
-    at e = 1 and at e = -1, then one ``arith.add_product`` of w_k's
-    terms, so a pass makes O(N^2) vector passes and enumerates no
-    partition.  Both divisions raise ValueError on a remainder.  With
-    ``top = M`` every vector is cut modulo u^(M+1), so the first
-    division is a power-series quotient; the division by n is still
-    checked.  Trailing zeros are stripped, so a zero polynomial is the
-    empty list.  With every weight at degree 0, as in ``point_counts``,
-    every N_n is a polynomial in u^2: its odd coefficients are 0.
+    of degrees the sums of the c > 0 and of the -c, c < 0.  For B the
+    larger of the two, the t^n coefficients give
+
+        N_n = sum_(m=1..min(n,B)) (x^(n-m) O_m - E_m) R_(n,m),  N_0 = 1,
+        R_(n,m) = N_(n-m) prod_(j=n-m+1..n-1) (1 - x^j).
+
+    E and O are ``arith.euler_rows`` to t^min(N,B).  The window R_(n,m),
+    m <= min(n, B), is N_(n-1) followed by R_(n-1,m-1) times 1 - x^(n-1),
+    one ``arith.euler_factor`` pass at e = 1 each, so rank n makes at
+    most min(n, B) - 1 passes and min(n, B) ``arith.add_product`` calls.
+    Nothing is divided, so with ``top = M`` every vector is cut modulo
+    u^(M+1) and the ranks are the full ones cut.  Letters of one (d, v)
+    are merged first and v = 0 contributes nothing.  Trailing zeros are
+    stripped, so a zero polynomial is the empty list.  With every letter
+    at degree 0, as in ``point_counts``, every N_n is a polynomial in
+    u^2: its odd coefficients are 0.
     """
+    merged: dict[tuple[int, int], int] = {}
+    for d, v, c in letters:
+        if v:
+            merged[d, v] = merged.get((d, v), 0) + c
+    e_factors = [(d, v, c) for (d, v), c in merged.items() if c > 0]
+    o_factors = [(d, v, -c) for (d, v), c in merged.items() if c < 0]
+    B = min(N, max(sum(e for *_, e in e_factors), sum(e for *_, e in o_factors)))
+    if not B:
+        return [[1]] + [[] for _ in range(N)]
+    E, O = euler_rows(e_factors, B, top), euler_rows(o_factors, B, top)
+    minus_e = [[(d, -c) for d, c in enumerate(row) if c] for row in E]
+    o_terms = [[(d, c) for d, c in enumerate(row) if c] for row in O]
     # factors 1 - u^(2j) with 2j > top are 1 modulo u^(top+1)
     jmax = N if top is None else top // 2
     ranks = [[1]]
-    runs = [[1]]  # runs[m] = R_m at the current n; empty when N_m = 0
+    window: list[list[int]] = []  # window[m - 1] = R_(n,m); empty when N_(n-m) = 0
     for n in range(1, N + 1):
-        if n <= jmax:
-            runs = [euler_factor(v, 2 * n, 1, top) if v else v for v in runs]
+        window = window[: B - 1]
+        if n - 1 <= jmax:
+            window = [euler_factor(r, 2 * n - 2, 1, top) if r else r for r in window]
+        window.insert(0, ranks[-1])
         acc: list[int] = []
-        for k in range(1, n + 1):
-            v = runs[n - k]
-            if v:
-                add_product(acc, weights[k - 1], euler_factor(v, 2 * k, -1, top), 1, top)
-        if any(a % n for a in acc):
-            raise ValueError(f"rank {n}: division by {n} left a remainder")
-        acc = [a // n for a in acc]
+        for m, r in enumerate(window, 1):
+            if r:
+                terms = [(2 * (n - m) + d, c) for d, c in o_terms[m]] + minus_e[m]
+                add_product(acc, terms, r, 1, top)
         while acc and not acc[-1]:
             acc.pop()
         ranks.append(acc)
-        runs.append(acc)
     return ranks
 
 
 def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[list[int]]:
     """Integer coefficients of the Poincare polynomials N_0 .. N_N of C_n.
 
-    The rank recurrence with w_k = ``eigen_power_sum`` at unit
-    eigenvalues, read off the Betti numbers b_i as the terms
-    (-1)^i b_i u^(k i): Frobenius eigenvalues are ignored.
+    The rank recurrence on the letters (i, 1, (-1)^i b_i) of the Betti
+    numbers b_i, so that w_k = ``eigen_power_sum`` at unit eigenvalues:
+    Frobenius eigenvalues are ignored.
     """
     if N < 0:
         raise ValueError("n must be >= 0")
     if top is not None and top < 0:
         raise ValueError("u order must be >= 0")
-    signed = [(i, -b if i % 2 else b) for i, b in sorted(space.betti().items())]
-    weights = [[(k * i, c) for i, c in signed] for k in range(1, N + 1)]
-    return _rank_recurrence(weights, N, top)
+    letters = [(i, 1, -b if i % 2 else b) for i, b in space.betti().items()]
+    return _rank_recurrence(letters, N, top)
 
 
 def _coh_value(num: list[int], n: int) -> RatFunc:
@@ -639,12 +655,12 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
 def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Poly]:
     """Formula values for the numbers of F_q points of the ranks 0 .. N.
 
-    The rank recurrence, as ``rank_numerators`` runs it, with w_k =
-    ``eigen_power_sum`` of the resolved data at u = 1: for D the lcm of
-    the eigenvalue denominators, the int D^k w_k(1) at degree 0.  The
-    pass gives D^n N_n(x) at x = u^2, and the count, a constant Poly, is
-    q^(n^2) N_n(1/q), read off the even coefficients of D^n N_n by
-    Horner's rule, as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
+    The rank recurrence, as ``rank_numerators`` runs it, on the letters
+    (0, eig * D, (-1)^deg dim) of the resolved strata, D the lcm of the
+    eigenvalue denominators, so that w_k is D^k ``eigen_power_sum`` at
+    u = 1.  The pass gives D^n N_n(x) at x = u^2, and the count, a
+    constant Poly, is q^(n^2) N_n(1/q), read off the even coefficients of
+    D^n N_n by Horner's rule, as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
     log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
     Weil zeta Z.  The enumerator ``oracle.count_points`` is the
     independent check.  This is an honest point count for smooth-curve
@@ -654,9 +670,8 @@ def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Poly]:
     if N < 0:
         raise ValueError("n must be >= 0")
     D, strata = _int_strata(space_data.resolve(q))
-    weights = [[(0, sum(_int_weight(strata, k)))] for k in range(1, N + 1)]
     counts = []
-    for n, v in enumerate(_rank_recurrence(weights, N)):
+    for n, v in enumerate(_rank_recurrence([(0, a, c) for _, c, a in strata], N)):
         v = v[::2]  # the coefficients in x = u^2
         # q^(n^2) sum_j v_j q^-j = q^e sum_j v_j q^(len(v)-1-j), e = n^2 - len(v) + 1
         acc = 0

@@ -27,9 +27,9 @@ The stabilization report compares the residue-route limit of the
 commuting-space Betti numbers, the same factors at t = 1, each one
 ``arith.euler_factor`` pass over one int vector, with two finite
 ranks, read from one pass of the rank recurrence
-``charmodel.rank_numerators`` cut modulo u^(u_order+1):
-n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n is checked for a
-remainder at every rank.
+``charmodel.rank_numerators`` cut modulo u^(u_order+1).  The recurrence
+divides nothing, so its cut ranks are exact: they are checked by the
+comparison alone.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ class SeriesReport(Frozen):
 # -- Betti zeta ------------------------------------------------------------
 
 
-def _zeta_factors(betti: dict[int, int], shift: int = 0) -> list[tuple[int, int]]:
-    """The pairs (i + shift, -(-1)^i b_i): the Betti zeta at u^shift t."""
-    return [(deg + shift, b if deg % 2 else -b) for deg, b in sorted(betti.items())]
+def _zeta_factors(betti: dict[int, int], shift: int = 0) -> list[tuple[int, int, int]]:
+    """The ``arith.euler_rows`` factors (i + shift, 1, -(-1)^i b_i): the
+    Betti zeta at u^shift t."""
+    return [(deg + shift, 1, b if deg % 2 else -b) for deg, b in sorted(betti.items())]
 
 
 def betti_zeta(space: GradedSpace, order: int) -> tuple[Poly, ...]:
@@ -104,7 +105,9 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
     (1 - u^(i+2j) t)^(-(-1)^i b_i) run on integer rows cut modulo
     u^(u_order+1) (``arith.euler_rows``); it stops once an omitted
     factor would be congruent to 1 modulo u^(u_order+1).  Both sides are
-    compared modulo (t^(t_order+1), u^(u_order+1)).
+    compared modulo (t^(t_order+1), u^(u_order+1)).  The rank recurrence
+    builds its polynomials E and O with ``arith.euler_rows`` too, from
+    the j = 0 factors, so the two sides share that kernel.
     """
     if t_order < 0 or u_order < 0:
         raise ValueError("orders must be >= 0")
@@ -270,9 +273,9 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     factors = [f for f in _zeta_factors(betti) if f[0]]
     factors += [f for j in range(1, M // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
     # infinite Pochhammer at u^2, truncated
-    factors += [(2 * j, 1) for j in range(1, M // 2 + 1)]
+    factors += [(2 * j, 1, 1) for j in range(1, M // 2 + 1)]
     v = [1]
-    for a, e in factors:
+    for a, _, e in factors:
         v = euler_factor(v, a, e, M)
     return Poly.from_ints(v)
 
@@ -294,9 +297,8 @@ def stable_betti_verified(space: GradedSpace, u_order: int) -> StabilizationRepo
     Stabilization is detected, never assumed: the Poincare polynomials
     at n = u_order and n = u_order + 1, modulo u^(u_order+1), must both
     equal the residue value.  Both come from one ``rank_numerators``
-    pass cut at ``top = u_order``: the rank recurrence
-    n N_n = sum_k w_k E_(n,k) N_(n-k), whose division by n is still
-    checked for a remainder at every rank.
+    pass cut at ``top = u_order``: the rank recurrence divides nothing,
+    so the cut ranks are the full ones cut.
     """
     n = max(u_order, 1)
     stable = stable_betti(space, u_order)

@@ -6,11 +6,16 @@ t = 1, (1 - u^a)^e is a ``Poly`` multiplied by ``Poly.__mul__`` and
 cut modulo u^(M+1) (``cut``).
 The production routes run on int rows and vectors instead
 (``arith.euler_rows``, ``arith.euler_factor``).
+
+The rank numerators have a second route here too: the log-derivative
+recurrence ``rank_recurrence_by_log_derivative``, which divides by
+1 - u^(2k) and by n and checks both divisions for a remainder, against
+the division-free q-difference recurrence ``charmodel._rank_recurrence``.
 """
 
 from math import comb
 
-from commvar.arith import Poly, TSeries, euler_factor, to_poly
+from commvar.arith import Poly, TSeries, add_product, euler_factor, to_poly
 
 
 def one_minus_x_coeffs(e, order):
@@ -73,3 +78,51 @@ def stable_betti_by_repeated_passes(space, M):
         for _ in range(abs(e)):
             v = euler_factor(v, a, 1 if e > 0 else -1, M)
     return Poly.from_ints(v)
+
+
+def letter_weights(letters, N):
+    """``weights[k - 1]``, the int terms (k d, c v^k) of w_k = sum c (v u^d)^k
+    over the letters (d, v, c), for k = 1..N."""
+    return [[(k * d, c * v**k) for d, v, c in letters if c * v] for k in range(1, N + 1)]
+
+
+def rank_recurrence_by_log_derivative(weights, N, top=None):
+    """Integer coefficients in u of N_0 .. N_N for int weights w_1 .. w_N.
+
+    ``weights[k - 1]`` lists the int terms (d, c) of w_k = sum c u^d.
+    With x = u^2, the numerators of sum_n N_n / (x; x)_n t^n =
+    exp sum_k w_k t^k / (k (1 - x^k)) satisfy the log-derivative
+    recurrence
+
+        n N_n = sum_(k=1..n) w_k E_(n,k) N_(n-k),  N_0 = 1,
+        E_(n,k) = prod_(j=n-k+1..n) (1 - x^j) / (1 - x^k).
+
+    E_(n,k) N_(n-k) is R_(n-k) / (1 - x^k) for the running products
+    R_m = N_m prod_(j=m+1..n) (1 - x^j): at each n every R_m takes one
+    more factor and each term is one division, ``euler_factor`` at e = 1
+    and at e = -1, then one ``add_product`` of w_k's terms.  Both
+    divisions raise ValueError on a remainder.  With ``top = M`` every
+    vector is cut modulo u^(M+1), so the first division is a
+    power-series quotient; the division by n is still checked.
+    Trailing zeros are stripped, so a zero polynomial is the empty list.
+    """
+    # factors 1 - u^(2j) with 2j > top are 1 modulo u^(top+1)
+    jmax = N if top is None else top // 2
+    ranks = [[1]]
+    runs = [[1]]  # runs[m] = R_m at the current n; empty when N_m = 0
+    for n in range(1, N + 1):
+        if n <= jmax:
+            runs = [euler_factor(v, 2 * n, 1, top) if v else v for v in runs]
+        acc = []
+        for k in range(1, n + 1):
+            v = runs[n - k]
+            if v:
+                add_product(acc, weights[k - 1], euler_factor(v, 2 * k, -1, top), 1, top)
+        if any(a % n for a in acc):
+            raise ValueError(f"rank {n}: division by {n} left a remainder")
+        acc = [a // n for a in acc]
+        while acc and not acc[-1]:
+            acc.pop()
+        ranks.append(acc)
+        runs.append(acc)
+    return ranks

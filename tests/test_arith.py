@@ -222,30 +222,39 @@ class TestAddProduct:
         return calls
 
     def test_the_rank_recurrence_calls_it_once_per_term(self, monkeypatch):
-        # N_0 .. N_3 of p1 are nonzero, so rank n makes n calls: 1 + 2 + 3 + 4
+        # p1 has B = 2 letters and N_0 .. N_3 are nonzero, so rank n makes
+        # one call per window entry, min(n, 2): 1 + 2 + 2 + 2
         calls = self.counted(monkeypatch, charmodel)
         charmodel.rank_numerators(builtin_space("p1"), 4)
-        assert len(calls) == 10
+        assert len(calls) == 7
 
     def test_the_euler_rows_call_it_once_per_binomial_term(self, monkeypatch):
         # (1 - x t)^2 to t^3: rows 3 and 2 take two terms, row 1 one
         calls = self.counted(monkeypatch, arith)
-        assert euler_rows([(1, 2)], 3) == [[1], [0, -2], [0, 0, 1], []]
+        assert euler_rows([(1, 1, 2)], 3) == [[1], [0, -2], [0, 0, 1], []]
         assert len(calls) == 5
 
 
 class TestEulerRows:
-    """The int rows of prod (1 - x^a t)^e against the ``TSeries`` product
+    """The int rows of prod (1 - v x^a t)^e against the ``TSeries`` product
     of the binomial expansions of its factors, cut at the end."""
 
     def test_against_the_polynomial_product(self):
-        rng = random.Random(1515)
+        self.check_against_the_polynomial_product(random.Random(1515), (1,))
+
+    def test_factors_with_a_coefficient(self):
+        # (1 - v x^a t)^e, as the rank recurrence takes point-count letters
+        self.check_against_the_polynomial_product(random.Random(1516), (-2, -1, 0, 1, 3))
+
+    @staticmethod
+    def check_against_the_polynomial_product(rng, vs):
         for _ in range(200):
             factors = [(rng.randint(0, 6), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+            factors = [(a, rng.choice(vs) if len(vs) > 1 else 1, e) for a, e in factors]
             t_order = rng.randint(0, 6)
             full = TSeries([1] + [0] * t_order)
-            for a, e in factors:
-                full = full * binomial_factor(Poly.monomial(a), e, t_order)
+            for a, v, e in factors:
+                full = full * binomial_factor(Poly.monomial(a, v), e, t_order)
             for top in (None, 0, 1, 7):
                 rows = euler_rows(factors, t_order, top)
                 assert len(rows) == t_order + 1
@@ -259,11 +268,11 @@ class TestEulerRows:
 
     def test_shifted_geometric_series(self):
         # 1 / ((1 - t)(1 - x^2 t)): row k is 1 + x^2 + ... + x^(2k)
-        rows = euler_rows([(0, -1), (2, -1)], 4)
+        rows = euler_rows([(0, 1, -1), (2, 1, -1)], 4)
         assert [Poly.from_ints(r) for r in rows] == [
             Poly([1] * (k + 1)).subst_power(2) for k in range(5)
         ]
-        assert euler_rows([(0, -1), (2, -1)], 4, top=3)[4] == [1, 0, 1, 0]
+        assert euler_rows([(0, 1, -1), (2, 1, -1)], 4, top=3)[4] == [1, 0, 1, 0]
 
     @pytest.mark.parametrize("t_order", [0, 1, 2, 3, 5])
     def test_one_factor_is_its_binomial_expansion(self, t_order):
@@ -273,10 +282,10 @@ class TestEulerRows:
             for e in range(-t_order - 3, t_order + 4):
                 coeffs = one_minus_x_coeffs(e, t_order)
                 expected = [Poly.monomial(a * k, c) for k, c in enumerate(coeffs)]
-                rows = euler_rows([(a, e)], t_order)
+                rows = euler_rows([(a, 1, e)], t_order)
                 assert [Poly.from_ints(r) for r in rows] == expected, (a, e)
                 for top in (0, 2, 4):
-                    rows = euler_rows([(a, e)], t_order, top)
+                    rows = euler_rows([(a, 1, e)], t_order, top)
                     assert all(len(r) <= top + 1 for r in rows)
                     # a factor with a > top is 1 modulo x^(top+1)
                     cuts = [cut(c, top) for c in expected] if a <= top else [1] + [0] * t_order
@@ -285,7 +294,7 @@ class TestEulerRows:
     @pytest.mark.parametrize("e", [math.comb(20, 10), -math.comb(20, 10), 10**30, -(10**30)])
     def test_large_exponents(self, e):
         # the torus of dimension 20 has factors with |e| = C(20, 10)
-        rows = euler_rows([(1, e), (2, 3)], 3)
+        rows = euler_rows([(1, 1, e), (2, 1, 3)], 3)
         full = binomial_factor(Poly.monomial(1), e, 3) * binomial_factor(Poly.monomial(2), 3, 3)
         assert [Poly.from_ints(r) for r in rows] == list(full.coeffs)
 
@@ -293,7 +302,7 @@ class TestEulerRows:
         with pytest.raises(ValueError, match="t order"):
             euler_rows([], -1)
         with pytest.raises(ValueError, match="a must be >= 0"):
-            euler_rows([(-1, 1)], 2)
+            euler_rows([(-1, 1, 1)], 2)
 
 
 class TestBinomialCoefficients:

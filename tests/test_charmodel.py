@@ -33,7 +33,9 @@ from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, q_pochhammer
 from commvar.varieties import builtin_space
 from h_basis import from_h
+from series_oracle import letter_weights, rank_recurrence_by_log_derivative
 from symfunc_ops import add, power_sum, scale
+from test_golden import _load_workloads
 
 P = Partition
 U = Poly.monomial(1)
@@ -622,19 +624,24 @@ class TestRankNumerators:
         assert poincare(GradedSpace([]), 3, "coh") == RatFunc(0)
 
     def test_division_by_n_is_checked(self):
-        # w_1 = 1 and w_k = 0 otherwise: N_2 = (1 + u^2) / 2 is not integral
+        # the oracle's own check: w_1 = 1 and w_k = 0 otherwise make
+        # N_2 = (1 + u^2) / 2, which is not integral
         weights = [[(0, 1)], []]
-        assert charmodel._rank_recurrence(weights, 1) == [[1], [1]]
+        assert rank_recurrence_by_log_derivative(weights, 1) == [[1], [1]]
         with pytest.raises(ValueError, match="division by 2 left a remainder"):
-            charmodel._rank_recurrence(weights, 2)
+            rank_recurrence_by_log_derivative(weights, 2)
         with pytest.raises(ValueError, match="division by 2 left a remainder"):
-            charmodel._rank_recurrence(weights, 2, top=4)
+            rank_recurrence_by_log_derivative(weights, 2, top=4)
 
     @pytest.mark.parametrize("N, top", [(12, None), (20, None), (14, 14), (30, 7)])
-    def test_factor_passes_are_quadratic(self, monkeypatch, N, top):
-        # running products take each factor 1 - u^(2n) once per rank; one
-        # product per (n, k) would make about N^3 / 6 passes
-        expected = rank_numerators(PROJ, N, top)
+    @pytest.mark.parametrize("letters", [((0, 1, 1), (2, 1, 1)), ((0, 1, 1), (1, 1, -3), (2, 2, 2))])
+    def test_factor_passes_are_linear(self, monkeypatch, letters, N, top):
+        # for B the larger degree of E and O, rank n multiplies the window
+        # entries that stay, min(n, B) - 1 of them, by 1 - u^(2n-2), and
+        # only while 2n - 2 <= top; one product per (n, k), as the
+        # log-derivative recurrence takes, makes about N^2 / 2 passes
+        B = max(sum(c for *_, c in letters if c > 0), -sum(c for *_, c in letters if c < 0))
+        expected = rank_recurrence_by_log_derivative(letter_weights(letters, N), N, top)
         calls = []
         kernel = charmodel.euler_factor
 
@@ -644,9 +651,12 @@ class TestRankNumerators:
             return kernel(v, a, e, *cut)
 
         monkeypatch.setattr(charmodel, "euler_factor", counted)
-        weights = [[(0, 1), (2 * k, 1)] for k in range(1, N + 1)]
-        assert charmodel._rank_recurrence(weights, N, top) == expected
-        assert 0 < len(calls) <= N * (N + 1) // 2
+        assert charmodel._rank_recurrence(letters, N, top) == expected
+        last = N if top is None else min(N, top // 2 + 1)
+        assert calls == [2 * n - 2 for n in range(2, last + 1) for _ in range(min(n, B) - 1)]
+        assert 0 < len(calls) <= (B - 1) * N
+        if B == 2:  # p1
+            assert len(calls) <= N
 
     @pytest.mark.parametrize("top", [None, 0, 5, 12])
     def test_constant_weights_leave_odd_degrees_zero(self, top):
@@ -656,14 +666,50 @@ class TestRankNumerators:
         longest = 0
         for _ in range(10):
             roots = [(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))) for _ in range(3)]
-            sums = [sum(c * a**k for a, c in roots) for k in range(1, N + 1)]
-            weights = [[(0, w)] if w else [] for w in sums]
-            ranks = charmodel._rank_recurrence(weights, N, top)
+            ranks = charmodel._rank_recurrence([(0, a, c) for a, c in roots], N, top)
             assert len(ranks) == N + 1
             assert all(not any(v[1::2]) for v in ranks), (roots, top, ranks)
             longest = max(longest, *map(len, ranks))
         # the check is not vacuous: some N_n reaches u^2 unless cut at u^0
         assert longest == 1 if top == 0 else longest >= 3
+
+    def test_matches_the_log_derivative_oracle(self, monkeypatch):
+        # every size the benchmark's commands and the verify suites ask of
+        # the recurrence: poincare up to n = 12, series stable up to
+        # u-order 10 (ranks u and u + 1 cut at u^u) and series coh at its
+        # golden and default orders, for the builtins, the descriptor pool,
+        # the empty space and tori of dimension 1-5
+        spaces = [builtin_space(name) for name in RANK_NAMES]
+        spaces += [parse_descriptor(body) for body in _load_workloads().descriptor_pool().values()]
+        spaces += [GradedSpace([])] + [builtin_space("torus", dim=d) for d in range(2, 6)]
+        sizes = [(12, None)] + [(max(u, 1) + 1, u) for u in range(11)] + [(3, 8), (2, 5), (5, 20)]
+        by_oracle = rank_recurrence_by_log_derivative
+        for space in spaces:
+            for N, top in sizes:
+                letters = [(i, 1, -b if i % 2 else b) for i, b in space.betti().items()]
+                expected = by_oracle(letter_weights(letters, N), N, top)
+                assert rank_numerators(space, N, top) == expected, (space, N, top)
+        # seeded random letters (d, v, c), v != 1 included, with a random cut
+        rng = random.Random(2718)
+        for _ in range(300):
+            letters = [
+                (rng.randint(0, 4), rng.randint(-2, 3), rng.randint(-3, 3))
+                for _ in range(rng.randint(0, 4))
+            ]
+            N = rng.randint(0, 9)
+            top = rng.choice((None, 0, 1, 3, 6, 10))
+            expected = by_oracle(letter_weights(letters, N), N, top)
+            assert charmodel._rank_recurrence(letters, N, top) == expected, (letters, N, top)
+        # point counts, whose letters (0, eig * D, (-1)^deg dim) carry v
+        grid = [(space, q) for space in spaces for q in (2, 3, 4, 5, 9)]
+        counts = [point_counts(space, 6, q) for space, q in grid]
+        monkeypatch.setattr(
+            charmodel,
+            "_rank_recurrence",
+            lambda letters, N, top=None: by_oracle(letter_weights(letters, N), N, top),
+        )
+        for (space, q), got in zip(grid, counts):
+            assert point_counts(space, 6, q) == got, (space, q)
 
     def test_rejects_negative_orders(self):
         with pytest.raises(ValueError, match="n must be >= 0"):

@@ -791,9 +791,9 @@ class TestCrossCheck:
         calls = []
         real = charmodel._rank_recurrence
 
-        def counted(weights, N, top=None):
+        def counted(letters, N, top=None):
             calls.append((N, top))
-            return real(weights, N, top)
+            return real(letters, N, top)
 
         monkeypatch.setattr(charmodel, "_rank_recurrence", counted)
         assert cross_check(Torus(1), 3, 2, eigendata_for_family(Torus(1))).ok
