@@ -41,10 +41,6 @@ from functools import lru_cache
 from math import comb, gcd as _igcd, lcm as _ilcm
 
 
-class PoleError(ZeroDivisionError):
-    """A power series expansion where the denominator vanishes at 0."""
-
-
 class Frozen:
     """Base of a small immutable value with its fields in ``__slots__``.
 
@@ -500,33 +496,6 @@ class RatFunc(Frozen):
         if not isinstance(other, RatFunc):
             other = RatFunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    # -- expansion --------------------------------------------------------
-
-    def series(self, order: int) -> list[Poly]:
-        """Power series coefficients x^0 .. x^order, as constant Polys.
-
-        Requires the denominator to be invertible as a power series,
-        i.e. nonzero constant term.  For the int vectors a, b of num and
-        den, the coefficient c_k of a / b is e_k / b_0^(k+1) with
-        e_k = a_k b_0^k - sum_(j=1..k) b_j e_(k-j) b_0^(j-1), over ints.
-        """
-        a, b = self.num.num, self.den.num
-        b0 = b[0] if b else 0
-        if not b0:
-            raise PoleError("series expansion at a pole (denominator vanishes at 0)")
-        powers = [1]
-        for _ in range(order + 1):
-            powers.append(powers[-1] * b0)
-        e: list[int] = []
-        for k in range(order + 1):
-            acc = a[k] * powers[k] if k < len(a) else 0
-            for j in range(1, min(k, len(b) - 1) + 1):
-                acc -= b[j] * e[k - j] * powers[j - 1]
-            e.append(acc)
-        # num / den = (den.den / num.den) * (a / b)
-        scale, base = self.den.den, self.num.den
-        return [Poly.from_ints((c * scale,), base * powers[k + 1]) for k, c in enumerate(e)]
 
     # -- rendering ---------------------------------------------------------
 

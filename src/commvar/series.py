@@ -13,11 +13,15 @@ compared coefficient by coefficient, exactly:
 Every factor of the first two products is (1 - u^a t)^e, and the
 products run on integer rows, one per power of t (``arith.euler_rows``);
 no polynomial is multiplied.  The last product has infinitely many
-non-unit factors, so its coefficients are evaluated in closed form: the
-logarithm of the product is a geometric series in the field size,
-summed exactly.  The point counts on the other side come from one
-pass of the rank recurrence (``charmodel.point_counts``) and share no
-code with it.
+non-unit factors, but it is the unique series G with G(0) = 1 and
+G(q t) = Z(t) G(t) for the Weil zeta Z, so one recurrence on Z's
+numerator and denominator gives its coefficients as rationals, the
+equation solved numerically at x = 1/q.  The point counts on the other
+side come from one pass of the rank recurrence
+(``charmodel.point_counts``), which solves the same equation
+symbolically in x = u^2 before it is read at x = 1/q, and share no code
+with it.  The log/exp closed form of the product is the tests' oracle
+(``tests/series_oracle.py``).
 
 A series is a tuple of its t-coefficients, t^0 first, each a ``Poly``
 in u (a constant for the groupoid series); ``SeriesReport`` holds the
@@ -181,10 +185,12 @@ def groupoid_digits(space: GradedSpace, q: int, order: int) -> int:
     of ``groupoid_series(space, q, order)`` hold, found without building
     them.
 
-    Both sides print c_n = [t^n] exp sum_k w_k t^k / (k (1 - q^(-k))),
-    n <= order, for the eigenvalue power sums w_k.  With e_v the signed
-    multiplicity of the eigenvalue v (``_zeta_exponents``), E the sum of
-    the |e_v| and V the largest |v|, |w_k| <= E V^k and
+    Both sides print the coefficients c_n, n <= order, of the solution
+    G of G(q t) = Z(t) G(t), G(0) = 1.  As G = prod_(i>=1) Z(t/q^i),
+    c_n = [t^n] exp sum_k w_k t^k / (k (1 - q^(-k))) for the eigenvalue
+    power sums w_k.  With e_v the signed multiplicity of the eigenvalue
+    v (``_zeta_exponents``), E the sum of the |e_v| and V the largest
+    |v|, |w_k| <= E V^k and
     1 / (1 - q^(-k)) <= 2, so |c_n| is at most the t^n coefficient
     binom(2E + n - 1, n) V^n of (1 - V t)^(-2E).  The denominator of c_n
     divides D^n |GL_n(F_q)|, D the lcm of the eigenvalue denominators
@@ -202,31 +208,24 @@ def groupoid_digits(space: GradedSpace, q: int, order: int) -> int:
     return bits * 30103 // 100000 + 1
 
 
-def _series_log(coeffs: list[Poly]) -> list[Poly]:
-    """a_n with log(sum z_n t^n) = sum a_n t^n / n; requires z_0 = 1."""
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError("series logarithm needs constant term 1")
-    a = [Poly()]
-    for n in range(1, len(coeffs)):
-        acc = coeffs[n] * n
-        for m in range(1, n):
-            acc = acc - a[m] * coeffs[n - m]
-        a.append(acc)
-    return a
-
-
 def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
     """Point-count series against the infinite product of shrunk zeta factors.
 
-    Left side: the formula point counts over the group order, from one
-    ``charmodel.point_counts`` pass.  Right side: the product over
-    i >= 1 of the Weil zeta at t/q^i.  The factors never become trivial
-    at any finite cutoff, so the product is evaluated in closed form
-    instead: its logarithm turns the i-sum into geometric series
-    1/(q^m - 1), which is exact.  Both sides are one identity,
-    log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
-    eigenvalue power sums w_k, but share no code.  The enumerator is
-    the independent check of a point count.
+    Both sides solve one functional equation, G(q t) = Z(t) G(t) with
+    G(0) = 1, for the Weil zeta Z, and share no code.  Left side: the
+    formula point counts over the group order, from one
+    ``charmodel.point_counts`` pass, whose rank recurrence solves the
+    equation as F(t) E(t) = F(x t) O(t) symbolically in x = u^2, on the
+    eigenvalue letters, and reads it at x = 1/q.  Right side:
+    G = prod_(i>=1) Z(t/q^i), solved numerically at x = 1/q from the
+    coefficients of the Weil zeta Z = num / den that ``series zeta``
+    prints: the t^n coefficient of den(t) G(q t) = num(t) G(t) gives
+
+        (den_0 q^n - num_0) g_n = sum_(k=1..n) (num_k - q^(n-k) den_k) g_(n-k),
+
+    and den_0 = num_0 = 1, so the divisor q^n - 1 is never 0.  The
+    log/exp closed form of the same product is the tests' oracle.  The
+    enumerator is the independent check of a point count.
     """
     prime_power_base(q)
     if order < 0:
@@ -234,13 +233,16 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
     counts = point_counts(space, order, q)
     lhs = [Poly.constant(1)] + [counts[n] / gl_order(n, q) for n in range(1, order + 1)]
 
-    a = _series_log(weil_zeta_from_eigendata(space, q).series(order))
+    # num = N / a and den = D / b over ints, so a D(t) G(q t) = b N(t) G(t)
+    zeta = weil_zeta_from_eigendata(space, q)
+    a, b = zeta.num.den, zeta.den.den
+    N, D = (list(p.num) + [0] * order for p in (zeta.num, zeta.den))
     rhs = [Poly.constant(1)]
     for n in range(1, order + 1):
         acc = Poly()
-        for m in range(1, n + 1):
-            acc = acc + a[m] * rhs[n - m] / (q**m - 1)
-        rhs.append(acc / n)
+        for k in range(1, n + 1):
+            acc = acc + rhs[n - k] * (b * N[k] - a * D[k] * q ** (n - k))
+        rhs.append(acc / (a * D[0] * q**n - b * N[0]))
     return SeriesReport(tuple(lhs), tuple(rhs))
 
 

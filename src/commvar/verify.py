@@ -73,8 +73,8 @@ def cross_check(family: VarietyFamily, n: int, q: int, space, budget=None) -> Cr
     ``charmodel.point_counts``), the series route its product side, the
     Weil zeta factors at t/q^i; both are multiplied back by the group
     order, so all three numbers count matrix tuples.  Both formula routes
-    expand log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))),
-    so the enumerated count is the independent check of a point count.
+    solve G(q t) = Z(t) G(t) for G = prod_(i>=1) Z(t/q^i), so the
+    enumerated count is the independent check of a point count.
     """
     if not family.is_curve():
         raise ValueError("cross_check applies to the curve families only")
@@ -168,9 +168,16 @@ def check_macdonald() -> CheckResult:
 #: The field sizes of the point-count grid; ``verify -q`` picks one.
 POINT_COUNT_FIELDS = (2, 3)
 
+#: Every curve of the grid puts its letters with |c| >= 2 at v = 1, so a
+#: wrong power of v in the letters' Euler rows would pass it; this space's
+#: dimension-2 stratum at eigenvalue -1 does not.
+_SIGNED_SPACE = GradedSpace([Stratum(0, 1, 1), Stratum(1, 2, -1)])
+
 
 def check_point_counts(q: int | None = None) -> CheckResult:
-    """Three-route point-count agreement on the curve families."""
+    """Three-route point-count agreement on the curve families, and the
+    two sides of ``groupoid_series`` on a space with a dimension-2
+    stratum at eigenvalue -1, at q = 3 to t^4."""
     grid = []
     for qq in POINT_COUNT_FIELDS:
         for n in (1, 2, 3):
@@ -191,6 +198,10 @@ def check_point_counts(q: int | None = None) -> CheckResult:
         result = cross_check(family, n, qq, eigendata_for_family(family))
         if not result.ok:
             failures.append(result.describe())
+    if q in (None, 3):
+        report = groupoid_series(_SIGNED_SPACE, 3, 4)
+        if not report.equal:
+            failures.append(f"groupoid series, dim-2 stratum at eigenvalue -1, q=3: {report.verdict()}")
     if failures:
         return CheckResult("point-counts", False, "; ".join(failures))
     return CheckResult("point-counts", True, f"{ran} cross-checks")

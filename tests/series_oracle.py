@@ -11,6 +11,11 @@ The rank numerators have a second route here too: the log-derivative
 recurrence ``rank_recurrence_by_log_derivative``, which divides by
 1 - u^(2k) and by n and checks both divisions for a remainder, against
 the division-free q-difference recurrence ``charmodel._rank_recurrence``.
+
+So does the groupoid product prod_(i>=1) Z(t/q^i): its log/exp closed
+form ``groupoid_product_by_log``, from the power series of the Weil zeta
+Z (``power_series``) and its logarithm (``series_log``), against the
+q-difference recurrence of ``series.groupoid_series``.
 """
 
 from math import comb
@@ -78,6 +83,53 @@ def stable_betti_by_repeated_passes(space, M):
         for _ in range(abs(e)):
             v = euler_factor(v, a, 1 if e > 0 else -1, M)
     return Poly.from_ints(v)
+
+
+def power_series(f, order):
+    """The t^0 .. t^order coefficients of the rational function f as
+    constant Polys, by long division; f.den must not vanish at 0."""
+
+    def coeff(p, k):
+        return Poly.from_ints(p.num[k : k + 1], p.den)
+
+    out = []
+    for k in range(order + 1):
+        acc = coeff(f.num, k)
+        for j in range(1, k + 1):
+            acc = acc - coeff(f.den, j) * out[k - j]
+        out.append(acc / coeff(f.den, 0))
+    return out
+
+
+def series_log(coeffs):
+    """a_n with log(sum z_n t^n) = sum a_n t^n / n; requires z_0 = 1."""
+    if not coeffs or coeffs[0] != 1:
+        raise ValueError("series logarithm needs constant term 1")
+    a = [Poly()]
+    for n in range(1, len(coeffs)):
+        acc = coeffs[n] * n
+        for m in range(1, n):
+            acc = acc - a[m] * coeffs[n - m]
+        a.append(acc)
+    return a
+
+
+def groupoid_product_by_log(zeta, q, order):
+    """prod_(i>=1) Z(t/q^i) to t^order, for the Weil zeta Z, by its logarithm.
+
+    With log Z = sum_n a_n t^n / n the i-sum of each term is geometric,
+    log prod_(i>=1) Z(t/q^i) = sum_n a_n t^n / (n (q^n - 1)), so the
+    coefficients g_n of the product satisfy
+    n g_n = sum_(m=1..n) a_m g_(n-m) / (q^m - 1), g_0 = 1.
+    """
+    a = series_log(power_series(zeta, order))
+    g = [Poly.constant(1)]
+    for n in range(1, order + 1):
+        acc = Poly()
+        for m in range(1, n + 1):
+            acc = acc + a[m] * g[n - m] / (q**m - 1)
+        g.append(acc / n)
+    return tuple(g)
 
 
 def letter_weights(letters, N):

@@ -6,9 +6,11 @@ every comparison is bit-exact.  The same checks back the ``commvar
 verify`` subcommand.
 """
 
+import inspect
+
 import pytest
 
-from commvar import symfunc, verify
+from commvar import arith, charmodel, symfunc, verify
 from commvar.arith import Poly
 from commvar.oracle import Torus
 from commvar.partitions import partitions_of
@@ -231,3 +233,25 @@ class TestOneCorruptedRouteFails:
         monkeypatch.setattr(symfunc, "_strips", lambda m, r: corrupt(real(m, r), m, r))
         result = check_character_substrate()
         assert (result.passed, result.detail) == (False, detail)
+
+    @pytest.mark.parametrize(
+        "power, mismatch",
+        [
+            pytest.param("(-1) ** j * v", "t^2", id="v-once"),
+            pytest.param("(-abs(v)) ** j", "t^1", id="minus-abs-v"),
+        ],
+    )
+    def test_point_counts_see_the_power_of_v(self, monkeypatch, power, mismatch):
+        # (-1)^j v or (-|v|)^j for (-v)^j in the Euler rows of the
+        # point-count letters: every curve of the grid has its letters
+        # with |c| >= 2 at v = 1, so only the groupoid check sees it
+        source = inspect.getsource(arith.euler_rows)
+        assert source.count("(-v) ** j") == 1
+        namespace = dict(vars(arith))
+        exec(source.replace("(-v) ** j", power), namespace)
+        monkeypatch.setattr(charmodel, "euler_rows", namespace["euler_rows"])
+        result = check_point_counts()
+        assert (result.passed, result.detail) == (
+            False,
+            f"groupoid series, dim-2 stratum at eigenvalue -1, q=3: mismatch at {mismatch}",
+        )

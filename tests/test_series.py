@@ -22,7 +22,8 @@ from commvar.series import (
     weil_zeta_digits,
     weil_zeta_from_eigendata,
 )
-from series_oracle import cut, scale_t
+from commvar.varieties import BUILTIN_NAMES, builtin_space
+from series_oracle import cut, groupoid_product_by_log, power_series, scale_t
 from series_oracle import stable_betti as stable_betti_by_polynomials
 from series_oracle import stable_betti_by_repeated_passes
 
@@ -80,7 +81,7 @@ class TestCohProduct:
         for n in range(5):
             exact = poincare(POINT, n, "coh")
             assert exact == RatFunc(1, q_pochhammer(n, power=2))
-            assert report.lhs[n] == Poly(exact.series(10))
+            assert report.lhs[n] == Poly(power_series(exact, 10))
 
     def test_empty_space_is_one(self):
         report = coh_series(GradedSpace([]), 3, 8)
@@ -115,10 +116,6 @@ class TestCohProduct:
     def test_left_side_is_the_expanded_stack_poincare_value(self):
         # the left side from one rank pass against each rank's exact
         # stack Poincare value expanded as a series
-        import random
-
-        from commvar.varieties import builtin_space
-
         rng = random.Random(4242)
         spaces = [
             builtin_space("point"),
@@ -137,7 +134,8 @@ class TestCohProduct:
                 report = coh_series(space, t_order, u_order)
                 unit = space.with_unit_eigenvalues()
                 expected = [
-                    Poly(poincare(unit, n, "coh").series(u_order)) for n in range(t_order + 1)
+                    Poly(power_series(poincare(unit, n, "coh"), u_order))
+                    for n in range(t_order + 1)
                 ]
                 assert report.lhs == tuple(expected), (space, t_order, u_order)
 
@@ -240,6 +238,45 @@ class TestGroupoidSeries:
     def test_rejects_non_prime_power_field(self):
         with pytest.raises(ValueError, match="prime power"):
             groupoid_series(TORUS, 6, 2)
+
+    @pytest.mark.parametrize(
+        "space, q, expected",
+        [
+            pytest.param(AFFINE, 2, [1], id="order-0"),
+            pytest.param(GradedSpace([]), 3, [1, 0, 0, 0], id="empty-space"),
+            # Z = (1 - t)^3 / (1 - 2t)^3: a numerator longer than the order
+            pytest.param(builtin_space("torus", dim=3), 2, [1, 1], id="torus-dim-3"),
+            # not a curve: formula values, not point counts
+            pytest.param(POINT, 2, [1, 1, F(2, 3), F(8, 21)], id="point"),
+        ],
+    )
+    def test_edge_cases_of_the_recurrence(self, space, q, expected):
+        report = groupoid_series(space, q, len(expected) - 1)
+        assert report.rhs == tuple(map(Poly.constant, expected))
+        assert report.equal
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    def test_right_side_matches_the_log_exp_oracle(self, q):
+        # the q-difference recurrence against the log/exp closed form of
+        # prod_(i>=1) Z(t/q^i), both from the same Weil zeta
+        rng = random.Random(3600 + q)
+        eigs = (F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3), F(2), QPower(-1), QPower(1), QPower(-2))
+        spaces = [builtin_space(name) for name in BUILTIN_NAMES]
+        spaces += [builtin_space("torus", dim=3), builtin_space("affine", dim=2), GradedSpace([])]
+        spaces += [
+            GradedSpace(
+                [
+                    Stratum(rng.randint(0, 4), rng.randint(1, 3), rng.choice(eigs))
+                    for _ in range(rng.randint(1, 4))
+                ]
+            )
+            for _ in range(24)
+        ]
+        for space in spaces:
+            zeta = weil_zeta_from_eigendata(space, q)
+            for order in (0, 1, 3, 6):
+                expected = groupoid_product_by_log(zeta, q, order)
+                assert groupoid_series(space, q, order).rhs == expected, (space, q, order)
 
 
     def test_digit_bound_covers_every_printed_int(self):
