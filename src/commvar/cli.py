@@ -87,6 +87,12 @@ def _reject(args, options, where: str) -> None:
             raise ValueError(f"{option} does not apply {where}")
 
 
+def _at_least(option: str, value, low: int) -> None:
+    """Reject a given ``value`` of ``option`` below ``low``, naming the option."""
+    if value is not None and value < low:
+        raise ValueError(f"{option} must be >= {low}, got {value}")
+
+
 def _check_variety_options(args, option: str = "--variety") -> None:
     """Reject --dim unless the variety (or ``count``'s family) named by
     ``option`` is affine/torus, and --avoid unless it is punctured; a
@@ -199,6 +205,7 @@ def _cmd_poincare(args) -> int:
     if args.space in ("flag", "bgln"):
         _reject(args, ("--variety",), f"to --space {args.space}")
     _check_variety_options(args)
+    _at_least("-n", args.n, 1 if args.space in ("flag", "bgln") else 0)
     space = None
     if args.space in ("cn", "sn", "coh"):
         if not args.variety:
@@ -213,6 +220,7 @@ def _cmd_char(args) -> int:
     if args.flag is not None:
         options = ("--variety", "-n", "-q", "--cycle-type", "--dim", "--avoid")
         _reject(args, options, "to char --flag")
+        _at_least("--flag", args.flag, 1)
         n = args.flag
         ch = flag_character(n)
         schur = {lam: flag_schur_coefficient(n, lam).subst_power(2) for lam in partitions_of(n)}
@@ -221,6 +229,7 @@ def _cmd_char(args) -> int:
         if not args.variety or args.n is None:
             raise ValueError("char: need either --flag N or --variety ... -n N")
         _check_variety_options(args)
+        _at_least("-n", args.n, 0)
         space = _resolve_space(args)
         if args.q is not None:
             _check_q(args, args.q)
@@ -284,6 +293,8 @@ def _cmd_series(args) -> int:
     )
     _reject(args, [o for o, kinds in ignored if args.kind in kinds], f"to series {args.kind}")
     _check_variety_options(args)
+    _at_least("--t-order", args.t_order, 0)
+    _at_least("--u-order", args.u_order, 0)
     space = _resolve_space(args)
     t_order = 5 if args.t_order is None else args.t_order
     # every row is rendered before any is printed, so a row that cannot
@@ -333,6 +344,7 @@ def _cmd_series(args) -> int:
 def _cmd_count(args) -> int:
     if args.budget is not None and args.budget < 1:
         raise ValueError(f"--budget must be a positive integer, got {args.budget}")
+    _at_least("--n", args.n, 1)
     _check_variety_options(args, "--family")
     family = family_for(args.family, dim=_dim(args), avoided=_avoided(args))
     print(count_points(family, args.n, args.q, budget=args.budget))

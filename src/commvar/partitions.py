@@ -8,7 +8,6 @@ reverse-lexicographic, (n) first and (1, ..., 1) last.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial, prod
 
@@ -111,16 +110,38 @@ class Partition(tuple):
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order."""
+    """All partitions of n in reverse-lexicographic order.
+
+    Each is (first,) + rest for first = n, ..., 1 and rest, in order,
+    each partition of n - first with rest[0] <= first, read from the
+    cached list of n - first.  These are valid by construction, so they
+    are built by ``_extend`` without ``Partition``'s checks.
+    """
     if n < 0:
         raise ValueError("partitions of a negative integer")
-    return tuple(Partition(p) for p in _gen_partitions(n, n))
+    return _partitions(n)
 
 
-def _gen_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    # recursion through this private name, so that a wrapper of the
+    # public ``partitions_of`` sees one call per list asked for
     if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
+        return (Partition(),)
+    out = []
+    for first in range(n, 0, -1):
+        out.extend(_extend(first, rest) for rest in _partitions(n - first) if rest[:1] <= (first,))
+    return tuple(out)
+
+
+def _extend(first: int, rest: Partition) -> Partition:
+    """The partition (first,) + rest, for first >= rest[0]; unchecked."""
+    exp = rest.exp
+    if rest and rest[0] == first:
+        exp = exp[:-1] + ((first, exp[-1][1] + 1),)
+    else:
+        exp = exp + ((first, 1),)
+    self = tuple.__new__(Partition, (first, *rest))
+    object.__setattr__(self, "n", first + rest.n)
+    object.__setattr__(self, "exp", exp)
+    return self

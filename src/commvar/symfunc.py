@@ -10,13 +10,17 @@ column of mu[1:], a cycle type of n - mu_1, by the Murnaghan-Nakayama
 rule (Macdonald, I.7): every chi^nu(mu[1:]) goes, with the sign of the
 strip height, to each lam that a border strip of length mu_1 added to
 nu makes.  Those strips are listed once per (size of nu, strip length)
-and cached, as is every column.  Since s_lam = sum_mu chi^lam(mu)
-p_mu / z_mu and the p_mu / z_mu are dual to the p_mu, the Schur
-coefficient of f is sum_mu chi^lam(mu) * [p_mu] f.  That sum runs over
-ints: the p-coefficients, int vectors over one denominator each, are
-brought to the lcm D of those denominators, each Schur coefficient is
-a row of the table dotted with the scaled coefficients, degree by
-degree, and D is divided out once per lam.
+and cached, as is every column; they are found on beta sets held as
+int bitmasks, where adding a strip of length r moves one bead up by r.
+Since s_lam = sum_mu chi^lam(mu) p_mu / z_mu and the p_mu / z_mu are
+dual to the p_mu, the Schur coefficient of f is sum_mu chi^lam(mu) *
+[p_mu] f.  That sum runs over ints: the p-coefficients, int vectors
+over one denominator each, are brought to the lcm D of those
+denominators and each vector is packed into one int, one slot per
+degree, wide enough for any sum of a row of the table times the
+coefficients.  Each Schur coefficient is then one dot product of a row
+with the packed columns, its slots are read back as signed ints, and D
+is divided out once per lam.
 
 Coefficients are polynomials in the grading variable.  The principal
 specialization is the only operation that leaves the polynomial ring:
@@ -57,30 +61,44 @@ def _positions(n: int) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
+def _masks(k: int) -> dict[int, int]:
+    """The beta set of each partition lam of k, padded to k beads, as an
+    int bitmask (bit lam_i + k - 1 - i for i < k, lam padded with
+    zeros), mapped to the index of lam in ``partitions_of(k)``; the keys
+    are in that order."""
+    return {
+        sum(1 << (p + k - 1 - i) for i, p in enumerate(lam)) | ((1 << (k - len(lam))) - 1): j
+        for j, lam in enumerate(partitions_of(k))
+    }
+
+
+@lru_cache(maxsize=None)
 def _strips(m: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each nu of m, in ``partitions_of`` order, the (index of lam in
     ``partitions_of(m + r)``, sign) of every border strip of length r
     that can be added to nu.
 
-    A strip moves one bead of the beta set, padded to len(nu) + r beads,
-    from b to the free position b + r, which takes its row i up to row
-    k: rows k + 1 to i gain one box each, row k gets the rest, and the
-    strip's height is i - k.
+    On the James-Kerber abacus (Macdonald I.7): with M the beta set of
+    nu from ``_masks(m)``, padded by r beads to (M << r) | (2^r - 1), a
+    strip of length r moves a bead b to the free position b + r, giving
+    the beta set M ^ 2^b ^ 2^(b + r) of lam.  The strip's height is the
+    number of beads strictly between b and b + r.  The beads are taken
+    from the highest down, so the strips of nu are listed in the order
+    of the rows they end in.
     """
-    where = _positions(m + r)
+    where = _masks(m + r)
+    low, between = (1 << r) - 1, (1 << (r - 1)) - 1
     table = []
-    for nu in partitions_of(m):
-        size = len(nu) + r
-        parts = nu + (0,) * r
-        betas = [p + size - 1 - i for i, p in enumerate(parts)]
+    for mask in _masks(m):
+        mask = (mask << r) | low
+        free = mask & ~(mask >> r)  # beads b with b + r free
         adds = []
-        for i, b in enumerate(betas):
-            if b + r in betas:
-                continue
-            k = i - sum(1 for x in betas[:i] if x < b + r)
-            moved = tuple(p + 1 for p in parts[k:i])
-            lam = parts[:k] + (parts[i] + r - i + k,) + moved + parts[i + 1 :]
-            adds.append((where[tuple(p for p in lam if p)], -1 if (i - k) % 2 else 1))
+        while free:
+            b = free.bit_length() - 1
+            bit = 1 << b
+            free ^= bit
+            sign = -1 if ((mask >> (b + 1)) & between).bit_count() & 1 else 1
+            adds.append((where[mask ^ bit ^ (bit << r)], sign))
         table.append(tuple(adds))
     return tuple(table)
 
@@ -109,6 +127,21 @@ def _mn(mu: tuple[int, ...]) -> tuple[int, ...]:
 def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """chi^lam(mu) for lam (rows) and mu (columns) in ``partitions_of(n)`` order."""
     return tuple(zip(*(_mn(mu) for mu in partitions_of(n))))
+
+
+@lru_cache(maxsize=None)
+def _row_l1(n: int) -> int:
+    """max over lam of sum_mu |chi^lam(mu)|, the largest l1 norm of a row of
+    ``character_table(n)``."""
+    return max(sum(map(abs, row)) for row in character_table(n))
+
+
+def _slot_bits(top: int, n: int) -> int:
+    """The slot width of ``SymFunc.to_schur`` in degree n, where every
+    scaled coefficient is at most ``top`` in absolute value: a slot of a
+    row's dot product is sum_mu chi^lam(mu) * c, at most top * ``_row_l1(n)``
+    in absolute value, and one more bit holds its sign."""
+    return (top * _row_l1(n)).bit_length() + 1
 
 
 @lru_cache(maxsize=None)
@@ -186,28 +219,42 @@ class SymFunc(Frozen):
         c_lam = sum_mu chi^lam(mu) * [p_mu] f, read off the integer
         character table of the degree.  The p-coefficients, each an int
         vector over one denominator, are brought to the lcm D of those
-        denominators and laid out degree
-        by degree as one column per mu; each c_lam is then a row of the
-        table dotted with every column, over ints, and has the
-        coefficients a / D.
+        denominators, and the vector of each mu is packed into one int,
+        one slot of ``_slot_bits`` bits per degree.  Each c_lam is then
+        one integer dot product of its row of the table with the packed
+        columns; its slots, read as signed ints, are the numerators of
+        the coefficients a / D.
         """
         if not self.terms:
             return {}
-        parts = partitions_of(self.degree)
+        n = self.degree
+        parts = partitions_of(n)
         denom = lcm(*(coeff.den for coeff in self.terms.values()))
+        scales = {mu: denom // coeff.den for mu, coeff in self.terms.items()}
+        top = max(max(map(abs, coeff.num)) * scales[mu] for mu, coeff in self.terms.items())
         width = max(len(coeff.num) for coeff in self.terms.values())
-        columns = [[0] * len(parts) for _ in range(width)]
-        for j, mu in enumerate(parts):
+        bits = _slot_bits(top, n)
+        packed = []
+        for mu in parts:
             coeff = self.terms.get(mu)
+            column = 0
             if coeff is not None:
-                scale = denom // coeff.den
-                for k, c in enumerate(coeff.num):
-                    columns[k][j] = c * scale
+                scale = scales[mu]
+                for c in reversed(coeff.num):
+                    column = (column << bits) + c * scale
+            packed.append(column)
+        # adding half a slot to every slot makes each one nonnegative,
+        # so the slots of the sum are its base-2^bits digits
+        half = 1 << (bits - 1)
+        offset = half * (((1 << (bits * width)) - 1) // ((1 << bits) - 1))
+        digit = (1 << bits) - 1
         out: dict[Partition, Poly] = {}
-        for lam, row in zip(parts, character_table(self.degree)):
-            acc = [sum(map(mul, row, column)) for column in columns]
-            if any(acc):
-                out[lam] = Poly.from_ints(acc, denom)
+        for lam, row in zip(parts, character_table(n)):
+            acc = sum(map(mul, row, packed))
+            if acc:
+                acc += offset
+                slots = [((acc >> (bits * k)) & digit) - half for k in range(width)]
+                out[lam] = Poly.from_ints(slots, denom)
         return out
 
     def principal_spec_numerator(self, power: int = 1) -> Poly:

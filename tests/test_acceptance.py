@@ -87,7 +87,7 @@ def fresh_tables():
     """Empties the caches that hold character values before and after the
     test, so a corrupted table is read in place of the cached real one
     and does not outlive the test."""
-    caches = (symfunc._mn, symfunc.character_table, symfunc._schur_in_p)
+    caches = (symfunc._mn, symfunc.character_table, symfunc._schur_in_p, symfunc._row_l1)
     for cache in caches:
         cache.cache_clear()
     yield

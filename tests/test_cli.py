@@ -1075,6 +1075,33 @@ class TestIntOptions:
             assert last == f"commvar {command}: error: argument {name}: invalid int value: {value!r}"
 
 
+RANGE_ERRORS = [
+    (["char", "--flag", "0"], "--flag must be >= 1, got 0"),
+    (["char", "--variety", "p1", "-n", "-1"], "-n must be >= 0, got -1"),
+    (["poincare", "--variety", "p1", "-n", "-1"], "-n must be >= 0, got -1"),
+    (["poincare", "--space", "flag", "-n", "0"], "-n must be >= 1, got 0"),
+    (["poincare", "--space", "bgln", "-n", "0"], "-n must be >= 1, got 0"),
+    (["series", "coh", "--variety", "p1", "--t-order", "-1"], "--t-order must be >= 0, got -1"),
+    (["series", "coh", "--variety", "p1", "--u-order", "-1"], "--u-order must be >= 0, got -1"),
+    (["count", "--family", "torus", "--n", "0", "--q", "2"], "--n must be >= 1, got 0"),
+]
+
+
+class TestRangeErrors:
+    """An int option out of range is rejected by the handler, naming the
+    option; the library's own message names no option."""
+
+    @pytest.mark.parametrize("argv, message", RANGE_ERRORS, ids=[" ".join(a) for a, _ in RANGE_ERRORS])
+    def test_names_the_option(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [["char"], ["poincare"], ["series", "stable"]])
+    def test_checked_before_the_variety_is_read(self, capsys, tmp_path, command):
+        option = "--u-order" if command[0] == "series" else "-n"
+        argv = [*command, "--variety", str(tmp_path / "missing.json"), option, "-1"]
+        assert run(capsys, *argv) == (2, "", f"error: {option} must be >= 0, got -1\n")
+
+
 class TestCharFlagOptions:
     """char --flag N prints the flag character and takes no variety options."""
 

@@ -101,6 +101,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 0), (-1,)])
+    def test_public_constructor_still_checks(self, parts):
+        with pytest.raises(ValueError):
+            Partition(parts)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_enumerated_partitions_match_the_checked_constructor(self, n):
+        # partitions_of builds its elements without Partition's checks
+        for lam in partitions_of(n):
+            checked = Partition(tuple(lam))
+            assert type(lam) is Partition
+            assert lam == checked
+            assert (lam.n, lam.exp) == (checked.n, checked.exp)
+
     def test_str_and_parse(self):
         lam = Partition((3, 2, 1))
         assert str(lam) == "(3,2,1)"

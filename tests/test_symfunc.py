@@ -15,6 +15,7 @@ from itertools import permutations
 
 import pytest
 
+from commvar import symfunc
 from commvar.arith import Poly, RatFunc
 from commvar.charmodel import GradedSpace, Stratum, enhanced_character, poincare
 from commvar.partitions import Partition, partitions_of
@@ -22,12 +23,14 @@ from commvar.symfunc import (
     SymFunc,
     _mn,
     _positions,
+    _row_l1,
+    _strips,
     character_table,
     mn_character,
     q_pochhammer,
 )
 from h_basis import from_h
-from symfunc_ops import add, power_sum, scale
+from symfunc_ops import add, power_sum, scale, strips_by_beta_tuples
 
 P = Partition
 U = Poly.monomial(1)
@@ -317,6 +320,15 @@ class TestCharacterTable:
                 assert total == (mu.centralizer_order() if i == j else 0), (n, i, j)
 
 
+class TestStrips:
+    @pytest.mark.parametrize("size", range(1, 15))
+    def test_match_the_beta_tuple_oracle_in_order(self, size):
+        # the production lists come from bead masks; the order of each
+        # nu's strips is part of the contract
+        for r in range(1, size + 1):
+            assert _strips(size - r, r) == strips_by_beta_tuples(size - r, r), (size - r, r)
+
+
 class TestPartitionKeys:
     """The character caches take a partition or the plain tuple of its parts."""
 
@@ -336,6 +348,18 @@ class TestSchurConversion:
         rng = random.Random(5100 + n)
         for _ in range(4):
             f = random_symfunc(rng, n)
+            assert f.to_schur() == to_schur_by_products(f)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_large_coefficients_of_mixed_sign(self, n):
+        rng = random.Random(5300 + n)
+        for _ in range(3):
+            terms = {}
+            for lam in partitions_of(n):
+                if rng.random() < 0.7:
+                    coeffs = [F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6)) for _ in range(6)]
+                    terms[lam] = Poly(coeffs[: rng.randint(1, 6)])
+            f = SymFunc(n, terms)
             assert f.to_schur() == to_schur_by_products(f)
 
     @pytest.mark.parametrize("n", range(9))
@@ -362,6 +386,41 @@ class TestSchurConversion:
         for mu in partitions_of(n):
             f = scale(power_sum(mu), Poly([F(1, 7), 0, F(-3, 5)]))
             assert f.to_schur() == to_schur_by_products(f)
+
+
+def slot_filling(n: int, big: int) -> tuple[SymFunc, Partition]:
+    """The row lam* of largest l1 norm and big * sign(chi^lam*(mu)) * (1 - u + u^2)
+    at each mu, so that c_lam* = big * l1 * (1 - u + u^2) fills its packed
+    slots to the bound, with a borrow between neighbouring degrees."""
+    parts = partitions_of(n)
+    table = character_table(n)
+    star = max(range(len(parts)), key=lambda i: sum(map(abs, table[i])))
+    terms = {}
+    for mu, chi in zip(parts, table[star]):
+        if chi:
+            sign = 1 if chi > 0 else -1
+            terms[mu] = Poly.from_ints([sign * big, -sign * big, sign * big])
+    return SymFunc(n, terms), parts[star]
+
+
+class TestPackedSlotWidth:
+    """The slot width of the packed dot products, from both sides."""
+
+    BIG = 3**25
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_a_full_slot_is_read_back(self, n):
+        f, star = slot_filling(n, self.BIG)
+        bound = self.BIG * _row_l1(n)
+        assert f.to_schur()[star].num == (bound, -bound, bound)
+        assert f.to_schur() == to_schur_by_products(f)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_one_bit_less_overflows(self, monkeypatch, n):
+        real = symfunc._slot_bits
+        monkeypatch.setattr(symfunc, "_slot_bits", lambda top, degree: real(top, degree) - 1)
+        f, _ = slot_filling(n, self.BIG)
+        assert f.to_schur() != to_schur_by_products(f)
 
 
 class TestSchurView:
