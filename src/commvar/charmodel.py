@@ -20,7 +20,9 @@ test oracle of both; the enumerator is the independent check of a
 point count.
 
 Sign convention used throughout: the Poincare polynomial of a space is
-``sum_i dim H^i * (-u)^i``, so odd cohomology enters negatively.
+``sum_i dim H^i * (-u)^i``, so odd cohomology enters negatively.  The
+rule is written once, ``Stratum.signed_dim``, and every formula here and
+in ``series`` reads it through ``GradedSpace.betti_letters`` or ``eigen_letters``.
 """
 
 from __future__ import annotations
@@ -154,6 +156,11 @@ class Stratum(Frozen):
             eig = Poly.constant(eig)
         super().__init__(deg, dim, eig)
 
+    @property
+    def signed_dim(self) -> int:
+        """(-1)^deg * dim: odd cohomology counts negatively."""
+        return -self.dim if self.deg % 2 else self.dim
+
 
 def _eig_sort_key(eig: Poly | QPower):
     if isinstance(eig, QPower):
@@ -198,18 +205,16 @@ class GradedSpace(tuple):
 
     # -- views ----------------------------------------------------------
 
-    def betti(self) -> dict[int, int]:
-        out: dict[int, int] = {}
+    def betti_letters(self) -> list[tuple[int, int, int]]:
+        """The signed Betti letters (deg, 1, (-1)^deg b_deg), one per degree."""
+        merged: dict[int, int] = {}
         for s in self:
-            out[s.deg] = out.get(s.deg, 0) + s.dim
-        return out
+            merged[s.deg] = merged.get(s.deg, 0) + s.signed_dim
+        return [(deg, 1, c) for deg, c in merged.items()]
 
     def poincare_poly(self) -> Poly:
         """Signed Poincare polynomial sum dim * (-u)^deg."""
-        return eigen_power_sum(self.with_unit_eigenvalues(), 1)
-
-    def with_unit_eigenvalues(self) -> "GradedSpace":
-        return GradedSpace([Stratum(s.deg, s.dim) for s in self], name=self.name)
+        return Poly.from_ints(_int_weight(self.betti_letters(), 1))
 
     def resolve(self, q: int) -> "GradedSpace":
         """Substitute the chosen prime power into symbolic eigenvalues."""
@@ -220,12 +225,6 @@ class GradedSpace(tuple):
             ],
             name=self.name,
         )
-
-    def require_exact(self) -> None:
-        if any(isinstance(s.eig, QPower) for s in self):
-            raise ValueError(
-                "eigenvalues contain unresolved q^k tokens; supply -q to resolve them"
-            )
 
 
 def _int_field(entry: dict, field: str, where: str) -> int:
@@ -329,19 +328,20 @@ def load_descriptor(path: str) -> GradedSpace:
 # -- trace products and enhanced characters ------------------------------
 
 
-def _int_strata(space: GradedSpace) -> tuple[int, list[tuple[int, int, int]]]:
-    """D, the lcm of the eigenvalue denominators, and every stratum as the
-    ints (deg, (-1)^deg * dim, eig * D)."""
-    space.require_exact()
+def eigen_letters(space: GradedSpace) -> tuple[int, list[tuple[int, int, int]]]:
+    """The one reader of the eigenvalues: D, the lcm of their denominators,
+    and every stratum as the int letter (deg, eig * D, (-1)^deg * dim)."""
+    if any(isinstance(s.eig, QPower) for s in space):
+        raise ValueError("eigenvalues contain unresolved q^k tokens; supply -q to resolve them")
     D = lcm(*[s.eig.den for s in space])
-    ints = [(s.deg, -s.dim if s.deg % 2 else s.dim, *ratio(s.eig)) for s in space]
-    return D, [(deg, c, a * (D // d)) for deg, c, a, d in ints]
+    ints = [(s.deg, *ratio(s.eig), s.signed_dim) for s in space]
+    return D, [(deg, a * (D // d), c) for deg, a, d, c in ints]
 
 
-def _int_weight(strata: list[tuple[int, int, int]], i: int) -> list[int]:
-    """D^i w_i: the ints sum c * a^i * u^(i*deg) over ``_int_strata`` (deg, c, a)."""
-    out = [0] * (max((deg for deg, _, _ in strata), default=0) * i + 1)
-    for deg, c, a in strata:
+def _int_weight(letters: list[tuple[int, int, int]], i: int) -> list[int]:
+    """D^i w_i: the ints sum c * a^i * u^(i*deg) over ``eigen_letters`` (deg, a, c)."""
+    out = [0] * (max((deg for deg, _, _ in letters), default=0) * i + 1)
+    for deg, a, c in letters:
         out[deg * i] += c * a**i
     return out
 
@@ -352,8 +352,8 @@ def eigen_power_sum(space: GradedSpace, i: int) -> Poly:
     The cycle-length-i weight of the space; the full trace of a twisted
     permutation is the product of these over the cycles.
     """
-    D, strata = _int_strata(space)
-    return Poly.from_ints(_int_weight(strata, i), D**i)
+    D, letters = eigen_letters(space)
+    return Poly.from_ints(_int_weight(letters, i), D**i)
 
 
 def graded_trace_product(space: GradedSpace, lam: Partition) -> Poly:
@@ -411,10 +411,10 @@ def character_digits(space: GradedSpace, n: int) -> int:
     numerator at most S^n n!: sum_mu |chi^lam(mu)| n! / z_mu <= n! by
     Cauchy-Schwarz and the orthogonality of the characters.
     """
-    D, strata = _int_strata(space)
+    D, letters = eigen_letters(space)
     if n < 1:
         return 1
-    S = sum(abs(c * a) for _, c, a in strata)
+    S = sum(abs(a * c) for _, a, c in letters)
     bits = n * max(S, D).bit_length() + factorial(n).bit_length()
     return bits * 30103 // 100000 + 1
 
@@ -437,8 +437,8 @@ def enhanced_character_series(space: GradedSpace, order: int) -> list[SymFunc]:
     if order < 0:
         raise ValueError("series order must be >= 0")
     # order 0 reads no eigenvalue, so a space with q^k tokens gives [1]
-    L, strata = _int_strata(space) if order else (1, [])
-    scaled = [_int_weight(strata, i) for i in range(1, order + 1)]
+    L, letters = eigen_letters(space) if order else (1, [])
+    scaled = [_int_weight(letters, i) for i in range(1, order + 1)]
     # levels[n] maps the partitions mu of n to N_n[mu]
     levels: list[dict[Partition, list[int]]] = [{Partition(): [1]}]
     series = [SymFunc.unit()]
@@ -579,16 +579,15 @@ def _rank_recurrence(letters, N: int, top: int | None = None) -> list[list[int]]
 def rank_numerators(space: GradedSpace, N: int, top: int | None = None) -> list[list[int]]:
     """Integer coefficients of the Poincare polynomials N_0 .. N_N of C_n.
 
-    The rank recurrence on the letters (i, 1, (-1)^i b_i) of the Betti
-    numbers b_i, so that w_k = ``eigen_power_sum`` at unit eigenvalues:
-    Frobenius eigenvalues are ignored.
+    The rank recurrence on ``space.betti_letters()``, so that
+    w_k = ``eigen_power_sum`` at unit eigenvalues: Frobenius eigenvalues
+    are ignored.
     """
     if N < 0:
         raise ValueError("n must be >= 0")
     if top is not None and top < 0:
         raise ValueError("u order must be >= 0")
-    letters = [(i, 1, -b if i % 2 else b) for i, b in space.betti().items()]
-    return _rank_recurrence(letters, N, top)
+    return _rank_recurrence(space.betti_letters(), N, top)
 
 
 def _coh_value(num: list[int], n: int) -> RatFunc:
@@ -655,12 +654,12 @@ def poincare(space_data: GradedSpace | None, n: int, space: str = "cn") -> RatFu
 def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Poly]:
     """Formula values for the numbers of F_q points of the ranks 0 .. N.
 
-    The rank recurrence, as ``rank_numerators`` runs it, on the letters
-    (0, eig * D, (-1)^deg dim) of the resolved strata, D the lcm of the
-    eigenvalue denominators, so that w_k is D^k ``eigen_power_sum`` at
-    u = 1.  The pass gives D^n N_n(x) at x = u^2, and the count, a
-    constant Poly, is q^(n^2) N_n(1/q), read off the even coefficients of
-    D^n N_n by Horner's rule, as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
+    The rank recurrence, as ``rank_numerators`` runs it, on the
+    ``eigen_letters`` of the resolved space moved to degree 0, so that
+    w_k is D^k ``eigen_power_sum`` at u = 1, D the lcm of the eigenvalue
+    denominators.  The pass gives D^n N_n(x) at x = u^2, and the count,
+    a constant Poly, is q^(n^2) N_n(1/q), read off the even coefficients
+    of D^n N_n by Horner's rule, as |GL_n(F_q)| = q^(n^2) (1/q; 1/q)_n and
     log prod_(i>=1) Z(t/q^i) = sum_k w_k t^k / (k (1 - q^(-k))) for the
     Weil zeta Z.  The enumerator ``oracle.count_points`` is the
     independent check.  This is an honest point count for smooth-curve
@@ -669,9 +668,9 @@ def point_counts(space_data: GradedSpace, N: int, q: int) -> list[Poly]:
     prime_power_base(q)
     if N < 0:
         raise ValueError("n must be >= 0")
-    D, strata = _int_strata(space_data.resolve(q))
+    D, letters = eigen_letters(space_data.resolve(q))
     counts = []
-    for n, v in enumerate(_rank_recurrence([(0, a, c) for _, c, a in strata], N)):
+    for n, v in enumerate(_rank_recurrence([(0, a, c) for _, a, c in letters], N)):
         v = v[::2]  # the coefficients in x = u^2
         # q^(n^2) sum_j v_j q^-j = q^e sum_j v_j q^(len(v)-1-j), e = n^2 - len(v) + 1
         acc = 0

@@ -23,13 +23,16 @@ symbolically in x = u^2 before it is read at x = 1/q, and share no code
 with it.  The log/exp closed form of the product is the tests' oracle
 (``tests/series_oracle.py``).
 
+No sign is applied here: every letter comes from ``GradedSpace.betti_letters``
+or ``charmodel.eigen_letters``, signed by ``Stratum.signed_dim``, the one rule.
+
 A series is a tuple of its t-coefficients, t^0 first, each a ``Poly``
 in u (a constant for the groupoid series); ``SeriesReport`` holds the
 two sides of a product formula as two such tuples.
 
 The stabilization report compares the residue-route limit of the
-commuting-space Betti numbers, the same factors at t = 1, each one
-``arith.euler_factor`` pass over one int vector, with two finite
+commuting-space Betti numbers, the factors of positive degree at t = 1,
+each one ``arith.euler_factor`` pass over one int vector, with two finite
 ranks, read from one pass of the rank recurrence
 ``charmodel.rank_numerators`` cut modulo u^(u_order+1).  The recurrence
 divides nothing, so its cut ranks are exact: they are checked by the
@@ -38,10 +41,10 @@ comparison alone.
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb, gcd, lcm
 
-from .arith import Frozen, Poly, RatFunc, euler_factor, euler_rows, gl_order, prime_power_base, ratio
-from .charmodel import GradedSpace, point_counts, rank_numerators
+from .arith import Frozen, Poly, RatFunc, euler_factor, euler_rows, gl_order, prime_power_base
+from .charmodel import GradedSpace, eigen_letters, point_counts, rank_numerators
 
 
 class SeriesReport(Frozen):
@@ -76,10 +79,9 @@ class SeriesReport(Frozen):
 # -- Betti zeta ------------------------------------------------------------
 
 
-def _zeta_factors(betti: dict[int, int], shift: int = 0) -> list[tuple[int, int, int]]:
-    """The ``arith.euler_rows`` factors (i + shift, 1, -(-1)^i b_i): the
-    Betti zeta at u^shift t."""
-    return [(deg + shift, 1, b if deg % 2 else -b) for deg, b in sorted(betti.items())]
+def _zeta_factors(letters, shift: int = 0) -> list[tuple[int, int, int]]:
+    """The ``arith.euler_rows`` factors (deg + shift, v, -c): the Betti zeta at u^shift t."""
+    return [(deg + shift, v, -c) for deg, v, c in letters]
 
 
 def betti_zeta(space: GradedSpace, order: int) -> tuple[Poly, ...]:
@@ -91,7 +93,8 @@ def betti_zeta(space: GradedSpace, order: int) -> tuple[Poly, ...]:
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
-    return tuple(Poly.from_ints(row) for row in euler_rows(_zeta_factors(space.betti()), order))
+    rows = euler_rows(_zeta_factors(space.betti_letters()), order)
+    return tuple(Poly.from_ints(row) for row in rows)
 
 
 # -- sheaf-counting product formula ------------------------------------------
@@ -120,8 +123,8 @@ def coh_series(space: GradedSpace, t_order: int, u_order: int) -> SeriesReport:
         for j in range(1, n + 1):
             v = euler_factor(v, 2 * j, -1, u_order)
         lhs.append(Poly.from_ints(v))
-    betti = space.betti()
-    factors = [f for j in range(u_order // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
+    letters = space.betti_letters()
+    factors = [f for j in range(u_order // 2 + 1) for f in _zeta_factors(letters, 2 * j)]
     rhs = tuple(Poly.from_ints(row) for row in euler_rows(factors, t_order, u_order))
     return SeriesReport(tuple(lhs), rhs)
 
@@ -140,8 +143,7 @@ def weil_zeta_from_eigendata(space: GradedSpace, q: int) -> RatFunc:
     -> (1 - t)/(1 - q t).  The exponents are merged per eigenvalue, so
     numerator and denominator share no linear factor: lowest terms.
     """
-    num = Poly.constant(1)
-    den = Poly.constant(1)
+    num = den = Poly.constant(1)
     for (n, d), e in _zeta_exponents(space, q).items():
         # 1 - (n/d) q t = (d - n q t) / d
         factor = Poly.from_ints((d, -n * q), d) ** abs(e)
@@ -153,13 +155,16 @@ def weil_zeta_from_eigendata(space: GradedSpace, q: int) -> RatFunc:
 
 
 def _zeta_exponents(space: GradedSpace, q: int) -> dict[tuple[int, int], int]:
-    """Each eigenvalue n/d, as the pair (n, d), to its nonzero signed
-    multiplicity e: the Weil zeta is the product of (1 - n/d q t)^(-e)."""
+    """Each eigenvalue a/D of the ``eigen_letters`` (deg, a, c), as the pair
+    (n, d) of its lowest terms, to its nonzero signed multiplicity e, the
+    sum of the c: the Weil zeta is the product of (1 - n/d q t)^(-e)."""
     prime_power_base(q)
+    D, letters = eigen_letters(space.resolve(q))
     exponents: dict[tuple[int, int], int] = {}
-    for s in space.resolve(q):
-        key = ratio(s.eig)
-        exponents[key] = exponents.get(key, 0) + (-s.dim if s.deg % 2 else s.dim)
+    for _, a, c in letters:
+        g = gcd(a, D)
+        key = (a // g, D // g)
+        exponents[key] = exponents.get(key, 0) + c
     return {key: e for key, e in exponents.items() if e}
 
 
@@ -252,15 +257,17 @@ def groupoid_series(space: GradedSpace, q: int, order: int) -> SeriesReport:
 def stable_betti(space: GradedSpace, u_order: int) -> Poly:
     """Limit of the commuting-space Poincare polynomials, mod u^(u_order+1).
 
-    Requires connected input (b_0 = 1).  Computed from the residue of
-    the sheaf-counting product at t = 1: the simple pole of the i = 0
-    factor is cancelled by (1 - t), every remaining factor is evaluated
-    at t = 1, and the whole product is multiplied by the infinite
-    Pochhammer at u^2.  Each factor (1 - u^a)^e is one
-    ``arith.euler_factor`` pass over one int vector cut at M = u_order.
+    Requires connected input (b_0 = 1).  The residue of the sheaf-counting
+    product at t = 1 times the Pochhammer (u^2; u^2)_oo: with b_0 = 1 the
+    degree-0 factor (1 - u^(2j) t)^(-1) is at j = 0 the pole the residue
+    removes, and for j >= 1 it cancels the Pochhammer factor (1 - u^(2j)).
+    Left is the product of (1 - u^(deg+2j))^(-c) over j >= 0 and the
+    ``betti_letters`` (deg, 1, c) of positive degree, c signed by
+    ``Stratum.signed_dim``, each one ``arith.euler_factor`` pass cut
+    modulo u^(u_order+1).
     """
-    betti = space.betti()
-    b0 = betti.get(0, 0)
+    letters = space.betti_letters()
+    b0 = letters[0][2] if letters and letters[0][0] == 0 else 0
     if b0 != 1:
         # a long b_0 is sized from its bits: printing it whole would make a
         # line of any length, or fail past the int-to-str digit limit
@@ -269,16 +276,10 @@ def stable_betti(space: GradedSpace, u_order: int) -> Poly:
         raise ValueError(f"stabilization needs connected input (b_0 = 1), got b_0 {got}")
     if u_order < 0:
         raise ValueError("u order must be >= 0")
-    M = u_order
-    # residue of the i = 0 factor: drop the b_0 pole, keep degrees >= 1;
-    # then the factors at u^2, u^4, ... evaluated at t = 1
-    factors = [f for f in _zeta_factors(betti) if f[0]]
-    factors += [f for j in range(1, M // 2 + 1) for f in _zeta_factors(betti, 2 * j)]
-    # infinite Pochhammer at u^2, truncated
-    factors += [(2 * j, 1, 1) for j in range(1, M // 2 + 1)]
     v = [1]
-    for a, _, e in factors:
-        v = euler_factor(v, a, e, M)
+    for j in range(u_order // 2 + 1):
+        for a, _, e in _zeta_factors(letters[1:], 2 * j):
+            v = euler_factor(v, a, e, u_order)
     return Poly.from_ints(v)
 
 

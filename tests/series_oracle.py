@@ -12,6 +12,11 @@ recurrence ``rank_recurrence_by_log_derivative``, which divides by
 1 - u^(2k) and by n and checks both divisions for a remainder, against
 the division-free q-difference recurrence ``charmodel._rank_recurrence``.
 
+The Betti numbers and the unit-eigenvalue view of a space are read off
+its strata here (``betti_numbers``, ``with_unit_eigenvalues``), so the
+oracles apply the sign (-1)^deg themselves instead of reading the
+letters of ``GradedSpace.betti_letters``.
+
 So does the groupoid product prod_(i>=1) Z(t/q^i): its log/exp closed
 form ``groupoid_product_by_log``, from the power series of the Weil zeta
 Z (``power_series``) and its logarithm (``series_log``), against the
@@ -21,6 +26,20 @@ q-difference recurrence of ``series.groupoid_series``.
 from math import comb
 
 from commvar.arith import Poly, TSeries, add_product, euler_factor, to_poly
+from commvar.charmodel import GradedSpace, Stratum
+
+
+def betti_numbers(space):
+    """{deg: b_deg}, the dimensions of the strata summed per degree."""
+    out = {}
+    for s in space:
+        out[s.deg] = out.get(s.deg, 0) + s.dim
+    return out
+
+
+def with_unit_eigenvalues(space):
+    """The space with every eigenvalue set to 1: its Betti data only."""
+    return GradedSpace([Stratum(s.deg, s.dim) for s in space], name=space.name)
 
 
 def one_minus_x_coeffs(e, order):
@@ -58,7 +77,7 @@ def one_minus_power(a, e, order):
 
 def stable_factors(space, M):
     """The pairs (a, e) of the residue-route product of (1 - u^a)^e."""
-    betti = space.betti()
+    betti = betti_numbers(space)
     factors = [(deg, b if deg % 2 else -b) for deg, b in sorted(betti.items()) if deg]
     for i in range(1, M // 2 + 1):
         factors += [(deg + 2 * i, b if deg % 2 else -b) for deg, b in sorted(betti.items())]

@@ -25,7 +25,7 @@ from commvar.series import (
 from commvar.varieties import BUILTIN_NAMES, builtin_space
 from series_oracle import cut, groupoid_product_by_log, power_series, scale_t
 from series_oracle import stable_betti as stable_betti_by_polynomials
-from series_oracle import stable_betti_by_repeated_passes
+from series_oracle import stable_betti_by_repeated_passes, with_unit_eigenvalues
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -132,7 +132,7 @@ class TestCohProduct:
         for space in spaces:
             for t_order, u_order in ((5, 20), (3, 7), (6, 0)):
                 report = coh_series(space, t_order, u_order)
-                unit = space.with_unit_eigenvalues()
+                unit = with_unit_eigenvalues(space)
                 expected = [
                     Poly(power_series(poincare(unit, n, "coh"), u_order))
                     for n in range(t_order + 1)
