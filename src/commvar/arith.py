@@ -748,21 +748,27 @@ def _iroot(q: int, k: int) -> int:
         x = y
 
 
-def prime_power_base(q: int) -> tuple[int, int]:
-    """Decompose q = p**k with p prime; raises for non prime powers.
+def prime_power_root(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p**k and p prime, or None if q is not a prime power.
 
     k is the largest exponent, at most log2(q), for which q is a perfect
     k-th power; q is a prime power exactly when that root is prime.
     """
     if q < 2:
-        raise ValueError(f"{q} is not a prime power")
+        return None
     for k in range(q.bit_length() - 1, 0, -1):
         root = _iroot(q, k)
         if root**k == q:
             break
-    if not is_prime(root):
+    return (root, k) if is_prime(root) else None
+
+
+def prime_power_base(q: int) -> tuple[int, int]:
+    """``prime_power_root``, raising for a q that is not a prime power."""
+    base = prime_power_root(q)
+    if base is None:
         raise ValueError(f"{q} is not a prime power")
-    return root, k
+    return base
 
 
 def gl_order(n: int, q: int) -> int:

@@ -3,15 +3,19 @@
 Subcommands: poincare, char, series, count, verify.  Output is
 deterministic and diff-friendly: polynomials print in ascending degree
 with explicit signs, series tables print one t-power per line, and the
-verify subcommand exits nonzero on any failed check.
+verify subcommand exits nonzero on any failed check.  Exit status: 0
+success, 1 a failed check, 2 bad input, 3 an exceeded budget, and
+``BROKEN_PIPE`` (141, the shell's status for SIGPIPE) when the reader of
+stdout closed it before the output was written.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
-from .arith import Poly, RatFunc, prime_power_base
+from .arith import Poly, RatFunc, is_prime, prime_power_root
 from .charmodel import (
     SPACES,
     character_digits,
@@ -65,11 +69,13 @@ def _parse_avoid(text: str) -> tuple[int, ...]:
 
 
 def _check_q(args, q: int) -> None:
-    """Reject a q that is not a prime power, and punctured avoided values
-    that collide modulo its prime p."""
-    p, _ = prime_power_base(q)
+    """Reject a q that is not a prime power, naming -q, and punctured
+    avoided values that collide modulo its prime p."""
+    base = prime_power_root(q)
+    if base is None:
+        raise ValueError(f"-q must be a prime power, got {q}")
     if args.variety == "punctured":
-        PuncturedLine(_avoided(args)).shifts(p)
+        PuncturedLine(_avoided(args)).shifts(base[0])
 
 
 def _dim(args) -> int:
@@ -96,11 +102,12 @@ def _at_least(option: str, value, low: int) -> None:
 def _check_variety_options(args, option: str = "--variety") -> None:
     """Reject --dim unless the variety (or ``count``'s family) named by
     ``option`` is affine/torus, and --avoid unless it is punctured; a
-    descriptor file takes neither."""
+    descriptor file takes neither.  Then reject a --dim below 1."""
     name = getattr(args, option.lstrip("-"))
     where = f"without {option}" if name is None else f"to {option} {name}"
     owners = (("--dim", ("affine", "torus")), ("--avoid", ("punctured",)))
     _reject(args, [o for o, names in owners if name not in names], where)
+    _at_least("--dim", args.dim, 1)
 
 
 def _resolve_space(args):
@@ -346,6 +353,8 @@ def _cmd_count(args) -> int:
         raise ValueError(f"--budget must be a positive integer, got {args.budget}")
     _at_least("--n", args.n, 1)
     _check_variety_options(args, "--family")
+    if not is_prime(args.q):
+        raise ValueError(f"--q must be a prime, got {args.q}")
     family = family_for(args.family, dim=_dim(args), avoided=_avoided(args))
     print(count_points(family, args.n, args.q, budget=args.budget))
     return 0
@@ -425,6 +434,10 @@ COMMANDS = {
 }
 
 
+# the status of a command whose reader closed stdout early
+BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -432,7 +445,14 @@ def main(argv=None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command][2](args)
+        status = COMMANDS[args.command][2](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout now writes to the null device, so the interpreter's flush
+        # of what is still buffered at exit prints nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -49,15 +49,21 @@ def run_within_a_second(capsys, *argv):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_child(*argv, timeout, **kwargs):
-    """Run the CLI in a fresh interpreter that writes no bytecode."""
+def child_env() -> dict:
+    """The environment of a fresh interpreter that writes no bytecode and
+    imports ``commvar`` from ``src``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_child(*argv, timeout, **kwargs):
+    """Run the CLI in a fresh interpreter that writes no bytecode."""
     return subprocess.run(
         [sys.executable, "-m", "commvar.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=timeout,
         **kwargs,
     )
@@ -196,7 +202,7 @@ class TestChar:
         code, out, err = run(capsys, "char", "--variety", variety, "-n", "2", "-q", q)
         assert code == 2
         assert out == ""
-        assert err == f"error: {q} is not a prime power\n"
+        assert err == f"error: -q must be a prime power, got {q}\n"
 
     def test_needs_flag_or_variety(self, capsys):
         code, _, err = run(capsys, "char")
@@ -642,6 +648,21 @@ class TestFailureExitCodes:
         assert "1 of 1 checks failed" in out
 
 
+    def test_a_closed_pipe_ends_quietly(self):
+        # 93 kB of output, more than a pipe holds, so the writer is still
+        # writing when the reader closes its end after 20 bytes
+        argv = [sys.executable, "-m", "commvar.cli", "char", "--variety", "p1", "-n", "18"]
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.Popen(argv, env=child_env(), **pipes)
+        try:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (141, b"")
+
+
 class TestErrorsAndDeterminism:
     def test_unknown_variety(self, capsys):
         code, _, err = run(capsys, "poincare", "--variety", "zebra", "-n", "2")
@@ -970,8 +991,8 @@ class TestVarietyOptions:
     @pytest.mark.parametrize(
         "option, message",
         [
-            (["--variety", "affine", "--dim", "0"], "affine dimension must be >= 1"),
-            (["--variety", "torus", "--dim", "-1"], "torus dimension must be >= 1"),
+            (["--variety", "affine", "--dim", "0"], "--dim must be >= 1, got 0"),
+            (["--variety", "torus", "--dim", "-1"], "--dim must be >= 1, got -1"),
             (["--variety", "punctured", "--avoid", "2,0,2"], "avoided values must be distinct"),
         ],
     )
@@ -1084,6 +1105,10 @@ RANGE_ERRORS = [
     (["series", "coh", "--variety", "p1", "--t-order", "-1"], "--t-order must be >= 0, got -1"),
     (["series", "coh", "--variety", "p1", "--u-order", "-1"], "--u-order must be >= 0, got -1"),
     (["count", "--family", "torus", "--n", "0", "--q", "2"], "--n must be >= 1, got 0"),
+    (["series", "zeta", "--variety", "p1", "-q", "0"], "-q must be a prime power, got 0"),
+    (["series", "groupoid", "--variety", "p1", "-q", "6"], "-q must be a prime power, got 6"),
+    (["count", "--family", "torus", "--n", "2", "--q", "4"], "--q must be a prime, got 4"),
+    (["count", "--family", "affine", "--dim", "0", "--n", "2", "--q", "2"], "--dim must be >= 1, got 0"),
 ]
 
 

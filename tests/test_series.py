@@ -8,7 +8,15 @@ from fractions import Fraction as F
 import pytest
 
 from commvar.arith import Poly, RatFunc, TSeries, poly_gcd
-from commvar.charmodel import GradedSpace, QPower, Stratum, parse_descriptor, poincare
+from commvar.charmodel import (
+    GradedSpace,
+    QPower,
+    Stratum,
+    parse_descriptor,
+    poincare,
+    point_counts,
+    rank_numerators,
+)
 from commvar.arith import gl_order
 from commvar.series import (
     SeriesReport,
@@ -26,6 +34,7 @@ from commvar.varieties import BUILTIN_NAMES, builtin_space
 from series_oracle import cut, groupoid_product_by_log, power_series, scale_t
 from series_oracle import stable_betti as stable_betti_by_polynomials
 from series_oracle import stable_betti_by_repeated_passes, with_unit_eigenvalues
+from test_golden import _load_workloads
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -323,6 +332,27 @@ class TestGroupoidSeries:
         text = " ".join(side for _, lhs, rhs in rows for side in (lhs, rhs))
         assert max(len(m) for m in re.findall(r"\d+", text)) == 15
 
+class TestOneSignRule:
+    """Every signed formula reads (-1)^deg dim from ``Stratum.signed_dim``:
+    flipping that one property flips what each of them computes."""
+
+    def values(self, space):
+        return (
+            rank_numerators(space, 3),
+            betti_zeta(space, 3),
+            coh_series(space, 3, 6).rhs,
+            point_counts(space, 3, 3),
+            weil_zeta_from_eigendata(space, 3),
+        )
+
+    def test_every_reader_takes_the_sign_from_the_stratum(self, monkeypatch):
+        before = self.values(TORUS)
+        flipped = property(lambda s: s.dim if s.deg % 2 else -s.dim)
+        monkeypatch.setattr(Stratum, "signed_dim", flipped)
+        after = self.values(TORUS)
+        assert [a != b for a, b in zip(before, after)] == [True] * 5
+
+
 class TestStableBetti:
     def test_affine_line_is_one(self):
         assert stable_betti(AFFINE, 8) == Poly.constant(1)
@@ -345,6 +375,18 @@ class TestStableBetti:
             )
             for M in (0, 1, 5, 12):
                 assert stable_betti(space, M) == stable_betti_by_polynomials(space, M), (space, M)
+        # the benchmark's descriptor pool, and spaces with several strata of
+        # different eigenvalues in one degree, which merge into one factor
+        spaces = [parse_descriptor(body) for body in _load_workloads().descriptor_pool().values()]
+        rng = random.Random(4242)
+        for _ in range(20):
+            strata = [Stratum(0, 1)]
+            for deg in rng.sample(range(1, 6), rng.randint(1, 3)):
+                eigs = rng.sample([F(1), F(1, 2), F(1, 3), F(2), QPower(-1)], rng.randint(2, 3))
+                strata += [Stratum(deg, rng.randint(1, 3), eig) for eig in eigs]
+            spaces.append(GradedSpace(strata))
+        for space in spaces:
+            assert stable_betti(space, 14) == stable_betti_by_polynomials(space, 14), space
 
     @pytest.mark.parametrize("M", [4, 6, 9])
     def test_binomial_passes_match_repeated_passes(self, M):
