@@ -4,9 +4,9 @@ Subcommands: poincare, char, series, count, verify.  Output is
 deterministic and diff-friendly: polynomials print in ascending degree
 with explicit signs, series tables print one t-power per line, and the
 verify subcommand exits nonzero on any failed check.  Exit status: 0
-success, 1 a failed check, 2 bad input, 3 an exceeded budget, and
-``BROKEN_PIPE`` (141, the shell's status for SIGPIPE) when the reader of
-stdout closed it before the output was written.
+success, 1 a failed check, 2 bad input, 3 an exceeded budget, and 141,
+the shell's status for SIGPIPE, when the reader of stdout closed it
+before the output was written.
 """
 
 from __future__ import annotations
@@ -434,10 +434,6 @@ COMMANDS = {
 }
 
 
-# the status of a command whose reader closed stdout early
-BROKEN_PIPE = 141
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -451,8 +447,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout now writes to the null device, so the interpreter's flush
         # of what is still buffered at exit prints nothing either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # the shell's status for SIGPIPE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

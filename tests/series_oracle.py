@@ -12,15 +12,15 @@ recurrence ``rank_recurrence_by_log_derivative``, which divides by
 1 - u^(2k) and by n and checks both divisions for a remainder, against
 the division-free q-difference recurrence ``charmodel._rank_recurrence``.
 
-The Betti numbers and the unit-eigenvalue view of a space are read off
-its strata here (``betti_numbers``, ``with_unit_eigenvalues``), so the
-oracles apply the sign (-1)^deg themselves instead of reading the
-letters of ``GradedSpace.betti_letters``.
-
 So does the groupoid product prod_(i>=1) Z(t/q^i): its log/exp closed
 form ``groupoid_product_by_log``, from the power series of the Weil zeta
 Z (``power_series``) and its logarithm (``series_log``), against the
 q-difference recurrence of ``series.groupoid_series``.
+
+The Betti numbers and the unit-eigenvalue view of a space are read off
+its strata here (``betti_numbers``, ``with_unit_eigenvalues``), so the
+oracles apply the sign (-1)^deg themselves instead of reading the
+letters of ``GradedSpace.betti_letters``.
 """
 
 from math import comb

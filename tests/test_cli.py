@@ -1106,7 +1106,6 @@ RANGE_ERRORS = [
     (["series", "coh", "--variety", "p1", "--u-order", "-1"], "--u-order must be >= 0, got -1"),
     (["count", "--family", "torus", "--n", "0", "--q", "2"], "--n must be >= 1, got 0"),
     (["series", "zeta", "--variety", "p1", "-q", "0"], "-q must be a prime power, got 0"),
-    (["series", "groupoid", "--variety", "p1", "-q", "6"], "-q must be a prime power, got 6"),
     (["count", "--family", "torus", "--n", "2", "--q", "4"], "--q must be a prime, got 4"),
     (["count", "--family", "affine", "--dim", "0", "--n", "2", "--q", "2"], "--dim must be >= 1, got 0"),
 ]
