@@ -28,7 +28,6 @@ from .charmodel import (
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    PuncturedLine,
     count_points,
     family_for,
 )
@@ -69,13 +68,24 @@ def _parse_avoid(text: str) -> tuple[int, ...]:
 
 
 def _check_q(args, q: int) -> None:
-    """Reject a q that is not a prime power, naming -q, and punctured
-    avoided values that collide modulo its prime p."""
+    """Reject a q that is not a prime power, naming -q, and --avoid
+    values that collide modulo its prime p."""
     base = prime_power_root(q)
     if base is None:
         raise ValueError(f"-q must be a prime power, got {q}")
-    if args.variety == "punctured":
-        PuncturedLine(_avoided(args)).shifts(base[0])
+    _check_avoid(args, base[0])
+
+
+def _check_avoid(args, p: int | None = None) -> None:
+    """Reject repeated --avoid values or, given a prime p, values that
+    collide modulo p, naming the option."""
+    if args.avoid is None:
+        return
+    given = ",".join(map(str, args.avoid))
+    if len(set(args.avoid)) < len(args.avoid):
+        raise ValueError(f"--avoid values must be distinct, got {given}")
+    if p is not None and len({a % p for a in args.avoid}) < len(args.avoid):
+        raise ValueError(f"--avoid values {given} collide modulo {p}")
 
 
 def _dim(args) -> int:
@@ -102,12 +112,14 @@ def _at_least(option: str, value, low: int) -> None:
 def _check_variety_options(args, option: str = "--variety") -> None:
     """Reject --dim unless the variety (or ``count``'s family) named by
     ``option`` is affine/torus, and --avoid unless it is punctured; a
-    descriptor file takes neither.  Then reject a --dim below 1."""
+    descriptor file takes neither.  Then reject a --dim below 1 and
+    repeated --avoid values."""
     name = getattr(args, option.lstrip("-"))
     where = f"without {option}" if name is None else f"to {option} {name}"
     owners = (("--dim", ("affine", "torus")), ("--avoid", ("punctured",)))
     _reject(args, [o for o, names in owners if name not in names], where)
     _at_least("--dim", args.dim, 1)
+    _check_avoid(args)
 
 
 def _resolve_space(args):
@@ -355,6 +367,7 @@ def _cmd_count(args) -> int:
     _check_variety_options(args, "--family")
     if not is_prime(args.q):
         raise ValueError(f"--q must be a prime, got {args.q}")
+    _check_avoid(args, args.q)
     family = family_for(args.family, dim=_dim(args), avoided=_avoided(args))
     print(count_points(family, args.n, args.q, budget=args.budget))
     return 0

@@ -16,6 +16,17 @@ F_p; for the first matrix that is all of M_n(F_p).  As in Feit & Fine
 centralizer and on how many matrices are left to choose, so each
 subtree is counted once per distinct common centralizer.
 
+Both walks memoise one representative of each orbit of a symmetry
+that keeps the number of ways to finish; the counts stay exact, and
+the centralizer walk still tests every matrix it reaches.  In the row
+walk it is an affine map phi(a) = alpha*a + beta of F_p with
+phi(S) = S: M -> (M - beta*I)/alpha sends the state (W_a)_a to
+(W_phi(a))_a.  In the centralizer walk,
+x and alpha*x + beta*I (alpha != 0) have one centralizer, and at the
+first matrix, whose centralizer is all of M_n(F_p), transposing every
+later matrix matches the tuples that finish x with those that finish
+x^T.  ``_count_one_matrix`` and ``count_points`` say why each is exact.
+
 Within one count, the two pure kernels that most inputs revisit are
 memoised: ``_grow`` on (basis, row), where a one-matrix family has two
 or more shifts and throughout a tuple of several matrices, and
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from collections.abc import Callable, Iterator, Sequence
 
 from .arith import Frozen, is_prime
@@ -326,6 +337,33 @@ def _rows_off_planes(planes: Sequence[tuple[tuple, int]], n: int, p: int, grow: 
     return sum(sign * p ** (n - len(flat)) for flat, sign in terms)
 
 
+def _shift_permutations(shifts: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """The affine maps a -> alpha*a + beta of F_p (alpha != 0) that map
+    the set of ``shifts`` onto itself, each as the permutation whose
+    entry k is the index of the image of shifts[k].
+
+    An affine map is fixed by the images of two distinct points, so the
+    maps tried are the at most k(k-1) that send the first two shifts to
+    an ordered pair of shifts; F_p itself is never looped over.  With
+    fewer than two shifts every such map permutes nothing, and the
+    identity alone is returned.
+    """
+    k = len(shifts)
+    if k < 2:
+        return [tuple(range(k))]
+    index = {a: j for j, a in enumerate(shifts)}
+    s0, s1 = shifts[:2]
+    inv = pow(s0 - s1, p - 2, p)
+    perms = []
+    for t0, t1 in permutations(shifts, 2):
+        alpha = (t0 - t1) * inv % p
+        beta = (t0 - alpha * s0) % p
+        perm = tuple(index.get((alpha * a + beta) % p) for a in shifts)
+        if None not in perm:
+            perms.append(perm)
+    return perms
+
+
 def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
     """The n x n matrices M over F_p with M - a*I invertible for each shift a.
 
@@ -336,6 +374,16 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
     row each W_a is a hyperplane with normal f_a, and the allowed rows
     are those off every plane f_a . x = a * f_a[n-1].
 
+    The state is first put in a canonical form.  Let phi(a) = alpha*a +
+    beta, alpha != 0, map the shift set S onto itself.  Then M -> M' =
+    (M - beta*I) / alpha gives M' - a*I = (M - phi(a)*I) / alpha, so
+    the state (W_a)_a becomes (W_phi(a))_a, and each later row changes
+    by r -> (r - beta*e_j) / alpha, a bijection between the ways to
+    finish the two states.  So the two states have the same count, and
+    ``walk`` is called on the least of the states that these maps
+    (``_shift_permutations``) give.  The maps are built only with n >= 2
+    and two or more shifts: otherwise they permute nothing.
+
     With two or more shifts, one W_a recurs beside different others, so
     ``_grow`` is an ``lru_cache`` on (basis, row) for the count, shared
     with the last-row inclusion-exclusion.  With one shift no pair
@@ -344,6 +392,8 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
     directly.
     """
     grow = lru_cache(maxsize=None)(_grow) if len(shifts) > 1 else _grow
+    identity = tuple(range(len(shifts)))
+    moves = [perm for perm in _shift_permutations(shifts, p) if perm != identity] if n > 1 else []
 
     @lru_cache(maxsize=None)
     def walk(i: int, spaces: tuple) -> int:
@@ -359,13 +409,36 @@ def _count_one_matrix(n: int, p: int, shifts: tuple[int, ...]) -> int:
                     break
                 grown.append(g)
             else:
-                total += walk(i + 1, tuple(grown))
+                state = tuple(grown)
+                if moves:
+                    state = min(state, *(tuple(state[j] for j in perm) for perm in moves))
+                total += walk(i + 1, state)
         return total
 
     try:
         return walk(0, ((),) * len(shifts))
     finally:
         del walk  # breaks its self-reference; see the module docstring
+
+
+def _orbit_key(x: tuple, n: int, p: int) -> tuple:
+    """x - x_00*I scaled so that its first nonzero entry is 1.
+
+    Every alpha*x + beta*I with alpha != 0 has this key, and all of them
+    have the centralizer of x.  A scalar x has the zero key.
+    """
+    c = x[0]
+    y = [(v - c) % p if k % (n + 1) == 0 else v for k, v in enumerate(x)]
+    for v in y:
+        if v:
+            inv = pow(v, p - 2, p)
+            return tuple(w * inv % p for w in y)
+    return tuple(y)
+
+
+def _transpose(x: tuple, n: int) -> tuple:
+    """The row-major entries of the transpose of the matrix ``x``."""
+    return tuple(x[j * n + i] for i in range(n) for j in range(n))
 
 
 # -- counting ----------------------------------------------------------------
@@ -396,6 +469,20 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     commutator equations in many growths, so ``family.matrix_ok`` is
     an ``lru_cache`` on the matrix and ``_grow`` one on (basis,
     equation), each made for the count and freed on return.
+
+    Within one ``finish`` call, x shares its subtree count with its
+    orbit under x -> alpha*x + beta*I (alpha != 0).  These matrices lie
+    in the common centralizer with x, as it holds I, and have the
+    centralizer of x, so they give the same next centralizer.  The key
+    is ``_orbit_key``: x - x_00*I scaled so its first nonzero entry is
+    1.  ``accepted`` is still read on x itself, since for the torus
+    x + beta*I can be singular where x is not.  At depth 0 only, the
+    centralizer is all of M_n(F_p), and transposing the later matrices
+    is a bijection between the ways to finish x and those to finish
+    x^T: [A, B] = 0 iff [A^T, B^T] = 0, and det(B^T - a*I) =
+    det(B - a*I).  So there the key is the smaller of those of x and
+    x^T.  A deeper common centralizer need not be closed under
+    transposition, and x keeps its own key.
 
     The budget bounds the nominal search p^(dim*n^2), not the work
     done, and is checked before any work.
@@ -432,16 +519,23 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             # no unit constraint: every centralizer element counts
             return p ** (n * n - len(equations))
         total = 0
+        orbits = {}
         for x in _solutions(equations, n * n, p):
             if not accepted(x):
                 continue
             if last:
                 total += 1
                 continue
-            grown = equations
-            for eq in _commutator_equations(_as_matrix(x, n), p):
-                grown = grow(grown, eq, p) or grown
-            total += finish(grown, depth + 1)
+            key = _orbit_key(x, n, p)
+            if depth == 0:
+                key = min(key, _orbit_key(_transpose(x, n), n, p))
+            ways = orbits.get(key)
+            if ways is None:
+                grown = equations
+                for eq in _commutator_equations(_as_matrix(x, n), p):
+                    grown = grow(grown, eq, p) or grown
+                ways = orbits[key] = finish(grown, depth + 1)
+            total += ways
         return total
 
     try:

@@ -353,14 +353,14 @@ class TestSeries:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == "error: avoided values (0, 1, 2) collide modulo 2\n"
+        assert err == "error: --avoid values 0,1,2 collide modulo 2\n"
 
     def test_punctured_collision_uses_the_prime_of_q(self, capsys):
         code, _, err = run(
             capsys, "char", "--variety", "punctured", "--avoid", "0,3", "-n", "2", "-q", "9"
         )
         assert code == 2
-        assert err == "error: avoided values (0, 3) collide modulo 3\n"
+        assert err == "error: --avoid values 0,3 collide modulo 3\n"
         code, out, _ = run(
             capsys, "series", "groupoid", "--variety", "punctured", "--avoid", "0,1,2",
             "-q", "3", "--t-order", "1",
@@ -993,7 +993,10 @@ class TestVarietyOptions:
         [
             (["--variety", "affine", "--dim", "0"], "--dim must be >= 1, got 0"),
             (["--variety", "torus", "--dim", "-1"], "--dim must be >= 1, got -1"),
-            (["--variety", "punctured", "--avoid", "2,0,2"], "avoided values must be distinct"),
+            (
+                ["--variety", "punctured", "--avoid", "2,0,2"],
+                "--avoid values must be distinct, got 2,0,2",
+            ),
         ],
     )
     def test_family_parameters_are_checked(self, capsys, command, option, message):

@@ -27,6 +27,7 @@ from commvar.oracle import (
     _grow,
     _nullspace,
     _rows_off_planes,
+    _shift_permutations,
     _solutions,
     commute,
     count_points,
@@ -135,10 +136,13 @@ def count_by_centralizer_walk(family, n, p):
 
 
 def centralizer_walk_grid():
-    # the cases beyond exhaustion: dim 2-3 at n = 2, dim 2 at n = 3, and
-    # the punctured line at n = 3
-    cases = [(family, 2, p) for dim in (2, 3) for family in (AffineSpace(dim), Torus(dim)) for p in (2, 3, 5)]
-    cases += [(family, 3, 2) for family in (AffineSpace(2), Torus(2))]
+    # the cases beyond exhaustion: dim 2-3 at n = 2 and at n = 3 over F_2,
+    # and the punctured line at n = 3.  A middle matrix keyed with its
+    # transpose is still counted right at n = 2, where a non-scalar A has
+    # the centralizer F_p[A], but not for AffineSpace(3) at n = 3 over F_2
+    dims = [AffineSpace(dim) for dim in (2, 3)] + [Torus(dim) for dim in (2, 3)]
+    cases = [(family, 2, p) for family in dims for p in (2, 3, 5)]
+    cases += [(family, 3, 2) for family in dims]
     cases += [(PuncturedLine(avoided), 3, 3) for avoided in ((0,), (2,), (0, 1), (1, 2), (0, 1, 2))]
     for family, n, p in cases:
         if search_space_size(family, n, p) > EXHAUSTION_LIMIT:
@@ -171,9 +175,9 @@ def budget_grid():
 
 def shift_set_grid():
     # every subset of F_p as the shift set, the empty set and all of F_p
-    # included: n <= 3 for p = 2, 3 and n = 1 for p = 5, 7
+    # included: n <= 3 for p = 2, 3 and n <= 2 for p = 5, 7
     for p in (2, 3, 5, 7):
-        for n in (1, 2, 3) if p <= 3 else (1,):
+        for n in (1, 2, 3) if p <= 3 else (1, 2):
             for k in range(p + 1):
                 for shifts in combinations(range(p), k):
                     yield pytest.param(shifts, n, p, id=f"{shifts}-n{n}-p{p}")
@@ -449,8 +453,15 @@ class TestKernelMemo:
     """Within one count, ``_grow`` and ``matrix_ok`` run once per distinct
     input; later calls are looked up.  So the memo holds one entry per
     distinct (basis, row) pair or matrix, and the call counts below are
-    its sizes.  Without the memo the first two counts make 4,842
-    ``_grow`` calls and 2,152 ``matrix_ok`` calls."""
+    its sizes.  Without the memo the first two counts make 877
+    ``_grow`` calls and 1,736 ``matrix_ok`` calls.
+
+    Both walks memoise one state per orbit of their symmetries, so the
+    sizes are those of the orbit representatives.  For S = F_3 the row
+    walk's maps are all six affine maps of F_3, and PuncturedLine((0, 1,
+    2)) at (3, 3) grows 495 distinct (basis, row) pairs, where a walk on
+    every state grows 933.  Torus(2) at (3, 2) still tests each of the
+    2^9 first matrices once."""
 
     def count_grow_calls(self, monkeypatch, family, n, p):
         calls = []
@@ -466,7 +477,7 @@ class TestKernelMemo:
     def test_grow_runs_once_per_input_with_several_shifts(self, monkeypatch):
         count, calls = self.count_grow_calls(monkeypatch, PuncturedLine((0, 1, 2)), 3, 3)
         assert count == 3456
-        assert len(calls) == len(set(calls)) == 933
+        assert len(calls) == len(set(calls)) == 495
 
     def test_matrix_ok_runs_once_per_matrix(self, monkeypatch):
         calls = []
@@ -669,6 +680,86 @@ class TestOneMatrixFamilies:
     def test_every_shift_set_matches_the_row_walk(self, shifts, n, p):
         expected = sum(1 for _ in avoiding_matrices(n, p, shifts))
         assert count_points(PuncturedLine(shifts), n, p) == expected
+
+
+def affine_maps_fixing(shifts, p):
+    # every a -> alpha*a + beta of F_p with alpha != 0, all p(p-1) of them
+    # tried, that maps the set of shifts onto itself, as the permutation
+    # whose entry k is the index of the image of shifts[k]
+    found = []
+    for alpha in range(1, p):
+        for beta in range(p):
+            image = [(alpha * a + beta) % p for a in shifts]
+            if set(image) == set(shifts):
+                found.append(tuple(shifts.index(b) for b in image))
+    return found
+
+
+class TestShiftSymmetry:
+    """The row walk is memoised on one state per orbit of the affine maps
+    a -> alpha*a + beta that fix the shift set S, each acting on a state
+    (W_a)_a as a permutation of S."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_group_is_every_affine_map_that_fixes_the_set(self, p):
+        for k in range(p + 1):
+            for shifts in combinations(range(p), k):
+                found = affine_maps_fixing(shifts, p)
+                if k >= 2:
+                    # two points fix an affine map, so no two maps act alike
+                    assert len(set(found)) == len(found)
+                assert sorted(_shift_permutations(shifts, p)) == sorted(set(found)), shifts
+
+    def test_group_sizes(self):
+        def sizes(p):
+            return {
+                len(_shift_permutations(shifts, p))
+                for k in range(2, p + 1)
+                for shifts in combinations(range(p), k)
+            }
+
+        # at p = 7 no set of shifts has the identity alone: its orbit
+        # would hold 42 sets of one size, and there are at most 35
+        assert sizes(7) == {2, 3, 6, 42}
+        assert 1 in sizes(11)
+
+    def test_walk_visits_one_state_per_orbit(self, monkeypatch):
+        # with S = F_3, 24 of the 27 first rows are allowed, each giving its
+        # own state, and the six maps of F_3 act on them without a fixed
+        # point: 4 orbits, so 4 states are walked after the first row
+        states = []
+        real = oracle.lru_cache
+
+        def spy(maxsize):
+            def wrap(fn):
+                cached = real(maxsize=maxsize)(fn)
+                if fn.__name__ != "walk":
+                    return cached
+
+                def walk(i, spaces):
+                    states.append((i, spaces))
+                    return cached(i, spaces)
+
+                return walk
+
+            return wrap
+
+        monkeypatch.setattr(oracle, "lru_cache", spy)
+        assert count_points(PuncturedLine((0, 1, 2)), 3, 3) == 3456
+        assert len({spaces for i, spaces in states if i == 1}) == 4
+
+    def test_a_large_field_builds_no_row(self):
+        # the maps come from the shifts, never from a loop over F_p
+        p = 1_000_003
+        assert _shift_permutations((0, 1, 2), p) == [(0, 1, 2), (2, 1, 0)]
+        tracemalloc.start()
+        try:
+            count = count_points(PuncturedLine((0, 1, 2)), 1, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == p - 3
+        assert peak < 1 << 20
 
 
 class TestRowsOffPlanes:
