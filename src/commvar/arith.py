@@ -538,9 +538,10 @@ def euler_factor(v, a: int, e: int, top: int | None = None) -> list[int]:
 
     With top = M the result is cut modulo x^(M+1), M + 1 entries long,
     so a division is the power-series quotient.  With top = None a
-    product has len(v) + a e entries and a division must be exact: it
-    raises ValueError on a remainder, which is there exactly when the
-    top a |e| entries of the running quotient are nonzero.  1 - x^0 = 0.
+    product is the cut at M = len(v) - 1 + a e, which drops nothing, and
+    a division must be exact: it raises ValueError on a remainder, which
+    is there exactly when the top a |e| entries of the running quotient
+    are nonzero.  1 - x^0 = 0.
 
     e = 1 is one vector difference and e = -1 the running sums
     q[k] += q[k - a].  Any other e is one pass of the binomial terms
@@ -555,10 +556,9 @@ def euler_factor(v, a: int, e: int, top: int | None = None) -> list[int]:
         if e < 0:
             raise ZeroDivisionError("division by 1 - x^0 = 0")
         e = min(e, 1)  # (1 - x^0)^e is 0 for e >= 1
+    if top is None and e > 0:
+        top = len(v) - 1 + a * e
     if e == 1:
-        if top is None:
-            pad = [0] * a
-            return [x - y for x, y in zip([*v, *pad], [*pad, *v])]
         v = list(v[: top + 1]) + [0] * (top + 1 - len(v))
         return v[:a] + [x - y for x, y in zip(v[a:], v)]
     q = list(v) if top is None else list(v[: top + 1]) + [0] * (top + 1 - len(v))
@@ -567,8 +567,6 @@ def euler_factor(v, a: int, e: int, top: int | None = None) -> list[int]:
             q[k] += q[k - a]
     elif e:
         m = abs(e)
-        if e > 0 and top is None:
-            q += [0] * (a * m)
         coeffs = []  # a comprehension would make e and m closure cells before Python 3.12
         for j in range(1, min(m, (len(q) - 1) // a) + 1):
             coeffs.append((-1) ** (j + (e < 0)) * comb(m, j))

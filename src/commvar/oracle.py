@@ -27,14 +27,14 @@ first matrix, whose centralizer is all of M_n(F_p), transposing every
 later matrix matches the tuples that finish x with those that finish
 x^T.  ``_count_one_matrix`` and ``count_points`` say why each is exact.
 
-Within one count, the two pure kernels that most inputs revisit are
-memoised: ``_grow`` on (basis, row), where a one-matrix family has two
-or more shifts and throughout a tuple of several matrices, and
-``family.matrix_ok`` on the matrix, in a tuple of several.  These
-memos and the subtree counts are each a ``functools.lru_cache`` with
-no size bound, made inside the count: each holds one entry per
-distinct input it sees and is freed when the count returns, so no
-cache outlives a count.  The two recursive walks, ``walk`` and ``finish``,
+Within one count, two pure kernels are memoised where their inputs
+recur often enough to pay for the hashing: ``_grow`` on (basis, row)
+only in the row walk of a one-matrix family with two or more shifts,
+and ``family.matrix_ok`` on the matrix, in a tuple of several; the
+centralizer walk calls ``_grow`` directly.  These memos and the
+subtree counts are each a ``functools.lru_cache`` with no size bound,
+made inside the count: each holds one entry per distinct input it sees
+and is freed when the count returns, so no cache outlives a count.  The two recursive walks, ``walk`` and ``finish``,
 refer to themselves through their closure cells, so each is deleted
 on return: that breaks the cycle, and reference counting frees the
 memos at once rather than at the next garbage collection.
@@ -465,10 +465,12 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
     elements.  The only candidates built and rejected are centralizer
     elements that fail ``matrix_ok``.  Single-threaded.
 
-    A matrix recurs in many centralizers and a partial basis of the
-    commutator equations in many growths, so ``family.matrix_ok`` is
-    an ``lru_cache`` on the matrix and ``_grow`` one on (basis,
-    equation), each made for the count and freed on return.
+    A matrix recurs in many centralizers, so ``family.matrix_ok`` is an
+    ``lru_cache`` on the matrix, made for the count and freed on return.
+    ``_grow`` on (basis, equation) is called directly: only a quarter
+    of those calls repeat an earlier input (Torus(2) at (3, 2) makes
+    747, 564 of them distinct), and a memo spends on hashing its keys
+    about what it saves.
 
     Within one ``finish`` call, x shares its subtree count with its
     orbit under x -> alpha*x + beta*I (alpha != 0).  These matrices lie
@@ -502,8 +504,6 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
         )
     if family.tuple_len == 1:
         return _count_one_matrix(n, p, shifts)
-    grow = lru_cache(maxsize=None)(_grow)
-
     @lru_cache(maxsize=None)
     def accepted(x: tuple) -> bool:
         # family.matrix_ok is looked up on each call, as a tracer may wrap it
@@ -533,7 +533,7 @@ def count_points(family: VarietyFamily, n: int, p: int, budget: int | None = Non
             if ways is None:
                 grown = equations
                 for eq in _commutator_equations(_as_matrix(x, n), p):
-                    grown = grow(grown, eq, p) or grown
+                    grown = _grow(grown, eq, p) or grown
                 ways = orbits[key] = finish(grown, depth + 1)
             total += ways
         return total

@@ -108,9 +108,9 @@ class Partition(tuple):
         return cls(tuple(int(tok) for tok in tokens))
 
 
-@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order.
+    """All partitions of n in reverse-lexicographic order, from the list
+    ``_partitions`` caches.
 
     Each is (first,) + rest for first = n, ..., 1 and rest, in order,
     each partition of n - first with rest[0] <= first, read from the

@@ -129,22 +129,15 @@ def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(_mn(mu) for mu in partitions_of(n))))
 
 
-@lru_cache(maxsize=None)
-def _row_l1(n: int) -> int:
-    """max over lam of sum_mu |chi^lam(mu)|, the largest l1 norm of a row of
-    ``character_table(n)``."""
-    return max(sum(map(abs, row)) for row in character_table(n))
-
-
 def _slot_bits(top: int, n: int) -> int:
     """The slot width of ``SymFunc.to_schur`` in degree n, where every
     scaled coefficient is at most ``top`` in absolute value: a slot of a
-    row's dot product is sum_mu chi^lam(mu) * c, at most top * ``_row_l1(n)``
-    in absolute value, and one more bit holds its sign."""
-    return (top * _row_l1(n)).bit_length() + 1
+    row's dot product is sum_mu chi^lam(mu) * c, at most top times the
+    largest l1 norm of a row of ``character_table(n)`` in absolute
+    value, and one more bit holds its sign."""
+    return (top * max(sum(map(abs, row)) for row in character_table(n))).bit_length() + 1
 
 
-@lru_cache(maxsize=None)
 def _schur_in_p(lam: Partition) -> tuple[tuple[Partition, Poly], ...]:
     # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
     parts = partitions_of(lam.n)
@@ -294,23 +287,23 @@ class SymFunc(Frozen):
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, var: str = "u") -> str:
-        return render_basis(self.terms, self.degree, "p", var)
+    def render(self) -> str:
+        return render_basis(self.terms, self.degree, "p")
 
-    def render_schur(self, var: str = "u") -> str:
-        return render_basis(self.to_schur(), self.degree, "s", var)
+    def render_schur(self) -> str:
+        return render_basis(self.to_schur(), self.degree, "s")
 
     def __repr__(self):
         return f"SymFunc({self.render()})"
 
 
-def render_basis(coeffs: dict[Partition, Poly], n: int, symbol: str, var: str = "u") -> str:
+def render_basis(coeffs: dict[Partition, Poly], n: int, symbol: str) -> str:
     """The sum of coeffs[lam] * symbol[lam] over the partitions lam of n
     that are keys, in ``partitions_of(n)`` order: ``s[2] + u^2*s[1,1]``."""
     pieces = []
     for lam, coeff in ((lam, coeffs[lam]) for lam in partitions_of(n) if lam in coeffs):
         label = f"{symbol}[{','.join(str(p) for p in lam)}]"
-        rendered = coeff.render(var)
+        rendered = coeff.render()
         if rendered == "1":
             sign, body = "+", label
         elif rendered == "-1":

@@ -64,7 +64,7 @@ class CrossCheck(Frozen):
         )
 
 
-def cross_check(family: VarietyFamily, n: int, q: int, space, budget=None) -> CrossCheck:
+def cross_check(family: VarietyFamily, n: int, q: int, space) -> CrossCheck:
     """Compare the enumerated count with the formula and series routes.
 
     ``space`` is the graded eigenvalue data of the same variety.  The
@@ -78,7 +78,7 @@ def cross_check(family: VarietyFamily, n: int, q: int, space, budget=None) -> Cr
     """
     if not family.is_curve():
         raise ValueError("cross_check applies to the curve families only")
-    oracle_count = count_points(family, n, q, budget=budget)
+    oracle_count = count_points(family, n, q)
     report = groupoid_series(space, q, n)
     order = gl_order(n, q)
     return CrossCheck(family, n, q, oracle_count, report.lhs[n] * order, report.rhs[n] * order)
@@ -174,10 +174,24 @@ POINT_COUNT_FIELDS = (2, 3)
 _SIGNED_SPACE = GradedSpace([Stratum(0, 1, 1), Stratum(1, 2, -1)])
 
 
+def _gl_class_number(n: int, q: int) -> int:
+    """k_n(q) = [t^n] prod_(i>=1) (1 - t^i) / (1 - q t^i), the number of
+    conjugacy classes of GL_n(F_q)."""
+    c = [1] + [0] * n
+    for i in range(1, n + 1):
+        c = euler_factor(c, i, 1, n)
+        for k in range(i, n + 1):
+            c[k] += q * c[k - i]
+    return c[n]
+
+
 def check_point_counts(q: int | None = None) -> CheckResult:
-    """Three-route point-count agreement on the curve families, and the
-    two sides of ``groupoid_series`` on a space with a dimension-2
-    stratum at eigenvalue -1, at q = 3 to t^4."""
+    """Three-route point-count agreement on the curve families; the two
+    sides of ``groupoid_series`` on a space with a dimension-2 stratum at
+    eigenvalue -1, at q = 3 to t^4; and the enumerated commuting pairs
+    of GL_n(F_q), n <= 2, against |G| * k(G) (Feit & Fine, Duke Math. J.
+    27 (1960)), the one check here that enumerates a tuple of several
+    matrices.  Only the curve checks are counted in the PASS line."""
     grid = []
     for qq in POINT_COUNT_FIELDS:
         for n in (1, 2, 3):
@@ -198,6 +212,17 @@ def check_point_counts(q: int | None = None) -> CheckResult:
         result = cross_check(family, n, qq, eigendata_for_family(family))
         if not result.ok:
             failures.append(result.describe())
+    pairs = Torus(2)
+    for qq in POINT_COUNT_FIELDS:
+        if q is not None and qq != q:
+            continue
+        for n in (1, 2):
+            oracle_count = count_points(pairs, n, qq)
+            formula = gl_order(n, qq) * _gl_class_number(n, qq)
+            if oracle_count != formula:
+                failures.append(
+                    f"{pairs.describe()}, n={n}, q={qq}: oracle={oracle_count} |G|*k(G)={formula}"
+                )
     if q in (None, 3):
         report = groupoid_series(_SIGNED_SPACE, 3, 4)
         if not report.equal:

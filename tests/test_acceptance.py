@@ -12,7 +12,7 @@ import pytest
 
 from commvar import arith, charmodel, symfunc, verify
 from commvar.arith import Poly
-from commvar.oracle import Torus
+from commvar.oracle import AffineSpace, Torus
 from commvar.partitions import partitions_of
 from commvar.series import SeriesReport, StabilizationReport
 from commvar.symfunc import SymFunc, mn_character
@@ -48,6 +48,14 @@ def test_acceptance_criterion(check):
     result = check()
     print(result.line())
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_gl_class_numbers_are_the_closed_forms(q):
+    # k(GL_n(F_q)) for n <= 4 (Macdonald, Symmetric Functions and Hall
+    # Polynomials, IV.2)
+    got = [verify._gl_class_number(n, q) for n in range(1, 5)]
+    assert got == [q - 1, q**2 - 1, q**3 - q, q**4 - q]
 
 
 ONE = Poly.constant(1)
@@ -87,7 +95,7 @@ def fresh_tables():
     """Empties the caches that hold character values before and after the
     test, so a corrupted table is read in place of the cached real one
     and does not outlive the test."""
-    caches = (symfunc._mn, symfunc.character_table, symfunc._schur_in_p, symfunc._row_l1)
+    caches = (symfunc._mn, symfunc.character_table)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -254,4 +262,30 @@ class TestOneCorruptedRouteFails:
         assert (result.passed, result.detail) == (
             False,
             f"groupoid series, dim-2 stratum at eigenvalue -1, q=3: mismatch at {mismatch}",
+        )
+
+    def test_point_counts_enumerate_commuting_pairs(self, monkeypatch):
+        # the pairs counted without their unit constraint, as AffineSpace(2)
+        # counts them; the curve checks enumerate one matrix and miss it
+        real = verify.count_points
+        monkeypatch.setattr(
+            verify, "count_points",
+            lambda family, n, p: real(AffineSpace(family.dim) if family.dim == 2 else family, n, p),
+        )
+        result = check_point_counts(2)
+        assert (result.passed, result.detail) == (
+            False,
+            "torus of dimension 2, n=1, q=2: oracle=4 |G|*k(G)=1; "
+            "torus of dimension 2, n=2, q=2: oracle=88 |G|*k(G)=18",
+        )
+
+    def test_point_counts_read_the_class_number(self, monkeypatch):
+        # k_n read one field size too low
+        real = verify._gl_class_number
+        monkeypatch.setattr(verify, "_gl_class_number", lambda n, q: real(n, q - 1))
+        result = check_point_counts(3)
+        assert (result.passed, result.detail) == (
+            False,
+            "torus of dimension 2, n=1, q=3: oracle=4 |G|*k(G)=2; "
+            "torus of dimension 2, n=2, q=3: oracle=384 |G|*k(G)=144",
         )

@@ -1048,6 +1048,20 @@ class TestVarietyOptions:
         assert run(capsys, *argv, "0,-1") == run(capsys, *argv, "0,4")
         assert run(capsys, *argv, "0,-1")[0] == 0
 
+    def test_a_negative_first_value_is_joined_to_the_option(self, capsys):
+        # argparse reads a separate "-1,2" as an option, so --avoid has no value
+        argv = ["count", "--family", "punctured", "--n", "2", "--q", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--avoid", "-1,2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("error: argument --avoid: expected one argument")
+        expected = (0, "365\n", "")
+        assert run(capsys, *argv, "--avoid=-1,2") == expected
+        assert run(capsys, *argv, "--avoid", "2,-1") == expected
+        assert run(capsys, *argv, "--avoid", "4,2") == expected
+
     def test_explicit_defaults_change_nothing(self, capsys):
         _, plain, _ = run(capsys, "poincare", "--variety", "punctured", "-n", "3")
         _, explicit, _ = run(

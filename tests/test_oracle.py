@@ -450,11 +450,13 @@ class TestAffineLastMatrix:
 
 
 class TestKernelMemo:
-    """Within one count, ``_grow`` and ``matrix_ok`` run once per distinct
-    input; later calls are looked up.  So the memo holds one entry per
-    distinct (basis, row) pair or matrix, and the call counts below are
-    its sizes.  Without the memo the first two counts make 877
-    ``_grow`` calls and 1,736 ``matrix_ok`` calls.
+    """Within one count, the row walk's ``_grow`` with two or more shifts
+    and ``matrix_ok`` run once per distinct input; later calls are looked
+    up.  So the memo holds one entry per distinct (basis, row) pair or
+    matrix, and the call counts below are its sizes.  Without the memo
+    the first two counts make 877 ``_grow`` calls and 1,736
+    ``matrix_ok`` calls.  The centralizer walk calls ``_grow`` directly:
+    Torus(2) at (3, 2) makes 747 calls on 564 distinct inputs.
 
     Both walks memoise one state per orbit of their symmetries, so the
     sizes are those of the orbit representatives.  For S = F_3 the row
@@ -488,7 +490,7 @@ class TestKernelMemo:
         count, grown = self.count_grow_calls(monkeypatch, Torus(2), 3, 2)
         assert count == 1008
         assert len(calls) == len(set(calls)) == 2**9
-        assert len(grown) == len(set(grown))
+        assert (len(grown), len(set(grown))) == (747, 564)
 
     def test_one_shift_calls_grow_directly(self, monkeypatch):
         # no (basis, row) pair recurs with one shift, so only the walk

@@ -15,11 +15,18 @@ keeps belongs in the tests, next to ``symfunc_ops.py`` and
 ``series_oracle.py``; a listed function that a command starts to enter
 leaves the list.
 
+Every module-level ``lru_cache`` of the package is emptied before each
+command and its hits are added up after it, so a hit counts only when
+one command asks for the same value twice.  The caches that no command
+hits must be exactly ``UNHIT``, each with the reason it stays: a cache
+that pays on no command is cost without use, and goes.
+
 Run as a script, this file prints the replay's JSON record.
 """
 
 import ast
 import contextlib
+import functools
 import io
 import json
 import shlex
@@ -71,6 +78,9 @@ UNREACHED = {
     "arith.Poly.__rsub__": "c - p for a scalar c, which the tests write",
 }
 
+#: module-level caches that no command hits, each with the reason it stays
+UNHIT: dict[str, str] = {}
+
 
 def defined_functions() -> dict[tuple[str, str, int], str]:
     """(file name, function name, line) -> ``module.Class.function`` for every
@@ -121,8 +131,22 @@ def commands(descriptor_dir: Path) -> list[list[str]]:
     return argvs + MORE_COMMANDS + [["verify"]]
 
 
+def module_caches() -> dict[str, object]:
+    """``module.function`` -> the function, for every ``lru_cache`` bound
+    at module level in a loaded ``commvar`` module; a cache imported
+    into another module is named once, by the module that defines it."""
+    caches = {}
+    for mod_name, mod in sorted(sys.modules.items()):
+        if mod_name.startswith("commvar."):
+            for attr, value in vars(mod).items():
+                if hasattr(value, "cache_info") and getattr(value, "__module__", None) == mod_name:
+                    caches[f"{mod_name.removeprefix('commvar.')}.{attr}"] = value
+    return caches
+
+
 def replay() -> dict:
-    """Run every command under the profiler; the record of what it entered."""
+    """Run every command under the profiler; the record of what it entered
+    and of the hits of each module-level cache within a command."""
     sys.path.insert(0, str(PACKAGE.parent))
     entered = set()
 
@@ -139,11 +163,17 @@ def replay() -> dict:
             argvs = commands(Path(tmp))
             from commvar import cli
 
+            caches = module_caches()
+            hits = dict.fromkeys(caches, 0)
             for argv in argvs:
+                for cache in caches.values():
+                    cache.cache_clear()
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     if cli.main(argv) != 0:
                         failed.append(argv)
+                for name, cache in caches.items():
+                    hits[name] += cache.cache_info().hits
         finally:
             sys.setprofile(None)
     assert Path(cli.__file__).resolve().parent == PACKAGE, cli.__file__
@@ -157,16 +187,30 @@ def replay() -> dict:
         "commands": len(argvs),
         "failed": failed,
         "unreached": sorted(set(names.values()) - reached),
+        "cache_hits": hits,
     }
 
 
-def test_every_function_is_entered_by_a_command_or_listed():
+@functools.cache
+def child_record() -> dict:
+    """The replay's record, from one fresh interpreter shared by the tests."""
     result = subprocess.run([sys.executable, __file__], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    record = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_every_function_is_entered_by_a_command_or_listed():
+    record = child_record()
     assert record["failed"] == []
     assert record["commands"] >= 275 + 10 + len(MORE_COMMANDS) + 1
     assert set(record["unreached"]) == set(UNREACHED)
+
+
+def test_every_module_cache_is_hit_within_a_command_or_listed():
+    hits = child_record()["cache_hits"]
+    assert hits, "the replay found no module-level cache"
+    unhit = {name for name, count in hits.items() if count == 0}
+    assert unhit == set(UNHIT), f"unhit and not listed: {sorted(unhit - set(UNHIT))}"
 
 
 def test_the_function_index_names_methods_and_decorated_functions():
