@@ -7,10 +7,11 @@ verify`` subcommand.
 """
 
 import inspect
+import itertools
 
 import pytest
 
-from commvar import arith, charmodel, symfunc, verify
+from commvar import arith, charmodel, oracle, symfunc, verify
 from commvar.arith import Poly
 from commvar.oracle import AffineSpace, Torus
 from commvar.partitions import partitions_of
@@ -277,6 +278,30 @@ class TestOneCorruptedRouteFails:
             False,
             "torus of dimension 2, n=1, q=2: oracle=4 |G|*k(G)=1; "
             "torus of dimension 2, n=2, q=2: oracle=88 |G|*k(G)=18",
+        )
+
+    def test_point_counts_see_a_map_that_moves_the_shift_set(self, monkeypatch):
+        # every map that sends the first two shifts to two shifts, whether
+        # or not it fixes the set, each permuting the shifts by the rank of
+        # their images: only the uncounted check with three shifts sees it
+        real = oracle._shift_permutations
+
+        def any_pair_map(shifts, p):
+            if len(shifts) < 2:
+                return real(shifts, p)
+            inv = pow(shifts[0] - shifts[1], p - 2, p)
+            perms = []
+            for t0, t1 in itertools.permutations(shifts, 2):
+                alpha = (t0 - t1) * inv % p
+                images = [(alpha * (a - shifts[0]) + t0) % p for a in shifts]
+                perms.append(tuple(sorted(images).index(image) for image in images))
+            return perms
+
+        monkeypatch.setattr(oracle, "_shift_permutations", any_pair_map)
+        result = check_point_counts()
+        assert (result.passed, result.detail) == (
+            False,
+            "affine line avoiding 0,1,2, n=2, q=5: oracle=278 formula=280 series-rhs=280 [FAIL]",
         )
 
     def test_point_counts_read_the_class_number(self, monkeypatch):

@@ -33,6 +33,7 @@ from commvar.partitions import Partition, partitions_of
 from commvar.symfunc import SymFunc, q_pochhammer
 from commvar.varieties import builtin_space
 from h_basis import from_h
+from replay import _load_workloads
 from series_oracle import (
     betti_numbers,
     letter_weights,
@@ -40,7 +41,6 @@ from series_oracle import (
     with_unit_eigenvalues,
 )
 from symfunc_ops import add, power_sum, scale
-from test_golden import _load_workloads
 
 P = Partition
 U = Poly.monomial(1)

@@ -15,14 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from commvar import arith, charmodel, oracle, partitions, symfunc, varieties
+from commvar import arith, charmodel, oracle, varieties
 from commvar.arith import Poly, RatFunc
 from commvar.cli import COMMANDS, _fast_parse, _int, build_parser, main
-from commvar.symfunc import SymFunc, q_pochhammer
+from commvar.symfunc import q_pochhammer
+from replay import GOLDEN, MORE_COMMANDS, child_record, readme_examples
 from test_charmodel import fermionic_side
-from test_golden import GOLDEN
-from test_readme import EXAMPLES
-from test_reachability import MORE_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -521,104 +519,16 @@ def independent_output(argv):
 
 
 class TestMoreCommands:
-    """The commands that ``test_reachability`` replays beside the goldens
-    and the README, and whose bytes no digest pins, print the values of
-    independent routes: the flag pairing for cn and sn, its quotient by
-    (u^2; u^2)_n for coh, the q-factorial, the closed zeta function and
-    brute-force point counts."""
+    """The commands that the replay runs beside the goldens and the README,
+    and whose bytes no digest pins, print the values of independent
+    routes: the flag pairing for cn and sn, its quotient by (u^2; u^2)_n
+    for coh, the q-factorial, the closed zeta function and brute-force
+    point counts."""
 
     @pytest.mark.parametrize("argv", MORE_COMMANDS, ids=" ".join)
-    def test_prints_the_independent_value(self, capsys, argv):
-        assert run(capsys, *argv) == (0, independent_output(argv), "")
-
-
-# the series products and the suites that check them
-NO_PRODUCT_COMMANDS = [
-    ["series", "betti", "--variety", "p1", "--t-order", "6"],
-    ["series", "betti", "--variety", "punctured"],
-    ["series", "coh", "--variety", "torus", "--t-order", "4", "--u-order", "12"],
-    ["series", "coh", "--variety", "p1"],
-    ["series", "stable", "--variety", "punctured", "--u-order", "9"],
-    ["series", "stable", "--variety", "p1"],
-    ["verify", "--suite", "coh"],
-    ["verify", "--suite", "macdonald"],
-    ["verify", "--suite", "stabilization"],
-]
-
-
-class TestNoPolynomialProductOnSeriesPaths:
-    """The series products run on int rows, so no ``Poly`` is multiplied:
-    with ``arith._convolve``, the int product behind ``Poly.__mul__``,
-    made to raise, each command prints what it prints unpatched."""
-
-    @pytest.mark.parametrize("argv", NO_PRODUCT_COMMANDS, ids=" ".join)
-    def test_same_output_without_products(self, capsys, monkeypatch, argv):
-        def forbidden(*args):
-            raise AssertionError("polynomial product on a series path")
-
-        with monkeypatch.context() as m:
-            m.setattr(arith, "_convolve", forbidden)
-            patched = run(capsys, *argv)
-        assert patched == run(capsys, *argv)
-        assert patched[0] == 0
-
-
-# every golden ``series groupoid`` command and the point-count suite
-POINT_COUNT_COMMANDS = [c.split() for c in sorted(GOLDEN) if c.startswith("series groupoid ")]
-POINT_COUNT_COMMANDS.append(["verify", "--suite", "pointcounts"])
-
-
-class TestNoCharacterCodeOnPointCountPath:
-    """The point counts run on the rank recurrence: with
-    ``enhanced_character``, ``partitions_of``, ``SymFunc`` construction
-    and ``SymFunc.principal_spec_numerator`` made to raise, each command
-    prints what it prints unpatched."""
-
-    def test_golden_has_two_groupoid_commands(self):
-        assert len(POINT_COUNT_COMMANDS) == 2 + 1
-
-    @pytest.mark.parametrize("argv", POINT_COUNT_COMMANDS, ids=" ".join)
-    def test_same_output_without_character_code(self, capsys, monkeypatch, argv):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("character code on the point-count path")
-
-        targets = (charmodel.enhanced_character, partitions.partitions_of)
-        with monkeypatch.context() as m:
-            for name, module in list(sys.modules.items()):
-                if name == "commvar" or name.startswith("commvar."):
-                    for key, value in list(vars(module).items()):
-                        if any(value is t for t in targets):
-                            m.setattr(module, key, forbidden)
-            m.setattr(SymFunc, "__init__", forbidden)
-            m.setattr(SymFunc, "principal_spec_numerator", forbidden)
-            patched = run(capsys, *argv)
-        assert patched == run(capsys, *argv)
-        assert patched[0] == 0
-
-
-FLAG_COMMANDS = [c.split() for c in sorted(GOLDEN) if c.startswith("char --flag ")]
-
-
-class TestNoCharacterTableOnFlagPath:
-    """``char --flag`` prints the hook-formula multiplicities: with the
-    character table, its columns and ``SymFunc.to_schur`` made to raise,
-    each golden flag command prints what it prints unpatched."""
-
-    def test_golden_has_seven_flag_commands(self):
-        assert len(FLAG_COMMANDS) == 7
-
-    @pytest.mark.parametrize("argv", FLAG_COMMANDS, ids=" ".join)
-    def test_same_output_without_character_table(self, capsys, monkeypatch, argv):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("character table on the flag path")
-
-        with monkeypatch.context() as m:
-            m.setattr(symfunc, "character_table", forbidden)
-            m.setattr(symfunc, "_mn", forbidden)
-            m.setattr(SymFunc, "to_schur", forbidden)
-            patched = run(capsys, *argv)
-        assert patched == run(capsys, *argv)
-        assert patched[0] == 0
+    def test_prints_the_independent_value(self, argv):
+        entry = child_record()["commands"][shlex.join(argv)]
+        assert (entry["exit"], entry["stdout"], entry.get("stderr", "")) == (0, independent_output(argv), "")
 
 
 class TestFailureExitCodes:
@@ -1401,7 +1311,7 @@ class TestParserPaths:
 
 
 GOLDEN_ARGV = [shlex.split(command) for command in GOLDEN]
-README_ARGV = [shlex.split(command)[1:] for command, _, _ in EXAMPLES]
+README_ARGV = [shlex.split(command)[1:] for command, _, _ in readme_examples()]
 
 
 def declared_argv(rng, command):

@@ -31,10 +31,10 @@ from commvar.series import (
     weil_zeta_from_eigendata,
 )
 from commvar.varieties import BUILTIN_NAMES, builtin_space
+from replay import _load_workloads
 from series_oracle import cut, groupoid_product_by_log, power_series, scale_t
 from series_oracle import stable_betti as stable_betti_by_polynomials
 from series_oracle import stable_betti_by_repeated_passes, with_unit_eigenvalues
-from test_golden import _load_workloads
 
 U = Poly.monomial(1)
 ONE = Poly.constant(1)
